@@ -17,7 +17,7 @@ from pathlib import Path
 
 from schedlab.cli import main as cli_main
 
-CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "ref_cfg.json")
+CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "reference4x3.json")
 
 
 def run(argv):

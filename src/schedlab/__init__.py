@@ -3,7 +3,6 @@
 from .ldp import (
     AllocationMatrix,
     IoptResult,
-    IoptSearch,
     PathSample,
     aux_growth,
     compute_iopt,

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
     SolverFailureError,
     TraceUnavailableError,
 )
-from .ldp import IoptSearch, compute_iopt
+from .ldp import compute_iopt
 from .model import SystemConfig, config_from_json, config_to_json
 from .schedulers import Exp, Heterogeneous, MaxWeight, Policy, policy_from_json, policy_to_json, validate_policy
 from .simulator import (
@@ -217,24 +217,6 @@ def _spec_echo(args, cfg: SystemConfig, spec: SimSpec | None, policy: Policy | N
     return doc
 
 
-def _iopt_search(args) -> IoptSearch:
-    return IoptSearch(
-        y_max=args.y_max,
-        y_grid=args.y_grid,
-        gamma_grid=args.gamma_grid,
-        refine_tol=args.refine_tol,
-        n_seeds=args.iopt_seeds,
-    )
-
-
-def _add_iopt_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--y-max", type=float, default=None)
-    sub.add_argument("--y-grid", type=int, default=9)
-    sub.add_argument("--gamma-grid", type=int, default=15)
-    sub.add_argument("--refine-tol", type=float, default=1e-6)
-    sub.add_argument("--iopt-seeds", type=int, default=3)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -279,7 +261,7 @@ def cmd_sweep(args) -> int:
     for pol, _ in swept:
         validate_policy(pol)
 
-    iopt = compute_iopt(cfg, _iopt_search(args))
+    iopt = compute_iopt(cfg)
     rows = []
     entries = []
     for value, (pol, param_name) in zip(values, swept):
@@ -315,22 +297,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_iopt(args) -> int:
     cfg = config_from_json(Path(args.config))
-    search = _iopt_search(args)
-    result = compute_iopt(cfg, search)
-    if not result.converged and not args.allow_unconverged:
-        print("iopt refinement did not converge (rerun with --allow-unconverged to emit)", file=sys.stderr)
-        return EXIT_COMPUTE
+    result = compute_iopt(cfg)
     out = Path(args.out)
     _write_json(
         out / "iopt.json",
         {
-            "spec_echo": _spec_echo(args, cfg, None, None, search=asdict(search)),
+            "spec_echo": _spec_echo(args, cfg, None, None),
             "value": result.value,
             "arg_y": result.arg_y,
             "arg_gamma": result.arg_gamma,
             "arg_w": result.arg_w,
             "arg_phi": result.arg_phi.phi,
-            "converged": result.converged,
         },
     )
     rows = []
@@ -449,13 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="simulate over a policy-parameter list")
     _add_common(p_sweep)
     p_sweep.add_argument("--values", required=True, help="comma-separated parameter values")
-    _add_iopt_options(p_sweep)
 
     p_iopt = sub.add_parser("iopt", help="optimal decay rate of the config")
     p_iopt.add_argument("--config", required=True)
     p_iopt.add_argument("--out", default="out")
-    p_iopt.add_argument("--allow-unconverged", action="store_true")
-    _add_iopt_options(p_iopt)
 
     p_reg = sub.add_parser("regions", help="decision-region map over two queue axes")
     p_reg.add_argument("--config", required=True)

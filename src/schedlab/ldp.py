@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, linprog, minimize
+from scipy.special import logsumexp
 
 from .errors import (
     MalformedPathError,
@@ -27,11 +28,9 @@ from .errors import (
     NotAProbabilityVectorError,
     SolverFailureError,
 )
-from .lp import solve_standard_form
-from .model import SystemConfig
+from .model import ARRIVAL_FLUID, SystemConfig
 
 PROB_TOL = 1e-9
-W_FLOOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +167,18 @@ def _clean_rows(phi: np.ndarray) -> np.ndarray:
     return phi / phi.sum(axis=1, keepdims=True)
 
 
+def solve_standard_form(c, A, b) -> tuple[np.ndarray, float]:
+    """Minimize c.x s.t. A x = b, x >= 0 with HiGHS; returns (x, objective).
+
+    Raises SolverFailureError on any non-success status (infeasible,
+    unbounded, iteration limit, numerical trouble).
+    """
+    res = linprog(c, A_eq=A, b_eq=b, method="highs")
+    if not res.success:
+        raise SolverFailureError(f"LP failed: {res.message}")
+    return res.x, float(res.fun)
+
+
 def w_growth(y, gamma, cfg: SystemConfig) -> tuple[float, AllocationMatrix]:
     """Minimum achievable growth rate of the largest queue.
 
@@ -213,17 +224,26 @@ def is_stabilizable(cfg: SystemConfig, epsilon: float = 0.0) -> tuple[bool, Allo
 
 
 # ---------------------------------------------------------------------------
-# fast exact evaluation of w via dual vertices
+# the decay-rate optimization by convex duality
 #
-# The LP dual is max_{u >= 0, sum u <= 1} [u.y - sum_m gamma_m max_i u_i F[m][i]],
-# a concave piecewise-linear maximization whose optimum sits on a vertex of the
-# arrangement cut by the hyperplanes u_i F[m][i] = u_j F[m][j]. The vertex set
-# depends only on the rate matrix, so grid sweeps reduce to one matmul per gamma.
+# The LP dual is w(y, gamma) = max_{u >= 0, sum u <= 1} [u.y - sum_m gamma_m c_m(u)]
+# with c_m(u) = max_i u_i F[m][i], a concave piecewise-linear maximization whose
+# optimum sits on a vertex of the arrangement cut by the hyperplanes
+# u_i F[m][i] = u_j F[m][j]. For a fixed u, cost / (u.y - gamma.c(u)) is least at
+# the exponential tilt of (lam, p) along u, so I_opt = min over vertices u of
+# theta_u, the positive root of A_u(theta) + log sum_m p_m e^{-theta c_m(u)} = 0,
+# where A_u is the arrivals' log moment generating function along u (Glynn &
+# Whitt 1994).
 
 _CANDIDATE_CAP = 400_000
 
 
-def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray | None:
+def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray:
+    """Vertices of the dual arrangement inside {u >= 0, sum u <= 1}.
+
+    Raises SolverFailureError when the number of hyperplane subsets to try
+    exceeds _CANDIDATE_CAP, instead of running for hours.
+    """
     M, N = rate_matrix.shape
     rows = [np.eye(N)[i] for i in range(N)]
     rhs = [0.0] * N
@@ -246,8 +266,12 @@ def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray | None:
                 seen.add(key)
                 rows.append(a)
                 rhs.append(0.0)
-    if math.comb(len(rows), N) > _CANDIDATE_CAP:
-        return None
+    n_subsets = math.comb(len(rows), N)
+    if n_subsets > _CANDIDATE_CAP:
+        raise SolverFailureError(
+            f"dual-vertex enumeration needs {n_subsets} candidate subsets of {len(rows)} "
+            f"hyperplanes, above the cap of {_CANDIDATE_CAP}"
+        )
     A = np.array(rows)
     b = np.array(rhs)
     cands = []
@@ -258,53 +282,7 @@ def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray | None:
         u = np.linalg.solve(sub, b[list(comb)])
         if np.all(u >= -1e-9) and u.sum() <= 1.0 + 1e-9:
             cands.append(np.clip(u, 0.0, None))
-    if not cands:
-        return None
     return np.unique(np.round(np.array(cands), 12), axis=0)
-
-
-class _GrowthEvaluator:
-    """Evaluates w(y, gamma) for many points; dual-vertex fast path when the
-    candidate enumeration is tractable, LP fallback otherwise."""
-
-    def __init__(self, cfg: SystemConfig):
-        self.cfg = cfg
-        self.cands = _dual_candidates(cfg.rate_matrix)
-        if self.cands is not None:
-            # per-candidate, per-state cost of the inner max: max_i u_i F[m][i]
-            self.state_cost = np.max(
-                self.cands[:, None, :] * cfg.rate_matrix[None, :, :], axis=2
-            )
-
-    def batch(self, ys: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-        if self.cands is not None:
-            cost = self.state_cost @ gamma
-            return np.maximum(0.0, (self.cands @ ys.T - cost[:, None]).max(axis=0))
-        return np.array([w_growth(y, gamma, self.cfg)[0] for y in ys])
-
-    def one(self, y: np.ndarray, gamma: np.ndarray) -> float:
-        if self.cands is not None:
-            cost = self.state_cost @ gamma
-            return max(0.0, float((self.cands @ y - cost).max()))
-        return w_growth(y, gamma, self.cfg)[0]
-
-
-# ---------------------------------------------------------------------------
-# the decay-rate optimization
-
-
-@dataclass(frozen=True)
-class IoptSearch:
-    """Knobs for the two-phase search: coarse grid seeding, then local
-    derivative-free refinement of the best seeds."""
-
-    y_max: float | None = None  # None -> 3 * max rate + max arrival rate
-    y_grid: int = 9
-    gamma_grid: int = 15
-    refine_tol: float = 1e-6
-    max_refine_iter: int = 100_000
-    n_seeds: int = 3
-    w_floor: float = W_FLOOR
 
 
 @dataclass(frozen=True)
@@ -314,38 +292,6 @@ class IoptResult:
     arg_gamma: np.ndarray
     arg_phi: AllocationMatrix
     arg_w: float
-    converged: bool
-
-
-def _gamma_from_beta(beta: np.ndarray, m: int) -> np.ndarray:
-    """Stick-breaking map from [0,1]^(m-1) onto the m-simplex."""
-    g = np.empty(m)
-    rest = 1.0
-    for j in range(m - 1):
-        g[j] = rest * beta[j]
-        rest *= 1.0 - beta[j]
-    g[m - 1] = rest
-    return g
-
-
-def _beta_from_gamma(gamma: np.ndarray) -> np.ndarray:
-    m = len(gamma)
-    beta = np.empty(m - 1)
-    rest = 1.0
-    for j in range(m - 1):
-        beta[j] = min(max(gamma[j] / rest, 0.0), 1.0) if rest > 1e-300 else 0.0
-        rest -= gamma[j]
-    return beta
-
-
-def _y_axis(lam_i: float, y_max: float, k: int) -> np.ndarray:
-    """k grid points on [0, y_max]: 0, a geometric ladder from lam_i/2 up to
-    y_max, with lam_i itself snapped onto the ladder."""
-    if k < 3:
-        return np.unique(np.array([0.0, min(lam_i, y_max), y_max]))
-    ladder = np.geomspace(lam_i / 2.0, y_max, k - 1)
-    ladder[np.argmin(np.abs(ladder - lam_i))] = lam_i
-    return np.unique(np.concatenate([[0.0], ladder]))
 
 
 def _canonical_phi(y: np.ndarray, gamma: np.ndarray, w: float, cfg: SystemConfig) -> np.ndarray:
@@ -379,104 +325,89 @@ def _canonical_phi(y: np.ndarray, gamma: np.ndarray, w: float, cfg: SystemConfig
     return _clean_rows(phi)
 
 
-def compute_iopt(cfg: SystemConfig, search: IoptSearch = IoptSearch()) -> IoptResult:
+def _vertex_theta(u: np.ndarray, c: np.ndarray, cfg: SystemConfig) -> float:
+    """Positive root theta_u along dual vertex u with state costs c = c(u):
+    0 when the mean point already grows along u, +inf when the root function
+    never turns positive."""
+    lam, p = cfg.arrival_rates, cfg.state_probs
+    fluid = cfg.arrival_model == ARRIVAL_FLUID
+    slope0 = lam @ u - p @ c
+    if slope0 >= 0:
+        return 0.0
+    if fluid and lam @ u <= c[p > 0].min():
+        return math.inf  # the secant below rises only to lam.u - min c <= 0
+
+    def secant(t: float) -> float:
+        # root function over t: nondecreasing, since it is convex and 0 at 0
+        if t == 0.0:
+            return slope0
+        arrivals = t * (lam @ u) if fluid else lam @ np.expm1(t * u)
+        return (arrivals + logsumexp(-t * c, b=p)) / t
+
+    hi = 1.0
+    while secant(hi) <= 0:
+        hi *= 2.0
+    return brentq(secant, 0.0, hi, xtol=1e-15, rtol=1e-15)
+
+
+def compute_iopt(cfg: SystemConfig) -> IoptResult:
     """Optimal overflow decay rate over all scheduling algorithms.
 
-    Minimizes (sum_i poisson_rate(y_i) + relative_entropy(gamma, p)) /
-    w_growth(y, gamma) over y in [0, y_max]^N and gamma in the state simplex,
-    restricted to w_growth >= w_floor. Coarse grid seeding (arrival-anchored
-    y axes, stick-breaking gamma axes) followed by Nelder-Mead refinement of
-    the best seeds; the returned point is feasible, so the value is always an
-    upper bound on the true infimum.
+    The infimum of (arrival cost + relative_entropy(gamma, p)) / w_growth(y,
+    gamma), computed exactly as min over the dual vertices u of theta_u. The
+    arrival cost is sum_i poisson_rate(y_i) for Poisson arrivals; fluid
+    arrivals cannot deviate, so y stays at the means. The minimizer is the
+    exponential tilt y_i = lam_i e^{theta u_i} (y = lam for fluid arrivals),
+    gamma_m proportional to p_m e^{-theta c_m(u)}.
     """
     lam = cfg.arrival_rates
     p = cfg.state_probs
-    M, N = cfg.n_states, cfg.n_users
-    y_max = search.y_max if search.y_max is not None else 3.0 * cfg.rate_matrix.max() + lam.max()
 
     w0, phi0 = w_growth(lam, p, cfg)
     if w0 > 1e-9:
         # the mean path itself overflows at zero deviation cost
-        return IoptResult(0.0, lam.copy(), p.copy(), phi0, w0, True)
+        return IoptResult(0.0, lam.copy(), p.copy(), phi0, w0)
 
-    ev = _GrowthEvaluator(cfg)
+    cands = _dual_candidates(cfg.rate_matrix)
+    cands = cands[cands.sum(axis=1) > 0]
+    costs = np.max(cands[:, None, :] * cfg.rate_matrix[None, :, :], axis=2)
+    thetas = [_vertex_theta(u, c, cfg) for u, c in zip(cands, costs)]
+    k = int(np.argmin(thetas))
+    theta = thetas[k]
+    if math.isinf(theta):
+        raise SolverFailureError("no channel deviation makes the largest queue grow")
 
-    axes = [_y_axis(lam[i], y_max, search.y_grid) for i in range(N)]
-    mesh = np.array(list(itertools.product(*axes)))
-    lsum = poisson_rate(mesh, lam[None, :]).sum(axis=1)
-
-    if M == 1:
-        gammas = [np.array([1.0])]
-    else:
-        bgrid = np.linspace(0.0, 1.0, search.gamma_grid)
-        gammas = [
-            _gamma_from_beta(np.array(beta), M)
-            for beta in itertools.product(bgrid, repeat=M - 1)
-        ]
-
-    seeds: list[tuple[float, np.ndarray, np.ndarray]] = []
-    best_grid: tuple[float, np.ndarray, np.ndarray] | None = None
-    for gamma in gammas:
-        h = _kl(gamma, p)
-        if math.isinf(h):
-            continue
-        w = ev.batch(mesh, gamma)
-        ok = w >= search.w_floor
-        if not ok.any():
-            continue
-        obj = np.where(ok, (lsum + h) / np.where(ok, w, 1.0), np.inf)
-        k = int(np.argmin(obj))
-        entry = (float(obj[k]), mesh[k].copy(), gamma.copy())
-        seeds.append(entry)
-        if best_grid is None or entry[0] < best_grid[0]:
-            best_grid = entry
-    if best_grid is None:
-        raise SolverFailureError("no feasible point with w >= w_floor on the seeding grid")
-    seeds.sort(key=lambda s: s[0])
-
-    def objective(x: np.ndarray) -> float:
-        y = np.clip(x[:N], 0.0, y_max)
-        gamma = _gamma_from_beta(np.clip(x[N:], 0.0, 1.0), M)
-        h = _kl(gamma, p)
-        if math.isinf(h):
-            return 1e18
-        w = ev.one(y, gamma)
-        if w < search.w_floor:
-            return 1e15
-        return (float(poisson_rate(y, lam).sum()) + h) / w
-
-    best = best_grid
-    converged = True
-    for _, y0, g0 in seeds[: search.n_seeds]:
-        x0 = np.concatenate([y0, _beta_from_gamma(g0)])
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "fatol": search.refine_tol,
-                "xatol": search.refine_tol,
-                "maxiter": search.max_refine_iter,
-                "maxfev": search.max_refine_iter,
-            },
-        )
-        if res.fun < best[0]:
-            y_r = np.clip(res.x[:N], 0.0, y_max)
-            g_r = _gamma_from_beta(np.clip(res.x[N:], 0.0, 1.0), M)
-            best = (float(res.fun), y_r, g_r)
-            converged = bool(res.success)
-
-    _, y_star, g_star = best
-    w_star, _ = w_growth(y_star, g_star, cfg)
-    if w_star <= 0:
-        raise SolverFailureError("optimal point lost positivity of the growth rate")
-    cost = float(poisson_rate(y_star, lam).sum()) + _kl(g_star, p)
-    phi_star = AllocationMatrix(_canonical_phi(y_star, g_star, w_star, cfg))
-    return IoptResult(cost / w_star, y_star, g_star, phi_star, w_star, converged)
+    y = lam.copy() if cfg.arrival_model == ARRIVAL_FLUID else lam * np.exp(theta * cands[k])
+    gamma = p * np.exp(-theta * costs[k])
+    gamma /= gamma.sum()
+    w, _ = w_growth(y, gamma, cfg)
+    phi = AllocationMatrix(_canonical_phi(y, gamma, w, cfg))
+    return IoptResult(theta, y, gamma, phi, w)
 
 
 # ---------------------------------------------------------------------------
 # the auxiliary growth problem
+
+
+def _gamma_from_beta(beta: np.ndarray, m: int) -> np.ndarray:
+    """Stick-breaking map from [0,1]^(m-1) onto the m-simplex."""
+    g = np.empty(m)
+    rest = 1.0
+    for j in range(m - 1):
+        g[j] = rest * beta[j]
+        rest *= 1.0 - beta[j]
+    g[m - 1] = rest
+    return g
+
+
+def _beta_from_gamma(gamma: np.ndarray) -> np.ndarray:
+    m = len(gamma)
+    beta = np.empty(m - 1)
+    rest = 1.0
+    for j in range(m - 1):
+        beta[j] = min(max(gamma[j] / rest, 0.0), 1.0) if rest > 1e-300 else 0.0
+        rest -= gamma[j]
+    return beta
 
 
 def _row_lattice(n: int, parts: int) -> np.ndarray:

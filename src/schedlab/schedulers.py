@@ -213,11 +213,20 @@ def mw_select(
     tie_break: str = TIE_LOWEST,
     rng: np.random.Generator | None = None,
 ) -> SelectionScore:
-    """MaxWeight rule: score_i = Q_i^alpha * F_i, with 0^alpha = 0."""
+    """MaxWeight rule: score_i = Q_i^alpha * F_i, with 0^alpha = 0.
+
+    Selection runs on the scale-free equivalent (Q/maxQ)^alpha * F (all zeros
+    when every queue is empty), which shares the score's argmax but keeps its
+    magnitude at the rates', so the absolute tie tolerance means the same at
+    every queue scale.
+    """
     _check_state(state, cfg)
     q = np.asarray(q, dtype=float)
-    score = q**params.alpha * cfg.rate_matrix[state]
-    return _resolve(score, score, tie_break, rng)
+    rates = cfg.rate_matrix[state]
+    score = q**params.alpha * rates
+    q_max = q.max()
+    stable = (q / q_max) ** params.alpha * rates if q_max > 0 else np.zeros_like(score)
+    return _resolve(score, stable, tie_break, rng)
 
 
 def select(

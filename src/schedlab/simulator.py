@@ -10,8 +10,6 @@ service counters.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,20 +419,10 @@ def run_simulation(
     spec: SimSpec,
     mode: str = ESTIMATOR_STATIONARY,
 ) -> SimResult:
-    """Full campaign: replications (parallel batches capped by SCHEDLAB_THREADS),
-    overflow estimates, decay fit, and the empirical allocation matrix."""
+    """Full campaign: all replications in one lockstep pass, overflow
+    estimates, decay fit, and the empirical allocation matrix."""
     validate_sim_spec(spec)
-    rep_indices = list(range(spec.replications))
-    threads = max(1, int(os.environ.get("SCHEDLAB_THREADS", "1")))
-    if threads == 1 or spec.replications == 1:
-        outputs = run_replications(cfg, policy, spec, rep_indices)
-    else:
-        groups = [rep_indices[i::threads] for i in range(threads)]
-        groups = [g for g in groups if g]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda g: run_replications(cfg, policy, spec, g), groups))
-        by_index = {o.rep_index: o for part in parts for o in part}
-        outputs = [by_index[r] for r in rep_indices]
+    outputs = run_replications(cfg, policy, spec, list(range(spec.replications)))
 
     overflow = estimate_overflow(outputs, mode=mode) if len(spec.thresholds) else []
     try:

@@ -1,10 +1,9 @@
 import json
+import time
 
 import numpy as np
-import pytest
 
 import schedlab.cli as cli
-from schedlab.ldp import AllocationMatrix, IoptResult
 
 
 HET_POLICY = '{"type": "het", "q_th": 2}'
@@ -77,7 +76,7 @@ class TestSweep:
         rc = run_cli(
             "sweep", "--config", str(ref_cfg_path), "--policy", '{"type": "mw", "alpha": 1}',
             "--values", "1,7", "--horizon", "20000", "--replications", "2",
-            "--y-grid", "5", "--gamma-grid", "8", "--out", str(out),
+            "--out", str(out),
         )
         assert rc == 0
         header, rows = read_csv(out / "decay_vs_param.csv")
@@ -96,14 +95,10 @@ class TestSweep:
 class TestIopt:
     def test_writes_value_and_phi(self, ref_cfg_path, tmp_path):
         out = tmp_path / "iopt"
-        rc = run_cli(
-            "iopt", "--config", str(ref_cfg_path), "--y-grid", "7",
-            "--gamma-grid", "9", "--out", str(out),
-        )
+        rc = run_cli("iopt", "--config", str(ref_cfg_path), "--out", str(out))
         assert rc == 0
         doc = json.loads((out / "iopt.json").read_text())
         assert 0.0 < doc["value"] < 1.0
-        assert doc["converged"] is True
         header, rows = read_csv(out / "phi_opt.csv")
         assert header == ["state", "user", "phi"]
         assert len(rows) == 12
@@ -111,23 +106,21 @@ class TestIopt:
         phi_m3_u0 = [float(r[2]) for r in rows if r[0] == "2" and r[1] == "0"][0]
         assert phi_m3_u0 > 0.98
 
-    def test_unconverged_exits_3(self, ref_cfg_path, tmp_path, monkeypatch):
-        fake = IoptResult(
-            value=0.1,
-            arg_y=np.ones(4),
-            arg_gamma=np.array([0.3, 0.6, 0.1]),
-            arg_phi=AllocationMatrix(np.full((3, 4), 0.25)),
-            arg_w=1.0,
-            converged=False,
-        )
-        monkeypatch.setattr(cli, "compute_iopt", lambda cfg, search: fake)
-        rc = run_cli("iopt", "--config", str(ref_cfg_path), "--out", str(tmp_path / "x"))
+    def test_over_vertex_cap_exits_3(self, tmp_path, capsys):
+        # 5 users x 4 states with generic rates: C(46, 5) hyperplane subsets
+        rates = np.random.default_rng(0).uniform(1.0, 9.0, size=(4, 5))
+        cfg_path = tmp_path / "generic5x4.json"
+        cfg_path.write_text(json.dumps({
+            "n_users": 5, "n_states": 4, "state_probs": [0.25] * 4,
+            "rate_matrix": rates.tolist(), "arrival_rates": [0.1] * 5,
+        }))
+        out = tmp_path / "x"
+        start = time.monotonic()
+        rc = run_cli("iopt", "--config", str(cfg_path), "--out", str(out))
+        assert time.monotonic() - start < 1.0
         assert rc == 3
-        rc = run_cli(
-            "iopt", "--config", str(ref_cfg_path), "--allow-unconverged",
-            "--out", str(tmp_path / "y"),
-        )
-        assert rc == 0
+        assert "1370754" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRegions:

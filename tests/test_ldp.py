@@ -9,7 +9,6 @@ from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp
 
 from schedlab import (
-    IoptSearch,
     PathSample,
     aux_growth,
     compute_iopt,
@@ -23,8 +22,9 @@ from schedlab.errors import (
     MalformedPathError,
     NegativeArgumentError,
     NotAProbabilityVectorError,
+    SolverFailureError,
 )
-from schedlab.ldp import _GrowthEvaluator
+from schedlab.ldp import _dual_candidates, solve_standard_form
 from conftest import make_config
 
 
@@ -223,16 +223,18 @@ def w_highs(y, gamma, cfg):
 # Certificate for I_opt by convex duality. The growth LP's dual is
 # w(y, gamma) = max over u >= 0, sum(u) <= 1 of u.y - sum_m gamma_m c_m(u), with
 # c_m(u) = max_i u_i F[m][i], so I_opt = min_u theta_u where theta_u is the
-# positive root of sum_i lam_i (e^{theta u_i} - 1) + log sum_m p_m e^{-theta c_m(u)}.
-# On each cell where every c_m is linear that function is convex in u, so the
-# minimum sits at a cell vertex; the minimizing (y, gamma) is the exponential tilt.
+# positive root of A_u(theta) + log sum_m p_m e^{-theta c_m(u)}, with the arrival
+# term A_u(theta) = sum_i lam_i (e^{theta u_i} - 1) for Poisson arrivals and
+# theta lam.u for fluid ones (which cannot deviate). On each cell where every c_m
+# is linear that function is convex in u, so the minimum sits at a cell vertex;
+# the minimizing (y, gamma) is the exponential tilt.
 
 
 @dataclass(frozen=True)
 class IoptCertificate:
     theta: float  # the infimum I_opt
     u: np.ndarray  # minimizing dual vertex
-    y: np.ndarray  # tilted arrival rates lam_i e^{theta u_i}
+    y: np.ndarray  # tilted arrival rates lam_i e^{theta u_i} (lam for fluid arrivals)
     gamma: np.ndarray  # tilted channel law, proportional to p_m e^{-theta c_m(u)}
     w: float  # growth at the tilt, u.y - gamma.c(u)
 
@@ -263,19 +265,25 @@ def dual_vertices(cfg):
 
 
 def root_function(theta, u, cfg):
-    """sum_i lam_i (e^{theta u_i} - 1) + log sum_m p_m e^{-theta c_m(u)}, per row of u."""
+    """A_u(theta) + log sum_m p_m e^{-theta c_m(u)}, per row of u."""
     c = (u[..., None, :] * cfg.rate_matrix).max(axis=-1)
-    return np.sum(cfg.arrival_rates * np.expm1(theta * u), axis=-1) + logsumexp(
-        -theta * c, b=cfg.state_probs, axis=-1
-    )
+    if cfg.arrival_model == "fluid":
+        arrivals = theta * (u @ cfg.arrival_rates)
+    else:
+        arrivals = np.sum(cfg.arrival_rates * np.expm1(theta * u), axis=-1)
+    return arrivals + logsumexp(-theta * c, b=cfg.state_probs, axis=-1)
 
 
 def vertex_theta(u, cfg):
-    """Positive root theta_u (0 when the mean point already grows along u)."""
+    """Positive root theta_u (0 when the mean point already grows along u,
+    inf when the root function never turns positive)."""
     c = (u * cfg.rate_matrix).max(axis=1)
     slope0 = cfg.arrival_rates @ u - cfg.state_probs @ c
     if slope0 >= 0:
         return 0.0
+    # fluid: the secant tends to lam.u - min over possible states of c_m(u)
+    if cfg.arrival_model == "fluid" and cfg.arrival_rates @ u <= c[cfg.state_probs > 0].min():
+        return math.inf
 
     def secant(t):  # the root function over t: increasing, since it is convex and 0 at 0
         return slope0 if t == 0.0 else root_function(t, u, cfg) / t
@@ -292,7 +300,7 @@ def iopt_certificate(cfg):
     k = int(np.argmin(thetas))
     u, theta = vertices[k], thetas[k]
     c = (u * cfg.rate_matrix).max(axis=1)
-    y = cfg.arrival_rates * np.exp(theta * u)
+    y = cfg.arrival_rates * np.exp(theta * u) if cfg.arrival_model == "poisson" else cfg.arrival_rates
     gamma = cfg.state_probs * np.exp(-theta * c)
     gamma /= gamma.sum()
     return IoptCertificate(theta=theta, u=u, y=y, gamma=gamma, w=float(u @ y - gamma @ c))
@@ -351,13 +359,15 @@ class TestWGrowth:
                 assert np.any(y > v + 1e-9) or w <= 1e-9
 
     def test_dual_evaluator_matches_lp(self, ref_cfg):
-        ev = _GrowthEvaluator(ref_cfg)
-        assert ev.cands is not None
+        # strong duality: w is the max over the dual vertices of u.y - gamma.c(u)
+        cands = _dual_candidates(ref_cfg.rate_matrix)
+        costs = (cands[:, None, :] * ref_cfg.rate_matrix).max(axis=2)
         rng = np.random.default_rng(7)
         for _ in range(100):
             y = rng.uniform(0, 10, 4)
             gamma = rng.dirichlet(np.ones(3))
-            assert ev.one(y, gamma) == pytest.approx(w_growth(y, gamma, ref_cfg)[0], abs=1e-8)
+            dual = float((cands @ y - costs @ gamma).max())
+            assert dual == pytest.approx(w_growth(y, gamma, ref_cfg)[0], abs=1e-8)
 
     def test_bruteforce_grid_bound_random_3x3(self):
         rng = np.random.default_rng(11)
@@ -370,6 +380,35 @@ class TestWGrowth:
             grid = w_bruteforce(y, gamma, cfg, parts=20)
             assert w <= grid + 1e-9
             assert grid - w <= 2e-2
+
+
+class TestSolveStandardForm:
+    def test_simple_instance(self):
+        # min -x1 - 2x2 s.t. x1 + x2 + s = 4, x1 + 3x2 + t = 6
+        c = np.array([-1.0, -2.0, 0.0, 0.0])
+        A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+        b = np.array([4.0, 6.0])
+        x, val = solve_standard_form(c, A, b)
+        assert val == pytest.approx(-5.0, abs=1e-9)
+        assert x[0] == pytest.approx(3.0, abs=1e-9)
+        assert x[1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_infeasible_raises(self):
+        # x1 = -1 with x1 >= 0
+        with pytest.raises(SolverFailureError):
+            solve_standard_form(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
+
+    def test_unbounded_raises(self):
+        # min -x1 s.t. x1 - x2 = 0 (both free upward)
+        with pytest.raises(SolverFailureError):
+            solve_standard_form(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
+
+    def test_redundant_constraints_handled(self):
+        A = np.array([[1.0, 1.0], [2.0, 2.0]])
+        b = np.array([1.0, 2.0])
+        x, val = solve_standard_form(np.array([1.0, 0.0]), A, b)
+        assert val == pytest.approx(0.0, abs=1e-9)
+        assert x[1] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestStabilizable:
@@ -396,7 +435,6 @@ class TestComputeIopt:
         cfg = make_config([[5.0]], [1.0], [6.0])
         res = compute_iopt(cfg)
         assert res.value == 0.0
-        assert res.converged
         assert res.arg_w > 0
 
     def test_single_user_against_bruteforce(self, single_user_cfg):
@@ -404,10 +442,10 @@ class TestComputeIopt:
         y = np.linspace(5.0 + 1e-6, 16.0, 2_000_001)
         oracle = float(np.min((y * np.log(y) - y + 1.0) / (y - 5.0)))
         assert res.value == pytest.approx(oracle, abs=1e-4)
-        assert res.value >= oracle - 1e-9  # upper bound on the infimum
+        assert res.value <= oracle + 1e-12  # the grid minimum lies above the infimum
 
     def test_value_invariant(self, ref_cfg):
-        res = compute_iopt(ref_cfg, IoptSearch(y_grid=7, gamma_grid=9))
+        res = compute_iopt(ref_cfg)
         cost = poisson_rate(res.arg_y, ref_cfg.arrival_rates).sum() + relative_entropy(
             res.arg_gamma, ref_cfg.state_probs
         )
@@ -415,11 +453,6 @@ class TestComputeIopt:
         assert res.arg_w >= 1e-6
         rows = res.arg_phi.phi.sum(axis=1)
         assert np.allclose(rows, 1.0, atol=1e-9)
-
-    def test_grid_refinement_never_increases_value(self, ref_cfg):
-        coarse = compute_iopt(ref_cfg, IoptSearch(y_grid=5, gamma_grid=8))
-        fine = compute_iopt(ref_cfg, IoptSearch(y_grid=9, gamma_grid=15))
-        assert fine.value <= coarse.value + 1e-7
 
 
 class TestIoptCertificate:
@@ -451,8 +484,19 @@ class TestIoptCertificate:
                 rng.uniform(0.5, 5, size=(2, 2)), rng.dirichlet(np.ones(2)), rng.uniform(0.1, 0.6, 2)
             )
             theta = iopt_certificate(cfg).theta
-            value = compute_iopt(cfg).value  # attained at a feasible point: an upper bound
-            assert theta - 1e-9 <= value <= theta + 1e-3
+            assert abs(compute_iopt(cfg).value - theta) <= 1e-9
+
+    def test_compute_iopt_matches_reference_both_arrival_models(self, ref_cfg, ref_cfg_fluid):
+        for cfg, theta_star in ((ref_cfg, 0.295635377585), (ref_cfg_fluid, 0.446616)):
+            cert = iopt_certificate(cfg)
+            assert cert.theta == pytest.approx(theta_star, abs=1e-6)
+            assert w_highs(cert.y, cert.gamma, cfg) == pytest.approx(cert.w, abs=1e-8)
+            assert deviation_cost(cert.y, cert.gamma, cfg) / cert.w == pytest.approx(cert.theta, abs=1e-8)
+            res = compute_iopt(cfg)
+            assert abs(res.value - cert.theta) <= 1e-9
+            assert np.allclose(res.arg_y, cert.y, atol=1e-9)
+            assert np.allclose(res.arg_gamma, cert.gamma, atol=1e-9)
+            assert res.arg_w == pytest.approx(cert.w, abs=1e-9)
 
 
 def aux_grid_oracle(cfg, gamma, rho1=0.0, rho2=0.0, n=100):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schedlab import (
     Exp,
@@ -183,6 +183,10 @@ class TestInvariances:
         assert base.tied_set == shifted.tied_set
 
     @given(grid_instances(), st.floats(0.001, 1000))
+    @example(  # an exact tie at magnitude ~8e3 that raw scores lost after scaling
+        inst=(np.array([0.0, 0.0, 44.25, 29.5]), make_config([[0.0, 0.0, 4.0, 9.0]], [1.0], [1.0] * 4)),
+        scale=2.0199,
+    )
     @settings(max_examples=150, deadline=None)
     def test_mw_scale_invariance(self, inst, scale):
         q, cfg = inst

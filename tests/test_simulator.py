@@ -1,5 +1,5 @@
 import math
-import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -225,16 +225,24 @@ class TestRunSimulation:
         probs = [e.probability for e in res.overflow]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
-    def test_thread_split_matches_serial(self, ref_cfg):
+    def test_split_matches_single_pass(self, ref_cfg):
+        """Streams are keyed by (seed, rep_index), so splitting the indices
+        over several lockstep passes changes no output bit."""
         spec = SimSpec(horizon=20_000, replications=4, master_seed=4)
-        serial = run_simulation(ref_cfg, HET2, spec)
-        os.environ["SCHEDLAB_THREADS"] = "3"
-        try:
-            threaded = run_simulation(ref_cfg, HET2, spec)
-        finally:
-            del os.environ["SCHEDLAB_THREADS"]
-        assert np.array_equal(serial.counters.served_slots, threaded.counters.served_slots)
-        assert serial.overflow == threaded.overflow
+        whole = run_replications(ref_cfg, HET2, spec, [0, 1, 2, 3])
+        split = {
+            o.rep_index: o
+            for group in ([0, 3], [1], [2])
+            for o in run_replications(ref_cfg, HET2, spec, group)
+        }
+        for a in whole:
+            b = split[a.rep_index]
+            for f in fields(TraceCounters):
+                assert np.array_equal(getattr(a.counters, f.name), getattr(b.counters, f.name))
+            assert np.array_equal(a.overflow_slot_counts, b.overflow_slot_counts)
+            assert np.array_equal(a.ever_reached, b.ever_reached)
+            assert a.n_stat_slots == b.n_stat_slots
+            assert np.array_equal(a.mean_queues, b.mean_queues)
 
     def test_aggregate_counters_order_independent(self, ref_cfg):
         spec = SimSpec(horizon=10_000, replications=3, master_seed=6)
