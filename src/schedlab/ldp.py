@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, linprog, minimize
-from scipy.special import logsumexp
 
 from .errors import (
     MalformedPathError,
@@ -236,6 +235,7 @@ def is_stabilizable(cfg: SystemConfig, epsilon: float = 0.0) -> tuple[bool, Allo
 # Whitt 1994).
 
 _CANDIDATE_CAP = 400_000
+_SUBSET_BLOCK = 2048  # hyperplane subsets per stacked det/solve; bounds memory
 
 
 def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray:
@@ -274,15 +274,20 @@ def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray:
         )
     A = np.array(rows)
     b = np.array(rhs)
+    subsets = itertools.combinations(range(len(rows)), N)
     cands = []
-    for comb in itertools.combinations(range(len(rows)), N):
-        sub = A[list(comb)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        u = np.linalg.solve(sub, b[list(comb)])
-        if np.all(u >= -1e-9) and u.sum() <= 1.0 + 1e-9:
-            cands.append(np.clip(u, 0.0, None))
-    return np.unique(np.round(np.array(cands), 12), axis=0)
+    for start in range(0, n_subsets, _SUBSET_BLOCK):
+        count = min(_SUBSET_BLOCK, n_subsets - start)
+        idx = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(subsets, count)),
+            dtype=np.intp,
+            count=count * N,
+        ).reshape(count, N)
+        idx = idx[~(np.abs(np.linalg.det(A[idx])) < 1e-12)]
+        u = np.linalg.solve(A[idx], b[idx][:, :, None])[:, :, 0]
+        u = u[np.all(u >= -1e-9, axis=1) & (u.sum(axis=1) <= 1.0 + 1e-9)]
+        cands.append(np.clip(u, 0.0, None))
+    return np.unique(np.round(np.concatenate(cands), 12), axis=0)
 
 
 @dataclass(frozen=True)
@@ -325,6 +330,18 @@ def _canonical_phi(y: np.ndarray, gamma: np.ndarray, w: float, cfg: SystemConfig
     return _clean_rows(phi)
 
 
+def _logsumexp(z: np.ndarray, p: np.ndarray) -> float:
+    """log sum_m p_m e^{z_m} for weights p >= 0 with some p_m > 0, in the
+    operation order of scipy.special.logsumexp(z, b=p), so roots match it
+    bitwise: zero weights drop out, the max terms are split out of the sum."""
+    z = np.where(p == 0, -np.inf, z)
+    z_max = z.max()
+    at_max = z == z_max
+    m = np.sum(p * at_max)
+    s = np.sum(p * np.exp(np.where(at_max, -np.inf, z) - z_max))
+    return np.log1p(s if s == 0 else s / m) + np.log(m) + z_max
+
+
 def _vertex_theta(u: np.ndarray, c: np.ndarray, cfg: SystemConfig) -> float:
     """Positive root theta_u along dual vertex u with state costs c = c(u):
     0 when the mean point already grows along u, +inf when the root function
@@ -342,7 +359,7 @@ def _vertex_theta(u: np.ndarray, c: np.ndarray, cfg: SystemConfig) -> float:
         if t == 0.0:
             return slope0
         arrivals = t * (lam @ u) if fluid else lam @ np.expm1(t * u)
-        return (arrivals + logsumexp(-t * c, b=p)) / t
+        return (arrivals + _logsumexp(-t * c, p)) / t
 
     hi = 1.0
     while secant(hi) <= 0:

@@ -129,14 +129,18 @@ def policy_to_json(policy: Policy) -> dict:
     return doc
 
 
+def tied_mask(stable: np.ndarray) -> np.ndarray:
+    """Per-row tolerance-tied argmax set: stable >= row max - TIE_TOL."""
+    return stable >= stable.max(axis=-1, keepdims=True) - TIE_TOL
+
+
 def _resolve(
     score: np.ndarray,
     stable: np.ndarray,
     tie_break: str,
     rng: np.random.Generator | None,
 ) -> SelectionScore:
-    best = np.max(stable)
-    tied = np.flatnonzero(stable >= best - TIE_TOL)
+    tied = np.flatnonzero(tied_mask(stable))
     if tie_break == TIE_UNIFORM and len(tied) > 1:
         if rng is None:
             raise ValueError("uniform_random tie-break requires an rng")
@@ -159,6 +163,43 @@ def normalized_rates(cfg: SystemConfig) -> np.ndarray:
     return rates / safe
 
 
+def stable_scores(variant: Variant, cfg: SystemConfig, Q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Selection scores (R x N) for queue rows Q (R x N) in channel states m (R,).
+
+    Each row is a monotone transform of the rule's literal score that keeps
+    its argmax and exact ties but never saturates in float arithmetic:
+    het, the exponent F/maxF + Q/q_th (the rho offsets cancel); exp, the log
+    score Q/(1 + meanQ^eta) + log F with log 0 = -inf; mw, the scale-free
+    (Q/maxQ)^alpha F, all zeros when every queue is empty. Row by row the
+    operations are the ones a single-row call performs, so a batch scores
+    bitwise like its rows scored one at a time.
+    """
+    Q = np.ascontiguousarray(Q, dtype=float)
+    if isinstance(variant, Heterogeneous):
+        return normalized_rates(cfg)[m] + Q / variant.q_th
+    rates = cfg.rate_matrix[m]
+    if isinstance(variant, Exp):
+        # numpy scalar powers: the vectorized power can differ from them in
+        # the last bit, which would move exact ties
+        denom = 1.0 + np.array([mean**variant.eta for mean in Q.mean(axis=1)])
+        live = rates > 0
+        return np.where(live, Q / denom[:, None] + np.log(np.where(live, rates, 1.0)), -np.inf)
+    if isinstance(variant, MaxWeight):
+        q_max = Q.max(axis=1, keepdims=True)
+        busy = q_max > 0
+        return np.where(busy, (Q / np.where(busy, q_max, 1.0)) ** variant.alpha * rates, 0.0)
+    raise TypeError(f"unknown policy variant {type(variant).__name__}")
+
+
+def _row_scores(
+    variant: Variant, q, state: int, cfg: SystemConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """One queue vector as a float array and its stable score row."""
+    _check_state(state, cfg)
+    q = np.asarray(q, dtype=float)
+    return q, stable_scores(variant, cfg, q[None, :], np.array([state]))[0]
+
+
 def het_select(
     q: np.ndarray,
     state: int,
@@ -175,9 +216,7 @@ def het_select(
     the score's argmax (and its exact ties) without float saturation; the rho
     offsets cancel there, so the choice is rho-invariant by construction.
     """
-    _check_state(state, cfg)
-    fnorm = normalized_rates(cfg)[state]
-    exponent = fnorm + np.asarray(q, dtype=float) / params.q_th
+    _, exponent = _row_scores(params, q, state, cfg)
     score = 1.0 - np.exp(params.rho1 + params.rho2 - exponent)
     return _resolve(score, exponent, tie_break, rng)
 
@@ -195,13 +234,10 @@ def exp_select(
     Selection runs on log scores Q/denom + log F (with log 0 = -inf), which
     never overflow; the reported score is the literal product.
     """
-    _check_state(state, cfg)
-    q = np.asarray(q, dtype=float)
-    rates = cfg.rate_matrix[state]
+    q, log_score = _row_scores(params, q, state, cfg)
     denom = 1.0 + np.mean(q) ** params.eta
-    with np.errstate(over="ignore", divide="ignore"):
-        score = np.exp(q / denom) * rates
-        log_score = np.where(rates > 0, q / denom + np.log(np.where(rates > 0, rates, 1.0)), -np.inf)
+    with np.errstate(over="ignore"):
+        score = np.exp(q / denom) * cfg.rate_matrix[state]
     return _resolve(score, log_score, tie_break, rng)
 
 
@@ -220,12 +256,8 @@ def mw_select(
     magnitude at the rates', so the absolute tie tolerance means the same at
     every queue scale.
     """
-    _check_state(state, cfg)
-    q = np.asarray(q, dtype=float)
-    rates = cfg.rate_matrix[state]
-    score = q**params.alpha * rates
-    q_max = q.max()
-    stable = (q / q_max) ** params.alpha * rates if q_max > 0 else np.zeros_like(score)
+    q, stable = _row_scores(params, q, state, cfg)
+    score = q**params.alpha * cfg.rate_matrix[state]
     return _resolve(score, stable, tie_break, rng)
 
 

@@ -22,18 +22,18 @@ from .errors import (
 )
 from .model import RandomSource, SystemConfig, TraceCounters, sample_arrivals, sample_channel
 from .schedulers import (
-    TIE_TOL,
     TIE_UNIFORM,
     Exp,
     Heterogeneous,
     MaxWeight,
     Policy,
-    exp_select,
-    het_select,
-    mw_select,
     normalized_rates,
+    stable_scores,
+    tied_mask,
     validate_policy,
 )
+# kept importable from here: perfbench traces selector calls under these names
+from .schedulers import exp_select, het_select, mw_select  # noqa: F401
 
 _CHUNK = 32_768  # fixed block size; part of the reproducibility contract
 
@@ -159,7 +159,7 @@ def _score_fn(policy: Policy, cfg: SystemConfig):
 
 def _tie_pick(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Uniform pick among per-row score ties, driven by one uniform per row."""
-    tied = scores >= scores.max(axis=1, keepdims=True) - TIE_TOL
+    tied = tied_mask(scores)
     counts = tied.sum(axis=1)
     target = np.floor(u * counts).astype(np.int64) + 1
     return (tied.cumsum(axis=1) < target[:, None]).sum(axis=1)
@@ -528,43 +528,44 @@ def decision_regions(
     if fixed_queues is None:
         fixed_queues = np.zeros(cfg.n_users)
     fixed_queues = np.asarray(fixed_queues, dtype=float)
+    if fixed_queues.shape != (cfg.n_users,):
+        raise ValueError(
+            f"fixed_queues needs one entry per user ({cfg.n_users}), got shape {fixed_queues.shape}"
+        )
+    if not np.all(np.isfinite(fixed_queues)):
+        raise ValueError(f"fixed_queues must be finite, got {fixed_queues.tolist()}")
+    if np.any(fixed_queues < 0):
+        raise ValueError(f"fixed_queues must be >= 0, got {fixed_queues.tolist()}")
 
     live_states = [
         m
         for m in range(cfg.n_states)
         if cfg.state_probs[m] > 0 and cfg.rate_matrix[m].max() > 0
     ]
-    selector = {
-        Heterogeneous: het_select,
-        Exp: exp_select,
-        MaxWeight: mw_select,
-    }[type(policy.variant)]
-
     q_values = np.arange(0.0, grid_max + grid_step / 2, grid_step)
-    labels = np.empty((len(q_values), len(q_values)), dtype=object)
-    q = fixed_queues.copy()
-    for ia, qa in enumerate(q_values):
-        for ib, qb in enumerate(q_values):
-            q[a] = qa
-            q[b] = qb
-            chosen = []
-            tie = False
-            for m in live_states:
-                sel = selector(q, m, cfg, policy.variant)
-                if len(sel.tied_set) > 1:
-                    tie = True
-                    break
-                chosen.append(sel.chosen)
-            if tie:
-                labels[ia, ib] = REGION_TIE
-            elif all(ch == a for ch in chosen):
-                labels[ia, ib] = REGION_ALWAYS_A
-            elif all(ch == b for ch in chosen):
-                labels[ia, ib] = REGION_ALWAYS_B
-            elif all(ch not in (a, b) for ch in chosen):
-                labels[ia, ib] = REGION_OTHER
-            else:
-                labels[ia, ib] = REGION_MIXED
+    G = len(q_values)
+
+    # one row per grid point, in (ia, ib) order
+    grid = np.tile(fixed_queues, (G * G, 1))
+    grid[:, a] = np.repeat(q_values, G)
+    grid[:, b] = np.tile(q_values, G)
+    tie = np.zeros(G * G, dtype=bool)
+    chosen = np.empty((len(live_states), G * G), dtype=np.int64)
+    for k, m in enumerate(live_states):
+        tied = tied_mask(stable_scores(policy.variant, cfg, grid, np.full(G * G, m)))
+        tie |= tied.sum(axis=1) > 1
+        chosen[k] = tied.argmax(axis=1)  # lowest tied index
+
+    conditions = [
+        tie,
+        (chosen == a).all(axis=0),
+        (chosen == b).all(axis=0),
+        ((chosen != a) & (chosen != b)).all(axis=0),
+    ]
+    names = np.array(
+        [REGION_TIE, REGION_ALWAYS_A, REGION_ALWAYS_B, REGION_OTHER, REGION_MIXED], dtype=object
+    )
+    labels = names[np.select(conditions, [0, 1, 2, 3], 4)].reshape(G, G)
     return RegionMap(
         axis_users=(a, b),
         grid_step=grid_step,

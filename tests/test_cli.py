@@ -2,6 +2,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 import schedlab.cli as cli
 
@@ -152,6 +153,25 @@ class TestRegions:
             "--out", str(tmp_path / "x"),
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "fixed, problem",
+        [
+            ("1,2", "one entry per user"),
+            ("1,2,3,4,5", "one entry per user"),
+            ("nan,0,0,0", "finite"),
+            ("-5,0,0,0", ">= 0"),
+        ],
+    )
+    def test_bad_fixed_queues_exit_2(self, ref_cfg_path, tmp_path, capsys, fixed, problem):
+        out = tmp_path / "x"
+        rc = run_cli(
+            "regions", "--config", str(ref_cfg_path), "--policy", HET_POLICY,
+            "--axes", "0,2", f"--fixed-queues={fixed}", "--out", str(out),
+        )
+        assert rc == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:

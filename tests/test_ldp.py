@@ -24,6 +24,7 @@ from schedlab.errors import (
     NotAProbabilityVectorError,
     SolverFailureError,
 )
+from schedlab import ldp
 from schedlab.ldp import _dual_candidates, solve_standard_form
 from conftest import make_config
 
@@ -380,6 +381,82 @@ class TestWGrowth:
             grid = w_bruteforce(y, gamma, cfg, parts=20)
             assert w <= grid + 1e-9
             assert grid - w <= 2e-2
+
+
+def dual_candidates_loop(rate_matrix):
+    """Per-subset reference for _dual_candidates: the same hyperplanes, one
+    det + solve per N-subset."""
+    M, N = rate_matrix.shape
+    rows = [np.eye(N)[i] for i in range(N)]
+    rhs = [0.0] * N
+    rows.append(np.ones(N))
+    rhs.append(1.0)
+    seen = {tuple(np.round(r, 12)) for r in rows}
+    for m in range(M):
+        for i in range(N):
+            for j in range(i + 1, N):
+                a = np.zeros(N)
+                a[i] = rate_matrix[m, i]
+                a[j] = -rate_matrix[m, j]
+                norm = np.max(np.abs(a))
+                if norm == 0:
+                    continue
+                key = tuple(np.round(a / norm, 12))
+                if key in seen or tuple(np.round(-a / norm, 12)) in seen:
+                    continue
+                seen.add(key)
+                rows.append(a)
+                rhs.append(0.0)
+    A, b = np.array(rows), np.array(rhs)
+    cands = []
+    for comb in itertools.combinations(range(len(rows)), N):
+        sub = A[list(comb)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        u = np.linalg.solve(sub, b[list(comb)])
+        if np.all(u >= -1e-9) and u.sum() <= 1.0 + 1e-9:
+            cands.append(np.clip(u, 0.0, None))
+    return np.unique(np.round(np.array(cands), 12), axis=0)
+
+
+# the benchmark's 5-user x 3-state system (201 dual vertices)
+FIVE_USER_RATES = np.array([[0, 0, 0, 0, 0], [3, 9, 9, 9, 9], [5, 0, 1, 1, 2]], dtype=float)
+
+
+def enumeration_cases():
+    rng = np.random.default_rng(31)
+    cases = [np.array([[0, 0, 0, 0], [3, 9, 9, 9], [5, 0, 1, 1]], dtype=float), FIVE_USER_RATES]
+    for shape in ((2, 2), (3, 3), (2, 4), (3, 4)):
+        cases.append(rng.integers(0, 7, size=shape).astype(float))
+        cases.append(rng.uniform(0.5, 9.0, size=shape))
+    return cases
+
+
+class TestDualEnumeration:
+    @pytest.mark.parametrize("rates", enumeration_cases())
+    def test_stacked_equals_per_subset_loop(self, rates):
+        assert np.array_equal(_dual_candidates(rates), dual_candidates_loop(rates))
+
+    def test_small_blocks_merge_to_the_same_vertices(self, monkeypatch):
+        expected = dual_candidates_loop(FIVE_USER_RATES)
+        monkeypatch.setattr(ldp, "_SUBSET_BLOCK", 97)
+        assert np.array_equal(_dual_candidates(FIVE_USER_RATES), expected)
+        assert len(expected) == 201
+
+    def test_logsumexp_equals_scipy_bitwise(self):
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            n = int(rng.integers(1, 7))
+            z = -rng.exponential(rng.choice([0.1, 3.0, 50.0]), size=n)
+            if rng.random() < 0.3:
+                z[rng.integers(n)] = z.max()  # repeated maxima
+            p = rng.dirichlet(np.ones(n))
+            p[rng.random(n) < 0.3] = 0.0
+            if not p.any():
+                p[rng.integers(n)] = 1.0
+            ours = ldp._logsumexp(z, p)
+            ref = logsumexp(z, b=p)
+            assert ours == ref, (z, p, ours, ref)
 
 
 class TestSolveStandardForm:

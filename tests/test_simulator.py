@@ -14,8 +14,11 @@ from schedlab import (
     TraceCounters,
     decision_regions,
     empirical_phi,
+    exp_select,
     estimate_overflow,
     fit_decay_rate,
+    het_select,
+    mw_select,
     run_replication,
     run_replications,
     run_simulation,
@@ -282,6 +285,48 @@ class TestScaledTrace:
             scaled_trace(out, 2.0)
 
 
+def random_3user_config():
+    rng = np.random.default_rng(2)
+    rates = rng.integers(0, 8, size=(3, 3)).astype(float)
+    rates[0] = 0.0  # one dead state, which the map must skip
+    return make_config(rates, [0.2, 0.5, 0.3], [0.5, 0.5, 0.5])
+
+
+def region_labels_oracle(cfg, policy, axis_users, fixed_queues, q_values):
+    """Per-grid-point reference: the public selectors, one call per live state."""
+    selectors = {Heterogeneous: het_select, Exp: exp_select, MaxWeight: mw_select}
+    selector = selectors[type(policy.variant)]
+    a, b = axis_users
+    live_states = [
+        m for m in range(cfg.n_states) if cfg.state_probs[m] > 0 and cfg.rate_matrix[m].max() > 0
+    ]
+    labels = np.empty((len(q_values), len(q_values)), dtype=object)
+    q = np.array(fixed_queues, dtype=float)
+    for ia, qa in enumerate(q_values):
+        for ib, qb in enumerate(q_values):
+            q[a] = qa
+            q[b] = qb
+            chosen = []
+            tie = False
+            for m in live_states:
+                sel = selector(q, m, cfg, policy.variant)
+                if len(sel.tied_set) > 1:
+                    tie = True
+                    break
+                chosen.append(sel.chosen)
+            if tie:
+                labels[ia, ib] = "tie"
+            elif all(ch == a for ch in chosen):
+                labels[ia, ib] = "always_a"
+            elif all(ch == b for ch in chosen):
+                labels[ia, ib] = "always_b"
+            elif all(ch not in (a, b) for ch in chosen):
+                labels[ia, ib] = "other"
+            else:
+                labels[ia, ib] = "mixed"
+    return labels
+
+
 class TestDecisionRegions:
     def test_dominant_queue_user_wins_everywhere(self, ref_cfg):
         region = decision_regions(ref_cfg, HET2, (0, 2), grid_max=30.0, grid_step=30.0)
@@ -306,6 +351,41 @@ class TestDecisionRegions:
                     assert region.labels[ia, ib] == "always_a"
                 else:
                     assert region.labels[ia, ib] == "always_b"
+
+    @pytest.mark.parametrize(
+        "fixed", [[0.0, 1.0], [0.0] * 5, [0.0, math.nan, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]
+    )
+    def test_rejects_bad_fixed_queues(self, ref_cfg, fixed):
+        with pytest.raises(ValueError, match="fixed_queues"):
+            decision_regions(ref_cfg, HET2, (0, 2), fixed_queues=np.array(fixed))
+
+    @pytest.mark.parametrize("cfg_name", ["reference", "random3"])
+    @pytest.mark.parametrize("nonzero_fixed", [False, True])
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            Heterogeneous(q_th=1.0),
+            Heterogeneous(q_th=2.0),
+            Heterogeneous(q_th=3.0),
+            Heterogeneous(q_th=10.0),
+            Exp(eta=0.25),
+            MaxWeight(alpha=1.0),
+            MaxWeight(alpha=7.0),
+        ],
+    )
+    def test_labels_match_per_point_selector_loop(self, ref_cfg, cfg_name, nonzero_fixed, variant):
+        cfg = ref_cfg if cfg_name == "reference" else random_3user_config()
+        fixed = np.zeros(cfg.n_users)
+        if nonzero_fixed:
+            fixed[1] = 3.0
+            fixed[-1] += 1.5
+        policy = Policy(variant)
+        region = decision_regions(
+            cfg, policy, (0, 2), fixed_queues=fixed, grid_max=12.0, grid_step=0.5
+        )
+        expected = region_labels_oracle(cfg, policy, (0, 2), fixed, region.q_values)
+        assert region.labels.dtype == object
+        assert region.labels.tolist() == expected.tolist()
 
     def test_rejects_bad_arguments(self, ref_cfg):
         with pytest.raises(ValueError):
