@@ -21,6 +21,7 @@ import numpy as np
 from . import svg
 from .errors import (
     InsufficientEventsError,
+    KernelBuildError,
     NoSamplesError,
     SchedLabError,
     SolverFailureError,
@@ -481,6 +482,7 @@ _USAGE_ERRORS = (
 )
 
 _COMPUTE_ERRORS = (
+    KernelBuildError,
     SolverFailureError,
     InsufficientEventsError,
     NoSamplesError,

@@ -47,3 +47,7 @@ class InsufficientEventsError(SchedLabError):
 
 class TraceUnavailableError(SchedLabError):
     """A per-slot trace was requested from a run that did not record one."""
+
+
+class KernelBuildError(SchedLabError):
+    """The compiled slot recursion could not be built: no C compiler, or it failed."""

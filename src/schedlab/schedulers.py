@@ -155,12 +155,19 @@ def _check_state(state: int, cfg: SystemConfig) -> None:
         raise IndexOutOfRangeError(f"state {state} outside [0, {cfg.n_states})")
 
 
-def normalized_rates(cfg: SystemConfig) -> np.ndarray:
-    """Per-state rate rows divided by the row maximum; all-zero rows map to zeros."""
+def rate_table(variant: Variant, cfg: SystemConfig) -> np.ndarray:
+    """The per-state rate term (M x N) of a rule's selection score: F/maxF for
+    het (all-zero rows map to zeros), log F with log 0 = -inf for exp, F for mw."""
     rates = cfg.rate_matrix
-    row_max = rates.max(axis=1, keepdims=True)
-    safe = np.where(row_max > 0, row_max, 1.0)
-    return rates / safe
+    if isinstance(variant, Heterogeneous):
+        row_max = rates.max(axis=1, keepdims=True)
+        return rates / np.where(row_max > 0, row_max, 1.0)
+    if isinstance(variant, Exp):
+        live = rates > 0
+        return np.where(live, np.log(np.where(live, rates, 1.0)), -np.inf)
+    if isinstance(variant, MaxWeight):
+        return rates
+    raise TypeError(f"unknown policy variant {type(variant).__name__}")
 
 
 def stable_scores(variant: Variant, cfg: SystemConfig, Q: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -175,20 +182,17 @@ def stable_scores(variant: Variant, cfg: SystemConfig, Q: np.ndarray, m: np.ndar
     bitwise like its rows scored one at a time.
     """
     Q = np.ascontiguousarray(Q, dtype=float)
+    table = rate_table(variant, cfg)[m]
     if isinstance(variant, Heterogeneous):
-        return normalized_rates(cfg)[m] + Q / variant.q_th
-    rates = cfg.rate_matrix[m]
+        return table + Q / variant.q_th
     if isinstance(variant, Exp):
         # numpy scalar powers: the vectorized power can differ from them in
         # the last bit, which would move exact ties
         denom = 1.0 + np.array([mean**variant.eta for mean in Q.mean(axis=1)])
-        live = rates > 0
-        return np.where(live, Q / denom[:, None] + np.log(np.where(live, rates, 1.0)), -np.inf)
-    if isinstance(variant, MaxWeight):
-        q_max = Q.max(axis=1, keepdims=True)
-        busy = q_max > 0
-        return np.where(busy, (Q / np.where(busy, q_max, 1.0)) ** variant.alpha * rates, 0.0)
-    raise TypeError(f"unknown policy variant {type(variant).__name__}")
+        return Q / denom[:, None] + table
+    q_max = Q.max(axis=1, keepdims=True)
+    busy = q_max > 0
+    return np.where(busy, (Q / np.where(busy, q_max, 1.0)) ** variant.alpha * table, 0.0)
 
 
 def _row_scores(

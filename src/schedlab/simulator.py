@@ -1,22 +1,34 @@
 """Replicated finite-horizon simulation and overflow statistics.
 
-Replications run in lockstep as rows of numpy arrays, but every replication
-draws from its own seeded stream (master_seed, rep_index) in fixed chunk-sized
-blocks, so a batch run is bitwise identical to running each replication alone.
-Post-burn-in statistics: per-threshold overflow slot counts (stationary mode),
+Every replication draws from its own seeded stream (master_seed, rep_index)
+in fixed chunk-sized blocks of channel states, arrivals and, for uniform
+ties, tie uniforms. A small C recursion (_slots.c, compiled with the system's
+`cc` on first use and cached by the hash of its source and flags) then walks
+each replication's slots in turn, deciding exactly as the selectors do, so a
+batch run is bitwise identical to running each replication alone.
+Post-burn-in statistics are numpy over the recursion's per-slot choices,
+departures and queues: per-threshold overflow slot counts (stationary mode),
 ever-reached flags (episode mode), time-average queues, and the cumulative
 service counters.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     IndexOutOfRangeError,
     InsufficientEventsError,
+    KernelBuildError,
     NoSamplesError,
     TraceUnavailableError,
 )
@@ -27,7 +39,7 @@ from .schedulers import (
     Heterogeneous,
     MaxWeight,
     Policy,
-    normalized_rates,
+    rate_table,
     stable_scores,
     tied_mask,
     validate_policy,
@@ -122,65 +134,91 @@ class SimResult:
 
 
 # ---------------------------------------------------------------------------
-# the lockstep engine
+# the slot recursion
 
 
-def _score_fn(policy: Policy, cfg: SystemConfig):
-    """Batched per-slot score table (R x N); argmax-equivalent to the public
-    selectors (monotone transforms keep exact ties and ordering)."""
-    v = policy.variant
-    rates = cfg.rate_matrix
-    if isinstance(v, Heterogeneous):
-        fnorm = normalized_rates(cfg)
-        inv_qth = 1.0 / v.q_th
-
-        def score(Q, m):
-            return fnorm[m] + Q * inv_qth
-
-    elif isinstance(v, Exp):
-        with np.errstate(divide="ignore"):
-            log_rates = np.where(rates > 0, np.log(np.where(rates > 0, rates, 1.0)), -np.inf)
-        eta = v.eta
-
-        def score(Q, m):
-            denom = 1.0 + Q.mean(axis=1) ** eta
-            return Q / denom[:, None] + log_rates[m]
-
-    elif isinstance(v, MaxWeight):
-        alpha = v.alpha
-
-        def score(Q, m):
-            return (Q * rates[m]) if alpha == 1.0 else (Q**alpha * rates[m])
-
-    else:  # pragma: no cover - validate_policy rejects unknown variants
-        raise TypeError(f"unknown policy variant {type(v).__name__}")
-    return score
+_SLOTS_SOURCE = Path(__file__).with_name("_slots.c")
+_CC = "cc"
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# variant -> (RULE_* code of _slots.c, the parameter the rule reads)
+_RULES = {Heterogeneous: (0, "q_th"), Exp: (1, "eta"), MaxWeight: (2, "alpha")}
 
 
-def _tie_pick(scores: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Uniform pick among per-row score ties, driven by one uniform per row."""
-    tied = tied_mask(scores)
-    counts = tied.sum(axis=1)
-    target = np.floor(u * counts).astype(np.int64) + 1
-    return (tied.cumsum(axis=1) < target[:, None]).sum(axis=1)
+def _build(command: list[str], path: Path) -> None:
+    """Compile _slots.c to path through a temp file in path's directory, so a
+    concurrent first call never loads a partial library."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    os.close(fd)
+    argv = [*command, "-o", tmp, str(_SLOTS_SOURCE), "-lm"]
+    failure = f"cannot build the slot kernel: {' '.join(argv)}"
+    try:
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True)
+        except OSError as exc:
+            raise KernelBuildError(f"{failure}: {exc}") from exc
+        if proc.returncode != 0:
+            raise KernelBuildError(f"{failure} exited {proc.returncode}: {proc.stderr.strip()}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def _slot_kernel(cc: str):
+    """The compiled slot recursion, built on first use and cached on disk
+    under the sha256 of its source and compile command."""
+    command = [cc, *_CFLAGS]
+    digest = hashlib.sha256(_SLOTS_SOURCE.read_bytes() + "\0".join(command).encode())
+    name = f"_slots-{digest.hexdigest()[:16]}.so"
+    path = Path(__file__).with_name("__pycache__") / name
+    try:
+        path.parent.mkdir(exist_ok=True)
+        if not path.is_file():
+            _build(command, path)
+    except OSError:  # a read-only install: keep the library per user instead
+        user_dir = Path(tempfile.gettempdir()) / f"schedlab-{os.getuid()}"
+        user_dir.mkdir(mode=0o700, exist_ok=True)
+        if user_dir.stat().st_uid != os.getuid():
+            raise KernelBuildError(f"cannot build the slot kernel: {user_dir} belongs to another user")
+        path = user_dir / name
+        if not path.is_file():
+            _build(command, path)
+    fn = ctypes.CDLL(str(path)).run_slots
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    c_int, c_i64 = ctypes.c_int, ctypes.c_int64
+    fn.argtypes = [c_int, c_int, c_i64, c_i64, c_i64, i64, f64, f64, f64, f64, ctypes.c_double,
+                   f64, f64, i64, f64, f64]
+    fn.restype = None
+    return fn
 
 
 def run_replications(
     cfg: SystemConfig, policy: Policy, spec: SimSpec, rep_indices: list[int]
 ) -> list[ReplicationOutput]:
-    """Run the given replications in lockstep; output order follows rep_indices."""
+    """Run the given replications; output order follows rep_indices.
+
+    Each chunk of slots is drawn in numpy per replication, then the compiled
+    recursion walks every row's slots with the score and tie rule of
+    schedulers.stable_scores and tied_mask.
+    """
     validate_policy(policy)
     validate_sim_spec(spec)
+    kernel = _slot_kernel(_CC)
     R = len(rep_indices)
     N, M = cfg.n_users, cfg.n_states
     T = spec.horizon
     burn = resolved_burn_in(spec)
     thresholds = np.asarray(spec.thresholds, dtype=float)
     uniform_ties = policy.tie_break == TIE_UNIFORM
-    score = _score_fn(policy, cfg)
+    rule, field = _RULES[type(policy.variant)]
+    param = float(getattr(policy.variant, field))
+    rates = np.ascontiguousarray(cfg.rate_matrix, dtype=float)
+    table = np.ascontiguousarray(rate_table(policy.variant, cfg), dtype=float)
+    scratch = np.empty(N)
     gens = [RandomSource(spec.master_seed, r).generator() for r in rep_indices]
     rows = np.arange(R)
-    rates = cfg.rate_matrix
 
     Q = np.zeros((R, N))
     arr_sum = np.zeros((R, N))
@@ -208,7 +246,7 @@ def run_replications(
         c = min(_CHUNK, T - done)
         states = np.empty((R, c), dtype=np.int64)
         arr = np.empty((R, c, N))
-        u_chunk = np.empty((R, c)) if uniform_ties else None
+        u_chunk = np.empty((R, c if uniform_ties else 0))
         for r in range(R):
             states[r] = sample_channel(gens[r], cfg, size=c)
             arr[r] = sample_arrivals(gens[r], cfg, size=c)
@@ -218,20 +256,8 @@ def run_replications(
         chosen_buf = np.empty((R, c), dtype=np.int64)
         dep_buf = np.empty((R, c))
         qtraj = np.empty((R, c, N))
-        for k in range(c):
-            m = states[:, k]
-            s = score(Q, m)
-            if uniform_ties:
-                chosen = _tie_pick(s, u_chunk[:, k])
-            else:
-                chosen = s.argmax(axis=1)
-            Q += arr[:, k, :]
-            avail = Q[rows, chosen]
-            d = np.minimum(avail, rates[m, chosen])
-            Q[rows, chosen] = avail - d
-            chosen_buf[:, k] = chosen
-            dep_buf[:, k] = d
-            qtraj[:, k, :] = Q
+        kernel(rule, uniform_ties, R, c, N, states, arr, u_chunk, rates, table, param,
+               Q, scratch, chosen_buf, dep_buf, qtraj)
 
         if trace is not None:
             sl = slice(done + 1, done + c + 1)
@@ -419,7 +445,7 @@ def run_simulation(
     spec: SimSpec,
     mode: str = ESTIMATOR_STATIONARY,
 ) -> SimResult:
-    """Full campaign: all replications in one lockstep pass, overflow
+    """Full campaign: all replications in one run_replications call, overflow
     estimates, decay fit, and the empirical allocation matrix."""
     validate_sim_spec(spec)
     outputs = run_replications(cfg, policy, spec, list(range(spec.replications)))

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +28,15 @@ from schedlab import (
     run_simulation,
     scaled_trace,
 )
+import schedlab.cli as cli
+from schedlab import simulator
 from schedlab.errors import (
     InsufficientEventsError,
+    KernelBuildError,
     NoSamplesError,
     TraceUnavailableError,
 )
+from schedlab.schedulers import rate_table, stable_scores, tied_mask
 from schedlab.simulator import (
     ESTIMATOR_EPISODE,
     OverflowEstimate,
@@ -394,3 +402,172 @@ class TestDecisionRegions:
             decision_regions(ref_cfg, HET2, (0, 1), grid_step=0.0)
         with pytest.raises(ValueError):
             decision_regions(ref_cfg, HET2, (0, 1), grid_max=5.0, grid_step=10.0)
+
+
+def seeded_config(n_users, seed, arrival_model):
+    """A random n-user system with integer rates, one dead state and about
+    60% of the mean best rate offered as load."""
+    rng = np.random.default_rng(seed)
+    rates = rng.integers(0, 10, size=(4, n_users)).astype(float)
+    rates[0] = 0.0
+    probs = np.array([0.1, 0.3, 0.4, 0.2])
+    lam = rng.uniform(0.8, 1.2, n_users) * 0.6 * float(probs @ rates.max(axis=1)) / n_users
+    return make_config(rates, probs, lam.round(3), arrival_model=arrival_model)
+
+
+def replay(cfg, policy, seed, horizon):
+    """Per slot of one traced replication: the user the engine served and the
+    tied set the specified rule (stable_scores + tied_mask) gives for the
+    queues before that slot's arrivals."""
+    spec = SimSpec(horizon=horizon, burn_in=0, thresholds=(), master_seed=seed, record_trace=True)
+    trace = run_replication(cfg, policy, spec, 0).trace
+    states = np.diff(trace["g"], axis=0).argmax(axis=1)
+    chosen = np.diff(trace["ghat"], axis=0).sum(axis=1).argmax(axis=1)
+    tied = tied_mask(stable_scores(policy.variant, cfg, trace["q"][:-1], states))
+    return chosen, tied
+
+
+REPLAY_VARIANTS = [
+    Heterogeneous(q_th=1.0),
+    Heterogeneous(q_th=2.0),
+    Heterogeneous(q_th=3.0),
+    Heterogeneous(q_th=10.0),
+    Exp(eta=0.25),
+    Exp(eta=0.75),
+    MaxWeight(alpha=1.0),
+    MaxWeight(alpha=7.0),
+]
+
+
+class TestEngineMatchesSpec:
+    """The engine serves, slot by slot, the user the specified rule picks."""
+
+    @pytest.mark.parametrize("variant", REPLAY_VARIANTS, ids=repr)
+    @pytest.mark.parametrize("arrival_model", ["poisson", "fluid"])
+    @pytest.mark.parametrize("cfg_name", ["reference", "users9", "users13"])
+    def test_replay(self, ref_cfg, ref_cfg_fluid, cfg_name, arrival_model, variant):
+        if cfg_name == "reference":
+            cfg = ref_cfg if arrival_model == "poisson" else ref_cfg_fluid
+        else:
+            cfg = seeded_config(int(cfg_name[5:]), 11, arrival_model)
+        for seed in (0, 1, 2):
+            chosen, tied = replay(cfg, Policy(variant), seed, 10_000)
+            assert np.array_equal(chosen, tied.argmax(axis=1)), (seed, "lowest_index")
+            chosen, tied = replay(cfg, Policy(variant, tie_break="uniform_random"), seed, 10_000)
+            assert tied[np.arange(len(chosen)), chosen].all(), (seed, "uniform_random")
+
+    def test_replay_sees_ties(self, ref_cfg_fluid):
+        """The gate is not vacuous: fluid het q_th=3 meets multi-user tied sets
+        and a uniform draw serves a tied user other than the lowest one."""
+        policy = Policy(Heterogeneous(q_th=3.0), tie_break="uniform_random")
+        chosen, tied = replay(ref_cfg_fluid, policy, 0, 10_000)
+        multi = tied.sum(axis=1) > 1
+        assert multi.sum() > 100
+        assert (chosen[multi] != tied[multi].argmax(axis=1)).any()
+
+    def test_exp_mean_sums_in_numpys_order(self):
+        """exp's denominator uses numpy's pairwise row sum: on a 9-user row
+        whose tie test flips when the mean is summed left to right instead,
+        the kernel decides as stable_scores does."""
+        n, eta = 9, 0.5
+        cfg = make_config([[1.0] * n], [1.0], [1.0] * n)
+        rng = np.random.default_rng(3)
+        case = None
+        while case is None:
+            q = rng.uniform(0.0, 9.0, n)
+            q[1] = q[0] + 1e-12 * (1.0 + q.mean() ** eta)  # user 1 leads by about TIE_TOL
+            rows = np.tile(q, (801, 1))
+            rows[:, 1] += np.spacing(q[1]) * np.arange(-400, 401)
+            spec_pick = tied_mask(stable_scores(Exp(eta), cfg, rows, np.zeros(len(rows), int))).argmax(1)
+            for row, pick in zip(rows, spec_pick):
+                total = 0.0
+                for v in row:
+                    total += v
+                s = row / (1.0 + (np.float64(total) / n) ** eta)
+                if pick != int(np.flatnonzero(s >= s.max() - 1e-12)[0]):
+                    case = row, pick
+                    break
+        row, pick = case
+        kernel = simulator._slot_kernel(simulator._CC)
+        chosen = np.empty((1, 1), dtype=np.int64)
+        kernel(1, 0, 1, 1, n, np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1, n)), np.empty((1, 0)),
+               cfg.rate_matrix, rate_table(Exp(eta), cfg), eta, row[None, :].copy(), np.empty(n),
+               chosen, np.empty((1, 1)), np.empty((1, 1, n)))
+        assert chosen[0, 0] == pick
+
+
+class TestSlotKernelBuild:
+    def test_missing_compiler_fails_cleanly(self, monkeypatch, ref_cfg, ref_cfg_path, tmp_path, capsys):
+        monkeypatch.setattr(simulator, "_CC", str(tmp_path / "no-such-cc"))
+        with pytest.raises(KernelBuildError, match="no-such-cc"):
+            run_replication(ref_cfg, HET2, SimSpec(horizon=100), 0)
+        small = ["--horizon", "1000", "--replications", "1"]
+        policy = ["--policy", '{"type": "het", "q_th": 2}']
+        commands = {
+            "simulate": ["simulate", *policy, *small],
+            "compare": ["compare", *small],
+            "sweep": ["sweep", *policy, "--values", "1,2", *small],
+        }
+        for name, argv in commands.items():
+            out = tmp_path / name
+            rc = cli.main([*argv, "--config", str(ref_cfg_path), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc != 0, name
+            assert not out.exists(), name
+            assert err.startswith("schedlab: ") and err.count("\n") == 1, err
+            assert "no-such-cc" in err and "Traceback" not in err
+        assert cli.main(["iopt", "--config", str(ref_cfg_path), "--out", str(tmp_path / "iopt")]) == 0
+        rc = cli.main(["regions", "--config", str(ref_cfg_path), *policy, "--axes", "0,2",
+                       "--grid-step", "10", "--out", str(tmp_path / "regions")])
+        assert rc == 0
+
+    def test_unwritable_package_dir_builds_per_user(self, monkeypatch, tmp_path):
+        """When the package's __pycache__ cannot be made, the kernel is built
+        in a private per-user temp directory, never in someone else's."""
+        blocker = tmp_path / "package"
+        blocker.write_text("")  # a file, so package/__pycache__ cannot be created
+        monkeypatch.setattr(simulator, "__file__", str(blocker / "simulator.py"))
+        monkeypatch.setattr(simulator.tempfile, "tempdir", str(tmp_path))
+        build = simulator._slot_kernel.__wrapped__  # bypass the in-process cache
+        assert callable(build(simulator._CC))
+        user_dir = tmp_path / f"schedlab-{os.getuid()}"
+        assert len(list(user_dir.glob("_slots-*.so"))) == 1
+        assert user_dir.stat().st_mode & 0o077 == 0
+        if os.getuid() == 0:  # only root can hand the directory to another user
+            os.chown(user_dir, 65534, 65534)
+            with pytest.raises(KernelBuildError, match="another user"):
+                build(simulator._CC)
+
+    def test_deleted_library_is_rebuilt(self, ref_cfg):
+        """A fresh process rebuilds a deleted kernel and reproduces the
+        outputs of the one loaded here bit for bit."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from schedlab import Exp, Policy, SimSpec, reference_config, run_replications\n"
+            "outs = run_replications(reference_config(), Policy(Exp(eta=0.25), 'uniform_random'),\n"
+            "                        SimSpec(horizon=5000, master_seed=7), [0, 1])\n"
+            "h = hashlib.sha256()\n"
+            "for o in outs:\n"
+            "    for a in (o.counters.served_slots, o.counters.departures, o.counters.final_queues,\n"
+            "              o.overflow_slot_counts, o.mean_queues):\n"
+            "        h.update(np.ascontiguousarray(a).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = Path(simulator.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+        def digest():
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.strip()
+
+        before = digest()
+        cache = Path(simulator.__file__).with_name("__pycache__")
+        libraries = sorted(cache.glob("_slots-*.so"))
+        assert libraries
+        for lib in libraries:
+            lib.unlink()
+        assert digest() == before
+        rebuilt = list(cache.glob("_slots-*.so"))
+        assert len(rebuilt) == 1 and rebuilt[0] in libraries
