@@ -31,6 +31,7 @@ from .ldp import compute_iopt
 from .model import SystemConfig, config_from_json, config_to_json
 from .schedulers import Exp, Heterogeneous, MaxWeight, Policy, policy_from_json, policy_to_json, validate_policy
 from .simulator import (
+    DEFAULT_THRESHOLDS,
     ESTIMATOR_EPISODE,
     ESTIMATOR_STATIONARY,
     SimResult,
@@ -44,9 +45,6 @@ from .simulator import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
-
-_DEFAULT_THRESHOLDS = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
-
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -180,7 +178,7 @@ def _add_common(sub: argparse.ArgumentParser, policy: bool = True) -> None:
 
 def _parse_thresholds(text: str | None) -> tuple[float, ...]:
     if text is None:
-        return _DEFAULT_THRESHOLDS
+        return DEFAULT_THRESHOLDS
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
@@ -348,16 +346,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = config_from_json(Path(args.config))
-    spec = validate_sim_spec(
-        SimSpec(
-            horizon=args.horizon,
-            replications=args.replications,
-            burn_in=args.burn_in,
-            thresholds=_parse_thresholds(args.thresholds),
-            master_seed=args.seed,
-        )
-    )
+    cfg, _, spec = _load_inputs(args, policy=False)
     policies = [
         ("het", args.q_th, Policy(Heterogeneous(q_th=args.q_th, rho1=args.rho1, rho2=args.rho2))),
         ("exp", args.eta, Policy(Exp(eta=args.eta))),
@@ -442,24 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--out", default="out")
 
     p_cmp = sub.add_parser("compare", help="het vs exp vs mw under a shared seed")
-    p_cmp.add_argument("--config", required=True)
+    _add_common(p_cmp, policy=False)
     p_cmp.add_argument("--q-th", type=float, default=2.0)
     p_cmp.add_argument("--rho1", type=float, default=0.0)
     p_cmp.add_argument("--rho2", type=float, default=0.0)
     p_cmp.add_argument("--eta", type=float, default=0.25)
     p_cmp.add_argument("--alpha", type=float, default=7.0)
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--horizon", type=int, default=2_000_000)
-    p_cmp.add_argument("--replications", type=int, default=16)
-    p_cmp.add_argument("--burn-in", type=int, default=None)
-    p_cmp.add_argument("--thresholds", default=None)
-    p_cmp.add_argument(
-        "--estimator",
-        choices=[ESTIMATOR_STATIONARY, ESTIMATOR_EPISODE],
-        default=ESTIMATOR_STATIONARY,
-    )
-    p_cmp.add_argument("--out", default="out")
-    p_cmp.add_argument("--svg", action="store_true")
 
     return parser
 

@@ -9,7 +9,12 @@ The central objects:
 * ``compute_iopt`` -- the best possible overflow decay rate: the infimum of
   (arrival cost + channel cost) / growth over all overflow-driving deviations.
 * ``aux_growth`` -- the auxiliary min-max problem tying the scheduler's
-  normalized-rate exponent to the growth rate of the largest queue.
+  normalized-rate exponent to the growth rate of the largest queue, solved
+  in closed form: serving one user alone is optimal.
+
+Every result is exact up to floating point and root tolerance: the LPs go
+to HiGHS, ``compute_iopt`` solves one scalar root per dual vertex, and no
+grid or local search is left.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linprog, minimize
+from scipy.optimize import brentq, linprog
 
 from .errors import (
     MalformedPathError,
@@ -373,9 +378,9 @@ def compute_iopt(cfg: SystemConfig) -> IoptResult:
     The infimum of (arrival cost + relative_entropy(gamma, p)) / w_growth(y,
     gamma), computed exactly as min over the dual vertices u of theta_u. The
     arrival cost is sum_i poisson_rate(y_i) for Poisson arrivals; fluid
-    arrivals cannot deviate, so y stays at the means. The minimizer is the
-    exponential tilt y_i = lam_i e^{theta u_i} (y = lam for fluid arrivals),
-    gamma_m proportional to p_m e^{-theta c_m(u)}.
+    arrivals cannot deviate, so y stays at the means. The infimum is attained
+    at the exponential tilt y_i = lam_i e^{theta u_i} (y = lam for fluid
+    arrivals), gamma_m proportional to p_m e^{-theta c_m(u)}.
     """
     lam = cfg.arrival_rates
     p = cfg.state_probs
@@ -406,110 +411,30 @@ def compute_iopt(cfg: SystemConfig) -> IoptResult:
 # the auxiliary growth problem
 
 
-def _gamma_from_beta(beta: np.ndarray, m: int) -> np.ndarray:
-    """Stick-breaking map from [0,1]^(m-1) onto the m-simplex."""
-    g = np.empty(m)
-    rest = 1.0
-    for j in range(m - 1):
-        g[j] = rest * beta[j]
-        rest *= 1.0 - beta[j]
-    g[m - 1] = rest
-    return g
-
-
-def _beta_from_gamma(gamma: np.ndarray) -> np.ndarray:
-    m = len(gamma)
-    beta = np.empty(m - 1)
-    rest = 1.0
-    for j in range(m - 1):
-        beta[j] = min(max(gamma[j] / rest, 0.0), 1.0) if rest > 1e-300 else 0.0
-        rest -= gamma[j]
-    return beta
-
-
-def _row_lattice(n: int, parts: int) -> np.ndarray:
-    """All compositions of `parts` into n nonnegative cells, scaled to the simplex."""
-    combos = itertools.combinations(range(parts + n - 1), n - 1)
-    out = []
-    for cut in combos:
-        prev = -1
-        row = []
-        for c in cut:
-            row.append(c - prev - 1)
-            prev = c
-        row.append(parts + n - 2 - prev)
-        out.append(row)
-    return np.array(out, dtype=float) / parts
-
-
 def aux_growth(
     cfg: SystemConfig, gamma, rho1: float = 0.0, rho2: float = 0.0
 ) -> tuple[float, np.ndarray]:
     """Smallest achievable max_i [lambda_i - exp(-v_i / max_j v_j + rho1 + rho2)]
     over mean service vectors v achievable under channel distribution gamma.
 
-    Nonconvex in the allocation (exponential of a ratio), so this seeds a
-    per-state simplex lattice and polishes with Nelder-Mead; the returned
-    value never exceeds any lattice point. When every achievable v is zero
-    the normalized-rate term is defined as 0, mirroring the selector rule.
+    Solved in closed form. With t_i = v_i / max_j v_j (t = 0 when v = 0), each
+    term g_i(t_i) = lambda_i - e^{rho1 + rho2 - t_i} increases in t_i, and every
+    v != 0 gives some user k the value t_k = 1. Serving k alone in every state
+    leaves every other user at t = 0, so the minimum over v != 0 is
+    min_k max(g_k(1), max_{i != k} g_i(0)). When v = 0 is achievable (every
+    state with gamma_m > 0 has a zero-rate user, which includes the case where
+    no user can be served) the minimum is max_i g_i(0) and the returned v is
+    all zeros. Otherwise some live state serves every user, and the returned v
+    is that of serving the lowest-index minimizing k alone: v_k = (gamma F)_k,
+    zeros elsewhere. The problem does not involve q_th.
     """
     gamma = _check_prob_vector(gamma, "gamma")
-    lam = cfg.arrival_rates
-    M, N = cfg.n_states, cfg.n_users
+    N = cfg.n_users
     R = gamma[:, None] * cfg.rate_matrix
-
-    def value_of(phi: np.ndarray) -> tuple[float, np.ndarray]:
-        v = (R * phi).sum(axis=0)
-        vmax = v.max()
-        t = v / vmax if vmax > 0 else np.zeros(N)
-        return float(np.max(lam - np.exp(-t + rho1 + rho2))), v
-
-    uniform = np.full((M, N), 1.0 / N)
-    if R.max() <= 0:
-        return value_of(uniform)[0], np.zeros(N)
-
-    if N == 1:
-        return value_of(np.ones((M, 1)))
-
-    # lattice granularity chosen so the candidate count stays desk-sized
-    parts = 1
-    while True:
-        per_row = math.comb(parts + 1 + N - 1, N - 1)
-        if per_row**M > 25_000 or parts >= 16:
-            break
-        parts += 1
-    lattice = _row_lattice(N, parts)
-    combos = np.array(list(itertools.product(range(len(lattice)), repeat=M)))
-    cand = lattice[combos]  # (B, M, N)
-    cand = np.concatenate([uniform[None], cand], axis=0)
-
-    v_all = np.einsum("bmn,mn->bn", cand, R)
-    vmax = v_all.max(axis=1)
-    t = np.where(vmax[:, None] > 0, v_all / np.where(vmax[:, None] > 0, vmax[:, None], 1.0), 0.0)
-    obj = (lam[None, :] - np.exp(-t + rho1 + rho2)).max(axis=1)
-
-    order = np.argsort(obj, kind="stable")
-    best_phi = cand[order[0]]
-    best_val = float(obj[order[0]])
-
-    def objective(x: np.ndarray) -> float:
-        beta = np.clip(x, 0.0, 1.0).reshape(M, N - 1)
-        phi = np.array([_gamma_from_beta(beta[m], N) for m in range(M)])
-        return value_of(phi)[0]
-
-    for idx in order[:3]:
-        phi0 = _clean_rows(cand[idx] + 1e-9)
-        x0 = np.concatenate([_beta_from_gamma(phi0[m]) for m in range(M)])
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"fatol": 1e-10, "xatol": 1e-10, "maxiter": 20_000, "maxfev": 20_000},
-        )
-        if res.fun < best_val - 1e-15:
-            best_val = float(res.fun)
-            beta = np.clip(res.x, 0.0, 1.0).reshape(M, N - 1)
-            best_phi = np.array([_gamma_from_beta(beta[m], N) for m in range(M)])
-
-    val, v = value_of(best_phi)
-    return val, v
+    # rows 0..N-1: serve user k alone (t = e_k); row N: v = 0 (t = 0)
+    t = np.vstack([np.eye(N), np.zeros(N)])
+    obj = (cfg.arrival_rates - np.exp(-t + rho1 + rho2)).max(axis=1)
+    if np.all(R.min(axis=1) == 0):
+        return float(obj[N]), np.zeros(N)
+    k = int(np.argmin(obj[:N]))
+    return float(obj[k]), np.where(np.arange(N) == k, R.sum(axis=0), 0.0)

@@ -144,20 +144,24 @@ def validate_config(raw: SystemConfig) -> SystemConfig:
     )
 
 
+def load_json_object(source: str | Path | dict) -> dict:
+    """A dict as is, a Path's file, or a string: a JSON object when its first
+    non-blank character is "{", else a path to read. A JSON document is never
+    looked up on disk, so its length is not limited by the file system."""
+    if isinstance(source, dict):
+        return source
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        return json.loads(source)
+    return json.loads(Path(source).read_text())
+
+
 def config_from_json(source: str | Path | dict) -> SystemConfig:
     """Build a validated SystemConfig from a JSON document, path, or dict.
 
     Schema: {"n_users", "n_states", "state_probs", "rate_matrix",
     "arrival_rates", "arrival_model"}; rate_matrix is row-major, rows = states.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        if isinstance(source, Path):
-            text = source.read_text()
-        else:
-            text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-        doc = json.loads(text)
+    doc = load_json_object(source)
     raw = SystemConfig(
         n_users=int(doc["n_users"]),
         n_states=int(doc["n_states"]),

@@ -6,14 +6,13 @@ Ties are resolved by lowest index (default) or a uniform draw from the tied set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IndexOutOfRangeError
-from .model import SystemConfig
+from .model import SystemConfig, load_json_object
 
 TIE_LOWEST = "lowest_index"
 TIE_UNIFORM = "uniform_random"
@@ -93,14 +92,7 @@ def validate_policy(policy: Policy) -> Policy:
 
 def policy_from_json(source: str | Path | dict) -> Policy:
     """Parse {"type": "het"|"exp"|"mw", ...params, "tie_break"} from JSON."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        if isinstance(source, Path):
-            text = source.read_text()
-        else:
-            text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-        doc = json.loads(text)
+    doc = load_json_object(source)
     kind = doc["type"]
     if kind == "het":
         variant: Variant = Heterogeneous(

@@ -54,6 +54,8 @@ ESTIMATOR_EPISODE = "episode"
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
+DEFAULT_THRESHOLDS = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+
 
 @dataclass(frozen=True)
 class SimSpec:
@@ -63,7 +65,7 @@ class SimSpec:
     horizon: int
     replications: int = 1
     burn_in: int | None = None  # None -> horizon // 10
-    thresholds: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     master_seed: int = 0
     record_trace: bool = False
 
@@ -146,7 +148,9 @@ _RULES = {Heterogeneous: (0, "q_th"), Exp: (1, "eta"), MaxWeight: (2, "alpha")}
 
 def _build(command: list[str], path: Path) -> None:
     """Compile _slots.c to path through a temp file in path's directory, so a
-    concurrent first call never loads a partial library."""
+    concurrent first call never loads a partial library, then remove the
+    libraries of other hashes there: they belong to an older source or
+    compile command."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     os.close(fd)
     argv = [*command, "-o", tmp, str(_SLOTS_SOURCE), "-lm"]
@@ -162,6 +166,9 @@ def _build(command: list[str], path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in path.parent.glob("_slots-*.so"):
+        if stale != path:
+            stale.unlink(missing_ok=True)
 
 
 @functools.cache

@@ -139,6 +139,21 @@ class TestRegions:
             outs.append((out / "regions.csv").read_text())
         assert outs[0] != outs[1]  # different thresholds, different boundaries
 
+    def test_long_inline_policy(self, ref_cfg_path, tmp_path):
+        """An inline policy longer than a file name may be is parsed, not looked up."""
+        pretty = json.dumps({"type": "het", "q_th": 2, "rho1": 0.0, "rho2": 0.0,
+                             "tie_break": "lowest_index"}, indent=40)
+        assert len(pretty.encode()) > 255
+        texts = []
+        for name, policy in (("pretty", pretty), ("compact", HET_POLICY)):
+            rc = run_cli(
+                "regions", "--config", str(ref_cfg_path), "--policy", policy,
+                "--axes", "0,2", "--grid-max", "10", "--out", str(tmp_path / name),
+            )
+            assert rc == 0
+            texts.append((tmp_path / name / "regions.csv").read_bytes())
+        assert texts[0] == texts[1]
+
     def test_identical_axes_exit_2(self, ref_cfg_path, tmp_path):
         rc = run_cli(
             "regions", "--config", str(ref_cfg_path), "--policy", HET_POLICY,

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -179,8 +180,34 @@ def allocation_lattice(n, parts):
     return np.array(cells, dtype=float) / parts
 
 
-def w_bruteforce(y, gamma, cfg, parts=20):
-    """Min over a per-state allocation lattice (step 1/parts) of the max shortfall."""
+def pareto_front(points):
+    """Rows of a (K, 3) array that no other row dominates (>= in every
+    coordinate); of equal rows the first in sort order stays. Sort by
+    decreasing first coordinate, then keep a staircase of the kept rows' other
+    two coordinates (second ascending, third descending) to test dominance."""
+    order = np.lexsort((-points[:, 2], -points[:, 1], -points[:, 0]))
+    stair_y, stair_z, keep = [], [], []
+    for idx, (_, y, z) in zip(order.tolist(), points[order].tolist()):
+        j = bisect.bisect_left(stair_y, y)
+        if j < len(stair_y) and stair_z[j] >= z:
+            continue  # an earlier row is >= in all three coordinates
+        lo = j  # drop the entries this row dominates; z stays strictly decreasing
+        while lo > 0 and stair_z[lo - 1] <= z:
+            lo -= 1
+        stair_y[lo:j] = [y]
+        stair_z[lo:j] = [z]
+        keep.append(idx)
+    return points[np.sort(keep)]
+
+
+def w_bruteforce(y, gamma, cfg, parts=20, prune=True):
+    """Min over a per-state allocation lattice (step 1/parts) of the max shortfall.
+
+    With three states, the state-1+2 service sums that another sum dominates
+    are dropped first (prune=True). The shortfall max_i (y_i - v_i)^+ is
+    monotone in each v_i, and so is float addition, so this leaves the
+    minimum bitwise unchanged.
+    """
     M, N = cfg.n_states, cfg.n_users
     rows = allocation_lattice(N, parts)
     contribs = [gamma[m] * cfg.rate_matrix[m] * rows for m in range(M)]  # each (K, N)
@@ -190,11 +217,13 @@ def w_bruteforce(y, gamma, cfg, parts=20):
     if M == 2:
         v = contribs[0][:, None, :] + contribs[1][None, :, :]
         return float(np.maximum(y - v, 0.0).max(axis=2).min())
-    assert M == 3, "brute-force oracle implemented for up to three states"
+    assert (M, N) == (3, 3), "brute-force oracle implemented for one or two states, or 3 states x 3 users"
     best = np.inf
-    pair = contribs[1][:, None, :] + contribs[2][None, :, :]
+    pair = (contribs[1][:, None, :] + contribs[2][None, :, :]).reshape(-1, N)
+    if prune:
+        pair = pareto_front(pair)
     for row0 in contribs[0]:
-        short = np.maximum(y - (pair + row0), 0.0).max(axis=2)
+        short = np.maximum(y - (pair + row0), 0.0).max(axis=1)
         best = min(best, float(short.min()))
     return best
 
@@ -381,6 +410,32 @@ class TestWGrowth:
             grid = w_bruteforce(y, gamma, cfg, parts=20)
             assert w <= grid + 1e-9
             assert grid - w <= 2e-2
+
+    def test_pareto_front_is_the_maximal_set(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            pts = rng.integers(0, 6, size=(60, 3)).astype(float)  # many ties and repeats
+            front = pareto_front(pts)
+            dominated = [
+                any(np.all(q >= p) and (np.any(q > p) or j < i) for j, q in enumerate(pts))
+                for i, p in enumerate(pts)
+            ]
+            expected = np.unique(pts[~np.array(dominated)], axis=0)
+            assert np.array_equal(np.unique(front, axis=0), expected)
+            assert len(front) == len(expected)
+
+    def test_pruned_bruteforce_equals_full_loop_bitwise(self):
+        rng = np.random.default_rng(11)  # the first cases of c07b
+        for _ in range(4):
+            rates = rng.uniform(0, 2, size=(3, 3))
+            cfg = make_config(rates, rng.dirichlet(np.ones(3)), rng.uniform(0.2, 2, 3))
+            y = rng.uniform(0, 4, 3)
+            gamma = rng.dirichlet(np.ones(3))
+            assert w_bruteforce(y, gamma, cfg) == w_bruteforce(y, gamma, cfg, prune=False)
+        rates = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.5], [3.0, 1.0, 0.0]])  # zero rates tie sums
+        cfg = make_config(rates, [0.2, 0.3, 0.5], [1.0, 1.0, 1.0])
+        y, gamma = np.array([0.9, 0.4, 1.1]), np.array([0.3, 0.3, 0.4])
+        assert w_bruteforce(y, gamma, cfg) == w_bruteforce(y, gamma, cfg, prune=False)
 
 
 def dual_candidates_loop(rate_matrix):
@@ -593,26 +648,97 @@ def aux_grid_oracle(cfg, gamma, rho1=0.0, rho2=0.0, n=100):
     return best
 
 
+def aux_value(cfg, v, rho1=0.0, rho2=0.0):
+    """The auxiliary objective at mean service vector v (t = 0 when v = 0)."""
+    vmax = v.max()
+    t = v / vmax if vmax > 0 else np.zeros_like(v)
+    return float(np.max(cfg.arrival_rates - np.exp(-t + rho1 + rho2)))
+
+
+def aux_random_systems():
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        N, M = int(rng.integers(3, 6)), int(rng.integers(1, 4))
+        rates = rng.uniform(0.0, 6.0, size=(M, N))
+        rates[rng.random((M, N)) < 0.15] = 0.0
+        cfg = make_config(rates, rng.dirichlet(np.ones(M)), rng.uniform(0.3, 2.0, N))
+        yield cfg, rng.dirichlet(np.ones(M)), *rng.uniform(-1.0, 1.0, 2), rng
+
+
+def assert_achievable(cfg, gamma, v):
+    """Some row-stochastic allocation phi gives sum_m gamma_m phi[m][i] F[m][i] = v_i."""
+    M, N = cfg.n_states, cfg.n_users
+    A_eq = np.zeros((N + M, M * N))
+    for m in range(M):
+        for i in range(N):
+            A_eq[i, m * N + i] = gamma[m] * cfg.rate_matrix[m, i]
+        A_eq[N + m, m * N : (m + 1) * N] = 1.0
+    res = linprog(np.zeros(M * N), A_eq=A_eq, b_eq=np.concatenate([v, np.ones(M)]),
+                  bounds=[(0, None)] * (M * N), method="highs")
+    assert res.status == 0, res.message
+
+
 class TestAuxGrowth:
     def test_single_user_closed_form(self, single_user_cfg):
         omega, v = aux_growth(single_user_cfg, np.array([1.0]))
         assert omega == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
         assert v[0] == pytest.approx(5.0)
 
-    def test_symmetric_users_symmetric_argument(self):
+    def test_symmetric_users_canonical_argument(self):
+        """Serving either user alone and the even split all reach 1 - e^-1;
+        the documented argument serves the lowest index alone."""
         cfg = make_config([[2.0, 2.0], [6.0, 6.0]], [0.5, 0.5], [1.0, 1.0])
         omega, v = aux_growth(cfg, np.array([0.5, 0.5]))
-        assert v[0] == pytest.approx(v[1], rel=1e-6)
+        assert omega == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
+        assert aux_value(cfg, np.array([4.0, 4.0])) == pytest.approx(omega, abs=1e-15)
+        assert np.array_equal(v, [4.0, 0.0])
 
     def test_random_2x2_against_grid_oracle(self):
-        rng = np.random.default_rng(13)
-        for _ in range(8):
+        rng = np.random.default_rng(13)  # the 20 cases of acceptance check c07c
+        for _ in range(20):
             rates = rng.uniform(0.5, 8, size=(2, 2))
             cfg = make_config(rates, rng.dirichlet(np.ones(2)), rng.uniform(0.5, 2, 2))
             gamma = rng.dirichlet(np.ones(2))
             omega, _ = aux_growth(cfg, gamma)
-            oracle = aux_grid_oracle(cfg, gamma)
-            assert omega <= oracle + 1e-3
+            assert abs(omega - aux_grid_oracle(cfg, gamma)) <= 1e-12
+
+    def test_no_allocation_beats_it_with_rho(self):
+        for cfg, gamma, rho1, rho2, rng in aux_random_systems():
+            M, N = cfg.n_states, cfg.n_users
+            omega, _ = aux_growth(cfg, gamma, rho1, rho2)
+            R = gamma[:, None] * cfg.rate_matrix
+            pure = [np.eye(N)[list(users)] for users in itertools.product(range(N), repeat=M)]
+            mixed = [rng.dirichlet(np.full(N, a), size=M) for a in (0.3, 1.0) for _ in range(250)]
+            for phi in pure + mixed:
+                assert aux_value(cfg, (R * phi).sum(axis=0), rho1, rho2) >= omega
+
+    def test_argument_is_achievable_and_attains_the_value(self):
+        for cfg, gamma, rho1, rho2, _ in aux_random_systems():
+            omega, v = aux_growth(cfg, gamma, rho1, rho2)
+            assert_achievable(cfg, gamma, v)
+            assert aux_value(cfg, v, rho1, rho2) == omega
+            assert np.count_nonzero(v) <= 1
+
+    def test_zero_rate_user_in_every_live_state(self):
+        """v = 0 is achievable, so nobody reaches t = 1."""
+        cfg = make_config([[0.0, 3.0, 1.0], [4.0, 2.0, 0.0]], [0.5, 0.5], [1.0, 2.0, 1.5])
+        omega, v = aux_growth(cfg, np.array([0.4, 0.6]), 0.3, -0.1)
+        assert omega == pytest.approx(2.0 - math.exp(0.2), abs=1e-15)
+        assert np.array_equal(v, np.zeros(3))
+
+    def test_states_with_zero_gamma_do_not_count(self):
+        # the only state where every rate is positive is not visited: v = 0 is
+        # achievable and gives 1 - e^0 = 0, below 1 - e^-1 from serving one user
+        cfg = make_config([[3.0, 4.0], [0.0, 5.0]], [0.5, 0.5], [1.0, 1.0])
+        omega, v = aux_growth(cfg, np.array([0.0, 1.0]))
+        assert omega == pytest.approx(0.0, abs=1e-15)
+        assert np.array_equal(v, [0.0, 0.0])
+        # the only live state serves everyone: serving user 0 alone keeps the
+        # larger lambda at t = 0, so max(1 - e^-1, 2 - e^0) beats max(1 - e^0, 2 - e^-1)
+        cfg = make_config([[0.0, 0.0], [2.0, 5.0]], [0.5, 0.5], [1.0, 2.0])
+        omega, v = aux_growth(cfg, np.array([0.0, 1.0]))
+        assert omega == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(v, [2.0, 0.0])
 
     def test_all_zero_rates_convention(self):
         cfg = make_config([[0.0, 0.0]], [1.0], [1.0, 2.0])

@@ -538,6 +538,16 @@ class TestSlotKernelBuild:
             with pytest.raises(KernelBuildError, match="another user"):
                 build(simulator._CC)
 
+    def test_build_removes_stale_libraries(self, monkeypatch, tmp_path):
+        package = tmp_path / "package"
+        (package / "__pycache__").mkdir(parents=True)
+        stale = package / "__pycache__" / "_slots-0123456789abcdef.so"
+        stale.write_bytes(b"")
+        monkeypatch.setattr(simulator, "__file__", str(package / "simulator.py"))
+        assert callable(simulator._slot_kernel.__wrapped__(simulator._CC))
+        libraries = list((package / "__pycache__").glob("_slots-*.so"))
+        assert len(libraries) == 1 and libraries[0] != stale
+
     def test_deleted_library_is_rebuilt(self, ref_cfg):
         """A fresh process rebuilds a deleted kernel and reproduces the
         outputs of the one loaded here bit for bit."""
