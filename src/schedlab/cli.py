@@ -29,7 +29,9 @@ from .errors import (
 )
 from .ldp import compute_iopt
 from .model import SystemConfig, config_from_json, config_to_json
-from .schedulers import Exp, Heterogeneous, MaxWeight, Policy, policy_from_json, policy_to_json, validate_policy
+from .schedulers import (
+    VARIANT_PARAM, Exp, Heterogeneous, MaxWeight, Policy, policy_from_json, policy_to_json, validate_policy,
+)
 from .simulator import (
     DEFAULT_THRESHOLDS,
     ESTIMATOR_EPISODE,
@@ -243,12 +245,8 @@ def cmd_simulate(args) -> int:
 
 
 def _policy_with_param(policy: Policy, value: float) -> tuple[Policy, str]:
-    v = policy.variant
-    if isinstance(v, Heterogeneous):
-        return replace(policy, variant=replace(v, q_th=value)), "q_th"
-    if isinstance(v, Exp):
-        return replace(policy, variant=replace(v, eta=value)), "eta"
-    return replace(policy, variant=replace(v, alpha=value)), "alpha"
+    name = VARIANT_PARAM[type(policy.variant)]
+    return replace(policy, variant=replace(policy.variant, **{name: value})), name
 
 
 def cmd_sweep(args) -> int:

@@ -13,8 +13,8 @@ The central objects:
   in closed form: serving one user alone is optimal.
 
 Every result is exact up to floating point and root tolerance: the LPs go
-to HiGHS, ``compute_iopt`` solves one scalar root per dual vertex, and no
-grid or local search is left.
+to HiGHS, ``compute_iopt`` solves one scalar root of the largest secant over
+the dual vertices, and no grid or local search is left.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, linprog
+from scipy.special import logsumexp
 
 from .errors import (
     MalformedPathError,
@@ -237,17 +238,21 @@ def is_stabilizable(cfg: SystemConfig, epsilon: float = 0.0) -> tuple[bool, Allo
 # the exponential tilt of (lam, p) along u, so I_opt = min over vertices u of
 # theta_u, the positive root of A_u(theta) + log sum_m p_m e^{-theta c_m(u)} = 0,
 # where A_u is the arrivals' log moment generating function along u (Glynn &
-# Whitt 1994).
+# Whitt 1994). Every hyperplane but sum u = 1 passes through the origin, so the
+# nonzero vertices lie on that face, and theta_{su} = theta_u / s puts the
+# minimum there too. Each root function over theta (its secant from 0) is
+# nondecreasing, so I_opt is the first zero of the largest secant.
 
 _CANDIDATE_CAP = 400_000
 _SUBSET_BLOCK = 2048  # hyperplane subsets per stacked det/solve; bounds memory
 
 
 def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray:
-    """Vertices of the dual arrangement inside {u >= 0, sum u <= 1}.
+    """Vertices of the dual arrangement on the face {u >= 0, sum u = 1}.
 
-    Raises SolverFailureError when the number of hyperplane subsets to try
-    exceeds _CANDIDATE_CAP, instead of running for hours.
+    Each subset is the face row plus N-1 of the other hyperplanes. Raises
+    SolverFailureError when the number of subsets to try exceeds
+    _CANDIDATE_CAP, instead of running for hours.
     """
     M, N = rate_matrix.shape
     rows = [np.eye(N)[i] for i in range(N)]
@@ -271,27 +276,28 @@ def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray:
                 seen.add(key)
                 rows.append(a)
                 rhs.append(0.0)
-    n_subsets = math.comb(len(rows), N)
+    others = [r for r in range(len(rows)) if r != N]  # row N is the face sum u = 1
+    n_subsets = math.comb(len(others), N - 1)
     if n_subsets > _CANDIDATE_CAP:
         raise SolverFailureError(
-            f"dual-vertex enumeration needs {n_subsets} candidate subsets of {len(rows)} "
-            f"hyperplanes, above the cap of {_CANDIDATE_CAP}"
+            f"dual-vertex enumeration needs {n_subsets} subsets of {N - 1} of {len(others)} "
+            f"hyperplanes on the face sum u = 1, above the cap of {_CANDIDATE_CAP}"
         )
     A = np.array(rows)
     b = np.array(rhs)
-    subsets = itertools.combinations(range(len(rows)), N)
+    subsets = itertools.combinations(others, N - 1)
     cands = []
     for start in range(0, n_subsets, _SUBSET_BLOCK):
         count = min(_SUBSET_BLOCK, n_subsets - start)
         idx = np.fromiter(
             itertools.chain.from_iterable(itertools.islice(subsets, count)),
             dtype=np.intp,
-            count=count * N,
-        ).reshape(count, N)
+            count=count * (N - 1),
+        ).reshape(count, N - 1)
+        idx = np.sort(np.column_stack([idx, np.full(count, N)]), axis=1)
         idx = idx[~(np.abs(np.linalg.det(A[idx])) < 1e-12)]
         u = np.linalg.solve(A[idx], b[idx][:, :, None])[:, :, 0]
-        u = u[np.all(u >= -1e-9, axis=1) & (u.sum(axis=1) <= 1.0 + 1e-9)]
-        cands.append(np.clip(u, 0.0, None))
+        cands.append(np.clip(u[np.all(u >= -1e-9, axis=1)], 0.0, None))
     return np.unique(np.round(np.concatenate(cands), 12), axis=0)
 
 
@@ -335,48 +341,12 @@ def _canonical_phi(y: np.ndarray, gamma: np.ndarray, w: float, cfg: SystemConfig
     return _clean_rows(phi)
 
 
-def _logsumexp(z: np.ndarray, p: np.ndarray) -> float:
-    """log sum_m p_m e^{z_m} for weights p >= 0 with some p_m > 0, in the
-    operation order of scipy.special.logsumexp(z, b=p), so roots match it
-    bitwise: zero weights drop out, the max terms are split out of the sum."""
-    z = np.where(p == 0, -np.inf, z)
-    z_max = z.max()
-    at_max = z == z_max
-    m = np.sum(p * at_max)
-    s = np.sum(p * np.exp(np.where(at_max, -np.inf, z) - z_max))
-    return np.log1p(s if s == 0 else s / m) + np.log(m) + z_max
-
-
-def _vertex_theta(u: np.ndarray, c: np.ndarray, cfg: SystemConfig) -> float:
-    """Positive root theta_u along dual vertex u with state costs c = c(u):
-    0 when the mean point already grows along u, +inf when the root function
-    never turns positive."""
-    lam, p = cfg.arrival_rates, cfg.state_probs
-    fluid = cfg.arrival_model == ARRIVAL_FLUID
-    slope0 = lam @ u - p @ c
-    if slope0 >= 0:
-        return 0.0
-    if fluid and lam @ u <= c[p > 0].min():
-        return math.inf  # the secant below rises only to lam.u - min c <= 0
-
-    def secant(t: float) -> float:
-        # root function over t: nondecreasing, since it is convex and 0 at 0
-        if t == 0.0:
-            return slope0
-        arrivals = t * (lam @ u) if fluid else lam @ np.expm1(t * u)
-        return (arrivals + _logsumexp(-t * c, p)) / t
-
-    hi = 1.0
-    while secant(hi) <= 0:
-        hi *= 2.0
-    return brentq(secant, 0.0, hi, xtol=1e-15, rtol=1e-15)
-
-
 def compute_iopt(cfg: SystemConfig) -> IoptResult:
     """Optimal overflow decay rate over all scheduling algorithms.
 
     The infimum of (arrival cost + relative_entropy(gamma, p)) / w_growth(y,
-    gamma), computed exactly as min over the dual vertices u of theta_u. The
+    gamma), computed exactly as min over the dual vertices u of theta_u: the
+    first zero of the largest vertex secant, found by one root solve. The
     arrival cost is sum_i poisson_rate(y_i) for Poisson arrivals; fluid
     arrivals cannot deviate, so y stays at the means. The infimum is attained
     at the exponential tilt y_i = lam_i e^{theta u_i} (y = lam for fluid
@@ -390,17 +360,34 @@ def compute_iopt(cfg: SystemConfig) -> IoptResult:
         # the mean path itself overflows at zero deviation cost
         return IoptResult(0.0, lam.copy(), p.copy(), phi0, w0)
 
-    cands = _dual_candidates(cfg.rate_matrix)
-    cands = cands[cands.sum(axis=1) > 0]
-    costs = np.max(cands[:, None, :] * cfg.rate_matrix[None, :, :], axis=2)
-    thetas = [_vertex_theta(u, c, cfg) for u, c in zip(cands, costs)]
-    k = int(np.argmin(thetas))
-    theta = thetas[k]
-    if math.isinf(theta):
-        raise SolverFailureError("no channel deviation makes the largest queue grow")
+    U = _dual_candidates(cfg.rate_matrix)
+    C = np.max(U[:, None, :] * cfg.rate_matrix[None, :, :], axis=2)
+    slope0 = U @ lam - C @ p
+    fluid = cfg.arrival_model == ARRIVAL_FLUID
+    if fluid:
+        # a fluid secant rises only to lam.u - min live c_m(u): drop the vertices
+        # whose secant never turns positive
+        keep = (slope0 >= 0) | (U @ lam > C[:, p > 0].min(axis=1))
+        if not keep.any():
+            raise SolverFailureError("no channel deviation makes the largest queue grow")
+        U, C, slope0 = U[keep], C[keep], slope0[keep]
 
-    y = lam.copy() if cfg.arrival_model == ARRIVAL_FLUID else lam * np.exp(theta * cands[k])
-    gamma = p * np.exp(-theta * costs[k])
+    def secants(t: float) -> np.ndarray:
+        # each vertex's root function over t: nondecreasing, since it is convex and 0 at 0
+        if t == 0.0:
+            return slope0
+        arrivals = t * (U @ lam) if fluid else np.expm1(t * U) @ lam
+        return (arrivals + logsumexp(-t * C, b=p, axis=1)) / t
+
+    theta = 0.0  # when the mean point already grows along some vertex
+    if slope0.max() < 0:
+        hi = 1.0
+        while secants(hi).max() <= 0:
+            hi *= 2.0
+        theta = brentq(lambda t: secants(t).max(), 0.0, hi, xtol=1e-15, rtol=1e-15)
+    k = int(np.argmax(secants(theta)))
+    y = lam.copy() if fluid else lam * np.exp(theta * U[k])
+    gamma = p * np.exp(-theta * C[k])
     gamma /= gamma.sum()
     w, _ = w_growth(y, gamma, cfg)
     phi = AllocationMatrix(_canonical_phi(y, gamma, w, cfg))

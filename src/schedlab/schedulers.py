@@ -47,6 +47,10 @@ class MaxWeight:
 
 Variant = Heterogeneous | Exp | MaxWeight
 
+# the tuning parameter of each variant's rule: what a sweep varies and what
+# the slot kernel reads
+VARIANT_PARAM = {Heterogeneous: "q_th", Exp: "eta", MaxWeight: "alpha"}
+
 
 @dataclass(frozen=True)
 class Policy:

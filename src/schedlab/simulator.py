@@ -35,6 +35,7 @@ from .errors import (
 from .model import RandomSource, SystemConfig, TraceCounters, sample_arrivals, sample_channel
 from .schedulers import (
     TIE_UNIFORM,
+    VARIANT_PARAM,
     Exp,
     Heterogeneous,
     MaxWeight,
@@ -142,8 +143,8 @@ class SimResult:
 _SLOTS_SOURCE = Path(__file__).with_name("_slots.c")
 _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# variant -> (RULE_* code of _slots.c, the parameter the rule reads)
-_RULES = {Heterogeneous: (0, "q_th"), Exp: (1, "eta"), MaxWeight: (2, "alpha")}
+# variant -> RULE_* code of _slots.c
+_RULES = {Heterogeneous: 0, Exp: 1, MaxWeight: 2}
 
 
 def _build(command: list[str], path: Path) -> None:
@@ -219,8 +220,8 @@ def run_replications(
     burn = resolved_burn_in(spec)
     thresholds = np.asarray(spec.thresholds, dtype=float)
     uniform_ties = policy.tie_break == TIE_UNIFORM
-    rule, field = _RULES[type(policy.variant)]
-    param = float(getattr(policy.variant, field))
+    rule = _RULES[type(policy.variant)]
+    param = float(getattr(policy.variant, VARIANT_PARAM[type(policy.variant)]))
     rates = np.ascontiguousarray(cfg.rate_matrix, dtype=float)
     table = np.ascontiguousarray(rate_table(policy.variant, cfg), dtype=float)
     scratch = np.empty(N)

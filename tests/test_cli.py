@@ -107,20 +107,41 @@ class TestIopt:
         phi_m3_u0 = [float(r[2]) for r in rows if r[0] == "2" and r[1] == "0"][0]
         assert phi_m3_u0 > 0.98
 
-    def test_over_vertex_cap_exits_3(self, tmp_path, capsys):
-        # 5 users x 4 states with generic rates: C(46, 5) hyperplane subsets
-        rates = np.random.default_rng(0).uniform(1.0, 9.0, size=(4, 5))
-        cfg_path = tmp_path / "generic5x4.json"
-        cfg_path.write_text(json.dumps({
-            "n_users": 5, "n_states": 4, "state_probs": [0.25] * 4,
-            "rate_matrix": rates.tolist(), "arrival_rates": [0.1] * 5,
+    @staticmethod
+    def write_config(path, rates, probs, lam, arrival_model="poisson"):
+        path.write_text(json.dumps({
+            "n_users": len(lam), "n_states": len(probs), "state_probs": probs,
+            "rate_matrix": rates, "arrival_rates": lam, "arrival_model": arrival_model,
         }))
+        return str(path)
+
+    def test_generic_5x4_is_exact(self, tmp_path):
+        # C(45, 4) = 148 995 subsets on the face, under the cap
+        rates = np.random.default_rng(0).uniform(1.0, 9.0, size=(4, 5)).tolist()
+        cfg_path = self.write_config(tmp_path / "generic5x4.json", rates, [0.25] * 4, [0.1] * 5)
+        out = tmp_path / "iopt"
+        assert run_cli("iopt", "--config", cfg_path, "--out", str(out)) == 0
+        assert json.loads((out / "iopt.json").read_text())["value"] > 0
+        assert len(read_csv(out / "phi_opt.csv")[1]) == 20
+
+    def test_over_vertex_cap_exits_3(self, tmp_path, capsys):
+        # 6 users x 4 states with generic rates: C(66, 5) hyperplane subsets on the face
+        rates = np.random.default_rng(0).uniform(1.0, 9.0, size=(4, 6)).tolist()
+        cfg_path = self.write_config(tmp_path / "generic6x4.json", rates, [0.25] * 4, [0.1] * 6)
         out = tmp_path / "x"
         start = time.monotonic()
-        rc = run_cli("iopt", "--config", str(cfg_path), "--out", str(out))
+        rc = run_cli("iopt", "--config", cfg_path, "--out", str(out))
         assert time.monotonic() - start < 1.0
         assert rc == 3
-        assert "1370754" in capsys.readouterr().err
+        assert "8936928" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fluid_without_growing_deviation_exits_3(self, tmp_path, capsys):
+        # fluid arrivals at 1 never exceed the single user's smallest rate 2
+        cfg_path = self.write_config(tmp_path / "fluid.json", [[2.0], [3.0]], [0.5, 0.5], [1.0], "fluid")
+        out = tmp_path / "x"
+        assert run_cli("iopt", "--config", cfg_path, "--out", str(out)) == 3
+        assert "no channel deviation" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -200,13 +200,22 @@ def pareto_front(points):
     return points[np.sort(keep)]
 
 
+def state0_bounds(y, rows0, pair):
+    """Lower bound on each state-0 row's least shortfall over the pair sums:
+    the shortfall against the pair sums' coordinatewise maximum, added in the
+    order the real rows use. Float addition is monotone, so no row's
+    shortfall lies below its bound."""
+    return np.maximum(y - (rows0 + pair.max(axis=0)), 0.0).max(axis=1)
+
+
 def w_bruteforce(y, gamma, cfg, parts=20, prune=True):
     """Min over a per-state allocation lattice (step 1/parts) of the max shortfall.
 
-    With three states, the state-1+2 service sums that another sum dominates
-    are dropped first (prune=True). The shortfall max_i (y_i - v_i)^+ is
-    monotone in each v_i, and so is float addition, so this leaves the
-    minimum bitwise unchanged.
+    With three states, prune=True first drops the state-1+2 service sums that
+    another sum dominates, then visits the state-0 rows in ascending order of
+    state0_bounds and stops at the first bound that cannot beat the best. The
+    shortfall max_i (y_i - v_i)^+ is monotone in each v_i, and so is float
+    addition, so neither step changes the minimum by a bit.
     """
     M, N = cfg.n_states, cfg.n_users
     rows = allocation_lattice(N, parts)
@@ -220,10 +229,14 @@ def w_bruteforce(y, gamma, cfg, parts=20, prune=True):
     assert (M, N) == (3, 3), "brute-force oracle implemented for one or two states, or 3 states x 3 users"
     best = np.inf
     pair = (contribs[1][:, None, :] + contribs[2][None, :, :]).reshape(-1, N)
+    bounds = np.full(len(contribs[0]), -np.inf)  # unpruned: every row, in order
     if prune:
         pair = pareto_front(pair)
-    for row0 in contribs[0]:
-        short = np.maximum(y - (pair + row0), 0.0).max(axis=1)
+        bounds = state0_bounds(y, contribs[0], pair)
+    for k in np.argsort(bounds, kind="stable"):
+        if bounds[k] >= best:
+            break
+        short = np.maximum(y - (pair + contribs[0][k]), 0.0).max(axis=1)
         best = min(best, float(short.min()))
     return best
 
@@ -425,17 +438,29 @@ class TestWGrowth:
             assert len(front) == len(expected)
 
     def test_pruned_bruteforce_equals_full_loop_bitwise(self):
+        skipped = []
+
+        def check(y, gamma, cfg):
+            best = w_bruteforce(y, gamma, cfg)
+            assert best == w_bruteforce(y, gamma, cfg, prune=False)
+            lattice = allocation_lattice(3, 20)
+            rows = [gamma[m] * cfg.rate_matrix[m] * lattice for m in range(3)]
+            pair = (rows[1][:, None, :] + rows[2][None, :, :]).reshape(-1, 3)
+            skipped.append(int((state0_bounds(y, rows[0], pair) >= best).sum()))
+
         rng = np.random.default_rng(11)  # the first cases of c07b
         for _ in range(4):
             rates = rng.uniform(0, 2, size=(3, 3))
             cfg = make_config(rates, rng.dirichlet(np.ones(3)), rng.uniform(0.2, 2, 3))
             y = rng.uniform(0, 4, 3)
             gamma = rng.dirichlet(np.ones(3))
-            assert w_bruteforce(y, gamma, cfg) == w_bruteforce(y, gamma, cfg, prune=False)
+            check(y, gamma, cfg)
         rates = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.5], [3.0, 1.0, 0.0]])  # zero rates tie sums
         cfg = make_config(rates, [0.2, 0.3, 0.5], [1.0, 1.0, 1.0])
-        y, gamma = np.array([0.9, 0.4, 1.1]), np.array([0.3, 0.3, 0.4])
-        assert w_bruteforce(y, gamma, cfg) == w_bruteforce(y, gamma, cfg, prune=False)
+        check(np.array([0.9, 0.4, 1.1]), np.array([0.3, 0.3, 0.4]), cfg)
+        # the state-0 skip ends some loops after one row, some part-way, and
+        # some never
+        assert 231 in skipped and 0 in skipped and any(0 < n < 231 for n in skipped)
 
 
 def dual_candidates_loop(rate_matrix):
@@ -474,7 +499,7 @@ def dual_candidates_loop(rate_matrix):
     return np.unique(np.round(np.array(cands), 12), axis=0)
 
 
-# the benchmark's 5-user x 3-state system (201 dual vertices)
+# the benchmark's 5-user x 3-state system (200 dual vertices on the face sum u = 1)
 FIVE_USER_RATES = np.array([[0, 0, 0, 0, 0], [3, 9, 9, 9, 9], [5, 0, 1, 1, 2]], dtype=float)
 
 
@@ -487,31 +512,23 @@ def enumeration_cases():
     return cases
 
 
+def face_vertices_loop(rates):
+    """The per-subset loop's vertices without the origin: those on sum u = 1."""
+    loop = dual_candidates_loop(rates)
+    assert not loop[0].any()  # the origin sorts first
+    return loop[1:]
+
+
 class TestDualEnumeration:
     @pytest.mark.parametrize("rates", enumeration_cases())
     def test_stacked_equals_per_subset_loop(self, rates):
-        assert np.array_equal(_dual_candidates(rates), dual_candidates_loop(rates))
+        assert np.array_equal(_dual_candidates(rates), face_vertices_loop(rates))
 
     def test_small_blocks_merge_to_the_same_vertices(self, monkeypatch):
-        expected = dual_candidates_loop(FIVE_USER_RATES)
+        expected = face_vertices_loop(FIVE_USER_RATES)
         monkeypatch.setattr(ldp, "_SUBSET_BLOCK", 97)
         assert np.array_equal(_dual_candidates(FIVE_USER_RATES), expected)
-        assert len(expected) == 201
-
-    def test_logsumexp_equals_scipy_bitwise(self):
-        rng = np.random.default_rng(41)
-        for _ in range(2000):
-            n = int(rng.integers(1, 7))
-            z = -rng.exponential(rng.choice([0.1, 3.0, 50.0]), size=n)
-            if rng.random() < 0.3:
-                z[rng.integers(n)] = z.max()  # repeated maxima
-            p = rng.dirichlet(np.ones(n))
-            p[rng.random(n) < 0.3] = 0.0
-            if not p.any():
-                p[rng.integers(n)] = 1.0
-            ours = ldp._logsumexp(z, p)
-            ref = logsumexp(z, b=p)
-            assert ours == ref, (z, p, ours, ref)
+        assert len(expected) == 200
 
 
 class TestSolveStandardForm:
@@ -576,6 +593,15 @@ class TestComputeIopt:
         assert res.value == pytest.approx(oracle, abs=1e-4)
         assert res.value <= oracle + 1e-12  # the grid minimum lies above the infimum
 
+    def test_critical_load_returns_zero_at_the_means(self):
+        # lam = F: the mean point grows at rate 0 along u = 1
+        cfg = make_config([[5.0]], [1.0], [5.0])
+        res = compute_iopt(cfg)
+        assert res.value == 0.0
+        assert np.array_equal(res.arg_y, [5.0])
+        assert np.array_equal(res.arg_gamma, [1.0])
+        assert res.arg_w == pytest.approx(0.0, abs=1e-9)
+
     def test_value_invariant(self, ref_cfg):
         res = compute_iopt(ref_cfg)
         cost = poisson_rate(res.arg_y, ref_cfg.arrival_rates).sum() + relative_entropy(
@@ -629,6 +655,19 @@ class TestIoptCertificate:
             assert np.allclose(res.arg_y, cert.y, atol=1e-9)
             assert np.allclose(res.arg_gamma, cert.gamma, atol=1e-9)
             assert res.arg_w == pytest.approx(cert.w, abs=1e-9)
+
+    def test_generic_5x4_tilt_attains_the_value(self):
+        # 20 210 face vertices; theta* is not known in closed form, so the
+        # tilt and random duals certify it
+        rates = np.random.default_rng(0).uniform(1.0, 9.0, size=(4, 5))
+        cfg = make_config(rates, [0.25] * 4, [0.1] * 5)
+        res = compute_iopt(cfg)
+        assert res.value > 0
+        w = w_highs(res.arg_y, res.arg_gamma, cfg)
+        assert w == pytest.approx(res.arg_w, abs=1e-8)
+        assert deviation_cost(res.arg_y, res.arg_gamma, cfg) / w == pytest.approx(res.value, abs=1e-8)
+        U = np.random.default_rng(23).dirichlet(np.ones(cfg.n_users), size=50_000)
+        assert root_function(res.value, U, cfg).max() <= 1e-12
 
 
 def aux_grid_oracle(cfg, gamma, rho1=0.0, rho2=0.0, n=100):
