@@ -173,6 +173,9 @@ def _add_common(sub: argparse.ArgumentParser, policy: bool = True) -> None:
         "--estimator",
         choices=[ESTIMATOR_STATIONARY, ESTIMATOR_EPISODE],
         default=ESTIMATOR_STATIONARY,
+        help="stationary: fraction of post-burn-in slots whose largest queue is at or above B; "
+        "episode: fraction of replications whose largest queue reaches B after the burn-in "
+        "(--burn-in 0 covers the whole run from empty)",
     )
     sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument("--svg", action="store_true", help="also emit SVG plots")

@@ -140,7 +140,7 @@ def _resolve(
     if tie_break == TIE_UNIFORM and len(tied) > 1:
         if rng is None:
             raise ValueError("uniform_random tie-break requires an rng")
-        chosen = int(tied[rng.integers(len(tied))])
+        chosen = int(tied[int(rng.random() * len(tied))])  # the slot kernel's floor(u * count)
     else:
         chosen = int(tied[0])
     return SelectionScore(score=score, chosen=chosen, tied_set=frozenset(int(i) for i in tied))

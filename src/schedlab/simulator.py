@@ -6,10 +6,11 @@ ties, tie uniforms. A small C recursion (_slots.c, compiled with the system's
 `cc` on first use and cached by the hash of its source and flags) then walks
 each replication's slots in turn, deciding exactly as the selectors do, so a
 batch run is bitwise identical to running each replication alone.
-Post-burn-in statistics are numpy over the recursion's per-slot choices,
-departures and queues: per-threshold overflow slot counts (stationary mode),
-ever-reached flags (episode mode), time-average queues, and the cumulative
-service counters.
+The chunk buffers, drawn inputs and the recursion's per-slot choices,
+departures and queues, are the one record of a slot. Numpy reduces their
+post-burn-in part once into the service counters, the per-threshold overflow
+slot counts (both estimators read these) and the time-average queues; with
+record_trace they are kept whole as the trace scaled_trace rescales.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def validate_sim_spec(spec: SimSpec) -> SimSpec:
     if not 0 <= burn < spec.horizon:
         raise ValueError("burn_in must lie in [0, horizon)")
     th = np.asarray(spec.thresholds, dtype=float)
-    if len(th) and (np.any(th <= 0) or np.any(np.diff(th) <= 0)):
+    if np.any(th <= 0) or np.any(np.diff(th) <= 0):
         raise ValueError("thresholds must be positive and strictly ascending")
     return spec
 
@@ -117,12 +118,15 @@ class EmpiricalPhi:
 
 @dataclass
 class ReplicationOutput:
+    """Post-burn-in statistics over counters.horizon slots and, with
+    record_trace, the whole per-slot record: state, tie_uniform (empty for
+    lowest-index ties), arrivals, chosen and departure, one entry per slot,
+    and q (T+1, N), the queues after each slot behind an empty row 0."""
+
     rep_index: int
     counters: TraceCounters
     thresholds: np.ndarray
     overflow_slot_counts: np.ndarray
-    ever_reached: np.ndarray
-    n_stat_slots: int
     mean_queues: np.ndarray
     trace: dict | None = None
 
@@ -209,7 +213,8 @@ def run_replications(
 
     Each chunk of slots is drawn in numpy per replication, then the compiled
     recursion walks every row's slots with the score and tie rule of
-    schedulers.stable_scores and tied_mask.
+    schedulers.stable_scores and tied_mask. The statistics reduce the chunk
+    buffers' post-burn-in part; record_trace keeps the buffers whole.
     """
     validate_policy(policy)
     validate_sim_spec(spec)
@@ -231,23 +236,12 @@ def run_replications(
     Q = np.zeros((R, N))
     arr_sum = np.zeros((R, N))
     dep_sum = np.zeros((R, N))
-    state_slots = np.zeros((R, M), dtype=np.int64)
     served_slots = np.zeros((R, M, N), dtype=np.int64)
     over_counts = np.zeros((R, len(thresholds)), dtype=np.int64)
-    ever = np.zeros((R, len(thresholds)), dtype=bool)
     max_seen = np.zeros(R)
     q_sum = np.zeros((R, N))
     initial_q = np.zeros((R, N))
-
-    trace = None
-    if spec.record_trace:
-        trace = {
-            "f": np.zeros((R, T + 1, N)),
-            "fhat": np.zeros((R, T + 1, N)),
-            "g": np.zeros((R, T + 1, M)),
-            "ghat": np.zeros((R, T + 1, M, N)),
-            "q": np.zeros((R, T + 1, N)),
-        }
+    record = []
 
     done = 0
     while done < T:
@@ -261,80 +255,53 @@ def run_replications(
             if uniform_ties:
                 u_chunk[r] = gens[r].random(c)
 
-        chosen_buf = np.empty((R, c), dtype=np.int64)
-        dep_buf = np.empty((R, c))
+        chosen = np.empty((R, c), dtype=np.int64)
+        dep = np.empty((R, c))
         qtraj = np.empty((R, c, N))
         kernel(rule, uniform_ties, R, c, N, states, arr, u_chunk, rates, table, param,
-               Q, scratch, chosen_buf, dep_buf, qtraj)
+               Q, scratch, chosen, dep, qtraj)
+        if spec.record_trace:
+            record.append({"state": states, "tie_uniform": u_chunk, "arrivals": arr,
+                           "chosen": chosen, "departure": dep, "q": qtraj})
 
-        if trace is not None:
-            sl = slice(done + 1, done + c + 1)
-            trace["f"][:, sl, :] = trace["f"][:, done, None, :] + arr.cumsum(axis=1)
-            dep_full = np.zeros((R, c, N))
-            dep_full[rows[:, None], np.arange(c)[None, :], chosen_buf] = dep_buf
-            trace["fhat"][:, sl, :] = trace["fhat"][:, done, None, :] + dep_full.cumsum(axis=1)
-            g_full = np.zeros((R, c, M))
-            g_full[rows[:, None], np.arange(c)[None, :], states] = 1.0
-            trace["g"][:, sl, :] = trace["g"][:, done, None, :] + g_full.cumsum(axis=1)
-            gh_full = np.zeros((R, c, M, N))
-            gh_full[rows[:, None], np.arange(c)[None, :], states, chosen_buf] = 1.0
-            trace["ghat"][:, sl] = trace["ghat"][:, done, None] + gh_full.cumsum(axis=1)
-            trace["q"][:, sl, :] = qtraj
-
-        if burn - done > 0 and burn - done <= c:
-            initial_q[:] = qtraj[:, burn - done - 1, :] if burn - done >= 1 else 0.0
+        if 0 < burn - done <= c:
+            initial_q[:] = qtraj[:, burn - done - 1]
         lo = max(burn - done, 0)
         if lo < c:
-            sl = slice(lo, c)
-            arr_sum += arr[:, sl, :].sum(axis=1)
-            flat_dep = rows.repeat(c - lo) * N + chosen_buf[:, sl].ravel()
-            dep_sum += np.bincount(flat_dep, weights=dep_buf[:, sl].ravel(), minlength=R * N).reshape(R, N)
-            flat_mi = (
-                rows.repeat(c - lo) * (M * N)
-                + states[:, sl].ravel() * N
-                + chosen_buf[:, sl].ravel()
-            )
-            bc = np.bincount(flat_mi, minlength=R * M * N).reshape(R, M, N)
-            served_slots += bc
-            state_slots += bc.sum(axis=2)
-            maxq = qtraj[:, sl, :].max(axis=2)
-            if len(thresholds):
-                hit = maxq[:, :, None] >= thresholds[None, None, :]
-                over_counts += hit.sum(axis=1)
-                ever |= hit.any(axis=1)
+            arr_sum += arr[:, lo:].sum(axis=1)
+            flat_dep = rows.repeat(c - lo) * N + chosen[:, lo:].ravel()
+            dep_sum += np.bincount(flat_dep, weights=dep[:, lo:].ravel(), minlength=R * N).reshape(R, N)
+            flat_mi = rows.repeat(c - lo) * (M * N) + states[:, lo:].ravel() * N + chosen[:, lo:].ravel()
+            served_slots += np.bincount(flat_mi, minlength=R * M * N).reshape(R, M, N)
+            maxq = qtraj[:, lo:].max(axis=2)
+            over_counts += (maxq[:, :, None] >= thresholds).sum(axis=1)
             max_seen = np.maximum(max_seen, maxq.max(axis=1))
-            q_sum += qtraj[:, sl, :].sum(axis=1)
+            q_sum += qtraj[:, lo:].sum(axis=1)
         done += c
 
+    traces = [None] * R
+    if spec.record_trace:
+        whole = {key: np.concatenate([part[key] for part in record], axis=1) for key in record[0]}
+        whole["q"] = np.concatenate([np.zeros((R, 1, N)), whole["q"]], axis=1)
+        traces = [{key: val[i] for key, val in whole.items()} for i in range(R)]
+    state_slots = served_slots.sum(axis=2)
     n_stat = T - burn
-    outputs = []
-    for idx, r in enumerate(rep_indices):
-        counters = TraceCounters(
-            arrivals=arr_sum[idx].copy(),
-            departures=dep_sum[idx].copy(),
-            state_slots=state_slots[idx].copy(),
-            served_slots=served_slots[idx].copy(),
-            horizon=n_stat,
-            max_queue_seen=float(max_seen[idx]),
-            initial_queues=initial_q[idx].copy(),
-            final_queues=Q[idx].copy(),
+    return [
+        ReplicationOutput(
+            rep_index=r,
+            counters=TraceCounters(
+                arrivals=arr_sum[i], departures=dep_sum[i],
+                state_slots=state_slots[i], served_slots=served_slots[i],
+                horizon=n_stat, max_queue_seen=float(max_seen[i]),
+                initial_queues=initial_q[i], final_queues=Q[i],
+            ),
+            thresholds=thresholds,
+            overflow_slot_counts=over_counts[i],
+            mean_queues=q_sum[i] / n_stat,
+            trace=traces[i],
         )
-        rep_trace = None
-        if trace is not None:
-            rep_trace = {key: val[idx].copy() for key, val in trace.items()}
-        outputs.append(
-            ReplicationOutput(
-                rep_index=r,
-                counters=counters,
-                thresholds=thresholds.copy(),
-                overflow_slot_counts=over_counts[idx].copy(),
-                ever_reached=ever[idx].copy(),
-                n_stat_slots=n_stat,
-                mean_queues=q_sum[idx] / n_stat,
-                trace=rep_trace,
-            )
-        )
-    return outputs
+        for i, r in enumerate(rep_indices)
+    ]
 
 
 def run_replication(
@@ -360,42 +327,28 @@ def _wilson(k: int, n: int) -> tuple[float, float]:
 
 
 def estimate_overflow(
-    outputs: list[ReplicationOutput],
-    thresholds=None,
-    mode: str = ESTIMATOR_STATIONARY,
+    outputs: list[ReplicationOutput], mode: str = ESTIMATOR_STATIONARY
 ) -> list[OverflowEstimate]:
     """Per-threshold overflow probability with a Wilson 95% interval.
 
     Stationary mode: fraction of post-burn-in slots whose largest queue is at
-    or above the threshold. Episode mode: fraction of replications that ever
-    reach the threshold within the horizon.
+    or above the threshold. Episode mode: fraction of replications whose
+    largest queue reaches the threshold after the burn-in (burn-in 0 covers
+    the whole run from empty).
     """
     if not outputs:
         raise NoSamplesError("no replication outputs")
-    base = outputs[0].thresholds
-    if thresholds is None:
-        thresholds = base
-    thresholds = np.asarray(thresholds, dtype=float)
-    idx = []
-    for b in thresholds:
-        hits = np.flatnonzero(np.isclose(base, b))
-        if len(hits) != 1:
-            raise ValueError(f"threshold {b} was not monitored by the replications")
-        idx.append(hits[0])
-
-    estimates = []
-    for b, j in zip(thresholds, idx):
-        if mode == ESTIMATOR_STATIONARY:
-            k = int(sum(o.overflow_slot_counts[j] for o in outputs))
-            n = int(sum(o.n_stat_slots for o in outputs))
-        elif mode == ESTIMATOR_EPISODE:
-            k = int(sum(bool(o.ever_reached[j]) for o in outputs))
-            n = len(outputs)
-        else:
-            raise ValueError(f"unknown estimator mode {mode!r}")
-        lo, hi = _wilson(k, n)
-        estimates.append(OverflowEstimate(float(b), k / n, lo, hi, k, n))
-    return estimates
+    counts = np.array([o.overflow_slot_counts for o in outputs])
+    if mode == ESTIMATOR_STATIONARY:
+        events, n = counts.sum(axis=0), sum(o.counters.horizon for o in outputs)
+    elif mode == ESTIMATOR_EPISODE:
+        events, n = (counts > 0).sum(axis=0), len(outputs)
+    else:
+        raise ValueError(f"unknown estimator mode {mode!r}")
+    return [
+        OverflowEstimate(float(b), int(k) / n, *_wilson(int(k), n), int(k), n)
+        for b, k in zip(outputs[0].thresholds, events)
+    ]
 
 
 def fit_decay_rate(estimates: list[OverflowEstimate], min_events: int = 5) -> DecayFit:
@@ -455,12 +408,10 @@ def run_simulation(
 ) -> SimResult:
     """Full campaign: all replications in one run_replications call, overflow
     estimates, decay fit, and the empirical allocation matrix."""
-    validate_sim_spec(spec)
     outputs = run_replications(cfg, policy, spec, list(range(spec.replications)))
-
-    overflow = estimate_overflow(outputs, mode=mode) if len(spec.thresholds) else []
+    overflow = estimate_overflow(outputs, mode=mode)
     try:
-        decay = fit_decay_rate(overflow) if overflow else None
+        decay = fit_decay_rate(overflow)
     except InsufficientEventsError:
         decay = None
     agg = aggregate_counters(outputs)
@@ -499,19 +450,22 @@ def scaled_trace(output: ReplicationOutput, scale: float) -> ScaledTrace:
         raise TraceUnavailableError("replication was run without record_trace")
     if scale <= 0:
         raise ValueError("scale must be > 0")
-    T = output.trace["f"].shape[0] - 1
-    t_max = int(np.floor(T / scale))
-    times = np.arange(t_max + 1)
-    idx = np.floor(times * scale).astype(np.int64)
     tr = output.trace
+    M, N = output.counters.served_slots.shape
+    T = len(tr["state"])
+    times = np.arange(int(np.floor(T / scale)) + 1)
+    idx = np.floor(times * scale).astype(np.int64)
+    # per-slot increments of F, Fhat and Ghat after an empty row 0
+    slot = np.arange(1, T + 1)
+    inc = np.zeros((T + 1, 2 * N + M * N))
+    inc[1:, :N] = tr["arrivals"]
+    inc[slot, N + tr["chosen"]] = tr["departure"]
+    inc[slot, 2 * N + tr["state"] * N + tr["chosen"]] = 1.0
+    cum = inc.cumsum(axis=0)[idx]
+    ghat = cum[:, 2 * N:].reshape(-1, M, N)
     return ScaledTrace(
-        scale=scale,
-        times=times,
-        f=tr["f"][idx] / scale,
-        fhat=tr["fhat"][idx] / scale,
-        g=tr["g"][idx] / scale,
-        ghat=tr["ghat"][idx] / scale,
-        q=tr["q"][idx] / scale,
+        scale=scale, times=times, f=cum[:, :N] / scale, fhat=cum[:, N:2 * N] / scale,
+        g=ghat.sum(axis=2) / scale, ghat=ghat / scale, q=tr["q"][idx] / scale,
     )
 
 

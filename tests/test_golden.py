@@ -1,5 +1,6 @@
-"""Golden analysis outputs: SHA-256 digests of the `iopt` and `regions`
-outputs, so a change that moves any output byte fails here.
+"""Golden outputs: SHA-256 digests of the `iopt` and `regions` outputs and of
+short `compare`, `simulate` and `sweep` campaigns, so a change that moves any
+output byte fails here.
 
 A change that moves these outputs on purpose must declare it as a
 correctness fix, record the before/after in CHANGES.md, and re-pin the
@@ -81,3 +82,71 @@ def test_regions_outputs_are_golden(tmp_path):
     assert rc == 0
     assert _sha((out / "regions.csv").read_bytes()) == GOLDEN["regions.csv"]
     assert _sha((out / "regions.svg").read_bytes()) == GOLDEN["regions.svg"]
+
+
+_SIM_COMMON = ["--horizon", "70000", "--replications", "2", "--seed", "4"]
+
+# name -> (config, argv after the command's --config/--out); 70 000 slots are
+# three kernel chunks of 32 768
+SIM_RUNS = {
+    # default burn-in 7 000: inside the first chunk
+    "compare": ("reference", ["compare", *_SIM_COMMON, "--svg"]),
+    # the burn-in ends inside the second chunk
+    "simulate_uniform": ("fluid", [
+        "simulate", "--policy", '{"type": "het", "q_th": 10, "tie_break": "uniform_random"}',
+        *_SIM_COMMON, "--burn-in", "40000", "--svg",
+    ]),
+    "simulate_episode": ("reference", [
+        "simulate", "--policy", '{"type": "exp", "eta": 0.75}', *_SIM_COMMON,
+        "--estimator", "episode", "--burn-in", "0",
+    ]),
+    "sweep": ("reference", [
+        "sweep", "--policy", '{"type": "mw", "alpha": 7}', "--values", "1,3", *_SIM_COMMON,
+    ]),
+}
+
+# output file -> digest; JSON documents re-serialised without the echoed out path
+GOLDEN_SIM = {
+    "compare": {
+        "compare.csv": "476fce73b9e4001d1374a6068500fa69628ea9f141d426c37d5fa8943981f971",
+        "compare.json": "1a5c12e0ccb98d2e284109881b36e9638ee3aeefd820fdbaefbd4ab5e00e5190",
+        "compare.svg": "11f91921c60286963d90bd18c961b08f4099a64cb43122f7ec589c01426e5c8b",
+    },
+    "simulate_uniform": {
+        "overflow.csv": "331648748f0bf30359970ba8ae0209e3fd05faff89fe54b90028b0919d55615e",
+        "overflow.svg": "ca2a1abf61a333cd1c3798c9da948a7641507f3fb293ed01659ac0edd6c75b06",
+        "phi.csv": "872624f6ae90c41a54e17aef41f7abbaf1c1c341a1297b2946d836b9c94a9dcc",
+        "result.json": "0c8642869d462829f31d0b17450b37a6249c575c1e2bbeb6ecbf4370a3983b58",
+    },
+    "simulate_episode": {
+        "overflow.csv": "d21068549ae3cf6971591d3d82a65784a9905cd437004d4b62f7481207901e20",
+        "phi.csv": "dd2669f0c1bdab6ed9310cafc971b9a5e29adae737274174459b1bf50d29a001",
+        "result.json": "a22c3beb3610f574366ffd4eae06b56a1ff5a1776d43ccdbde392de85cf9ba7c",
+    },
+    "sweep": {
+        "decay_vs_param.csv": "6d1751f46fcb13dca8b092ed067bc7cc3eab778477695cc66e02c61b1e39c618",
+        "fig1-like.svg": "8f5954fa16ac9c1f73215879b3c4a9b7855879b004275ea541f1e3fcce0cb67c",
+        "sweep.json": "53f1b06d99d23d7d8216897ae5a0152b8bd8d32e0e26d382386c6a3a80cc3473",
+    },
+}
+
+
+def simulation_digests(tmp_path, name):
+    config_name, argv = SIM_RUNS[name]
+    config, out = tmp_path / "config.json", tmp_path / name
+    config.write_text(json.dumps(IOPT_CONFIGS[config_name]))
+    assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    digests = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            doc = json.loads(data)
+            assert doc["spec_echo"].pop("out") == str(out)
+            data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        digests[path.name] = _sha(data)
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(SIM_RUNS))
+def test_simulation_outputs_are_golden(tmp_path, name):
+    assert simulation_digests(tmp_path, name) == GOLDEN_SIM[name]

@@ -67,8 +67,6 @@ def synthetic_output(slot_counts, n_slots, thresholds):
         counters=counters,
         thresholds=np.asarray(thresholds, dtype=float),
         overflow_slot_counts=np.asarray(slot_counts),
-        ever_reached=np.asarray(slot_counts) > 0,
-        n_stat_slots=n_slots,
         mean_queues=zeros.copy(),
         trace=None,
     )
@@ -96,7 +94,7 @@ class TestRunReplication:
         spec = SimSpec(horizon=5000, thresholds=(1.0, 2.0), master_seed=1)
         out = run_replication(cfg, HET2, spec, 0)
         assert out.counters.max_queue_seen == 0.0
-        assert not out.ever_reached.any()
+        assert not out.overflow_slot_counts.any()
 
     def test_reference_system_stays_stable(self, ref_cfg):
         spec = SimSpec(horizon=100_000, master_seed=3)
@@ -251,8 +249,6 @@ class TestRunSimulation:
             for f in fields(TraceCounters):
                 assert np.array_equal(getattr(a.counters, f.name), getattr(b.counters, f.name))
             assert np.array_equal(a.overflow_slot_counts, b.overflow_slot_counts)
-            assert np.array_equal(a.ever_reached, b.ever_reached)
-            assert a.n_stat_slots == b.n_stat_slots
             assert np.array_equal(a.mean_queues, b.mean_queues)
 
     def test_aggregate_counters_order_independent(self, ref_cfg):
@@ -269,8 +265,16 @@ class TestScaledTrace:
         spec = SimSpec(horizon=500, burn_in=0, master_seed=3, record_trace=True)
         out = run_replication(ref_cfg, HET2, spec, 0)
         st1 = scaled_trace(out, 1.0)
-        assert np.array_equal(st1.f, out.trace["f"])
+        assert np.array_equal(st1.f[1:], out.trace["arrivals"].cumsum(0))
         assert np.array_equal(st1.q, out.trace["q"])
+
+    def test_poisson_unit_scale_balance_is_exact(self, ref_cfg):
+        """Poisson counts are integers, so at B = 1 the queue is F - Fhat with
+        no rounding, across a chunk boundary too."""
+        spec = SimSpec(horizon=33_000, burn_in=0, master_seed=7, record_trace=True)
+        st1 = scaled_trace(run_replication(ref_cfg, HET2, spec, 0), 1.0)
+        assert np.array_equal(st1.q, st1.f - st1.fhat)
+        assert np.array_equal(st1.g, st1.ghat.sum(axis=2))
 
     def test_scaled_balance_identity(self, ref_cfg):
         spec = SimSpec(horizon=512, burn_in=0, master_seed=5, record_trace=True)
@@ -416,15 +420,19 @@ def seeded_config(n_users, seed, arrival_model):
 
 
 def replay(cfg, policy, seed, horizon):
-    """Per slot of one traced replication: the user the engine served and the
+    """Per slot of one traced replication: the user the engine served, the
     tied set the specified rule (stable_scores + tied_mask) gives for the
-    queues before that slot's arrivals."""
+    queues before that slot's arrivals, and the slot's tie uniform (empty for
+    lowest-index ties)."""
     spec = SimSpec(horizon=horizon, burn_in=0, thresholds=(), master_seed=seed, record_trace=True)
     trace = run_replication(cfg, policy, spec, 0).trace
-    states = np.diff(trace["g"], axis=0).argmax(axis=1)
-    chosen = np.diff(trace["ghat"], axis=0).sum(axis=1).argmax(axis=1)
-    tied = tied_mask(stable_scores(policy.variant, cfg, trace["q"][:-1], states))
-    return chosen, tied
+    tied = tied_mask(stable_scores(policy.variant, cfg, trace["q"][:-1], trace["state"]))
+    return trace["chosen"], tied, trace["tie_uniform"]
+
+
+def uniform_pick(tied, u):
+    """The selectors' uniform rule per row: the floor(u * count)-th tied user."""
+    return (tied.cumsum(axis=1) > np.floor(u * tied.sum(axis=1))[:, None]).argmax(axis=1)
 
 
 REPLAY_VARIANTS = [
@@ -451,16 +459,26 @@ class TestEngineMatchesSpec:
         else:
             cfg = seeded_config(int(cfg_name[5:]), 11, arrival_model)
         for seed in (0, 1, 2):
-            chosen, tied = replay(cfg, Policy(variant), seed, 10_000)
+            chosen, tied, _ = replay(cfg, Policy(variant), seed, 10_000)
             assert np.array_equal(chosen, tied.argmax(axis=1)), (seed, "lowest_index")
-            chosen, tied = replay(cfg, Policy(variant, tie_break="uniform_random"), seed, 10_000)
-            assert tied[np.arange(len(chosen)), chosen].all(), (seed, "uniform_random")
+            chosen, tied, u = replay(cfg, Policy(variant, tie_break="uniform_random"), seed, 10_000)
+            assert np.array_equal(chosen, uniform_pick(tied, u)), (seed, "uniform_random")
+
+    def test_replay_across_chunks(self, ref_cfg_fluid):
+        """A two-chunk trace: the record's concatenation and the queues
+        carried into the second chunk decide as the rule does."""
+        policy = Policy(Heterogeneous(q_th=3.0), tie_break="uniform_random")
+        chosen, tied, u = replay(ref_cfg_fluid, policy, 0, 33_000)
+        assert len(chosen) == 33_000 > simulator._CHUNK
+        assert np.array_equal(chosen, uniform_pick(tied, u))
+        late = slice(simulator._CHUNK, None)
+        assert (tied[late].sum(axis=1) > 1).any()
 
     def test_replay_sees_ties(self, ref_cfg_fluid):
         """The gate is not vacuous: fluid het q_th=3 meets multi-user tied sets
         and a uniform draw serves a tied user other than the lowest one."""
         policy = Policy(Heterogeneous(q_th=3.0), tie_break="uniform_random")
-        chosen, tied = replay(ref_cfg_fluid, policy, 0, 10_000)
+        chosen, tied, _ = replay(ref_cfg_fluid, policy, 0, 10_000)
         multi = tied.sum(axis=1) > 1
         assert multi.sum() > 100
         assert (chosen[multi] != tied[multi].argmax(axis=1)).any()
