@@ -30,9 +30,6 @@ from .schedulers import (
     MaxWeight,
     Policy,
     SelectionScore,
-    exp_select,
-    het_select,
-    mw_select,
     policy_from_json,
     policy_to_json,
     select,

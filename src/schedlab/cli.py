@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,25 +107,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _sim_result_doc(result: SimResult) -> dict:
     return {
-        "overflow": [
-            {
-                "threshold": e.threshold,
-                "probability": e.probability,
-                "ci_low": e.ci_low,
-                "ci_high": e.ci_high,
-                "n_events": e.n_events,
-                "n_samples": e.n_samples,
-            }
-            for e in result.overflow
-        ],
-        "decay_rate": None
-        if result.decay is None
-        else {
-            "rate": result.decay.rate,
-            "stderr": result.decay.stderr,
-            "intercept": result.decay.intercept,
-            "n_used": result.decay.n_used,
-        },
+        "overflow": [asdict(e) for e in result.overflow],
+        "decay_rate": None if result.decay is None else asdict(result.decay),
         "empirical_phi": result.empirical_phi.phi,
         "phi_observed": result.empirical_phi.observed,
         "mean_queues": result.mean_queues,

@@ -101,8 +101,12 @@ def validate_config(raw: SystemConfig) -> SystemConfig:
     """Validate a SystemConfig and return a normalized copy.
 
     state_probs summing to 1 within 1e-9 are renormalized exactly; a larger
-    deviation raises ProbabilitySumError.
+    deviation raises ProbabilitySumError. A non-finite entry, or no users or
+    no states, raises ValueError naming the field.
     """
+    for name, n in (("n_users", raw.n_users), ("n_states", raw.n_states)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     p = np.asarray(raw.state_probs, dtype=float)
     rates = np.asarray(raw.rate_matrix, dtype=float)
     lam = np.asarray(raw.arrival_rates, dtype=float)
@@ -122,6 +126,9 @@ def validate_config(raw: SystemConfig) -> SystemConfig:
     if raw.arrival_model not in ARRIVAL_MODELS:
         raise ValueError(f"arrival_model must be one of {ARRIVAL_MODELS}")
 
+    for name, entries in (("state_probs", p), ("rate_matrix", rates), ("arrival_rates", lam)):
+        if not np.all(np.isfinite(entries)):
+            raise ValueError(f"{name} entries must be finite, got {entries.tolist()}")
     if np.any(p < 0):
         raise NegativeEntryError("state_probs entries must be >= 0")
     if np.any(rates < 0):

@@ -1,13 +1,14 @@
 """Scheduling rules: the queue+rate heterogeneous rule and EXP / MaxWeight baselines.
 
-All selectors are pure functions (queue vector, channel state) -> SelectionScore.
-Ties are resolved by lowest index (default) or a uniform draw from the tied set.
+select(policy, q, state, cfg) -> SelectionScore is the one pure selector for every
+rule; ties go to the lowest index (default) or a uniform draw from the tied set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,6 +27,7 @@ TIE_TOL = 1e-12
 class Heterogeneous:
     """Serve argmax_i 1 - exp(rho1 - F/maxF + rho2 - Q/q_th)."""
 
+    kind: ClassVar[str] = "het"
     q_th: float
     rho1: float = 0.0
     rho2: float = 0.0
@@ -35,6 +37,7 @@ class Heterogeneous:
 class Exp:
     """Serve argmax_i exp(Q_i / (1 + meanQ^eta)) * F_i."""
 
+    kind: ClassVar[str] = "exp"
     eta: float
 
 
@@ -42,10 +45,14 @@ class Exp:
 class MaxWeight:
     """Serve argmax_i Q_i^alpha * F_i."""
 
+    kind: ClassVar[str] = "mw"
     alpha: float
 
 
 Variant = Heterogeneous | Exp | MaxWeight
+
+# the policy JSON "type" of each rule
+RULES = {rule.kind: rule for rule in (Heterogeneous, Exp, MaxWeight)}
 
 # the tuning parameter of each variant's rule: what a sweep varies and what
 # the slot kernel reads
@@ -95,60 +102,25 @@ def validate_policy(policy: Policy) -> Policy:
 
 
 def policy_from_json(source: str | Path | dict) -> Policy:
-    """Parse {"type": "het"|"exp"|"mw", ...params, "tie_break"} from JSON."""
+    """Parse {"type": "het"|"exp"|"mw", ...params, "tie_break"} from JSON;
+    a parameter with a default (rho1, rho2) may be left out."""
     doc = load_json_object(source)
     kind = doc["type"]
-    if kind == "het":
-        variant: Variant = Heterogeneous(
-            q_th=float(doc["q_th"]),
-            rho1=float(doc.get("rho1", 0.0)),
-            rho2=float(doc.get("rho2", 0.0)),
-        )
-    elif kind == "exp":
-        variant = Exp(eta=float(doc["eta"]))
-    elif kind == "mw":
-        variant = MaxWeight(alpha=float(doc["alpha"]))
-    else:
+    rule = RULES.get(kind) if isinstance(kind, str) else None
+    if rule is None:
         raise ValueError(f"unknown policy type {kind!r}")
+    given = [f.name for f in fields(rule) if f.name in doc or f.default is MISSING]
+    variant = rule(**{name: float(doc[name]) for name in given})
     return validate_policy(Policy(variant=variant, tie_break=doc.get("tie_break", TIE_LOWEST)))
 
 
 def policy_to_json(policy: Policy) -> dict:
-    v = policy.variant
-    if isinstance(v, Heterogeneous):
-        doc = {"type": "het", "q_th": v.q_th, "rho1": v.rho1, "rho2": v.rho2}
-    elif isinstance(v, Exp):
-        doc = {"type": "exp", "eta": v.eta}
-    else:
-        doc = {"type": "mw", "alpha": v.alpha}
-    doc["tie_break"] = policy.tie_break
-    return doc
+    return {"type": policy.variant.kind, **asdict(policy.variant), "tie_break": policy.tie_break}
 
 
 def tied_mask(stable: np.ndarray) -> np.ndarray:
     """Per-row tolerance-tied argmax set: stable >= row max - TIE_TOL."""
     return stable >= stable.max(axis=-1, keepdims=True) - TIE_TOL
-
-
-def _resolve(
-    score: np.ndarray,
-    stable: np.ndarray,
-    tie_break: str,
-    rng: np.random.Generator | None,
-) -> SelectionScore:
-    tied = np.flatnonzero(tied_mask(stable))
-    if tie_break == TIE_UNIFORM and len(tied) > 1:
-        if rng is None:
-            raise ValueError("uniform_random tie-break requires an rng")
-        chosen = int(tied[int(rng.random() * len(tied))])  # the slot kernel's floor(u * count)
-    else:
-        chosen = int(tied[0])
-    return SelectionScore(score=score, chosen=chosen, tied_set=frozenset(int(i) for i in tied))
-
-
-def _check_state(state: int, cfg: SystemConfig) -> None:
-    if not 0 <= state < cfg.n_states:
-        raise IndexOutOfRangeError(f"state {state} outside [0, {cfg.n_states})")
 
 
 def rate_table(variant: Variant, cfg: SystemConfig) -> np.ndarray:
@@ -191,91 +163,42 @@ def stable_scores(variant: Variant, cfg: SystemConfig, Q: np.ndarray, m: np.ndar
     return np.where(busy, (Q / np.where(busy, q_max, 1.0)) ** variant.alpha * table, 0.0)
 
 
-def _row_scores(
-    variant: Variant, q, state: int, cfg: SystemConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """One queue vector as a float array and its stable score row."""
-    _check_state(state, cfg)
-    q = np.asarray(q, dtype=float)
-    return q, stable_scores(variant, cfg, q[None, :], np.array([state]))[0]
-
-
-def het_select(
-    q: np.ndarray,
-    state: int,
-    cfg: SystemConfig,
-    params: Heterogeneous,
-    tie_break: str = TIE_LOWEST,
-    rng: np.random.Generator | None = None,
-) -> SelectionScore:
-    """Heterogeneous rule: score_i = 1 - exp(rho1 - F/maxF + rho2 - Q_i/q_th).
-
-    When every rate in the state is zero the normalized-rate term is defined
-    as 0 for all users, so the choice falls back to queue lengths alone.
-    Selection runs on the equivalent exponent F/maxF + Q/q_th, which shares
-    the score's argmax (and its exact ties) without float saturation; the rho
-    offsets cancel there, so the choice is rho-invariant by construction.
-    """
-    _, exponent = _row_scores(params, q, state, cfg)
-    score = 1.0 - np.exp(params.rho1 + params.rho2 - exponent)
-    return _resolve(score, exponent, tie_break, rng)
-
-
-def exp_select(
-    q: np.ndarray,
-    state: int,
-    cfg: SystemConfig,
-    params: Exp,
-    tie_break: str = TIE_LOWEST,
-    rng: np.random.Generator | None = None,
-) -> SelectionScore:
-    """EXP rule: score_i = exp(Q_i / (1 + meanQ^eta)) * F_i.
-
-    Selection runs on log scores Q/denom + log F (with log 0 = -inf), which
-    never overflow; the reported score is the literal product.
-    """
-    q, log_score = _row_scores(params, q, state, cfg)
-    denom = 1.0 + np.mean(q) ** params.eta
-    with np.errstate(over="ignore"):
-        score = np.exp(q / denom) * cfg.rate_matrix[state]
-    return _resolve(score, log_score, tie_break, rng)
-
-
-def mw_select(
-    q: np.ndarray,
-    state: int,
-    cfg: SystemConfig,
-    params: MaxWeight,
-    tie_break: str = TIE_LOWEST,
-    rng: np.random.Generator | None = None,
-) -> SelectionScore:
-    """MaxWeight rule: score_i = Q_i^alpha * F_i, with 0^alpha = 0.
-
-    Selection runs on the scale-free equivalent (Q/maxQ)^alpha * F (all zeros
-    when every queue is empty), which shares the score's argmax but keeps its
-    magnitude at the rates', so the absolute tie tolerance means the same at
-    every queue scale.
-    """
-    q, stable = _row_scores(params, q, state, cfg)
-    score = q**params.alpha * cfg.rate_matrix[state]
-    return _resolve(score, stable, tie_break, rng)
-
-
 def select(
     policy: Policy,
     q: np.ndarray,
     state: int,
     cfg: SystemConfig,
     rng: np.random.Generator | None = None,
-) -> int:
-    """Dispatch to the policy's selector; rng is consumed only on a uniform tie-break."""
+) -> SelectionScore:
+    """Serve queue vector q in channel state ``state`` by the policy's rule.
+
+    The score reported per user is the rule's literal one:
+      het  1 - exp(rho1 - F/maxF + rho2 - Q_i/q_th), F/maxF = 0 in an all-zero state;
+      exp  exp(Q_i / (1 + meanQ^eta)) * F_i;
+      mw   Q_i^alpha * F_i.
+    The tied set is tied_mask(stable_scores(...)): the same argmax and exact
+    ties without float saturation. het's rho offsets cancel there, so its
+    choice is rho-invariant. The lowest tied index is served, or for
+    uniform_random ties the slot kernel's tied[floor(u * count)], u from rng.
+    """
+    if not 0 <= state < cfg.n_states:
+        raise IndexOutOfRangeError(f"state {state} outside [0, {cfg.n_states})")
     v = policy.variant
-    if isinstance(v, Heterogeneous):
-        sel = het_select(q, state, cfg, v, policy.tie_break, rng)
-    elif isinstance(v, Exp):
-        sel = exp_select(q, state, cfg, v, policy.tie_break, rng)
-    elif isinstance(v, MaxWeight):
-        sel = mw_select(q, state, cfg, v, policy.tie_break, rng)
+    q = np.asarray(q, dtype=float)
+    stable = stable_scores(v, cfg, q[None, :], np.array([state]))[0]
+    tied = np.flatnonzero(tied_mask(stable))
+    if policy.tie_break == TIE_UNIFORM and len(tied) > 1:
+        if rng is None:
+            raise ValueError("uniform_random tie-break requires an rng")
+        chosen = int(tied[int(rng.random() * len(tied))])
     else:
-        raise TypeError(f"unknown policy variant {type(v).__name__}")
-    return sel.chosen
+        chosen = int(tied[0])
+    rates = cfg.rate_matrix[state]
+    if isinstance(v, Heterogeneous):
+        score = 1.0 - np.exp(v.rho1 + v.rho2 - stable)
+    elif isinstance(v, Exp):
+        with np.errstate(over="ignore"):
+            score = np.exp(q / (1.0 + np.mean(q) ** v.eta)) * rates
+    else:
+        score = q**v.alpha * rates
+    return SelectionScore(score=score, chosen=chosen, tied_set=frozenset(int(i) for i in tied))

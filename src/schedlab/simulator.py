@@ -4,7 +4,7 @@ Every replication draws from its own seeded stream (master_seed, rep_index)
 in fixed chunk-sized blocks of channel states, arrivals and, for uniform
 ties, tie uniforms. A small C recursion (_slots.c, compiled with the system's
 `cc` on first use and cached by the hash of its source and flags) then walks
-each replication's slots in turn, deciding exactly as the selectors do, so a
+each replication's slots in turn, deciding exactly as `select` does, so a
 batch run is bitwise identical to running each replication alone.
 The chunk buffers, drawn inputs and the recursion's per-slot choices,
 departures and queues, are the one record of a slot. Numpy reduces their
@@ -31,6 +31,7 @@ from .errors import (
     InsufficientEventsError,
     KernelBuildError,
     NoSamplesError,
+    SolverFailureError,
     TraceUnavailableError,
 )
 from .model import RandomSource, SystemConfig, TraceCounters, sample_arrivals, sample_channel
@@ -46,8 +47,6 @@ from .schedulers import (
     tied_mask,
     validate_policy,
 )
-# kept importable from here: perfbench traces selector calls under these names
-from .schedulers import exp_select, het_select, mw_select  # noqa: F401
 
 _CHUNK = 32_768  # fixed block size; part of the reproducibility contract
 
@@ -85,6 +84,8 @@ def validate_sim_spec(spec: SimSpec) -> SimSpec:
     if not 0 <= burn < spec.horizon:
         raise ValueError("burn_in must lie in [0, horizon)")
     th = np.asarray(spec.thresholds, dtype=float)
+    if not np.all(np.isfinite(th)):
+        raise ValueError(f"thresholds must be finite, got {th.tolist()}")
     if np.any(th <= 0) or np.any(np.diff(th) <= 0):
         raise ValueError("thresholds must be positive and strictly ascending")
     return spec
@@ -475,6 +476,11 @@ REGION_MIXED = "mixed"
 REGION_OTHER = "other"
 REGION_TIE = "tie"
 
+# most grid points x users a region map scores per channel state; a
+# 1001 x 1001 grid over 4 users (4e6 scores) peaks near 0.2 GB in
+# decision_regions and 0.5 GB in `regions`, which also writes its CSV and SVG
+_REGION_SCORE_CAP = 2**24
+
 
 @dataclass(frozen=True)
 class RegionMap:
@@ -508,10 +514,19 @@ def decision_regions(
     for user in (a, b):
         if not 0 <= user < cfg.n_users:
             raise IndexOutOfRangeError(f"axis user {user} outside [0, {cfg.n_users})")
-    if grid_step <= 0:
+    if not np.isfinite(grid_max):
+        raise ValueError(f"grid_max must be finite, got {grid_max}")
+    if not grid_step > 0:
         raise ValueError("grid_step must be > 0")
     if grid_step > grid_max:
         raise ValueError("grid_step may not exceed grid_max")
+    n_grid = float(np.ceil((grid_max + grid_step / 2) / grid_step))  # len(q_values) below
+    n_scores = n_grid * n_grid * cfg.n_users
+    if n_scores > _REGION_SCORE_CAP:
+        raise SolverFailureError(
+            f"a {n_grid:.15g} x {n_grid:.15g} grid over {cfg.n_users} users needs {n_scores:.15g} "
+            f"scores per channel state, above the cap of {_REGION_SCORE_CAP}"
+        )
     validate_policy(policy)
     if fixed_queues is None:
         fixed_queues = np.zeros(cfg.n_users)

@@ -21,11 +21,10 @@ from schedlab import (
     SimSpec,
     aux_growth,
     compute_iopt,
-    het_select,
-    mw_select,
     poisson_rate,
     run_replication,
     run_simulation,
+    select,
     w_growth,
 )
 from conftest import make_config
@@ -327,7 +326,7 @@ class TestCriterion9:
             q = rng.uniform(0, 50, n)
             q_th = rng.uniform(0.1, 20)
 
-            sel = het_select(q, 0, cfg, Heterogeneous(q_th=q_th))
+            sel = select(Policy(Heterogeneous(q_th=q_th)), q, 0, cfg)
             mx = row.max()
             g = (row / mx if mx > 0 else np.zeros(n)) + q / q_th
             expected = set(np.flatnonzero(g >= g.max() - 1e-12))
@@ -335,14 +334,14 @@ class TestCriterion9:
                 mismatches_equiv += 1
 
             rho1, rho2 = rng.uniform(0, 1, 2)
-            shifted = het_select(q, 0, cfg, Heterogeneous(q_th=q_th, rho1=rho1, rho2=rho2))
+            shifted = select(Policy(Heterogeneous(q_th=q_th, rho1=rho1, rho2=rho2)), q, 0, cfg)
             if shifted.chosen != sel.chosen or shifted.tied_set != sel.tied_set:
                 mismatches_rho += 1
 
             alpha = float(rng.uniform(1, 8))
             scale = float(rng.uniform(0.01, 100))
-            a = mw_select(q, 0, cfg, MaxWeight(alpha=alpha))
-            b = mw_select(scale * q, 0, cfg, MaxWeight(alpha=alpha))
+            a = select(Policy(MaxWeight(alpha=alpha)), q, 0, cfg)
+            b = select(Policy(MaxWeight(alpha=alpha)), scale * q, 0, cfg)
             if a.tied_set != b.tied_set:
                 mismatches_scale += 1
         total = mismatches_equiv + mismatches_rho + mismatches_scale

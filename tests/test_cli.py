@@ -49,6 +49,21 @@ class TestSimulate:
         assert rc == 2
         assert not out.exists()
 
+    def test_nan_config_entry_exits_2_without_outputs(self, tmp_path, capsys):
+        cfg = tmp_path / "nan_cfg.json"
+        cfg.write_text(
+            '{"n_users": 2, "n_states": 2, "state_probs": [NaN, 1.0],'
+            ' "rate_matrix": [[1, 1], [2, 1]], "arrival_rates": [0.2, 0.2]}'
+        )
+        out = tmp_path / "nan"
+        rc = run_cli(
+            "simulate", "--config", str(cfg), "--policy", HET_POLICY,
+            "--horizon", "3600", "--replications", "1", "--out", str(out),
+        )
+        assert rc == 2
+        assert "state_probs entries must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_tiny_replication_is_valid(self, ref_cfg_path, tmp_path):
         out = tmp_path / "tiny"
         rc = run_cli(
@@ -189,6 +204,29 @@ class TestRegions:
             "--out", str(tmp_path / "x"),
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("grid_max", ["nan", "inf"])
+    def test_non_finite_grid_max_exit_2(self, ref_cfg_path, tmp_path, capsys, grid_max):
+        out = tmp_path / "x"
+        rc = run_cli(
+            "regions", "--config", str(ref_cfg_path), "--policy", HET_POLICY,
+            "--axes", "0,2", "--grid-max", grid_max, "--out", str(out),
+        )
+        assert rc == 2
+        assert "grid_max must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_over_score_cap_exit_3(self, ref_cfg_path, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = run_cli(
+            "regions", "--config", str(ref_cfg_path), "--policy", HET_POLICY,
+            "--axes", "0,2", "--grid-max", "1e6", "--grid-step", "1", "--out", str(out),
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(1_000_001**2 * 4) in err  # G^2 N scores
+        assert str(2**24) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "fixed, problem",

@@ -54,6 +54,34 @@ class TestValidateConfig:
         assert cfg.rate_matrix[2, 0] == 5.0
         assert cfg.arrival_model == "poisson"
 
+    @pytest.mark.parametrize(
+        "rates, probs, lam, field",
+        [
+            ([[1.0, 1.0], [2.0, 1.0]], [np.nan, 1.0], [1.0, 1.0], "state_probs"),
+            ([[1.0, np.nan], [2.0, 1.0]], [0.5, 0.5], [1.0, 1.0], "rate_matrix"),
+            ([[1.0, np.inf], [2.0, 1.0]], [0.5, 0.5], [1.0, 1.0], "rate_matrix"),
+            ([[1.0, 1.0], [2.0, 1.0]], [0.5, 0.5], [1.0, np.inf], "arrival_rates"),
+        ],
+    )
+    def test_non_finite_entry_rejected(self, rates, probs, lam, field):
+        with pytest.raises(ValueError, match=field):
+            make_config(rates, probs, lam)
+
+    @pytest.mark.parametrize(
+        "n_users, n_states, field", [(0, 3, "n_users"), (2, 0, "n_states")]
+    )
+    def test_empty_dimension_rejected(self, n_users, n_states, field):
+        with pytest.raises(ValueError, match=field):
+            validate_config(
+                SystemConfig(
+                    n_users=n_users,
+                    n_states=n_states,
+                    state_probs=np.full(n_states, 1.0 / max(n_states, 1)),
+                    rate_matrix=np.ones((n_states, n_users)),
+                    arrival_rates=np.ones(n_users),
+                )
+            )
+
 
 class TestSampleChannel:
     def test_degenerate_distribution(self):

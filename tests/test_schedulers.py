@@ -8,9 +8,6 @@ from schedlab import (
     MaxWeight,
     Policy,
     RandomSource,
-    exp_select,
-    het_select,
-    mw_select,
     policy_from_json,
     policy_to_json,
     select,
@@ -23,43 +20,43 @@ HET = Heterogeneous(q_th=2.0)
 
 class TestHetSelect:
     def test_zero_queues_picks_best_rate(self, ref_cfg):
-        sel = het_select(np.zeros(4), 2, ref_cfg, HET)  # state m=3: rates [5,0,1,1]
+        sel = select(Policy(HET), np.zeros(4), 2, ref_cfg)  # state m=3: rates [5,0,1,1]
         assert sel.chosen == 0
         assert sel.tied_set == {0}
 
     def test_equal_rates_picks_larger_queue(self):
         cfg = make_config([[5.0, 5.0]], [1.0], [1.0, 1.0])
-        sel = het_select(np.array([0.0, 10.0]), 0, cfg, HET)
+        sel = select(Policy(HET), np.array([0.0, 10.0]), 0, cfg)
         assert sel.chosen == 1
 
     def test_direct_score_evaluation(self, ref_cfg):
         # state m=2 rates [3,9,9,9]; equivalent scores F/9 + q/2 = [2.333, 1, 2, 2]
         q = np.array([4.0, 0.0, 2.0, 2.0])
-        sel = het_select(q, 1, ref_cfg, HET)
+        sel = select(Policy(HET), q, 1, ref_cfg)
         assert sel.chosen == 0
         expected = 1.0 - np.exp(-(ref_cfg.rate_matrix[1] / 9.0 + q / 2.0))
         assert np.allclose(sel.score, expected, atol=1e-15)
 
     def test_all_zero_rate_state_falls_back_to_queues(self, ref_cfg):
-        sel = het_select(np.array([1.0, 5.0, 2.0, 0.0]), 0, ref_cfg, HET)  # m=1: rates 0
+        sel = select(Policy(HET), np.array([1.0, 5.0, 2.0, 0.0]), 0, ref_cfg)  # m=1: rates 0
         assert sel.chosen == 1
 
 
 class TestExpSelect:
     def test_zero_queues_reduce_to_max_rate(self, ref_cfg):
-        sel = exp_select(np.zeros(4), 1, ref_cfg, Exp(eta=0.5))
+        sel = select(Policy(Exp(eta=0.5)), np.zeros(4), 1, ref_cfg)
         assert sel.tied_set == {1, 2, 3}
         assert sel.chosen == 1
 
     def test_equal_queues_pick_larger_rate(self):
         cfg = make_config([[3.0, 9.0]], [1.0], [1.0, 1.0])
-        sel = exp_select(np.array([2.0, 2.0]), 0, cfg, Exp(eta=0.5))
+        sel = select(Policy(Exp(eta=0.5)), np.array([2.0, 2.0]), 0, cfg)
         assert sel.chosen == 1
 
     def test_numeric_scores(self):
         cfg = make_config([[3.0, 9.0]], [1.0], [1.0, 1.0])
         q = np.array([9.0, 1.0])
-        sel = exp_select(q, 0, cfg, Exp(eta=0.5))
+        sel = select(Policy(Exp(eta=0.5)), q, 0, cfg)
         denom = 1.0 + np.sqrt(5.0)
         expected = np.exp(q / denom) * np.array([3.0, 9.0])
         assert np.allclose(sel.score, expected)
@@ -71,19 +68,19 @@ class TestExpSelect:
 class TestMwSelect:
     def test_direct_evaluation(self):
         cfg = make_config([[5.0, 1.0]], [1.0], [1.0, 1.0])
-        sel = mw_select(np.array([2.0, 3.0]), 0, cfg, MaxWeight(alpha=1.0))
+        sel = select(Policy(MaxWeight(alpha=1.0)), np.array([2.0, 3.0]), 0, cfg)
         assert np.array_equal(sel.score, [10.0, 3.0])
         assert sel.chosen == 0
 
     def test_equal_queues_pick_max_rate(self, ref_cfg):
-        sel = mw_select(np.full(4, 3.0), 2, ref_cfg, MaxWeight(alpha=2.0))
+        sel = select(Policy(MaxWeight(alpha=2.0)), np.full(4, 3.0), 2, ref_cfg)
         assert sel.chosen == 0
 
     def test_scale_invariance_example(self):
         cfg = make_config([[5.0, 4.0]], [1.0], [1.0, 1.0])
         q = np.array([2.0, 3.0])
-        a = mw_select(q, 0, cfg, MaxWeight(alpha=1.5))
-        b = mw_select(17.0 * q, 0, cfg, MaxWeight(alpha=1.5))
+        a = select(Policy(MaxWeight(alpha=1.5)), q, 0, cfg)
+        b = select(Policy(MaxWeight(alpha=1.5)), 17.0 * q, 0, cfg)
         assert a.chosen == b.chosen
         assert a.tied_set == b.tied_set
 
@@ -91,23 +88,23 @@ class TestMwSelect:
 class TestSelectDispatch:
     def test_het_tie_lowest_index(self, ref_cfg):
         # m=2 rates [3,9,9,9], zero queues: tie among users 1,2,3
-        sel = het_select(np.zeros(4), 1, ref_cfg, HET)
+        sel = select(Policy(HET), np.zeros(4), 1, ref_cfg)
         assert sel.tied_set == {1, 2, 3}
         policy = Policy(HET)
-        assert select(policy, np.zeros(4), 1, ref_cfg) == 1
+        assert select(policy, np.zeros(4), 1, ref_cfg).chosen == 1
 
     def test_mw_all_tie_lowest(self):
         cfg = make_config([[5.0, 4.0]], [1.0], [1.0, 1.0])
-        assert select(Policy(MaxWeight(alpha=1.0)), np.zeros(2), 0, cfg) == 0
+        assert select(Policy(MaxWeight(alpha=1.0)), np.zeros(2), 0, cfg).chosen == 0
 
     def test_uniform_tie_break_reproducible(self, ref_cfg):
         policy = Policy(HET, tie_break="uniform_random")
         picks_a = [
-            select(policy, np.zeros(4), 1, ref_cfg, RandomSource(9).generator())
+            select(policy, np.zeros(4), 1, ref_cfg, RandomSource(9).generator()).chosen
             for _ in range(5)
         ]
         picks_b = [
-            select(policy, np.zeros(4), 1, ref_cfg, RandomSource(9).generator())
+            select(policy, np.zeros(4), 1, ref_cfg, RandomSource(9).generator()).chosen
             for _ in range(5)
         ]
         assert picks_a == picks_b
@@ -123,6 +120,11 @@ class TestPolicyJson:
         ):
             policy = policy_from_json(doc)
             assert policy_from_json(policy_to_json(policy)) == policy
+        assert policy_to_json(policy_from_json({"type": "het", "q_th": 2})) == {
+            "type": "het", "q_th": 2.0, "rho1": 0.0, "rho2": 0.0, "tie_break": "lowest_index",
+        }
+        with pytest.raises(ValueError, match="'fifo'"):
+            policy_from_json({"type": "fifo", "q_th": 2})
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -166,7 +168,7 @@ class TestInvariances:
     def test_monotone_transform_equivalence(self, inst):
         """het's tied set equals the argmax set of F/maxF + Q/q_th."""
         q, cfg, q_th = inst
-        sel = het_select(q, 0, cfg, Heterogeneous(q_th=q_th))
+        sel = select(Policy(Heterogeneous(q_th=q_th)), q, 0, cfg)
         row = cfg.rate_matrix[0]
         mx = row.max()
         g = (row / mx if mx > 0 else np.zeros_like(row)) + q / q_th
@@ -177,8 +179,8 @@ class TestInvariances:
     @settings(max_examples=150, deadline=None)
     def test_rho_invariance(self, inst, rho1, rho2):
         q, cfg, q_th = inst
-        base = het_select(q, 0, cfg, Heterogeneous(q_th=q_th))
-        shifted = het_select(q, 0, cfg, Heterogeneous(q_th=q_th, rho1=rho1, rho2=rho2))
+        base = select(Policy(Heterogeneous(q_th=q_th)), q, 0, cfg)
+        shifted = select(Policy(Heterogeneous(q_th=q_th, rho1=rho1, rho2=rho2)), q, 0, cfg)
         assert base.chosen == shifted.chosen
         assert base.tied_set == shifted.tied_set
 
@@ -191,8 +193,8 @@ class TestInvariances:
     def test_mw_scale_invariance(self, inst, scale):
         q, cfg = inst
         params = MaxWeight(alpha=2.0)
-        a = mw_select(q, 0, cfg, params)
-        b = mw_select(scale * q, 0, cfg, params)
+        a = select(Policy(params), q, 0, cfg)
+        b = select(Policy(params), scale * q, 0, cfg)
         assert a.tied_set == b.tied_set
         assert a.chosen == b.chosen
 
@@ -200,7 +202,7 @@ class TestInvariances:
     @settings(max_examples=100, deadline=None)
     def test_exp_zero_queue_reduction(self, inst):
         _, cfg = inst
-        sel = exp_select(np.zeros(4), 0, cfg, Exp(eta=0.5))
+        sel = select(Policy(Exp(eta=0.5)), np.zeros(4), 0, cfg)
         row = cfg.rate_matrix[0]
         assert sel.tied_set == set(np.flatnonzero(row >= row.max() - 1e-12))
 
@@ -208,7 +210,7 @@ class TestInvariances:
     @settings(max_examples=50, deadline=None)
     def test_selectors_are_pure(self, inst):
         q, cfg, q_th = inst
-        a = het_select(q, 0, cfg, Heterogeneous(q_th=q_th))
-        b = het_select(q, 0, cfg, Heterogeneous(q_th=q_th))
+        a = select(Policy(Heterogeneous(q_th=q_th)), q, 0, cfg)
+        b = select(Policy(Heterogeneous(q_th=q_th)), q, 0, cfg)
         assert a.chosen == b.chosen
         assert np.array_equal(a.score, b.score)

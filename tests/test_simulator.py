@@ -18,15 +18,13 @@ from schedlab import (
     TraceCounters,
     decision_regions,
     empirical_phi,
-    exp_select,
     estimate_overflow,
     fit_decay_rate,
-    het_select,
-    mw_select,
     run_replication,
     run_replications,
     run_simulation,
     scaled_trace,
+    select,
 )
 import schedlab.cli as cli
 from schedlab import simulator
@@ -86,6 +84,10 @@ class TestSimSpec:
             validate_sim_spec(SimSpec(horizon=100, thresholds=(5.0, 5.0)))
         with pytest.raises(ValueError):
             validate_sim_spec(SimSpec(horizon=0))
+        with pytest.raises(ValueError, match="finite"):
+            validate_sim_spec(SimSpec(horizon=100, thresholds=(5.0, np.nan)))
+        with pytest.raises(ValueError, match="finite"):
+            validate_sim_spec(SimSpec(horizon=100, thresholds=(5.0, np.inf)))
 
 
 class TestRunReplication:
@@ -305,9 +307,7 @@ def random_3user_config():
 
 
 def region_labels_oracle(cfg, policy, axis_users, fixed_queues, q_values):
-    """Per-grid-point reference: the public selectors, one call per live state."""
-    selectors = {Heterogeneous: het_select, Exp: exp_select, MaxWeight: mw_select}
-    selector = selectors[type(policy.variant)]
+    """Per-grid-point reference: the public selector, one call per live state."""
     a, b = axis_users
     live_states = [
         m for m in range(cfg.n_states) if cfg.state_probs[m] > 0 and cfg.rate_matrix[m].max() > 0
@@ -321,7 +321,7 @@ def region_labels_oracle(cfg, policy, axis_users, fixed_queues, q_values):
             chosen = []
             tie = False
             for m in live_states:
-                sel = selector(q, m, cfg, policy.variant)
+                sel = select(policy, q, m, cfg)
                 if len(sel.tied_set) > 1:
                     tie = True
                     break
