@@ -103,12 +103,17 @@ def validate_policy(policy: Policy) -> Policy:
 
 def policy_from_json(source: str | Path | dict) -> Policy:
     """Parse {"type": "het"|"exp"|"mw", ...params, "tie_break"} from JSON;
-    a parameter with a default (rho1, rho2) may be left out."""
+    a parameter with a default (rho1, rho2) may be left out, any other key
+    is an error."""
     doc = load_json_object(source)
     kind = doc["type"]
     rule = RULES.get(kind) if isinstance(kind, str) else None
     if rule is None:
         raise ValueError(f"unknown policy type {kind!r}")
+    params = [f.name for f in fields(rule)]
+    unknown = sorted(set(doc) - {"type", "tie_break", *params})
+    if unknown:
+        raise ValueError(f"unknown {kind} policy keys {unknown}; its parameters are {params} and tie_break")
     given = [f.name for f in fields(rule) if f.name in doc or f.default is MISSING]
     variant = rule(**{name: float(doc[name]) for name in given})
     return validate_policy(Policy(variant=variant, tie_break=doc.get("tie_break", TIE_LOWEST)))

@@ -6,11 +6,15 @@ ties, tie uniforms. A small C recursion (_slots.c, compiled with the system's
 `cc` on first use and cached by the hash of its source and flags) then walks
 each replication's slots in turn, deciding exactly as `select` does, so a
 batch run is bitwise identical to running each replication alone.
-The chunk buffers, drawn inputs and the recursion's per-slot choices,
-departures and queues, are the one record of a slot. Numpy reduces their
-post-burn-in part once into the service counters, the per-threshold overflow
-slot counts (both estimators read these) and the time-average queues; with
-record_trace they are kept whole as the trace scaled_trace rescales.
+The same walk reduces the post-burn-in slots into the service counters, the
+per-threshold overflow slot counts (both estimators read these) and the
+time-average queues. Its float sums keep the order in which numpy reduces a
+recorded chunk: each row's chunk sums start at 0.0 and are added once into
+the totals, departures add slot by slot as a weighted bincount does,
+arrivals and queues add slot by slot for two or more users and pairwise
+(numpy's pairwise summation of the slot axis) for one. The per-slot record
+(drawn inputs, choices, departures, queues) is kept only with record_trace,
+as the trace scaled_trace rescales.
 """
 
 from __future__ import annotations
@@ -201,8 +205,9 @@ def _slot_kernel(cc: str):
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
-    fn.argtypes = [c_int, c_int, c_i64, c_i64, c_i64, i64, f64, f64, f64, f64, ctypes.c_double,
-                   f64, f64, i64, f64, f64]
+    fn.argtypes = [c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, i64, f64, f64, f64, f64,
+                   ctypes.c_double, f64, c_i64, f64, f64, f64, f64, f64, i64, i64, f64, f64,
+                   c_int, i64, f64, f64]
     fn.restype = None
     return fn
 
@@ -214,8 +219,10 @@ def run_replications(
 
     Each chunk of slots is drawn in numpy per replication, then the compiled
     recursion walks every row's slots with the score and tie rule of
-    schedulers.stable_scores and tied_mask. The statistics reduce the chunk
-    buffers' post-burn-in part; record_trace keeps the buffers whole.
+    schedulers.stable_scores and tied_mask. The same walk reduces the
+    post-burn-in slots into the statistics, in the float order of numpy's
+    per-chunk reduction of a recorded chunk (see _slots.c), and fills the
+    per-slot trace buffers only with record_trace.
     """
     validate_policy(policy)
     validate_sim_spec(spec)
@@ -230,9 +237,8 @@ def run_replications(
     param = float(getattr(policy.variant, VARIANT_PARAM[type(policy.variant)]))
     rates = np.ascontiguousarray(cfg.rate_matrix, dtype=float)
     table = np.ascontiguousarray(rate_table(policy.variant, cfg), dtype=float)
-    scratch = np.empty(N)
+    work = np.empty(4 * N + (_CHUNK if N == 1 else 0))
     gens = [RandomSource(spec.master_seed, r).generator() for r in rep_indices]
-    rows = np.arange(R)
 
     Q = np.zeros((R, N))
     arr_sum = np.zeros((R, N))
@@ -243,6 +249,7 @@ def run_replications(
     q_sum = np.zeros((R, N))
     initial_q = np.zeros((R, N))
     record = []
+    no_trace = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
 
     done = 0
     while done < T:
@@ -256,28 +263,14 @@ def run_replications(
             if uniform_ties:
                 u_chunk[r] = gens[r].random(c)
 
-        chosen = np.empty((R, c), dtype=np.int64)
-        dep = np.empty((R, c))
-        qtraj = np.empty((R, c, N))
-        kernel(rule, uniform_ties, R, c, N, states, arr, u_chunk, rates, table, param,
-               Q, scratch, chosen, dep, qtraj)
+        trace = no_trace
         if spec.record_trace:
+            trace = np.empty((R, c), dtype=np.int64), np.empty((R, c)), np.empty((R, c, N))
             record.append({"state": states, "tie_uniform": u_chunk, "arrivals": arr,
-                           "chosen": chosen, "departure": dep, "q": qtraj})
-
-        if 0 < burn - done <= c:
-            initial_q[:] = qtraj[:, burn - done - 1]
-        lo = max(burn - done, 0)
-        if lo < c:
-            arr_sum += arr[:, lo:].sum(axis=1)
-            flat_dep = rows.repeat(c - lo) * N + chosen[:, lo:].ravel()
-            dep_sum += np.bincount(flat_dep, weights=dep[:, lo:].ravel(), minlength=R * N).reshape(R, N)
-            flat_mi = rows.repeat(c - lo) * (M * N) + states[:, lo:].ravel() * N + chosen[:, lo:].ravel()
-            served_slots += np.bincount(flat_mi, minlength=R * M * N).reshape(R, M, N)
-            maxq = qtraj[:, lo:].max(axis=2)
-            over_counts += (maxq[:, :, None] >= thresholds).sum(axis=1)
-            max_seen = np.maximum(max_seen, maxq.max(axis=1))
-            q_sum += qtraj[:, lo:].sum(axis=1)
+                           "chosen": trace[0], "departure": trace[1], "q": trace[2]})
+        kernel(rule, uniform_ties, R, c, N, M, burn - done, states, arr, u_chunk, rates, table,
+               param, thresholds, len(thresholds), Q, work, arr_sum, dep_sum, q_sum,
+               served_slots, over_counts, max_seen, initial_q, spec.record_trace, *trace)
         done += c
 
     traces = [None] * R

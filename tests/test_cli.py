@@ -85,6 +85,18 @@ class TestSimulate:
         )
         assert rc == 2
 
+    def test_unknown_policy_key_exits_2(self, ref_cfg_path, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = run_cli(
+            "simulate", "--config", str(ref_cfg_path),
+            "--policy", '{"type": "het", "q_th": 2, "rho_1": 0.5}', "--out", str(out),
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert not out.exists()
+        assert err.startswith("schedlab: ") and err.count("\n") == 1, err
+        assert "rho_1" in err and "rho1" in err
+
 
 class TestSweep:
     def test_two_value_sweep(self, ref_cfg_path, tmp_path):

@@ -126,6 +126,13 @@ class TestPolicyJson:
         with pytest.raises(ValueError, match="'fifo'"):
             policy_from_json({"type": "fifo", "q_th": 2})
 
+    def test_unknown_key_rejected(self):
+        """A misspelt parameter is an error, not a silent default."""
+        with pytest.raises(ValueError, match=r"\['alpha', 'rho_1'\].*\['q_th', 'rho1', 'rho2'\]"):
+            policy_from_json({"type": "het", "q_th": 2, "rho_1": 0.5, "alpha": 3})
+        with pytest.raises(ValueError, match=r"\['q_th'\].*\['eta'\]"):
+            policy_from_json({"type": "exp", "eta": 0.5, "q_th": 2})
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             policy_from_json({"type": "exp", "eta": 0.0})

@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +262,102 @@ class TestRunSimulation:
         assert np.array_equal(a.arrivals, b.arrivals)
 
 
+def reduce_trace(outputs, spec, n_states):
+    """Each replication's statistics as numpy reduces its recorded trace, one
+    run_replications chunk at a time over all rows at once: slot-axis sums,
+    weighted bincounts and threshold counts of the post-burn-in part, each
+    chunk's sums added once into the totals."""
+    tr = {key: np.stack([o.trace[key] for o in outputs]) for key in ("state", "arrivals", "chosen", "departure")}
+    tr["q"] = np.stack([o.trace["q"][1:] for o in outputs])
+    R, T, N = tr["arrivals"].shape
+    M = n_states
+    burn = simulator.resolved_burn_in(spec)
+    thresholds = np.asarray(spec.thresholds, dtype=float)
+    rows = np.arange(R)
+    arr_sum, dep_sum, q_sum, initial_q = (np.zeros((R, N)) for _ in range(4))
+    served_slots = np.zeros((R, M, N), dtype=np.int64)
+    over_counts = np.zeros((R, len(thresholds)), dtype=np.int64)
+    max_seen = np.zeros(R)
+    for done in range(0, T, simulator._CHUNK):
+        c = min(simulator._CHUNK, T - done)
+        states, arr, chosen, dep, qtraj = (np.ascontiguousarray(tr[key][:, done:done + c])
+                                           for key in ("state", "arrivals", "chosen", "departure", "q"))
+        if 0 < burn - done <= c:
+            initial_q[:] = qtraj[:, burn - done - 1]
+        lo = max(burn - done, 0)
+        if lo < c:
+            arr_sum += arr[:, lo:].sum(axis=1)
+            flat_dep = rows.repeat(c - lo) * N + chosen[:, lo:].ravel()
+            dep_sum += np.bincount(flat_dep, weights=dep[:, lo:].ravel(), minlength=R * N).reshape(R, N)
+            flat_mi = rows.repeat(c - lo) * (M * N) + states[:, lo:].ravel() * N + chosen[:, lo:].ravel()
+            served_slots += np.bincount(flat_mi, minlength=R * M * N).reshape(R, M, N)
+            maxq = qtraj[:, lo:].max(axis=2)
+            over_counts += (maxq[:, :, None] >= thresholds).sum(axis=1)
+            max_seen = np.maximum(max_seen, maxq.max(axis=1))
+            q_sum += qtraj[:, lo:].sum(axis=1)
+    n_stat = T - burn
+    return [
+        (
+            TraceCounters(
+                arrivals=arr_sum[i], departures=dep_sum[i],
+                state_slots=served_slots[i].sum(axis=1), served_slots=served_slots[i],
+                horizon=n_stat, max_queue_seen=float(max_seen[i]),
+                initial_queues=initial_q[i], final_queues=tr["q"][i, -1],
+            ),
+            over_counts[i],
+            q_sum[i] / n_stat,
+        )
+        for i in range(R)
+    ]
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+STAT_BURNS = [0, None, simulator._CHUNK - 1, simulator._CHUNK, simulator._CHUNK + 1]
+STAT_POLICIES = [
+    Policy(Heterogeneous(q_th=2.0)),
+    Policy(Heterogeneous(q_th=3.0), tie_break="uniform_random"),
+    Policy(Exp(eta=0.25)),
+    Policy(Exp(eta=0.75), tie_break="uniform_random"),
+    Policy(MaxWeight(alpha=7.0)),
+    Policy(MaxWeight(alpha=1.0), tie_break="uniform_random"),
+]
+
+
+class TestKernelStatistics:
+    """The kernel's post-burn-in statistics are bitwise numpy's reduction of
+    the recorded trace, traced or not: at n = 1 numpy sums the slot axis
+    pairwise, for n >= 2 slot by slot, and fluid arrivals make either order
+    show in the last bits."""
+
+    @pytest.mark.parametrize("policy", STAT_POLICIES, ids=lambda p: f"{p.variant!r}-{p.tie_break}")
+    @pytest.mark.parametrize("cfg_name", ["reference", "fluid1", "fluid2", "fluid4", "fluid9"])
+    def test_statistics_match_numpy_reduction_of_trace(self, ref_cfg, ref_cfg_fluid, cfg_name, policy):
+        cfg = {
+            "reference": ref_cfg,
+            "fluid1": make_config([[5.0], [2.0]], [0.5, 0.5], [3.1], arrival_model="fluid"),
+            "fluid2": seeded_config(2, 3, "fluid"),
+            "fluid4": ref_cfg_fluid,
+            "fluid9": seeded_config(9, 4, "fluid"),
+        }[cfg_name]
+        horizon = 2 * simulator._CHUNK + 1000  # three chunks
+        for burn in STAT_BURNS:
+            base = SimSpec(horizon=horizon, replications=2, burn_in=burn, master_seed=17,
+                           thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
+            traced = run_replications(cfg, policy, replace(base, record_trace=True), [1, 0])
+            untraced = run_replications(cfg, policy, base, [1, 0])
+            for outputs in (traced, untraced):
+                for out, (counters, over, mean_q) in zip(outputs, reduce_trace(traced, base, cfg.n_states)):
+                    for f in fields(TraceCounters):
+                        assert bitwise_equal(getattr(out.counters, f.name), getattr(counters, f.name)), (burn, f.name)
+                    assert bitwise_equal(out.overflow_slot_counts, over), burn
+                    assert bitwise_equal(out.mean_queues, mean_q), burn
+            assert all(o.trace is None for o in untraced)
+
+
 class TestScaledTrace:
     def test_unit_scale_is_identity(self, ref_cfg):
         spec = SimSpec(horizon=500, burn_in=0, master_seed=3, record_trace=True)
@@ -508,9 +604,12 @@ class TestEngineMatchesSpec:
         row, pick = case
         kernel = simulator._slot_kernel(simulator._CC)
         chosen = np.empty((1, 1), dtype=np.int64)
-        kernel(1, 0, 1, 1, n, np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1, n)), np.empty((1, 0)),
-               cfg.rate_matrix, rate_table(Exp(eta), cfg), eta, row[None, :].copy(), np.empty(n),
-               chosen, np.empty((1, 1)), np.empty((1, 1, n)))
+        stats = [np.zeros((1, n)) for _ in range(3)]
+        kernel(1, 0, 1, 1, n, 1, 0, np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1, n)),
+               np.empty((1, 0)), cfg.rate_matrix, rate_table(Exp(eta), cfg), eta, np.empty(0), 0,
+               row[None, :].copy(), np.empty(4 * n), *stats, np.zeros((1, 1, n), dtype=np.int64),
+               np.zeros((1, 0), dtype=np.int64), np.zeros(1), np.zeros((1, n)),
+               1, chosen, np.empty((1, 1)), np.empty((1, 1, n)))
         assert chosen[0, 0] == pick
 
 
