@@ -27,6 +27,9 @@ PROB_SUM_TOL = 1e-9
 ARRIVAL_POISSON = "poisson"
 ARRIVAL_FLUID = "fluid"
 ARRIVAL_MODELS = (ARRIVAL_POISSON, ARRIVAL_FLUID)
+# the largest Poisson rate numpy's Generator.poisson accepts (numpy.random's
+# POISSON_LAM_MAX): the count must fit a C long
+POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 @dataclass(frozen=True)
@@ -191,14 +194,20 @@ def config_to_json(cfg: SystemConfig) -> dict:
     }
 
 
+def channel_cdf(cfg: SystemConfig) -> np.ndarray:
+    """Cumulative state probabilities, the last entry set to exactly 1."""
+    cum = np.cumsum(cfg.state_probs)
+    cum[-1] = 1.0  # guard against cumulative rounding
+    return cum
+
+
 def sample_channel(gen: np.random.Generator, cfg: SystemConfig, size: int | None = None):
     """Draw channel state index(es) with probabilities cfg.state_probs.
 
     Returns an int for size=None, else an int array of the given length.
     Uses inverse-CDF lookup so batched and scalar draws share one code path.
     """
-    cum = np.cumsum(cfg.state_probs)
-    cum[-1] = 1.0  # guard against cumulative rounding
+    cum = channel_cdf(cfg)
     if size is None:
         return int(np.searchsorted(cum, gen.random(), side="right"))
     return np.searchsorted(cum, gen.random(size), side="right").astype(np.int64)

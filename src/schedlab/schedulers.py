@@ -103,9 +103,11 @@ def validate_policy(policy: Policy) -> Policy:
 
 def policy_from_json(source: str | Path | dict) -> Policy:
     """Parse {"type": "het"|"exp"|"mw", ...params, "tie_break"} from JSON;
-    a parameter with a default (rho1, rho2) may be left out, any other key
-    is an error."""
+    a parameter with a default (rho1, rho2) may be left out. A missing type
+    or other parameter, or any other key, is a ValueError naming it."""
     doc = load_json_object(source)
+    if "type" not in doc:
+        raise ValueError(f"policy document needs 'type', one of {sorted(RULES)}")
     kind = doc["type"]
     rule = RULES.get(kind) if isinstance(kind, str) else None
     if rule is None:
@@ -114,8 +116,10 @@ def policy_from_json(source: str | Path | dict) -> Policy:
     unknown = sorted(set(doc) - {"type", "tie_break", *params})
     if unknown:
         raise ValueError(f"unknown {kind} policy keys {unknown}; its parameters are {params} and tie_break")
-    given = [f.name for f in fields(rule) if f.name in doc or f.default is MISSING]
-    variant = rule(**{name: float(doc[name]) for name in given})
+    missing = [f.name for f in fields(rule) if f.default is MISSING and f.name not in doc]
+    if missing:
+        raise ValueError(f"{kind} policy needs {', '.join(map(repr, missing))}")
+    variant = rule(**{name: float(doc[name]) for name in params if name in doc})
     return validate_policy(Policy(variant=variant, tie_break=doc.get("tie_break", TIE_LOWEST)))
 
 

@@ -2,10 +2,14 @@
 
 Every replication draws from its own seeded stream (master_seed, rep_index)
 in fixed chunk-sized blocks of channel states, arrivals and, for uniform
-ties, tie uniforms. A small C recursion (_slots.c, compiled with the system's
-`cc` on first use and cached by the hash of its source and flags) then walks
-each replication's slots in turn, deciding exactly as `select` does, so a
-batch run is bitwise identical to running each replication alone.
+ties, tie uniforms. One call of a small C kernel (_slots.c, compiled with the
+system's `cc` against numpy's static random library libnpyrandom.a on first
+use and cached by the hash of its source, that library and the flags) runs a
+whole campaign: it draws each block from the replication's own numpy bit
+generator with numpy's own Poisson sampler, bitwise as the reference
+samplers model.sample_channel and model.sample_arrivals draw it, then walks
+the block's slots, deciding exactly as `select` does, so a batch run is
+bitwise identical to running each replication alone.
 The same walk reduces the post-burn-in slots into the service counters, the
 per-threshold overflow slot counts (both estimators read these) and the
 time-average queues. Its float sums keep the order in which numpy reduces a
@@ -38,7 +42,14 @@ from .errors import (
     SolverFailureError,
     TraceUnavailableError,
 )
-from .model import RandomSource, SystemConfig, TraceCounters, sample_arrivals, sample_channel
+from .model import (
+    ARRIVAL_FLUID,
+    POISSON_LAM_MAX,
+    RandomSource,
+    SystemConfig,
+    TraceCounters,
+    channel_cdf,
+)
 from .schedulers import (
     TIE_UNIFORM,
     VARIANT_PARAM,
@@ -152,18 +163,22 @@ class SimResult:
 _SLOTS_SOURCE = Path(__file__).with_name("_slots.c")
 _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# numpy's headers (numpy/random/bitgen.h: the bit generator interface) and
+# its static random library, whose Poisson sampler the kernel links
+_NPY_INCLUDE = np.get_include()
+_NPYRANDOM = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
 # variant -> RULE_* code of _slots.c
 _RULES = {Heterogeneous: 0, Exp: 1, MaxWeight: 2}
 
 
-def _build(command: list[str], path: Path) -> None:
-    """Compile _slots.c to path through a temp file in path's directory, so a
-    concurrent first call never loads a partial library, then remove the
-    libraries of other hashes there: they belong to an older source or
-    compile command."""
+def _build(command: list[str], library: Path, path: Path) -> None:
+    """Compile _slots.c, linked with numpy's random library, to path through
+    a temp file in path's directory, so a concurrent first call never loads
+    a partial library, then remove the libraries of other hashes there: they
+    belong to an older source, numpy library or compile command."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     os.close(fd)
-    argv = [*command, "-o", tmp, str(_SLOTS_SOURCE), "-lm"]
+    argv = [*command, "-o", tmp, str(_SLOTS_SOURCE), str(library), "-lm"]
     failure = f"cannot build the slot kernel: {' '.join(argv)}"
     try:
         try:
@@ -182,17 +197,23 @@ def _build(command: list[str], path: Path) -> None:
 
 
 @functools.cache
-def _slot_kernel(cc: str):
-    """The compiled slot recursion, built on first use and cached on disk
-    under the sha256 of its source and compile command."""
-    command = [cc, *_CFLAGS]
-    digest = hashlib.sha256(_SLOTS_SOURCE.read_bytes() + "\0".join(command).encode())
+def _slot_kernel(cc: str, library: Path):
+    """The compiled slot recursion, linked with numpy's random library, built
+    on first use and cached on disk under the sha256 of its source, that
+    library and the compile command, so a numpy upgrade in place rebuilds it."""
+    command = [cc, *_CFLAGS, f"-I{_NPY_INCLUDE}"]
+    try:
+        library_bytes = library.read_bytes()
+    except OSError as exc:
+        raise KernelBuildError(f"cannot build the slot kernel: numpy's random library "
+                               f"{library} cannot be read: {exc.strerror}") from exc
+    digest = hashlib.sha256(_SLOTS_SOURCE.read_bytes() + library_bytes + "\0".join(command).encode())
     name = f"_slots-{digest.hexdigest()[:16]}.so"
     path = Path(__file__).with_name("__pycache__") / name
     try:
         path.parent.mkdir(exist_ok=True)
         if not path.is_file():
-            _build(command, path)
+            _build(command, library, path)
     except OSError:  # a read-only install: keep the library per user instead
         user_dir = Path(tempfile.gettempdir()) / f"schedlab-{os.getuid()}"
         user_dir.mkdir(mode=0o700, exist_ok=True)
@@ -200,14 +221,15 @@ def _slot_kernel(cc: str):
             raise KernelBuildError(f"cannot build the slot kernel: {user_dir} belongs to another user")
         path = user_dir / name
         if not path.is_file():
-            _build(command, path)
+            _build(command, library, path)
     fn = ctypes.CDLL(str(path)).run_slots
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    ptrs = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
-    fn.argtypes = [c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, i64, f64, f64, f64, f64,
-                   ctypes.c_double, f64, c_i64, f64, f64, f64, f64, f64, i64, i64, f64, f64,
-                   c_int, i64, f64, f64]
+    fn.argtypes = [c_int, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64, ptrs, f64, f64,
+                   f64, f64, ctypes.c_double, f64, c_i64, f64, f64, f64, f64, f64, i64, i64, f64,
+                   f64, c_int, i64, f64, f64, i64, f64, f64]
     fn.restype = None
     return fn
 
@@ -217,16 +239,24 @@ def run_replications(
 ) -> list[ReplicationOutput]:
     """Run the given replications; output order follows rep_indices.
 
-    Each chunk of slots is drawn in numpy per replication, then the compiled
-    recursion walks every row's slots with the score and tie rule of
-    schedulers.stable_scores and tied_mask. The same walk reduces the
+    One call of the compiled kernel runs the whole campaign: it draws each
+    replication's chunks from that replication's own numpy generator, in the
+    order and with the values of model.sample_channel, model.sample_arrivals
+    and Generator.random, and walks every row's slots with the score and tie
+    rule of schedulers.stable_scores and tied_mask. The same walk reduces the
     post-burn-in slots into the statistics, in the float order of numpy's
     per-chunk reduction of a recorded chunk (see _slots.c), and fills the
     per-slot trace buffers only with record_trace.
     """
     validate_policy(policy)
     validate_sim_spec(spec)
-    kernel = _slot_kernel(_CC)
+    fluid = cfg.arrival_model == ARRIVAL_FLUID
+    if not fluid:
+        for user, rate in enumerate(cfg.arrival_rates.tolist()):
+            if not 0.0 <= rate <= POISSON_LAM_MAX:
+                raise ValueError(f"user {user}'s Poisson arrival rate {rate!r} lies outside "
+                                 f"[0, {POISSON_LAM_MAX!r}], the range numpy's sampler takes")
+    kernel = _slot_kernel(_CC, _NPYRANDOM)
     R = len(rep_indices)
     N, M = cfg.n_users, cfg.n_states
     T = spec.horizon
@@ -237,8 +267,12 @@ def run_replications(
     param = float(getattr(policy.variant, VARIANT_PARAM[type(policy.variant)]))
     rates = np.ascontiguousarray(cfg.rate_matrix, dtype=float)
     table = np.ascontiguousarray(rate_table(policy.variant, cfg), dtype=float)
-    work = np.empty(4 * N + (_CHUNK if N == 1 else 0))
+    lam = np.ascontiguousarray(cfg.arrival_rates, dtype=float)
+    work = np.empty(5 * N + (_CHUNK if N == 1 else 0))
+    # the generators own the bit generators the kernel draws from: keep them
+    # referenced until it returns
     gens = [RandomSource(spec.master_seed, r).generator() for r in rep_indices]
+    bitgens = np.array([g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uintp)
 
     Q = np.zeros((R, N))
     arr_sum = np.zeros((R, N))
@@ -248,36 +282,24 @@ def run_replications(
     max_seen = np.zeros(R)
     q_sum = np.zeros((R, N))
     initial_q = np.zeros((R, N))
-    record = []
-    no_trace = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+    # the drawn inputs: the whole record with record_trace, else one chunk's scratch
+    rows, slots = (R, T) if spec.record_trace else (1, min(T, _CHUNK))
+    states = np.empty((rows, slots), dtype=np.int64)
+    tie_u = np.empty((rows, slots if uniform_ties else 0))
+    arr = np.empty((rows, slots, N))
+    kept = (R, T) if spec.record_trace else (0, 0)
+    chosen, departure = np.empty(kept, dtype=np.int64), np.empty(kept)
+    qtraj = np.zeros((kept[0], kept[1] + 1, N))  # row 0 holds the empty queues before slot 0
 
-    done = 0
-    while done < T:
-        c = min(_CHUNK, T - done)
-        states = np.empty((R, c), dtype=np.int64)
-        arr = np.empty((R, c, N))
-        u_chunk = np.empty((R, c if uniform_ties else 0))
-        for r in range(R):
-            states[r] = sample_channel(gens[r], cfg, size=c)
-            arr[r] = sample_arrivals(gens[r], cfg, size=c)
-            if uniform_ties:
-                u_chunk[r] = gens[r].random(c)
-
-        trace = no_trace
-        if spec.record_trace:
-            trace = np.empty((R, c), dtype=np.int64), np.empty((R, c)), np.empty((R, c, N))
-            record.append({"state": states, "tie_uniform": u_chunk, "arrivals": arr,
-                           "chosen": trace[0], "departure": trace[1], "q": trace[2]})
-        kernel(rule, uniform_ties, R, c, N, M, burn - done, states, arr, u_chunk, rates, table,
-               param, thresholds, len(thresholds), Q, work, arr_sum, dep_sum, q_sum,
-               served_slots, over_counts, max_seen, initial_q, spec.record_trace, *trace)
-        done += c
+    kernel(rule, uniform_ties, fluid, R, T, _CHUNK, burn, N, M, bitgens, channel_cdf(cfg), lam,
+           rates, table, param, thresholds, len(thresholds), Q, work, arr_sum, dep_sum, q_sum,
+           served_slots, over_counts, max_seen, initial_q, spec.record_trace, states, tie_u, arr,
+           chosen, departure, qtraj)
 
     traces = [None] * R
     if spec.record_trace:
-        whole = {key: np.concatenate([part[key] for part in record], axis=1) for key in record[0]}
-        whole["q"] = np.concatenate([np.zeros((R, 1, N)), whole["q"]], axis=1)
-        traces = [{key: val[i] for key, val in whole.items()} for i in range(R)]
+        traces = [{"state": states[i], "tie_uniform": tie_u[i], "arrivals": arr[i],
+                   "chosen": chosen[i], "departure": departure[i], "q": qtraj[i]} for i in range(R)]
     state_slots = served_slots.sum(axis=2)
     n_stat = T - burn
     return [

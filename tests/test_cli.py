@@ -97,6 +97,32 @@ class TestSimulate:
         assert err.startswith("schedlab: ") and err.count("\n") == 1, err
         assert "rho_1" in err and "rho1" in err
 
+    @pytest.mark.parametrize("policy, message", [
+        ('{"type": "het"}', "het policy needs 'q_th'"),
+        ('{"q_th": 2}', "policy document needs 'type'"),
+    ])
+    def test_incomplete_policy_exits_2(self, ref_cfg_path, tmp_path, capsys, policy, message):
+        out = tmp_path / "x"
+        rc = run_cli("simulate", "--config", str(ref_cfg_path), "--policy", policy, "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert not out.exists()
+        assert err.startswith("schedlab: ") and err.count("\n") == 1, err
+        assert message in err
+
+    def test_poisson_rate_beyond_numpys_bound_exits_2(self, ref_cfg_path, tmp_path, capsys):
+        doc = json.loads(ref_cfg_path.read_text())
+        doc["arrival_rates"][1] = 1e19
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        rc = run_cli("simulate", "--config", str(cfg), "--policy", HET_POLICY,
+                     "--horizon", "1000", "--replications", "1", "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert not out.exists()
+        assert err.startswith("schedlab: user 1's Poisson arrival rate 1e+19") and err.count("\n") == 1, err
+
 
 class TestSweep:
     def test_two_value_sweep(self, ref_cfg_path, tmp_path):

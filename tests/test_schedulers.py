@@ -133,6 +133,16 @@ class TestPolicyJson:
         with pytest.raises(ValueError, match=r"\['q_th'\].*\['eta'\]"):
             policy_from_json({"type": "exp", "eta": 0.5, "q_th": 2})
 
+    def test_missing_field_named(self):
+        """A document without its type or a parameter that has no default
+        names what is missing, not a bare KeyError."""
+        with pytest.raises(ValueError, match="^het policy needs 'q_th'$"):
+            policy_from_json({"type": "het", "rho1": 0.5})
+        with pytest.raises(ValueError, match="^mw policy needs 'alpha'$"):
+            policy_from_json('{"type": "mw", "tie_break": "uniform_random"}')
+        with pytest.raises(ValueError, match=r"^policy document needs 'type', one of \['exp', 'het', 'mw'\]$"):
+            policy_from_json({"eta": 0.5})
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             policy_from_json({"type": "exp", "eta": 0.0})

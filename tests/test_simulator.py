@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -28,6 +29,14 @@ from schedlab import (
 )
 import schedlab.cli as cli
 from schedlab import simulator
+from schedlab.model import (
+    POISSON_LAM_MAX,
+    RandomSource,
+    SystemConfig,
+    reference_config,
+    sample_arrivals,
+    sample_channel,
+)
 from schedlab.errors import (
     InsufficientEventsError,
     KernelBuildError,
@@ -358,6 +367,89 @@ class TestKernelStatistics:
             assert all(o.trace is None for o in untraced)
 
 
+def draws_config(n_states, lam, arrival_model="poisson", probs=None):
+    """A system built without validate_config, so that a Poisson rate may be 0."""
+    lam = np.asarray(lam, dtype=float)
+    probs = np.full(n_states, 1.0 / n_states) if probs is None else np.asarray(probs, dtype=float)
+    rates = np.arange(1.0, n_states * len(lam) + 1).reshape(n_states, len(lam)) % 7
+    return SystemConfig(n_users=len(lam), n_states=n_states, state_probs=probs, rate_matrix=rates,
+                        arrival_rates=lam, arrival_model=arrival_model)
+
+
+DRAW_CONFIGS = {
+    # every branch of numpy's random_poisson, about its switch at lam = 10;
+    # states 0 and 2 have probability 0, so no draw may land in them
+    "poisson7": draws_config(4, [0.0, 0.05, 1.0, 9.999, 10.0, 37.5, 1000.0],
+                             probs=[0.0, 0.25, 0.0, 0.75]),
+    "reference": reference_config(),
+    "fluid": reference_config(arrival_model="fluid"),
+    "poisson1": draws_config(2, [3.1]),
+}
+
+
+class TestKernelDraws:
+    """The kernel draws what numpy's reference samplers draw on a fresh
+    RandomSource, chunk by chunk, bitwise, and leaves each generator where
+    they leave it: a numpy upgrade that moved a draw would show here."""
+
+    @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
+    @pytest.mark.parametrize("cfg_name", list(DRAW_CONFIGS))
+    def test_draws_equal_numpys_samplers(self, monkeypatch, cfg_name, tie_break):
+        cfg = DRAW_CONFIGS[cfg_name]
+        policy = Policy(MaxWeight(alpha=2.0), tie_break=tie_break)
+        made = []
+
+        class Recording(RandomSource):
+            def generator(self):
+                made.append(super().generator())
+                return made[-1]
+
+        monkeypatch.setattr(simulator, "RandomSource", Recording)
+        for horizon, reps in ((2 * simulator._CHUNK + 4465, [0]), (70_001, [4, 1, 2]), (5, [3, 0, 1])):
+            made.clear()
+            spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True)
+            outputs = run_replications(cfg, policy, spec, reps)
+            assert len(made) == len(reps)
+            for out, gen, rep in zip(outputs, made, reps):
+                ref = RandomSource(21, rep).generator()
+                chunks = [(done, min(simulator._CHUNK, horizon - done))
+                          for done in range(0, horizon, simulator._CHUNK)]
+                expect = {"state": [], "arrivals": [], "tie_uniform": []}
+                for _, c in chunks:
+                    expect["state"].append(sample_channel(ref, cfg, size=c))
+                    expect["arrivals"].append(sample_arrivals(ref, cfg, size=c))
+                    if tie_break == "uniform_random":
+                        expect["tie_uniform"].append(ref.random(c))
+                for key, parts in expect.items():
+                    want = np.concatenate(parts) if parts else np.empty(0)
+                    assert bitwise_equal(out.trace[key], want), (horizon, rep, key)
+                assert gen.bit_generator.state == ref.bit_generator.state, (horizon, rep)
+                assert gen.random() == ref.random(), (horizon, rep)
+            if cfg_name == "poisson7":
+                states = np.concatenate([o.trace["state"] for o in outputs])
+                assert set(np.unique(states)) <= {1, 3}
+
+    def test_poisson_rate_beyond_numpys_bound_rejected(self, ref_cfg, ref_cfg_fluid):
+        """Above numpy's Poisson bound the run stops before the kernel with an
+        error naming the user and the bound; at the bound it runs, and fluid
+        arrivals take any finite rate."""
+        rng = np.random.default_rng(0)
+        rng.poisson(POISSON_LAM_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
+        spec = SimSpec(horizon=3, burn_in=0)
+        lam = ref_cfg.arrival_rates.copy()
+        for bad in (1e19, np.nextafter(POISSON_LAM_MAX, np.inf), -1.0, np.nan):
+            lam[2] = bad
+            with pytest.raises(ValueError, match=r"user 2's .*" + re.escape(repr(POISSON_LAM_MAX))):
+                run_replication(replace(ref_cfg, arrival_rates=lam.copy()), HET2, spec, 0)
+        lam[2] = POISSON_LAM_MAX
+        out = run_replication(replace(ref_cfg, arrival_rates=lam.copy()), HET2, spec, 0)
+        assert out.counters.arrivals[2] > 1e18
+        fluid = run_replication(replace(ref_cfg_fluid, arrival_rates=np.full(4, 1e19)), HET2, spec, 0)
+        assert np.array_equal(fluid.counters.arrivals, np.full(4, 3e19))
+
+
 class TestScaledTrace:
     def test_unit_scale_is_identity(self, ref_cfg):
         spec = SimSpec(horizon=500, burn_in=0, master_seed=3, record_trace=True)
@@ -602,15 +694,52 @@ class TestEngineMatchesSpec:
                     case = row, pick
                     break
         row, pick = case
-        kernel = simulator._slot_kernel(simulator._CC)
+        kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
+        gen = np.random.default_rng(0)
+        bitgens = np.array([gen.bit_generator.ctypes.bit_generator.value], dtype=np.uintp)
         chosen = np.empty((1, 1), dtype=np.int64)
         stats = [np.zeros((1, n)) for _ in range(3)]
-        kernel(1, 0, 1, 1, n, 1, 0, np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1, n)),
-               np.empty((1, 0)), cfg.rate_matrix, rate_table(Exp(eta), cfg), eta, np.empty(0), 0,
-               row[None, :].copy(), np.empty(4 * n), *stats, np.zeros((1, 1, n), dtype=np.int64),
-               np.zeros((1, 0), dtype=np.int64), np.zeros(1), np.zeros((1, n)),
-               1, chosen, np.empty((1, 1)), np.empty((1, 1, n)))
+        # one fluid slot with no arrivals, from the queues in row
+        kernel(1, 0, 1, 1, 1, 1, 0, n, 1, bitgens, np.ones(1), np.zeros(n), cfg.rate_matrix,
+               rate_table(Exp(eta), cfg), eta, np.empty(0), 0, row[None, :].copy(),
+               np.empty(5 * n), *stats, np.zeros((1, 1, n), dtype=np.int64),
+               np.zeros((1, 0), dtype=np.int64), np.zeros(1), np.zeros((1, n)), 1,
+               np.empty((1, 1), dtype=np.int64), np.empty((1, 0)), np.empty((1, 1, n)), chosen,
+               np.empty((1, 1)), np.empty((1, 2, n)))
         assert chosen[0, 0] == pick
+
+
+def assert_simulation_commands_fail(cfg_path, tmp_path, capsys, needle):
+    """simulate, compare and sweep exit 3 with one line naming needle and
+    write nothing; iopt and regions, which never load the kernel, still run."""
+    small = ["--horizon", "1000", "--replications", "1"]
+    policy = ["--policy", '{"type": "het", "q_th": 2}']
+    commands = {
+        "simulate": ["simulate", *policy, *small],
+        "compare": ["compare", *small],
+        "sweep": ["sweep", *policy, "--values", "1,2", *small],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / name
+        rc = cli.main([*argv, "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_COMPUTE, name
+        assert not out.exists(), name
+        assert err.startswith("schedlab: ") and err.count("\n") == 1, err
+        assert needle in err and "Traceback" not in err
+    assert cli.main(["iopt", "--config", str(cfg_path), "--out", str(tmp_path / "iopt")]) == 0
+    rc = cli.main(["regions", "--config", str(cfg_path), *policy, "--axes", "0,2",
+                   "--grid-step", "10", "--out", str(tmp_path / "regions")])
+    assert rc == 0
+
+
+def with_extra_member(archive: bytes) -> bytes:
+    """The ar archive with one more member, a text file no link reads: a
+    library with other bytes that still links."""
+    data = b"a numpy upgrade\n"
+    header = f"{'note.txt/':<16}{0:<12}{0:<6}{0:<6}{644:<8}{len(data):<10}`\n".encode()
+    assert len(archive) % 2 == 0 and len(header) == 60
+    return archive + header + data
 
 
 class TestSlotKernelBuild:
@@ -618,25 +747,29 @@ class TestSlotKernelBuild:
         monkeypatch.setattr(simulator, "_CC", str(tmp_path / "no-such-cc"))
         with pytest.raises(KernelBuildError, match="no-such-cc"):
             run_replication(ref_cfg, HET2, SimSpec(horizon=100), 0)
-        small = ["--horizon", "1000", "--replications", "1"]
-        policy = ["--policy", '{"type": "het", "q_th": 2}']
-        commands = {
-            "simulate": ["simulate", *policy, *small],
-            "compare": ["compare", *small],
-            "sweep": ["sweep", *policy, "--values", "1,2", *small],
-        }
-        for name, argv in commands.items():
-            out = tmp_path / name
-            rc = cli.main([*argv, "--config", str(ref_cfg_path), "--out", str(out)])
-            err = capsys.readouterr().err
-            assert rc != 0, name
-            assert not out.exists(), name
-            assert err.startswith("schedlab: ") and err.count("\n") == 1, err
-            assert "no-such-cc" in err and "Traceback" not in err
-        assert cli.main(["iopt", "--config", str(ref_cfg_path), "--out", str(tmp_path / "iopt")]) == 0
-        rc = cli.main(["regions", "--config", str(ref_cfg_path), *policy, "--axes", "0,2",
-                       "--grid-step", "10", "--out", str(tmp_path / "regions")])
-        assert rc == 0
+        assert_simulation_commands_fail(ref_cfg_path, tmp_path, capsys, "no-such-cc")
+
+    def test_missing_numpy_library_fails_cleanly(self, monkeypatch, ref_cfg, ref_cfg_path, tmp_path, capsys):
+        missing = tmp_path / "lib" / "libnpyrandom.a"
+        monkeypatch.setattr(simulator, "_NPYRANDOM", missing)
+        with pytest.raises(KernelBuildError, match=re.escape(str(missing))):
+            run_replication(ref_cfg, HET2, SimSpec(horizon=100), 0)
+        assert_simulation_commands_fail(ref_cfg_path, tmp_path, capsys, str(missing))
+
+    def test_changed_numpy_library_is_rebuilt(self, monkeypatch, tmp_path):
+        """The kernel's name hashes libnpyrandom.a: a copy with other bytes,
+        as a numpy upgrade in place leaves, builds and loads a new library."""
+        package = tmp_path / "package"
+        (package / "__pycache__").mkdir(parents=True)
+        monkeypatch.setattr(simulator, "__file__", str(package / "simulator.py"))
+        build = simulator._slot_kernel.__wrapped__
+        assert callable(build(simulator._CC, simulator._NPYRANDOM))
+        before = list((package / "__pycache__").glob("_slots-*.so"))
+        upgraded = tmp_path / "libnpyrandom.a"
+        upgraded.write_bytes(with_extra_member(simulator._NPYRANDOM.read_bytes()))
+        assert callable(build(simulator._CC, upgraded))
+        after = list((package / "__pycache__").glob("_slots-*.so"))
+        assert len(before) == len(after) == 1 and before != after
 
     def test_unwritable_package_dir_builds_per_user(self, monkeypatch, tmp_path):
         """When the package's __pycache__ cannot be made, the kernel is built
@@ -646,14 +779,14 @@ class TestSlotKernelBuild:
         monkeypatch.setattr(simulator, "__file__", str(blocker / "simulator.py"))
         monkeypatch.setattr(simulator.tempfile, "tempdir", str(tmp_path))
         build = simulator._slot_kernel.__wrapped__  # bypass the in-process cache
-        assert callable(build(simulator._CC))
+        assert callable(build(simulator._CC, simulator._NPYRANDOM))
         user_dir = tmp_path / f"schedlab-{os.getuid()}"
         assert len(list(user_dir.glob("_slots-*.so"))) == 1
         assert user_dir.stat().st_mode & 0o077 == 0
         if os.getuid() == 0:  # only root can hand the directory to another user
             os.chown(user_dir, 65534, 65534)
             with pytest.raises(KernelBuildError, match="another user"):
-                build(simulator._CC)
+                build(simulator._CC, simulator._NPYRANDOM)
 
     def test_build_removes_stale_libraries(self, monkeypatch, tmp_path):
         package = tmp_path / "package"
@@ -661,7 +794,7 @@ class TestSlotKernelBuild:
         stale = package / "__pycache__" / "_slots-0123456789abcdef.so"
         stale.write_bytes(b"")
         monkeypatch.setattr(simulator, "__file__", str(package / "simulator.py"))
-        assert callable(simulator._slot_kernel.__wrapped__(simulator._CC))
+        assert callable(simulator._slot_kernel.__wrapped__(simulator._CC, simulator._NPYRANDOM))
         libraries = list((package / "__pycache__").glob("_slots-*.so"))
         assert len(libraries) == 1 and libraries[0] != stale
 
