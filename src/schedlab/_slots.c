@@ -22,15 +22,10 @@
  * the last bit, which moves a decision only when a score gap lies within an
  * ulp of the 1e-12 tie tolerance.
  *
- * The same walk reduces the post-burn-in slots into the run's statistics,
- * and fills the per-slot trace (draws, choice, departure, queues) only when
- * the caller records one. The float sums keep the order of the numpy
- * reduction of a recorded chunk (arr[:, lo:].sum(axis=1), a weighted bincount
- * of the departures, qtraj[:, lo:].sum(axis=1)), so both give the same bits:
- * each row's chunk sums start at 0.0 and are added once into the totals; the
- * departures add slot by slot; the arrivals and queues add slot by slot for
- * n >= 2, but for n == 1 numpy sums the slot axis pairwise, and so does the
- * kernel, over the chunk's post-burn-in run.
+ * The same walk adds each post-burn-in slot into the run's statistics, and
+ * fills the per-slot trace (draws, choice, departure, queues) only when the
+ * caller records one. Every float sum, here and in exp's mean, runs left to
+ * right, one slot or user at a time, from 0.0.
  */
 #include <math.h>
 #include <stdint.h>
@@ -43,34 +38,6 @@ int64_t random_poisson(bitgen_t *bitgen_state, double lam);
 enum { RULE_HET = 0, RULE_EXP = 1, RULE_MW = 2 };
 
 #define TIE_TOL 1e-12
-
-/* numpy's pairwise summation of a contiguous float64 run (np.add.reduce):
- * 8 accumulators up to 128 entries, halves split at a multiple of 8 above */
-static double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
-}
 
 static inline double next_double(bitgen_t *g)
 {
@@ -138,7 +105,7 @@ static void draw_chunk(bitgen_t *g, int64_t c, int64_t n, int64_t m_states, cons
  * and qtraj (R x (T + 1) x n) the queues after it, behind row 0, which is
  * not touched; otherwise states, u and arr are one chunk's scratch (chunk,
  * chunk, chunk x n) and chosen, dep and qtraj are not touched. work is
- * scratch for 5 n doubles, plus chunk when n == 1 and record is zero. */
+ * scratch for 2 n doubles. */
 void run_slots(int rule, int uniform, int fluid, int64_t R, int64_t T, int64_t chunk, int64_t burn,
                int64_t n, int64_t m_states, bitgen_t *const *gens, const double *cum,
                const double *lam, const double *rates, const double *table, double param,
@@ -147,24 +114,17 @@ void run_slots(int rule, int uniform, int fluid, int64_t R, int64_t T, int64_t c
                double *initial_q, int record, int64_t *states, double *u, double *arr,
                int64_t *chosen, double *dep, double *qtraj)
 {
-    double *score = work, *arr_part = work + n, *dep_part = work + 2 * n, *q_part = work + 3 * n;
-    double *enlam = work + 4 * n;
+    double *score = work, *enlam = work + n;
     for (int64_t i = 0; i < n; i++)
         enlam[i] = exp(-lam[i]);
     for (int64_t r = 0; r < R; r++) {
         double *Q = q + r * n;
         for (int64_t done = 0; done < T; done += chunk) {
             int64_t c = T - done < chunk ? T - done : chunk;
-            int64_t lo = burn - done, first = lo > 0 ? lo : 0;
             int64_t at = record ? r * T + done : 0; /* the chunk's first slot in the buffers */
             int64_t *st = states + at;
             double *a = arr + at * n, *uc = u + at;
-            /* the chunk's queues after each slot; n == 1 keeps them for
-             * numpy's pairwise order */
-            double *path = record ? qtraj + (r * (T + 1) + 1 + done) * n : work + 5 * n;
             draw_chunk(gens[r], c, n, m_states, cum, fluid, lam, enlam, uniform, st, a, uc);
-            for (int64_t i = 0; i < n; i++)
-                arr_part[i] = dep_part[i] = q_part[i] = 0.0;
             for (int64_t k = 0; k < c; k++) {
                 int64_t m = st[k];
                 const double *row = table + m * n;
@@ -172,7 +132,10 @@ void run_slots(int rule, int uniform, int fluid, int64_t R, int64_t T, int64_t c
                     for (int64_t i = 0; i < n; i++)
                         score[i] = row[i] + Q[i] / param;
                 } else if (rule == RULE_EXP) {
-                    double denom = 1.0 + pow(pairwise_sum(Q, n) / (double)n, param);
+                    double total = 0.0;
+                    for (int64_t i = 0; i < n; i++)
+                        total += Q[i];
+                    double denom = 1.0 + pow(total / (double)n, param);
                     for (int64_t i = 0; i < n; i++)
                         score[i] = Q[i] / denom + row[i];
                 } else {
@@ -209,47 +172,34 @@ void run_slots(int rule, int uniform, int fluid, int64_t R, int64_t T, int64_t c
                 double rate = rates[m * n + pick];
                 double d = Q[pick] < rate ? Q[pick] : rate;
                 Q[pick] -= d;
+                int64_t slot = done + k;
                 if (record) {
+                    double *path = qtraj + (r * (T + 1) + 1 + slot) * n;
                     chosen[at + k] = pick;
                     dep[at + k] = d;
                     for (int64_t i = 0; i < n; i++)
-                        path[k * n + i] = Q[i];
+                        path[i] = Q[i];
                 }
 
-                if (k == lo - 1)
+                if (slot == burn - 1)
                     for (int64_t i = 0; i < n; i++)
                         initial_q[r * n + i] = Q[i];
-                if (k < lo)
+                if (slot < burn)
                     continue;
                 double qmax = Q[0];
                 for (int64_t i = 1; i < n; i++)
                     if (Q[i] > qmax)
                         qmax = Q[i];
-                if (n == 1) {
-                    path[k] = Q[0];
-                } else {
-                    for (int64_t i = 0; i < n; i++) {
-                        arr_part[i] += ak[i];
-                        q_part[i] += Q[i];
-                    }
+                for (int64_t i = 0; i < n; i++) {
+                    arr_sum[r * n + i] += ak[i];
+                    q_sum[r * n + i] += Q[i];
                 }
-                dep_part[pick] += d;
+                dep_sum[r * n + pick] += d;
                 served[(r * m_states + m) * n + pick]++;
                 for (int64_t j = 0; j < K && qmax >= thresholds[j]; j++)
                     over[r * K + j]++;
                 if (qmax > max_seen[r])
                     max_seen[r] = qmax;
-            }
-            if (first >= c)
-                continue;
-            if (n == 1) {
-                arr_part[0] = pairwise_sum(a + first, c - first);
-                q_part[0] = pairwise_sum(path + first, c - first);
-            }
-            for (int64_t i = 0; i < n; i++) {
-                arr_sum[r * n + i] += arr_part[i];
-                dep_sum[r * n + i] += dep_part[i];
-                q_sum[r * n + i] += q_part[i];
             }
         }
     }

@@ -161,7 +161,6 @@ def _add_common(sub: argparse.ArgumentParser, policy: bool = True) -> None:
         "(--burn-in 0 covers the whole run from empty)",
     )
     sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--svg", action="store_true", help="also emit SVG plots")
 
 
 def _parse_thresholds(text: str | None) -> tuple[float, ...]:
@@ -396,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="one (config, policy) simulation campaign")
     _add_common(p_sim)
+    p_sim.add_argument("--svg", action="store_true", help="also emit overflow.svg")
 
     p_sweep = sub.add_parser("sweep", help="simulate over a policy-parameter list")
     _add_common(p_sweep)
@@ -416,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="het vs exp vs mw under a shared seed")
     _add_common(p_cmp, policy=False)
+    p_cmp.add_argument("--svg", action="store_true", help="also emit compare.svg")
     p_cmp.add_argument("--q-th", type=float, default=2.0)
     p_cmp.add_argument("--rho1", type=float, default=0.0)
     p_cmp.add_argument("--rho2", type=float, default=0.0)

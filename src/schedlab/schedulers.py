@@ -163,9 +163,11 @@ def stable_scores(variant: Variant, cfg: SystemConfig, Q: np.ndarray, m: np.ndar
     if isinstance(variant, Heterogeneous):
         return table + Q / variant.q_th
     if isinstance(variant, Exp):
-        # numpy scalar powers: the vectorized power can differ from them in
-        # the last bit, which would move exact ties
-        denom = 1.0 + np.array([mean**variant.eta for mean in Q.mean(axis=1)])
+        # the mean sums each row left to right, as the slot kernel does, and
+        # numpy scalar powers are libm's pow: the vectorized power can differ
+        # from them in the last bit, which would move exact ties
+        means = np.cumsum(Q, axis=1)[:, -1] / Q.shape[1]
+        denom = 1.0 + np.array([mean**variant.eta for mean in means])
         return Q / denom[:, None] + table
     q_max = Q.max(axis=1, keepdims=True)
     busy = q_max > 0

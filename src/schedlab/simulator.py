@@ -10,15 +10,11 @@ generator with numpy's own Poisson sampler, bitwise as the reference
 samplers model.sample_channel and model.sample_arrivals draw it, then walks
 the block's slots, deciding exactly as `select` does, so a batch run is
 bitwise identical to running each replication alone.
-The same walk reduces the post-burn-in slots into the service counters, the
+The same walk adds each post-burn-in slot into the service counters, the
 per-threshold overflow slot counts (both estimators read these) and the
-time-average queues. Its float sums keep the order in which numpy reduces a
-recorded chunk: each row's chunk sums start at 0.0 and are added once into
-the totals, departures add slot by slot as a weighted bincount does,
-arrivals and queues add slot by slot for two or more users and pairwise
-(numpy's pairwise summation of the slot axis) for one. The per-slot record
-(drawn inputs, choices, departures, queues) is kept only with record_trace,
-as the trace scaled_trace rescales.
+time-average queues; every float sum runs left to right, one slot at a time.
+The per-slot record (drawn inputs, choices, departures, queues) is kept only
+with record_trace, as the trace scaled_trace rescales.
 """
 
 from __future__ import annotations
@@ -243,9 +239,8 @@ def run_replications(
     replication's chunks from that replication's own numpy generator, in the
     order and with the values of model.sample_channel, model.sample_arrivals
     and Generator.random, and walks every row's slots with the score and tie
-    rule of schedulers.stable_scores and tied_mask. The same walk reduces the
-    post-burn-in slots into the statistics, in the float order of numpy's
-    per-chunk reduction of a recorded chunk (see _slots.c), and fills the
+    rule of schedulers.stable_scores and tied_mask. The same walk adds each
+    post-burn-in slot into the statistics, left to right, and fills the
     per-slot trace buffers only with record_trace.
     """
     validate_policy(policy)
@@ -268,7 +263,7 @@ def run_replications(
     rates = np.ascontiguousarray(cfg.rate_matrix, dtype=float)
     table = np.ascontiguousarray(rate_table(policy.variant, cfg), dtype=float)
     lam = np.ascontiguousarray(cfg.arrival_rates, dtype=float)
-    work = np.empty(5 * N + (_CHUNK if N == 1 else 0))
+    work = np.empty(2 * N)
     # the generators own the bit generators the kernel draws from: keep them
     # referenced until it returns
     gens = [RandomSource(spec.master_seed, r).generator() for r in rep_indices]

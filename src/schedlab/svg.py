@@ -6,6 +6,7 @@ cell grids for decision-region maps.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -156,7 +157,8 @@ def line_chart(
 
 
 def region_chart(q_values: np.ndarray, labels: np.ndarray, axis_users: tuple[int, int], title: str = "") -> str:
-    """One colored cell per grid point; x = first axis user's queue."""
+    """Colored cells over the grid, x = first axis user's queue; each
+    column's runs of one label are drawn as one rect."""
     n = len(q_values)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -169,12 +171,15 @@ def region_chart(q_values: np.ndarray, labels: np.ndarray, axis_users: tuple[int
         f'<text x="{WIDTH/2}" y="28" text-anchor="middle" font-size="17">{_esc(title)}</text>',
     ]
     for ia in range(n):
-        for ib in range(n):
-            color = REGION_COLORS.get(labels[ia, ib], "#000000")
-            x = MARGIN_L + ia * cell_w
-            y = HEIGHT - MARGIN_B - (ib + 1) * cell_h
+        x = MARGIN_L + ia * cell_w
+        ib = 0
+        for label, run in itertools.groupby(labels[ia]):
+            color = REGION_COLORS.get(label, "#000000")
+            count = len(list(run))
+            ib += count
+            y = HEIGHT - MARGIN_B - ib * cell_h
             parts.append(
-                f'<rect x="{x:.1f}" y="{y:.1f}" width="{cell_w:.2f}" height="{cell_h:.2f}" fill="{color}"/>'
+                f'<rect x="{x:.1f}" y="{y:.1f}" width="{cell_w:.2f}" height="{count * cell_h:.2f}" fill="{color}"/>'
             )
     step = max(1, n // 8)
     for j in range(0, n, step):

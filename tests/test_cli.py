@@ -1,10 +1,13 @@
 import json
+import math
+import re
 import time
 
 import numpy as np
 import pytest
 
 import schedlab.cli as cli
+from schedlab import svg
 
 
 HET_POLICY = '{"type": "het", "q_th": 2}'
@@ -138,6 +141,16 @@ class TestSweep:
         assert len(rows) == 2
         assert (out / "fig1-like.svg").read_text().startswith("<svg")
 
+    def test_svg_flag_rejected(self, ref_cfg_path, tmp_path, capsys):
+        """sweep always writes fig1-like.svg and takes no --svg."""
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--config", str(ref_cfg_path), "--policy", HET_POLICY,
+                    "--values", "1,2", "--svg", "--out", str(out))
+        assert exc.value.code == 2
+        assert "--svg" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_sweep_rejected(self, ref_cfg_path, tmp_path):
         rc = run_cli(
             "sweep", "--config", str(ref_cfg_path), "--policy", HET_POLICY,
@@ -212,6 +225,32 @@ class TestRegions:
             assert rc == 0
             outs.append((out / "regions.csv").read_text())
         assert outs[0] != outs[1]  # different thresholds, different boundaries
+
+    def test_svg_rects_reproduce_each_cell(self, ref_cfg_path, tmp_path):
+        """The merged rects of regions.svg cover each grid cell's centre
+        exactly once, in the colour of that cell's label in regions.csv."""
+        out = tmp_path / "reg"
+        rc = run_cli(
+            "regions", "--config", str(ref_cfg_path), "--policy", HET_POLICY,
+            "--axes", "0,2", "--grid-max", "20", "--grid-step", "1", "--out", str(out),
+        )
+        assert rc == 0
+        _, rows = read_csv(out / "regions.csv")
+        expected = np.array([svg.REGION_COLORS[label] for _, _, label in rows])
+        n = math.isqrt(len(rows))
+        found = re.findall(r'<rect x="([\d.]+)" y="([\d.]+)" width="([\d.]+)" height="([\d.]+)" '
+                           r'fill="(#\w+)"/>', (out / "regions.svg").read_text())
+        x, y, w, h = np.array([rect[:4] for rect in found], dtype=float).T
+        colors = np.array([rect[4] for rect in found])
+        assert len(set(expected)) > 2 and len(found) < n * n
+        cell_w = (svg.WIDTH - svg.MARGIN_L - svg.MARGIN_R) / n
+        cell_h = (svg.HEIGHT - svg.MARGIN_T - svg.MARGIN_B) / n
+        ia, ib = np.divmod(np.arange(n * n), n)  # the CSV's (q_a, q_b) order
+        cx = (svg.MARGIN_L + (ia + 0.5) * cell_w)[:, None]
+        cy = (svg.HEIGHT - svg.MARGIN_B - (ib + 0.5) * cell_h)[:, None]
+        cover = (x <= cx) & (cx < x + w) & (y <= cy) & (cy < y + h)
+        assert (cover.sum(axis=1) == 1).all()
+        assert (colors[cover.argmax(axis=1)] == expected).all()
 
     def test_long_inline_policy(self, ref_cfg_path, tmp_path):
         """An inline policy longer than a file name may be is parsed, not looked up."""

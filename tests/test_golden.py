@@ -51,7 +51,7 @@ GOLDEN_IOPT = {
 GOLDEN = {
     # het q_th = 2, axes 0,2, grid step 2 up to the default 40
     "regions.csv": "bb7f2ea10fd295b782772a95149cf7448ed6eb8835f37a75543cc99cb02f801a",
-    "regions.svg": "241978b8693940fe5a18ca66041f3d646c47318e2ec87eaf11b293513140d9a0",
+    "regions.svg": "cc3842d76f87fc5ee0fca37b27d37e9302df075a730378e968e9f8eafb6a963a",
 }
 
 

@@ -272,38 +272,26 @@ class TestRunSimulation:
 
 
 def reduce_trace(outputs, spec, n_states):
-    """Each replication's statistics as numpy reduces its recorded trace, one
-    run_replications chunk at a time over all rows at once: slot-axis sums,
-    weighted bincounts and threshold counts of the post-burn-in part, each
-    chunk's sums added once into the totals."""
+    """Each replication's statistics as a left-to-right reduction of its
+    recorded trace over the whole run: cumulative sums along the slot axis,
+    np.add.at in slot order, and threshold counts of the post-burn-in part."""
     tr = {key: np.stack([o.trace[key] for o in outputs]) for key in ("state", "arrivals", "chosen", "departure")}
     tr["q"] = np.stack([o.trace["q"][1:] for o in outputs])
     R, T, N = tr["arrivals"].shape
-    M = n_states
     burn = simulator.resolved_burn_in(spec)
     thresholds = np.asarray(spec.thresholds, dtype=float)
-    rows = np.arange(R)
-    arr_sum, dep_sum, q_sum, initial_q = (np.zeros((R, N)) for _ in range(4))
-    served_slots = np.zeros((R, M, N), dtype=np.int64)
-    over_counts = np.zeros((R, len(thresholds)), dtype=np.int64)
-    max_seen = np.zeros(R)
-    for done in range(0, T, simulator._CHUNK):
-        c = min(simulator._CHUNK, T - done)
-        states, arr, chosen, dep, qtraj = (np.ascontiguousarray(tr[key][:, done:done + c])
-                                           for key in ("state", "arrivals", "chosen", "departure", "q"))
-        if 0 < burn - done <= c:
-            initial_q[:] = qtraj[:, burn - done - 1]
-        lo = max(burn - done, 0)
-        if lo < c:
-            arr_sum += arr[:, lo:].sum(axis=1)
-            flat_dep = rows.repeat(c - lo) * N + chosen[:, lo:].ravel()
-            dep_sum += np.bincount(flat_dep, weights=dep[:, lo:].ravel(), minlength=R * N).reshape(R, N)
-            flat_mi = rows.repeat(c - lo) * (M * N) + states[:, lo:].ravel() * N + chosen[:, lo:].ravel()
-            served_slots += np.bincount(flat_mi, minlength=R * M * N).reshape(R, M, N)
-            maxq = qtraj[:, lo:].max(axis=2)
-            over_counts += (maxq[:, :, None] >= thresholds).sum(axis=1)
-            max_seen = np.maximum(max_seen, maxq.max(axis=1))
-            q_sum += qtraj[:, lo:].sum(axis=1)
+    rows = np.arange(R)[:, None]
+    states, arr, chosen, dep, qtraj = (tr[key][:, burn:] for key in ("state", "arrivals", "chosen", "departure", "q"))
+    arr_sum = np.cumsum(arr, axis=1)[:, -1]
+    q_sum = np.cumsum(qtraj, axis=1)[:, -1]
+    dep_sum = np.zeros((R, N))
+    np.add.at(dep_sum, (rows, chosen), dep)
+    served_slots = np.zeros((R, n_states, N), dtype=np.int64)
+    np.add.at(served_slots, (rows, states, chosen), 1)
+    initial_q = tr["q"][:, burn - 1] if burn > 0 else np.zeros((R, N))
+    maxq = qtraj.max(axis=2)
+    over_counts = (maxq[:, :, None] >= thresholds).sum(axis=1)
+    max_seen = maxq.max(axis=1)
     n_stat = T - burn
     return [
         (
@@ -337,10 +325,9 @@ STAT_POLICIES = [
 
 
 class TestKernelStatistics:
-    """The kernel's post-burn-in statistics are bitwise numpy's reduction of
-    the recorded trace, traced or not: at n = 1 numpy sums the slot axis
-    pairwise, for n >= 2 slot by slot, and fluid arrivals make either order
-    show in the last bits."""
+    """The kernel's post-burn-in statistics are bitwise the left-to-right
+    reduction of the recorded trace, traced or not; fluid arrivals make any
+    other summation order show in the last bits."""
 
     @pytest.mark.parametrize("policy", STAT_POLICIES, ids=lambda p: f"{p.variant!r}-{p.tie_break}")
     @pytest.mark.parametrize("cfg_name", ["reference", "fluid1", "fluid2", "fluid4", "fluid9"])
@@ -671,42 +658,40 @@ class TestEngineMatchesSpec:
         assert multi.sum() > 100
         assert (chosen[multi] != tied[multi].argmax(axis=1)).any()
 
-    def test_exp_mean_sums_in_numpys_order(self):
-        """exp's denominator uses numpy's pairwise row sum: on a 9-user row
-        whose tie test flips when the mean is summed left to right instead,
-        the kernel decides as stable_scores does."""
+    def test_exp_mean_sums_left_to_right(self):
+        """exp's denominator sums the row left to right: on 801 9-user rows
+        about a tie, one of whose tie tests flips under numpy's pairwise
+        row.mean(), the kernel decides as stable_scores does."""
         n, eta = 9, 0.5
         cfg = make_config([[1.0] * n], [1.0], [1.0] * n)
         rng = np.random.default_rng(3)
-        case = None
-        while case is None:
+        for _ in range(1000):
             q = rng.uniform(0.0, 9.0, n)
             q[1] = q[0] + 1e-12 * (1.0 + q.mean() ** eta)  # user 1 leads by about TIE_TOL
             rows = np.tile(q, (801, 1))
             rows[:, 1] += np.spacing(q[1]) * np.arange(-400, 401)
             spec_pick = tied_mask(stable_scores(Exp(eta), cfg, rows, np.zeros(len(rows), int))).argmax(1)
-            for row, pick in zip(rows, spec_pick):
-                total = 0.0
-                for v in row:
-                    total += v
-                s = row / (1.0 + (np.float64(total) / n) ** eta)
-                if pick != int(np.flatnonzero(s >= s.max() - 1e-12)[0]):
-                    case = row, pick
-                    break
-        row, pick = case
+            pairwise_pick = [tied_mask(row / (1.0 + row.mean() ** eta)).argmax() for row in rows]
+            if (spec_pick != pairwise_pick).any():
+                break
+        else:
+            pytest.fail("no row in 1000 draws whose pick depends on the summation order")
         kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
+        R = len(rows)
         gen = np.random.default_rng(0)
-        bitgens = np.array([gen.bit_generator.ctypes.bit_generator.value], dtype=np.uintp)
-        chosen = np.empty((1, 1), dtype=np.int64)
-        stats = [np.zeros((1, n)) for _ in range(3)]
-        # one fluid slot with no arrivals, from the queues in row
-        kernel(1, 0, 1, 1, 1, 1, 0, n, 1, bitgens, np.ones(1), np.zeros(n), cfg.rate_matrix,
-               rate_table(Exp(eta), cfg), eta, np.empty(0), 0, row[None, :].copy(),
-               np.empty(5 * n), *stats, np.zeros((1, 1, n), dtype=np.int64),
-               np.zeros((1, 0), dtype=np.int64), np.zeros(1), np.zeros((1, n)), 1,
-               np.empty((1, 1), dtype=np.int64), np.empty((1, 0)), np.empty((1, 1, n)), chosen,
-               np.empty((1, 1)), np.empty((1, 2, n)))
-        assert chosen[0, 0] == pick
+        # every row draws from one generator: the one-state channel and fluid
+        # arrivals make the draws irrelevant
+        bitgens = np.full(R, gen.bit_generator.ctypes.bit_generator.value, dtype=np.uintp)
+        chosen = np.empty((R, 1), dtype=np.int64)
+        stats = [np.zeros((R, n)) for _ in range(3)]
+        # one fluid slot per row with no arrivals, from the queues in rows
+        kernel(1, 0, 1, R, 1, 1, 0, n, 1, bitgens, np.ones(1), np.zeros(n), cfg.rate_matrix,
+               rate_table(Exp(eta), cfg), eta, np.empty(0), 0, rows.copy(),
+               np.empty(2 * n), *stats, np.zeros((R, 1, n), dtype=np.int64),
+               np.zeros((R, 0), dtype=np.int64), np.zeros(R), np.zeros((R, n)), 1,
+               np.empty((R, 1), dtype=np.int64), np.empty((R, 0)), np.empty((R, 1, n)), chosen,
+               np.empty((R, 1)), np.empty((R, 2, n)))
+        assert np.array_equal(chosen[:, 0], spec_pick)
 
 
 def assert_simulation_commands_fail(cfg_path, tmp_path, capsys, needle):
