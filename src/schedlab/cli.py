@@ -92,17 +92,18 @@ def _write_json(path: Path, doc: dict) -> None:
     _write_text(path, json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append("" if np.isnan(v) else f"{float(v):.12g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, columns: dict) -> None:
+    """One CSV from header -> column: a float column's cells carry 12
+    significant digits, NaN as an empty cell; any other column (int, str)
+    is written as str of each value."""
+    cells = []
+    for col in columns.values():
+        arr = np.asarray(col)
+        if arr.dtype.kind == "f":
+            cells.append(["" if v != v else f"{v:.12g}" for v in arr.tolist()])
+        else:
+            cells.append([str(v) for v in arr.tolist()])
+    _write_text(path, "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n")
 
 
 def _sim_result_doc(result: SimResult) -> dict:
@@ -123,30 +124,34 @@ def _sim_result_doc(result: SimResult) -> dict:
     }
 
 
-def _overflow_rows(result: SimResult) -> list[list]:
-    return [
-        [e.threshold, e.probability, e.ci_low, e.ci_high, e.n_events]
-        for e in result.overflow
+def _phi_columns(phi: np.ndarray) -> dict:
+    """A states x users share matrix as state, user and phi columns, row-major."""
+    state, user = np.indices(phi.shape)
+    return {"state": state.ravel(), "user": user.ravel(), "phi": phi.ravel()}
+
+
+def _overflow_chart(results: dict[str, SimResult], title: str) -> str:
+    """Log-scale overflow probability against threshold, one series per result."""
+    series = [
+        {"label": label, "x": [e.threshold for e in r.overflow], "y": [e.probability for e in r.overflow]}
+        for label, r in results.items()
     ]
-
-
-def _phi_rows(result: SimResult) -> list[list]:
-    phi = result.empirical_phi
-    rows = []
-    for m in range(phi.phi.shape[0]):
-        for i in range(phi.phi.shape[1]):
-            rows.append([m, i, phi.phi[m, i], int(phi.observed[m])])
-    return rows
+    return svg.line_chart(series, title=title, xlabel="threshold B", ylabel="P(max queue >= B)", log_y=True)
 
 
 # ---------------------------------------------------------------------------
 # shared option plumbing
 
 
-def _add_common(sub: argparse.ArgumentParser, policy: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, policy: bool = True, campaign: bool = True) -> None:
+    """--config, --out and, with policy, --policy; with campaign also the
+    simulation options."""
     sub.add_argument("--config", required=True, help="path to the system config JSON")
     if policy:
         sub.add_argument("--policy", required=True, help="policy JSON document or path")
+    sub.add_argument("--out", default="out", help="output directory")
+    if not campaign:
+        return
     sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sub.add_argument("--horizon", type=int, default=2_000_000, help="slots per replication")
     sub.add_argument("--replications", type=int, default=16)
@@ -160,7 +165,6 @@ def _add_common(sub: argparse.ArgumentParser, policy: bool = True) -> None:
         "episode: fraction of replications whose largest queue reaches B after the burn-in "
         "(--burn-in 0 covers the whole run from empty)",
     )
-    sub.add_argument("--out", default="out", help="output directory")
 
 
 def _parse_thresholds(text: str | None) -> tuple[float, ...]:
@@ -214,17 +218,19 @@ def cmd_simulate(args) -> int:
     doc = {"spec_echo": _spec_echo(args, cfg, spec, policy)}
     doc.update(_sim_result_doc(result))
     _write_json(out / "result.json", doc)
-    _write_csv(out / "overflow.csv", ["B", "prob", "ci_low", "ci_high", "n_events"], _overflow_rows(result))
-    _write_csv(out / "phi.csv", ["state", "user", "phi", "observed"], _phi_rows(result))
+    overflow = result.overflow
+    _write_csv(out / "overflow.csv", {
+        "B": [e.threshold for e in overflow],
+        "prob": [e.probability for e in overflow],
+        "ci_low": [e.ci_low for e in overflow],
+        "ci_high": [e.ci_high for e in overflow],
+        "n_events": [e.n_events for e in overflow],
+    })
+    phi = _phi_columns(result.empirical_phi.phi)
+    phi["observed"] = result.empirical_phi.observed.astype(int)[phi["state"]]
+    _write_csv(out / "phi.csv", phi)
     if args.svg:
-        chart = svg.line_chart(
-            [{"label": "overflow", "x": [e.threshold for e in result.overflow],
-              "y": [e.probability for e in result.overflow]}],
-            title="Overflow probability vs threshold",
-            xlabel="threshold B",
-            ylabel="P(max queue >= B)",
-            log_y=True,
-        )
+        chart = _overflow_chart({"overflow": result}, "Overflow probability vs threshold")
         _write_text(out / "overflow.svg", chart)
     return EXIT_OK
 
@@ -244,16 +250,13 @@ def cmd_sweep(args) -> int:
         validate_policy(pol)
 
     iopt = compute_iopt(cfg)
-    rows = []
+    fits = []
     entries = []
-    for value, (pol, param_name) in zip(values, swept):
+    for value, (pol, _) in zip(values, swept):
         result = run_simulation(cfg, pol, spec, mode=args.estimator)
-        decay = result.decay
-        rows.append(
-            [value, decay.rate if decay else np.nan, decay.stderr if decay else np.nan,
-             decay.n_used if decay else 0, iopt.value]
-        )
+        fits.append(result.decay)
         entries.append({"param": value, "policy": policy_to_json(pol), **_sim_result_doc(result)})
+    rates = [np.nan if d is None else d.rate for d in fits]
 
     out = Path(args.out)
     _write_json(
@@ -264,10 +267,16 @@ def cmd_sweep(args) -> int:
             "runs": entries,
         },
     )
-    _write_csv(out / "decay_vs_param.csv", ["param", "decay_rate", "stderr", "n_used", "iopt"], rows)
+    _write_csv(out / "decay_vs_param.csv", {
+        "param": values,
+        "decay_rate": rates,
+        "stderr": [np.nan if d is None else d.stderr for d in fits],
+        "n_used": [0 if d is None else d.n_used for d in fits],
+        "iopt": np.full(len(values), iopt.value),
+    })
     param_name = swept[0][1]
     chart = svg.line_chart(
-        [{"label": "fitted decay", "x": values, "y": [r[1] for r in rows]}],
+        [{"label": "fitted decay", "x": values, "y": rates}],
         title=f"Decay rate vs {param_name}",
         xlabel=param_name,
         ylabel="decay rate",
@@ -292,11 +301,7 @@ def cmd_iopt(args) -> int:
             "arg_phi": result.arg_phi.phi,
         },
     )
-    rows = []
-    for m in range(cfg.n_states):
-        for i in range(cfg.n_users):
-            rows.append([m, i, result.arg_phi.phi[m, i]])
-    _write_csv(out / "phi_opt.csv", ["state", "user", "phi"], rows)
+    _write_csv(out / "phi_opt.csv", _phi_columns(result.arg_phi.phi))
     return EXIT_OK
 
 
@@ -313,11 +318,9 @@ def cmd_regions(args) -> int:
         cfg, policy, axes, fixed_queues=fixed, grid_max=args.grid_max, grid_step=args.grid_step
     )
     out = Path(args.out)
-    rows = []
-    for ia, qa in enumerate(region.q_values):
-        for ib, qb in enumerate(region.q_values):
-            rows.append([qa, qb, region.labels[ia, ib]])
-    _write_csv(out / "regions.csv", ["q_a", "q_b", "label"], rows)
+    q, G = region.q_values, len(region.q_values)
+    _write_csv(out / "regions.csv",
+               {"q_a": np.repeat(q, G), "q_b": np.tile(q, G), "label": region.labels.ravel()})
     chart = svg.region_chart(
         region.q_values,
         region.labels,
@@ -338,47 +341,30 @@ def cmd_compare(args) -> int:
     for _, _, pol in policies:
         validate_policy(pol)
 
-    results = []
-    for name, param, pol in policies:
-        results.append((name, param, pol, run_simulation(cfg, pol, spec, mode=args.estimator)))
-
-    header = ["policy", "param", "decay_rate", "decay_stderr"]
-    header += [f"mean_q_u{i}" for i in range(cfg.n_users)]
-    header += [f"phi_s{m}_u{i}" for m in range(cfg.n_states) for i in range(cfg.n_users)]
-    rows = []
-    run_docs = []
-    for name, param, pol, result in results:
-        row = [
-            name,
-            param,
-            result.decay.rate if result.decay else np.nan,
-            result.decay.stderr if result.decay else np.nan,
-        ]
-        row += [result.mean_queues[i] for i in range(cfg.n_users)]
-        row += [result.empirical_phi.phi[m, i] for m in range(cfg.n_states) for i in range(cfg.n_users)]
-        rows.append(row)
-        run_docs.append({"policy": policy_to_json(pol), **_sim_result_doc(result)})
+    results = {name: run_simulation(cfg, pol, spec, mode=args.estimator) for name, _, pol in policies}
+    fits = [r.decay for r in results.values()]
+    mean_q = np.array([r.mean_queues for r in results.values()])
+    phi = np.array([r.empirical_phi.phi for r in results.values()])
+    columns = {
+        "policy": list(results),
+        "param": [param for _, param, _ in policies],
+        "decay_rate": [np.nan if d is None else d.rate for d in fits],
+        "decay_stderr": [np.nan if d is None else d.stderr for d in fits],
+        **{f"mean_q_u{i}": mean_q[:, i] for i in range(cfg.n_users)},
+        **{f"phi_s{m}_u{i}": phi[:, m, i] for m in range(cfg.n_states) for i in range(cfg.n_users)},
+    }
+    run_docs = [
+        {"policy": policy_to_json(pol), **_sim_result_doc(results[name])} for name, _, pol in policies
+    ]
 
     out = Path(args.out)
     _write_json(
         out / "compare.json",
         {"spec_echo": _spec_echo(args, cfg, spec, None), "runs": run_docs},
     )
-    _write_csv(out / "compare.csv", header, rows)
+    _write_csv(out / "compare.csv", columns)
     if args.svg:
-        series = [
-            {
-                "label": name,
-                "x": [e.threshold for e in result.overflow],
-                "y": [e.probability for e in result.overflow],
-            }
-            for name, _, _, result in results
-        ]
-        _write_text(
-            out / "compare.svg",
-            svg.line_chart(series, title="Overflow probability by scheduler",
-                           xlabel="threshold B", ylabel="P(max queue >= B)", log_y=True),
-        )
+        _write_text(out / "compare.svg", _overflow_chart(results, "Overflow probability by scheduler"))
     return EXIT_OK
 
 
@@ -402,17 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated parameter values")
 
     p_iopt = sub.add_parser("iopt", help="optimal decay rate of the config")
-    p_iopt.add_argument("--config", required=True)
-    p_iopt.add_argument("--out", default="out")
+    _add_common(p_iopt, policy=False, campaign=False)
 
     p_reg = sub.add_parser("regions", help="decision-region map over two queue axes")
-    p_reg.add_argument("--config", required=True)
-    p_reg.add_argument("--policy", required=True)
+    _add_common(p_reg, campaign=False)
     p_reg.add_argument("--axes", required=True, help="two user indices, e.g. 0,2")
     p_reg.add_argument("--grid-max", type=float, default=40.0)
     p_reg.add_argument("--grid-step", type=float, default=1.0)
     p_reg.add_argument("--fixed-queues", default=None, help="comma list for off-axis users")
-    p_reg.add_argument("--out", default="out")
 
     p_cmp = sub.add_parser("compare", help="het vs exp vs mw under a shared seed")
     _add_common(p_cmp, policy=False)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, linprog
-from scipy.special import logsumexp
+from scipy.special import logsumexp, rel_entr
 
 from .errors import (
     MalformedPathError,
@@ -75,24 +75,13 @@ def _check_prob_vector(v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
-def _kl(gamma: np.ndarray, p: np.ndarray) -> float:
-    """KL divergence kernel; assumes inputs are (near-)probability vectors."""
-    total = 0.0
-    for g, pm in zip(gamma, p):
-        if g > 0:
-            if pm <= 0:
-                return math.inf
-            total += g * math.log(g / pm)
-    return total
-
-
 def relative_entropy(gamma, p) -> float:
     """H(gamma || p) with 0*ln(0/p) = 0; +inf when gamma puts mass where p has none."""
     gamma = _check_prob_vector(gamma, "gamma")
     p = _check_prob_vector(p, "p")
     if gamma.shape != p.shape:
         raise NotAProbabilityVectorError("gamma and p must have equal length")
-    return _kl(gamma, p)
+    return float(rel_entr(gamma, p).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +122,10 @@ def path_cost(path: PathSample, cfg: SystemConfig) -> float:
 
     fdot = np.clip(df, 0.0, None) / dt[:, None]
     gdot = np.clip(dg, 0.0, None) / dt[:, None]
-    total = 0.0
-    for k in range(len(dt)):
-        if abs(gdot[k].sum() - 1.0) > PROB_TOL * max(1.0, 1.0 / dt[k]):
-            return math.inf
-        h = _kl(gdot[k], cfg.state_probs)
-        if math.isinf(h):
-            return math.inf
-        total += dt[k] * (float(np.sum(poisson_rate(fdot[k], cfg.arrival_rates))) + h)
-    return total
+    if np.any(np.abs(gdot.sum(axis=1) - 1.0) > PROB_TOL * np.maximum(1.0, 1.0 / dt)):
+        return math.inf
+    step = poisson_rate(fdot, cfg.arrival_rates).sum(axis=1) + rel_entr(gdot, cfg.state_probs).sum(axis=1)
+    return float(dt @ step)
 
 
 # ---------------------------------------------------------------------------

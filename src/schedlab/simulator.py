@@ -95,6 +95,8 @@ def validate_sim_spec(spec: SimSpec) -> SimSpec:
     if not 0 <= burn < spec.horizon:
         raise ValueError("burn_in must lie in [0, horizon)")
     th = np.asarray(spec.thresholds, dtype=float)
+    if th.size == 0:
+        raise ValueError("thresholds may not be empty: give at least one overflow threshold")
     if not np.all(np.isfinite(th)):
         raise ValueError(f"thresholds must be finite, got {th.tolist()}")
     if np.any(th <= 0) or np.any(np.diff(th) <= 0):
@@ -487,8 +489,8 @@ REGION_OTHER = "other"
 REGION_TIE = "tie"
 
 # most grid points x users a region map scores per channel state; a
-# 1001 x 1001 grid over 4 users (4e6 scores) peaks near 0.2 GB in
-# decision_regions and 0.5 GB in `regions`, which also writes its CSV and SVG
+# 1001 x 1001 grid over 4 users (4e6 scores) peaks at 0.2 GB (ru_maxrss) in
+# decision_regions and 0.35 GB in `regions`, which also writes its CSV and SVG
 _REGION_SCORE_CAP = 2**24
 
 

@@ -52,18 +52,23 @@ def line_chart(
     log_y: bool = False,
     hlines: list[tuple[str, float]] | None = None,
 ) -> str:
-    """Polyline chart; series entries are {"label", "x", "y"}. In log mode,
-    nonpositive y values are dropped from their series."""
+    """Polyline chart; series entries are {"label", "x", "y"}. Non-finite y
+    values, and in log mode nonpositive ones, are dropped from their series;
+    with nothing left to plot the axes span [0, 1] (1 to 10 in log mode)."""
+
+    def plotted(y) -> bool:
+        return math.isfinite(y) and (not log_y or y > 0)
+
     pts = []
     for s in series:
         for x, y in zip(s["x"], s["y"]):
-            if not log_y or y > 0:
+            if plotted(y):
                 pts.append((float(x), float(y)))
     for _, y in hlines or []:
-        if not log_y or y > 0:
+        if plotted(y):
             pts.append((pts[0][0] if pts else 0.0, float(y)))
     if not pts:
-        pts = [(0.0, 0.0), (1.0, 1.0)]
+        pts = [(0.0, 1.0), (1.0, 10.0)] if log_y else [(0.0, 0.0), (1.0, 1.0)]
     xs = [p[0] for p in pts]
     ys = [math.log10(p[1]) for p in pts] if log_y else [p[1] for p in pts]
     x_lo, x_hi = min(xs), max(xs)
@@ -113,7 +118,7 @@ def line_chart(
     )
 
     for li, (_, yv) in enumerate(hlines or []):
-        if log_y and yv <= 0:
+        if not plotted(yv):
             continue
         yy = py(math.log10(yv) if log_y else yv)
         parts.append(
@@ -126,7 +131,7 @@ def line_chart(
         coords = [
             (px(float(x)), py(math.log10(float(y)) if log_y else float(y)))
             for x, y in zip(s["x"], s["y"])
-            if not log_y or y > 0
+            if plotted(y)
         ]
         if not coords:
             continue

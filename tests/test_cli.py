@@ -43,6 +43,16 @@ class TestSimulate:
         assert doc["spec_echo"]["policy"]["type"] == "het"
         assert len(doc["empirical_phi"]) == 3
 
+    def test_empty_threshold_list_exits_2_without_outputs(self, ref_cfg_path, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = run_cli(
+            "simulate", "--config", str(ref_cfg_path), "--policy", HET_POLICY,
+            "--horizon", "1000", "--thresholds", ",", "--out", str(out),
+        )
+        assert rc == 2
+        assert "thresholds may not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_2_without_outputs(self, tmp_path):
         out = tmp_path / "nope"
         rc = run_cli(
@@ -341,6 +351,19 @@ class TestCompare:
         header, rows = read_csv(out1 / "compare.csv")
         assert [r[0] for r in rows] == ["het", "exp", "mw"]
         assert header[:4] == ["policy", "param", "decay_rate", "decay_stderr"]
+
+    def test_svg_without_a_positive_probability(self, ref_cfg_path, tmp_path):
+        """No queue reaches the thresholds: every overflow probability is 0,
+        so the log-scale chart has axes and a legend but no series."""
+        out = tmp_path / "c"
+        rc = run_cli(
+            "compare", "--config", str(ref_cfg_path), "--horizon", "2000",
+            "--replications", "1", "--thresholds", "1000,2000", "--svg", "--out", str(out),
+        )
+        assert rc == 0
+        chart = (out / "compare.svg").read_text()
+        assert chart.startswith("<svg") and "<polyline" not in chart
+        assert all(name in chart for name in ("het", "exp", "mw"))
 
     def test_eta_domain_violation_exit_2(self, ref_cfg_path, tmp_path):
         rc = run_cli(

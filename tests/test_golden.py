@@ -86,6 +86,13 @@ def test_regions_outputs_are_golden(tmp_path):
 
 _SIM_COMMON = ["--horizon", "70000", "--replications", "2", "--seed", "4"]
 
+SIM_CONFIGS = {
+    **IOPT_CONFIGS,
+    # the reference system with its third channel state never drawn, so
+    # phi.csv has unobserved rows: an empty phi and observed 0
+    "zero_state": {**IOPT_CONFIGS["reference"], "state_probs": [0.4, 0.6, 0.0]},
+}
+
 # name -> (config, argv after the command's --config/--out); 70 000 slots are
 # three kernel chunks of 32 768
 SIM_RUNS = {
@@ -103,6 +110,16 @@ SIM_RUNS = {
     "sweep": ("reference", [
         "sweep", "--policy", '{"type": "mw", "alpha": 7}', "--values", "1,3", *_SIM_COMMON,
     ]),
+    "simulate_zero_state": ("zero_state", [
+        "simulate", "--policy", '{"type": "het", "q_th": 2}', *_SIM_COMMON,
+    ]),
+    # no queue reaches these thresholds, so there is no decay fit: empty
+    # decay cells, and n_used 0 in decay_vs_param.csv
+    "sweep_no_fit": ("reference", [
+        "sweep", "--policy", '{"type": "mw", "alpha": 7}', "--values", "1,3", *_SIM_COMMON,
+        "--thresholds", "1000,2000",
+    ]),
+    "compare_no_fit": ("reference", ["compare", *_SIM_COMMON, "--thresholds", "1000,2000"]),
 }
 
 # output file -> digest; JSON documents re-serialised without the echoed out path
@@ -128,13 +145,27 @@ GOLDEN_SIM = {
         "fig1-like.svg": "8f5954fa16ac9c1f73215879b3c4a9b7855879b004275ea541f1e3fcce0cb67c",
         "sweep.json": "53f1b06d99d23d7d8216897ae5a0152b8bd8d32e0e26d382386c6a3a80cc3473",
     },
+    "simulate_zero_state": {
+        "overflow.csv": "62a28770bf278dd221cd1b62014b28634909ca550eb4983fd16fb4169dafb737",
+        "phi.csv": "dfa1bf204db75afb62fc93d8e74236b02ac00070e8763977cb859f23c83e592b",
+        "result.json": "b994cb008b3c597363b27477eca0108aa638ceea3cf1efbe7ff975236bf71d51",
+    },
+    "sweep_no_fit": {
+        "decay_vs_param.csv": "b53954ce248ebe5b01114a9d17e0f511d2cbcf017e9747e268dec0d846d9a8c4",
+        "fig1-like.svg": "0fc058e572a6b19003b7eca8950ddfd76aee6f103a936c97b62be3b8b05e21af",
+        "sweep.json": "00acb0509610e7609e604b62b7ae54bb92f866f31f35f9ea6b74c809063cbb49",
+    },
+    "compare_no_fit": {
+        "compare.csv": "64cf3b2fd62612994cdb51d2b9b136b4e1c81167186cab2f1b50e04398fa657e",
+        "compare.json": "960a85e8d500b2de616633a04875f16fe63f9b1418cca89acb875620138a2939",
+    },
 }
 
 
 def simulation_digests(tmp_path, name):
     config_name, argv = SIM_RUNS[name]
     config, out = tmp_path / "config.json", tmp_path / name
-    config.write_text(json.dumps(IOPT_CONFIGS[config_name]))
+    config.write_text(json.dumps(SIM_CONFIGS[config_name]))
     assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0
     digests = {}
     for path in sorted(out.iterdir()):

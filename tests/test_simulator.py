@@ -97,6 +97,8 @@ class TestSimSpec:
             validate_sim_spec(SimSpec(horizon=100, thresholds=(5.0, np.nan)))
         with pytest.raises(ValueError, match="finite"):
             validate_sim_spec(SimSpec(horizon=100, thresholds=(5.0, np.inf)))
+        with pytest.raises(ValueError, match="empty"):
+            validate_sim_spec(SimSpec(horizon=100, thresholds=()))
 
 
 class TestRunReplication:
@@ -599,7 +601,7 @@ def replay(cfg, policy, seed, horizon):
     tied set the specified rule (stable_scores + tied_mask) gives for the
     queues before that slot's arrivals, and the slot's tie uniform (empty for
     lowest-index ties)."""
-    spec = SimSpec(horizon=horizon, burn_in=0, thresholds=(), master_seed=seed, record_trace=True)
+    spec = SimSpec(horizon=horizon, burn_in=0, master_seed=seed, record_trace=True)
     trace = run_replication(cfg, policy, spec, 0).trace
     tied = tied_mask(stable_scores(policy.variant, cfg, trace["q"][:-1], trace["state"]))
     return trace["chosen"], tied, trace["tie_uniform"]
