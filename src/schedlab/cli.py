@@ -2,8 +2,9 @@
 
 All commands ingest a JSON system config, write JSON/CSV results (and SVG
 plots) atomically into --out, and echo the fully resolved parameters in every
-JSON document. Exit codes: 0 success, 2 usage/config error, 3 computation
-error.
+JSON document. Exit codes: 0 success, 2 bad input (a ValueError from the
+library, or a path that cannot be read or written), 3 computation error
+(schedlab.errors.ComputationError).
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
-from .errors import (
-    InsufficientEventsError,
-    KernelBuildError,
-    NoSamplesError,
-    SchedLabError,
-    SolverFailureError,
-    TraceUnavailableError,
-)
+from .errors import ComputationError
 from .ldp import compute_iopt
 from .model import SystemConfig, config_from_json, config_to_json
 from .schedulers import (
@@ -92,17 +86,18 @@ def _write_json(path: Path, doc: dict) -> None:
     _write_text(path, json.dumps(_jsonify(doc), indent=2, sort_keys=True) + "\n")
 
 
+def _cells(col) -> list[str]:
+    """A column's CSV cells: a float's carry 12 significant digits, NaN as an
+    empty cell; any other value (int, str) is written as its str."""
+    arr = np.asarray(col)
+    if arr.dtype.kind == "f":
+        return ["" if v != v else f"{v:.12g}" for v in arr.tolist()]
+    return [str(v) for v in arr.tolist()]
+
+
 def _write_csv(path: Path, columns: dict) -> None:
-    """One CSV from header -> column: a float column's cells carry 12
-    significant digits, NaN as an empty cell; any other column (int, str)
-    is written as str of each value."""
-    cells = []
-    for col in columns.values():
-        arr = np.asarray(col)
-        if arr.dtype.kind == "f":
-            cells.append(["" if v != v else f"{v:.12g}" for v in arr.tolist()])
-        else:
-            cells.append([str(v) for v in arr.tolist()])
+    """One CSV from header -> column, each column formatted by _cells."""
+    cells = [_cells(col) for col in columns.values()]
     _write_text(path, "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n")
 
 
@@ -318,7 +313,8 @@ def cmd_regions(args) -> int:
         cfg, policy, axes, fixed_queues=fixed, grid_max=args.grid_max, grid_step=args.grid_step
     )
     out = Path(args.out)
-    q, G = region.q_values, len(region.q_values)
+    # format the G grid values once and repeat the strings over the G x G map
+    q, G = np.array(_cells(region.q_values)), len(region.q_values)
     _write_csv(out / "regions.csv",
                {"q_a": np.repeat(q, G), "q_b": np.tile(q, G), "label": region.labels.ravel()})
     chart = svg.region_chart(
@@ -417,22 +413,9 @@ _COMMANDS = {
     "compare": cmd_compare,
 }
 
-_USAGE_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    json.JSONDecodeError,
-    KeyError,
-    TypeError,
-    ValueError,
-)
-
-_COMPUTE_ERRORS = (
-    KernelBuildError,
-    SolverFailureError,
-    InsufficientEventsError,
-    NoSamplesError,
-    TraceUnavailableError,
-)
+# bad input: a config, policy or option the library rejects (ValueError), or a
+# path that cannot be read or written (OSError)
+_USAGE_ERRORS = (OSError, KeyError, TypeError, ValueError)
 
 
 def main(argv=None) -> int:
@@ -440,10 +423,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _COMPUTE_ERRORS as exc:
+    except ComputationError as exc:
         print(f"schedlab: computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (SchedLabError, *_USAGE_ERRORS) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"schedlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,12 +27,7 @@ import numpy as np
 from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp, rel_entr
 
-from .errors import (
-    MalformedPathError,
-    NegativeArgumentError,
-    NotAProbabilityVectorError,
-    SolverFailureError,
-)
+from .errors import ComputationError
 from .model import ARRIVAL_FLUID, SystemConfig
 
 PROB_TOL = 1e-9
@@ -51,9 +46,9 @@ def poisson_rate(xi, lam):
     xi_arr = np.asarray(xi, dtype=float)
     lam_arr = np.asarray(lam, dtype=float)
     if np.any(xi_arr < 0):
-        raise NegativeArgumentError("xi must be >= 0")
+        raise ValueError("xi must be >= 0")
     if np.any(lam_arr <= 0):
-        raise NegativeArgumentError("lam must be > 0")
+        raise ValueError("lam must be > 0")
     with np.errstate(divide="ignore", invalid="ignore"):
         # log(xi) - log(lam) rather than log(xi/lam): the quotient can
         # underflow to 0 for subnormal xi while the logs stay finite
@@ -67,11 +62,11 @@ def poisson_rate(xi, lam):
 def _check_prob_vector(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
-        raise NotAProbabilityVectorError(f"{name} must be 1-D")
+        raise ValueError(f"{name} must be 1-D")
     if np.any(v < 0):
-        raise NotAProbabilityVectorError(f"{name} has negative entries")
+        raise ValueError(f"{name} has negative entries")
     if abs(v.sum() - 1.0) > PROB_TOL:
-        raise NotAProbabilityVectorError(f"{name} sums to {v.sum()}, not 1 within {PROB_TOL}")
+        raise ValueError(f"{name} sums to {v.sum()}, not 1 within {PROB_TOL}")
     return v
 
 
@@ -80,7 +75,7 @@ def relative_entropy(gamma, p) -> float:
     gamma = _check_prob_vector(gamma, "gamma")
     p = _check_prob_vector(p, "p")
     if gamma.shape != p.shape:
-        raise NotAProbabilityVectorError("gamma and p must have equal length")
+        raise ValueError("gamma and p must have equal length")
     return float(rel_entr(gamma, p).sum())
 
 
@@ -109,16 +104,16 @@ def path_cost(path: PathSample, cfg: SystemConfig) -> float:
     f = np.asarray(path.f_values, dtype=float)
     g = np.asarray(path.g_values, dtype=float)
     if t.ndim != 1 or len(t) < 2:
-        raise MalformedPathError("times must be a 1-D grid with at least two points")
+        raise ValueError("times must be a 1-D grid with at least two points")
     if f.shape != (len(t), cfg.n_users) or g.shape != (len(t), cfg.n_states):
-        raise MalformedPathError("f_values/g_values shapes disagree with the time grid")
+        raise ValueError("f_values/g_values shapes disagree with the time grid")
     dt = np.diff(t)
     if np.any(dt <= 0):
-        raise MalformedPathError("times must be strictly ascending")
+        raise ValueError("times must be strictly ascending")
     df = np.diff(f, axis=0)
     dg = np.diff(g, axis=0)
     if np.any(df < -1e-12) or np.any(dg < -1e-12):
-        raise MalformedPathError("paths must be nondecreasing componentwise")
+        raise ValueError("paths must be nondecreasing componentwise")
 
     fdot = np.clip(df, 0.0, None) / dt[:, None]
     gdot = np.clip(dg, 0.0, None) / dt[:, None]
@@ -159,12 +154,12 @@ def _clean_rows(phi: np.ndarray) -> np.ndarray:
 def solve_standard_form(c, A, b) -> tuple[np.ndarray, float]:
     """Minimize c.x s.t. A x = b, x >= 0 with HiGHS; returns (x, objective).
 
-    Raises SolverFailureError on any non-success status (infeasible,
+    Raises ComputationError on any non-success status (infeasible,
     unbounded, iteration limit, numerical trouble).
     """
     res = linprog(c, A_eq=A, b_eq=b, method="highs")
     if not res.success:
-        raise SolverFailureError(f"LP failed: {res.message}")
+        raise ComputationError(f"LP failed: {res.message}")
     return res.x, float(res.fun)
 
 
@@ -177,11 +172,11 @@ def w_growth(y, gamma, cfg: SystemConfig) -> tuple[float, AllocationMatrix]:
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
-        raise NegativeArgumentError("y entries must be >= 0")
+        raise ValueError("y entries must be >= 0")
     gamma = _check_prob_vector(gamma, "gamma")
     M, N = cfg.n_states, cfg.n_users
     if y.shape != (N,) or gamma.shape != (M,):
-        raise SolverFailureError("y/gamma dimensions disagree with the config")
+        raise ValueError("y/gamma dimensions disagree with the config")
 
     R = gamma[:, None] * cfg.rate_matrix  # (M, N) effective service rates
     # variables: [w, phi (M*N), surplus (N)]
@@ -235,7 +230,7 @@ def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray:
     """Vertices of the dual arrangement on the face {u >= 0, sum u = 1}.
 
     Each subset is the face row plus N-1 of the other hyperplanes. Raises
-    SolverFailureError when the number of subsets to try exceeds
+    ComputationError when the number of subsets to try exceeds
     _CANDIDATE_CAP, instead of running for hours.
     """
     M, N = rate_matrix.shape
@@ -263,7 +258,7 @@ def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray:
     others = [r for r in range(len(rows)) if r != N]  # row N is the face sum u = 1
     n_subsets = math.comb(len(others), N - 1)
     if n_subsets > _CANDIDATE_CAP:
-        raise SolverFailureError(
+        raise ComputationError(
             f"dual-vertex enumeration needs {n_subsets} subsets of {N - 1} of {len(others)} "
             f"hyperplanes on the face sum u = 1, above the cap of {_CANDIDATE_CAP}"
         )
@@ -353,7 +348,7 @@ def compute_iopt(cfg: SystemConfig) -> IoptResult:
         # whose secant never turns positive
         keep = (slope0 >= 0) | (U @ lam > C[:, p > 0].min(axis=1))
         if not keep.any():
-            raise SolverFailureError("no channel deviation makes the largest queue grow")
+            raise ComputationError("no channel deviation makes the largest queue grow")
         U, C, slope0 = U[keep], C[keep], slope0[keep]
 
     def secants(t: float) -> np.ndarray:

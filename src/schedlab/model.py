@@ -15,13 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    NegativeEntryError,
-    ProbabilitySumError,
-)
-
 PROB_SUM_TOL = 1e-9
 
 ARRIVAL_POISSON = "poisson"
@@ -86,26 +79,24 @@ class TraceCounters:
     final_queues: np.ndarray
 
     def validate(self, atol: float = 1e-9) -> None:
-        """Check the conservation identities; raises AssertionError on violation."""
-        assert np.all(self.state_slots == self.served_slots.sum(axis=1)), (
-            "state_slots must equal served_slots summed over users"
-        )
-        assert int(self.state_slots.sum()) == self.horizon, (
-            "state slot counts must total the recorded horizon"
-        )
-        assert np.all(self.departures <= self.arrivals + self.initial_queues + atol), (
-            "departures may not exceed arrivals plus the initial backlog"
-        )
+        """Check the conservation identities; raises ValueError on violation."""
+        if not np.all(self.state_slots == self.served_slots.sum(axis=1)):
+            raise ValueError("state_slots must equal served_slots summed over users")
+        if int(self.state_slots.sum()) != self.horizon:
+            raise ValueError("state slot counts must total the recorded horizon")
+        if not np.all(self.departures <= self.arrivals + self.initial_queues + atol):
+            raise ValueError("departures may not exceed arrivals plus the initial backlog")
         balance = self.final_queues - self.initial_queues - self.arrivals + self.departures
-        assert np.all(np.abs(balance) <= atol), "queue balance identity violated"
+        if not np.all(np.abs(balance) <= atol):
+            raise ValueError("queue balance identity violated")
 
 
 def validate_config(raw: SystemConfig) -> SystemConfig:
     """Validate a SystemConfig and return a normalized copy.
 
-    state_probs summing to 1 within 1e-9 are renormalized exactly; a larger
-    deviation raises ProbabilitySumError. A non-finite entry, or no users or
-    no states, raises ValueError naming the field.
+    state_probs summing to 1 within 1e-9 are renormalized exactly. Any bad
+    field raises ValueError naming it: a wrong shape, a non-finite or
+    negative entry, a larger sum deviation, or no users or no states.
     """
     for name, n in (("n_users", raw.n_users), ("n_states", raw.n_states)):
         if n < 1:
@@ -115,17 +106,11 @@ def validate_config(raw: SystemConfig) -> SystemConfig:
     lam = np.asarray(raw.arrival_rates, dtype=float)
 
     if p.shape != (raw.n_states,):
-        raise DimensionMismatchError(
-            f"state_probs has shape {p.shape}, expected ({raw.n_states},)"
-        )
+        raise ValueError(f"state_probs has shape {p.shape}, expected ({raw.n_states},)")
     if rates.shape != (raw.n_states, raw.n_users):
-        raise DimensionMismatchError(
-            f"rate_matrix has shape {rates.shape}, expected ({raw.n_states}, {raw.n_users})"
-        )
+        raise ValueError(f"rate_matrix has shape {rates.shape}, expected ({raw.n_states}, {raw.n_users})")
     if lam.shape != (raw.n_users,):
-        raise DimensionMismatchError(
-            f"arrival_rates has shape {lam.shape}, expected ({raw.n_users},)"
-        )
+        raise ValueError(f"arrival_rates has shape {lam.shape}, expected ({raw.n_users},)")
     if raw.arrival_model not in ARRIVAL_MODELS:
         raise ValueError(f"arrival_model must be one of {ARRIVAL_MODELS}")
 
@@ -133,15 +118,15 @@ def validate_config(raw: SystemConfig) -> SystemConfig:
         if not np.all(np.isfinite(entries)):
             raise ValueError(f"{name} entries must be finite, got {entries.tolist()}")
     if np.any(p < 0):
-        raise NegativeEntryError("state_probs entries must be >= 0")
+        raise ValueError("state_probs entries must be >= 0")
     if np.any(rates < 0):
-        raise NegativeEntryError("rate_matrix entries must be >= 0")
+        raise ValueError("rate_matrix entries must be >= 0")
     if np.any(lam <= 0):
-        raise NegativeEntryError("arrival_rates entries must be > 0")
+        raise ValueError("arrival_rates entries must be > 0")
 
     total = p.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ProbabilitySumError(f"state_probs sum to {total}, deviation > {PROB_SUM_TOL}")
+        raise ValueError(f"state_probs sum to {total}, deviation > {PROB_SUM_TOL}")
     p = p / total
 
     return SystemConfig(
@@ -241,12 +226,12 @@ def step_queues(
     cumulative balance Q(T) = Q(0) + arrivals(T) - departures(T) is exact.
     """
     if not 0 <= served_user < cfg.n_users:
-        raise IndexOutOfRangeError(f"served_user {served_user} outside [0, {cfg.n_users})")
+        raise ValueError(f"served_user {served_user} outside [0, {cfg.n_users})")
     if not 0 <= state < cfg.n_states:
-        raise IndexOutOfRangeError(f"state {state} outside [0, {cfg.n_states})")
+        raise ValueError(f"state {state} outside [0, {cfg.n_states})")
     arrivals = np.asarray(arrivals, dtype=float)
     if np.any(arrivals < 0):
-        raise NegativeEntryError("arrivals entries must be >= 0")
+        raise ValueError("arrivals entries must be >= 0")
 
     new_q = q + arrivals
     departure = float(min(new_q[served_user], cfg.rate_matrix[state, served_user]))

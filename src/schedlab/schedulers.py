@@ -12,7 +12,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError
 from .model import SystemConfig, load_json_object
 
 TIE_LOWEST = "lowest_index"
@@ -193,7 +192,7 @@ def select(
     uniform_random ties the slot kernel's tied[floor(u * count)], u from rng.
     """
     if not 0 <= state < cfg.n_states:
-        raise IndexOutOfRangeError(f"state {state} outside [0, {cfg.n_states})")
+        raise ValueError(f"state {state} outside [0, {cfg.n_states})")
     v = policy.variant
     q = np.asarray(q, dtype=float)
     stable = stable_scores(v, cfg, q[None, :], np.array([state]))[0]

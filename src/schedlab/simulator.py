@@ -30,14 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRangeError,
-    InsufficientEventsError,
-    KernelBuildError,
-    NoSamplesError,
-    SolverFailureError,
-    TraceUnavailableError,
-)
+from .errors import ComputationError
 from .model import (
     ARRIVAL_FLUID,
     POISSON_LAM_MAX,
@@ -182,9 +175,9 @@ def _build(command: list[str], library: Path, path: Path) -> None:
         try:
             proc = subprocess.run(argv, capture_output=True, text=True)
         except OSError as exc:
-            raise KernelBuildError(f"{failure}: {exc}") from exc
+            raise ComputationError(f"{failure}: {exc}") from exc
         if proc.returncode != 0:
-            raise KernelBuildError(f"{failure} exited {proc.returncode}: {proc.stderr.strip()}")
+            raise ComputationError(f"{failure} exited {proc.returncode}: {proc.stderr.strip()}")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -203,7 +196,7 @@ def _slot_kernel(cc: str, library: Path):
     try:
         library_bytes = library.read_bytes()
     except OSError as exc:
-        raise KernelBuildError(f"cannot build the slot kernel: numpy's random library "
+        raise ComputationError(f"cannot build the slot kernel: numpy's random library "
                                f"{library} cannot be read: {exc.strerror}") from exc
     digest = hashlib.sha256(_SLOTS_SOURCE.read_bytes() + library_bytes + "\0".join(command).encode())
     name = f"_slots-{digest.hexdigest()[:16]}.so"
@@ -214,12 +207,15 @@ def _slot_kernel(cc: str, library: Path):
             _build(command, library, path)
     except OSError:  # a read-only install: keep the library per user instead
         user_dir = Path(tempfile.gettempdir()) / f"schedlab-{os.getuid()}"
-        user_dir.mkdir(mode=0o700, exist_ok=True)
-        if user_dir.stat().st_uid != os.getuid():
-            raise KernelBuildError(f"cannot build the slot kernel: {user_dir} belongs to another user")
-        path = user_dir / name
-        if not path.is_file():
-            _build(command, library, path)
+        try:
+            user_dir.mkdir(mode=0o700, exist_ok=True)
+            if user_dir.stat().st_uid != os.getuid():
+                raise ComputationError(f"cannot build the slot kernel: {user_dir} belongs to another user")
+            path = user_dir / name
+            if not path.is_file():
+                _build(command, library, path)
+        except OSError as exc:
+            raise ComputationError(f"cannot build the slot kernel: {exc}") from exc
     fn = ctypes.CDLL(str(path)).run_slots
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -350,7 +346,7 @@ def estimate_overflow(
     the whole run from empty).
     """
     if not outputs:
-        raise NoSamplesError("no replication outputs")
+        raise ValueError("no replication outputs")
     counts = np.array([o.overflow_slot_counts for o in outputs])
     if mode == ESTIMATOR_STATIONARY:
         events, n = counts.sum(axis=0), sum(o.counters.horizon for o in outputs)
@@ -364,17 +360,15 @@ def estimate_overflow(
     ]
 
 
-def fit_decay_rate(estimates: list[OverflowEstimate], min_events: int = 5) -> DecayFit:
+def fit_decay_rate(estimates: list[OverflowEstimate], min_events: int = 5) -> DecayFit | None:
     """Least-squares slope of -log(probability) against the threshold.
 
     Thresholds with fewer than min_events events are excluded (log of a
-    zero-event estimate is undefined); at least two usable points required.
+    zero-event estimate is undefined); None when fewer than two remain.
     """
     usable = [e for e in estimates if e.n_events >= min_events]
     if len(usable) < 2:
-        raise InsufficientEventsError(
-            f"need >= 2 thresholds with >= {min_events} events, have {len(usable)}"
-        )
+        return None
     x = np.array([e.threshold for e in usable])
     y = -np.log(np.array([e.probability for e in usable]))
     A = np.vstack([x, np.ones_like(x)]).T
@@ -423,15 +417,11 @@ def run_simulation(
     estimates, decay fit, and the empirical allocation matrix."""
     outputs = run_replications(cfg, policy, spec, list(range(spec.replications)))
     overflow = estimate_overflow(outputs, mode=mode)
-    try:
-        decay = fit_decay_rate(overflow)
-    except InsufficientEventsError:
-        decay = None
     agg = aggregate_counters(outputs)
     mean_q = np.mean([o.mean_queues for o in outputs], axis=0)
     return SimResult(
         overflow=overflow,
-        decay=decay,
+        decay=fit_decay_rate(overflow),
         empirical_phi=empirical_phi(agg),
         mean_queues=mean_q,
         counters=agg,
@@ -460,7 +450,7 @@ def scaled_trace(output: ReplicationOutput, scale: float) -> ScaledTrace:
     integer scaled times; cumulative counts are step functions, so non-integer
     B*t floors to the enclosing slot."""
     if output.trace is None:
-        raise TraceUnavailableError("replication was run without record_trace")
+        raise ValueError("replication was run without record_trace")
     if scale <= 0:
         raise ValueError("scale must be > 0")
     tr = output.trace
@@ -525,7 +515,7 @@ def decision_regions(
         raise ValueError("axis users must be distinct")
     for user in (a, b):
         if not 0 <= user < cfg.n_users:
-            raise IndexOutOfRangeError(f"axis user {user} outside [0, {cfg.n_users})")
+            raise ValueError(f"axis user {user} outside [0, {cfg.n_users})")
     if not np.isfinite(grid_max):
         raise ValueError(f"grid_max must be finite, got {grid_max}")
     if not grid_step > 0:
@@ -535,7 +525,7 @@ def decision_regions(
     n_grid = float(np.ceil((grid_max + grid_step / 2) / grid_step))  # len(q_values) below
     n_scores = n_grid * n_grid * cfg.n_users
     if n_scores > _REGION_SCORE_CAP:
-        raise SolverFailureError(
+        raise ComputationError(
             f"a {n_grid:.15g} x {n_grid:.15g} grid over {cfg.n_users} users needs {n_scores:.15g} "
             f"scores per channel state, above the cap of {_REGION_SCORE_CAP}"
         )

@@ -221,6 +221,19 @@ class TestIopt:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("option", ["--out", "--config"])
+    def test_path_under_a_file_exits_2(self, ref_cfg_path, tmp_path, capsys, option):
+        """A path through a regular file is bad input: exit 2 with one line,
+        not a NotADirectoryError traceback."""
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        paths = {"--config": str(ref_cfg_path), "--out": str(tmp_path / "out"), option: str(plain / "sub")}
+        rc = run_cli("iopt", *[arg for pair in paths.items() for arg in pair])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("schedlab: ") and err.count("\n") == 1 and "Not a directory" in err, err
+
+
 class TestRegions:
     def test_boundaries_move_with_q_th(self, ref_cfg_path, tmp_path):
         outs = []

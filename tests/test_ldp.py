@@ -19,12 +19,7 @@ from schedlab import (
     relative_entropy,
     w_growth,
 )
-from schedlab.errors import (
-    MalformedPathError,
-    NegativeArgumentError,
-    NotAProbabilityVectorError,
-    SolverFailureError,
-)
+from schedlab.errors import ComputationError
 from schedlab import ldp
 from schedlab.ldp import _dual_candidates, solve_standard_form
 from conftest import make_config
@@ -52,9 +47,9 @@ class TestPoissonRate:
         assert poisson_rate(0.0, 2.5) == 2.5
 
     def test_negative_arguments_rejected(self):
-        with pytest.raises(NegativeArgumentError):
+        with pytest.raises(ValueError, match="xi must be >= 0"):
             poisson_rate(-0.1, 1.0)
-        with pytest.raises(NegativeArgumentError):
+        with pytest.raises(ValueError, match="lam must be > 0"):
             poisson_rate(1.0, 0.0)
 
     def test_vectorized(self):
@@ -94,9 +89,9 @@ class TestRelativeEntropy:
         assert relative_entropy([0.5, 0.5], [1.0, 0.0]) == math.inf
 
     def test_rejects_non_probability_vectors(self):
-        with pytest.raises(NotAProbabilityVectorError):
+        with pytest.raises(ValueError, match="gamma sums to"):
             relative_entropy([0.5, 0.6], [0.5, 0.5])
-        with pytest.raises(NotAProbabilityVectorError):
+        with pytest.raises(ValueError, match="gamma has negative entries"):
             relative_entropy([1.5, -0.5], [0.5, 0.5])
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))
@@ -140,12 +135,12 @@ class TestPathCost:
 
     def test_malformed_paths_rejected(self, ref_cfg):
         t = np.array([0.0, 1.0, 0.5])
-        with pytest.raises(MalformedPathError):
+        with pytest.raises(ValueError, match="times must be strictly ascending"):
             path_cost(
                 PathSample(t, np.zeros((3, 4)), np.zeros((3, 3))), ref_cfg
             )
         t = np.array([0.0, 1.0])
-        with pytest.raises(MalformedPathError):
+        with pytest.raises(ValueError, match="paths must be nondecreasing"):
             path_cost(
                 PathSample(t, np.array([[0.0] * 4, [-1.0] * 4]), np.outer(t, ref_cfg.state_probs)),
                 ref_cfg,
@@ -544,12 +539,12 @@ class TestSolveStandardForm:
 
     def test_infeasible_raises(self):
         # x1 = -1 with x1 >= 0
-        with pytest.raises(SolverFailureError):
+        with pytest.raises(ComputationError, match="LP failed"):
             solve_standard_form(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
 
     def test_unbounded_raises(self):
         # min -x1 s.t. x1 - x2 = 0 (both free upward)
-        with pytest.raises(SolverFailureError):
+        with pytest.raises(ComputationError, match="LP failed"):
             solve_standard_form(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
 
     def test_redundant_constraints_handled(self):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,17 +10,12 @@ from hypothesis import given, settings, strategies as st
 from schedlab import (
     RandomSource,
     SystemConfig,
+    TraceCounters,
     config_from_json,
     sample_arrivals,
     sample_channel,
     step_queues,
     validate_config,
-)
-from schedlab.errors import (
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    NegativeEntryError,
-    ProbabilitySumError,
 )
 from conftest import make_config
 
@@ -26,15 +26,15 @@ class TestValidateConfig:
         assert np.isclose(ref_cfg.state_probs.sum(), 1.0)
 
     def test_prob_sum_out_of_tolerance(self):
-        with pytest.raises(ProbabilitySumError):
+        with pytest.raises(ValueError, match="state_probs sum to"):
             make_config([[1.0] * 4] * 3, [0.5, 0.5, 0.1], [1.0] * 4)
 
     def test_negative_rate_entry(self):
-        with pytest.raises(NegativeEntryError):
+        with pytest.raises(ValueError, match="rate_matrix entries must be >= 0"):
             make_config([[0, 0], [3, -1]], [0.5, 0.5], [1.0, 1.0])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="rate_matrix has shape"):
             validate_config(
                 SystemConfig(
                     n_users=2,
@@ -137,9 +137,9 @@ class TestStepQueues:
         assert dep == 3.0
 
     def test_index_out_of_range(self, single_user_cfg):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ValueError, match="served_user 1 outside"):
             step_queues(np.array([1.0]), np.array([0.0]), 1, 0, single_user_cfg)
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ValueError, match="state 5 outside"):
             step_queues(np.array([1.0]), np.array([0.0]), 0, 5, single_user_cfg)
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -160,3 +160,50 @@ class TestStepQueues:
             total_arr += arr
             total_dep[served] += dep
         assert np.array_equal(q, total_arr - total_dep)
+
+
+# a consistent window of 10 one-state slots: 1 queued, 7 in, 5 out, 3 left
+COUNTERS = dict(arrivals=[7.0], departures=[5.0], state_slots=[10], served_slots=[[10]],
+                horizon=10, max_queue_seen=3.0, initial_queues=[1.0], final_queues=[3.0])
+# one broken set per conservation identity, with the message naming it
+BROKEN_COUNTERS = [
+    ({"served_slots": [[9]]}, "state_slots must equal served_slots summed over users"),
+    ({"horizon": 11}, "state slot counts must total the recorded horizon"),
+    ({"departures": [9.0], "final_queues": [-1.0]}, "departures may not exceed arrivals plus the initial backlog"),
+    ({"final_queues": [4.0]}, "queue balance identity violated"),
+]
+
+
+def trace_counters(**changes) -> TraceCounters:
+    fields = {**COUNTERS, **changes}
+    return TraceCounters(**{k: np.asarray(v) if isinstance(v, list) else v for k, v in fields.items()})
+
+
+class TestTraceCountersValidate:
+    def test_consistent_set_accepted(self):
+        trace_counters().validate()
+
+    @pytest.mark.parametrize("changes,message", BROKEN_COUNTERS, ids=["served", "horizon", "departures", "balance"])
+    def test_broken_set_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            trace_counters(**changes).validate()
+
+    def test_checks_survive_optimized_python(self):
+        """python -O strips assert statements: validate must still reject
+        every broken set there."""
+        script = (
+            "from test_model import BROKEN_COUNTERS, trace_counters\n"
+            "assert False, 'run without -O'\n"
+            "for changes, _ in BROKEN_COUNTERS:\n"
+            "    try:\n"
+            "        trace_counters(**changes).validate()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        tests = Path(__file__).resolve().parent
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [message for _, message in BROKEN_COUNTERS]
