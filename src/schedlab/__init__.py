@@ -22,7 +22,6 @@ from .model import (
     sample_channel,
     step_queues,
     reference_config,
-    validate_config,
 )
 from .schedulers import (
     Exp,
@@ -33,7 +32,6 @@ from .schedulers import (
     policy_from_json,
     policy_to_json,
     select,
-    validate_policy,
 )
 from .simulator import (
     DecayFit,

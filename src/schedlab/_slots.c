@@ -16,11 +16,9 @@
  * A slot scores the users on the queues before arrivals with
  * schedulers.stable_scores, picks from the set tied_mask gives
  * (score >= row max - 1e-12), adds the slot's arrivals and drains
- * min(backlog, rate) from the chosen user. Built with -ffp-contract=off, het
- * and exp scores are bitwise the ones stable_scores computes (libm pow is
- * numpy's scalar power); mw's pow may differ from numpy's vectorized power in
- * the last bit, which moves a decision only when a score gap lies within an
- * ulp of the 1e-12 tie tolerance.
+ * min(backlog, rate) from the chosen user. Built with -ffp-contract=off, the
+ * scores are bitwise the ones stable_scores computes, whose powers are libm's
+ * pow too.
  *
  * The same walk adds each post-burn-in slot into the run's statistics, and
  * fills the per-slot trace (draws, choice, departure, queues) only when the

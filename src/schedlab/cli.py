@@ -24,7 +24,7 @@ from .errors import ComputationError
 from .ldp import compute_iopt
 from .model import SystemConfig, config_from_json, config_to_json
 from .schedulers import (
-    VARIANT_PARAM, Exp, Heterogeneous, MaxWeight, Policy, policy_from_json, policy_to_json, validate_policy,
+    VARIANT_PARAM, Exp, Heterogeneous, MaxWeight, Policy, policy_from_json, policy_to_json,
 )
 from .simulator import (
     DEFAULT_THRESHOLDS,
@@ -35,7 +35,6 @@ from .simulator import (
     decision_regions,
     resolved_burn_in,
     run_simulation,
-    validate_sim_spec,
 )
 
 EXIT_OK = 0
@@ -171,14 +170,12 @@ def _parse_thresholds(text: str | None) -> tuple[float, ...]:
 def _load_inputs(args, policy: bool = True):
     cfg = config_from_json(Path(args.config))
     pol = policy_from_json(args.policy) if policy else None
-    spec = validate_sim_spec(
-        SimSpec(
-            horizon=args.horizon,
-            replications=args.replications,
-            burn_in=args.burn_in,
-            thresholds=_parse_thresholds(args.thresholds),
-            master_seed=args.seed,
-        )
+    spec = SimSpec(
+        horizon=args.horizon,
+        replications=args.replications,
+        burn_in=args.burn_in,
+        thresholds=_parse_thresholds(args.thresholds),
+        master_seed=args.seed,
     )
     return cfg, pol, spec
 
@@ -241,8 +238,6 @@ def cmd_sweep(args) -> int:
     if len(values) < 2:
         raise ValueError("sweep needs at least two parameter values")
     swept = [_policy_with_param(policy, v) for v in values]
-    for pol, _ in swept:
-        validate_policy(pol)
 
     iopt = compute_iopt(cfg)
     fits = []
@@ -334,8 +329,6 @@ def cmd_compare(args) -> int:
         ("exp", args.eta, Policy(Exp(eta=args.eta))),
         ("mw", args.alpha, Policy(MaxWeight(alpha=args.alpha))),
     ]
-    for _, _, pol in policies:
-        validate_policy(pol)
 
     results = {name: run_simulation(cfg, pol, spec, mode=args.estimator) for name, _, pol in policies}
     fits = [r.decay for r in results.values()]

@@ -198,10 +198,10 @@ def w_growth(y, gamma, cfg: SystemConfig) -> tuple[float, AllocationMatrix]:
     return max(0.0, value), AllocationMatrix(phi)
 
 
-def is_stabilizable(cfg: SystemConfig, epsilon: float = 0.0) -> tuple[bool, AllocationMatrix | None]:
-    """True iff some allocation serves every user at >= lambda_i (1 + epsilon)
-    under the true state distribution; returns the witness allocation."""
-    w, phi = w_growth(cfg.arrival_rates * (1.0 + epsilon), cfg.state_probs, cfg)
+def is_stabilizable(cfg: SystemConfig) -> tuple[bool, AllocationMatrix | None]:
+    """True iff some allocation serves every user at >= lambda_i under the
+    true state distribution; returns the witness allocation."""
+    w, phi = w_growth(cfg.arrival_rates, cfg.state_probs, cfg)
     if w <= 1e-9:
         return True, phi
     return False, None

@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 PROB_SUM_TOL = 1e-9
+# packets by which TraceCounters' conservation identities may miss
+BALANCE_ATOL = 1e-9
 
 ARRIVAL_POISSON = "poisson"
 ARRIVAL_FLUID = "fluid"
@@ -39,6 +41,45 @@ class SystemConfig:
     rate_matrix: np.ndarray
     arrival_rates: np.ndarray
     arrival_model: str = ARRIVAL_POISSON
+
+    def __post_init__(self):
+        """Check every field on construction, dataclasses.replace included,
+        and store the arrays as float, state_probs divided by its sum. Any bad
+        field raises ValueError naming it: a wrong shape, a non-finite or
+        negative entry, a sum more than 1e-9 from 1, or no users or no states.
+        """
+        for name, n in (("n_users", self.n_users), ("n_states", self.n_states)):
+            if n < 1:
+                raise ValueError(f"{name} must be >= 1, got {n}")
+        p = np.asarray(self.state_probs, dtype=float)
+        rates = np.asarray(self.rate_matrix, dtype=float)
+        lam = np.asarray(self.arrival_rates, dtype=float)
+
+        if p.shape != (self.n_states,):
+            raise ValueError(f"state_probs has shape {p.shape}, expected ({self.n_states},)")
+        if rates.shape != (self.n_states, self.n_users):
+            raise ValueError(f"rate_matrix has shape {rates.shape}, expected ({self.n_states}, {self.n_users})")
+        if lam.shape != (self.n_users,):
+            raise ValueError(f"arrival_rates has shape {lam.shape}, expected ({self.n_users},)")
+        if self.arrival_model not in ARRIVAL_MODELS:
+            raise ValueError(f"arrival_model must be one of {ARRIVAL_MODELS}")
+
+        for name, entries in (("state_probs", p), ("rate_matrix", rates), ("arrival_rates", lam)):
+            if not np.all(np.isfinite(entries)):
+                raise ValueError(f"{name} entries must be finite, got {entries.tolist()}")
+        if np.any(p < 0):
+            raise ValueError("state_probs entries must be >= 0")
+        if np.any(rates < 0):
+            raise ValueError("rate_matrix entries must be >= 0")
+        if np.any(lam <= 0):
+            raise ValueError("arrival_rates entries must be > 0")
+
+        total = p.sum()
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"state_probs sum to {total}, deviation > {PROB_SUM_TOL}")
+        object.__setattr__(self, "state_probs", p / total)
+        object.__setattr__(self, "rate_matrix", rates)
+        object.__setattr__(self, "arrival_rates", lam)
 
 
 @dataclass(frozen=True)
@@ -78,65 +119,18 @@ class TraceCounters:
     initial_queues: np.ndarray
     final_queues: np.ndarray
 
-    def validate(self, atol: float = 1e-9) -> None:
-        """Check the conservation identities; raises ValueError on violation."""
+    def validate(self) -> None:
+        """Check the conservation identities, to BALANCE_ATOL in packets;
+        raises ValueError on violation."""
         if not np.all(self.state_slots == self.served_slots.sum(axis=1)):
             raise ValueError("state_slots must equal served_slots summed over users")
         if int(self.state_slots.sum()) != self.horizon:
             raise ValueError("state slot counts must total the recorded horizon")
-        if not np.all(self.departures <= self.arrivals + self.initial_queues + atol):
+        if not np.all(self.departures <= self.arrivals + self.initial_queues + BALANCE_ATOL):
             raise ValueError("departures may not exceed arrivals plus the initial backlog")
         balance = self.final_queues - self.initial_queues - self.arrivals + self.departures
-        if not np.all(np.abs(balance) <= atol):
+        if not np.all(np.abs(balance) <= BALANCE_ATOL):
             raise ValueError("queue balance identity violated")
-
-
-def validate_config(raw: SystemConfig) -> SystemConfig:
-    """Validate a SystemConfig and return a normalized copy.
-
-    state_probs summing to 1 within 1e-9 are renormalized exactly. Any bad
-    field raises ValueError naming it: a wrong shape, a non-finite or
-    negative entry, a larger sum deviation, or no users or no states.
-    """
-    for name, n in (("n_users", raw.n_users), ("n_states", raw.n_states)):
-        if n < 1:
-            raise ValueError(f"{name} must be >= 1, got {n}")
-    p = np.asarray(raw.state_probs, dtype=float)
-    rates = np.asarray(raw.rate_matrix, dtype=float)
-    lam = np.asarray(raw.arrival_rates, dtype=float)
-
-    if p.shape != (raw.n_states,):
-        raise ValueError(f"state_probs has shape {p.shape}, expected ({raw.n_states},)")
-    if rates.shape != (raw.n_states, raw.n_users):
-        raise ValueError(f"rate_matrix has shape {rates.shape}, expected ({raw.n_states}, {raw.n_users})")
-    if lam.shape != (raw.n_users,):
-        raise ValueError(f"arrival_rates has shape {lam.shape}, expected ({raw.n_users},)")
-    if raw.arrival_model not in ARRIVAL_MODELS:
-        raise ValueError(f"arrival_model must be one of {ARRIVAL_MODELS}")
-
-    for name, entries in (("state_probs", p), ("rate_matrix", rates), ("arrival_rates", lam)):
-        if not np.all(np.isfinite(entries)):
-            raise ValueError(f"{name} entries must be finite, got {entries.tolist()}")
-    if np.any(p < 0):
-        raise ValueError("state_probs entries must be >= 0")
-    if np.any(rates < 0):
-        raise ValueError("rate_matrix entries must be >= 0")
-    if np.any(lam <= 0):
-        raise ValueError("arrival_rates entries must be > 0")
-
-    total = p.sum()
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"state_probs sum to {total}, deviation > {PROB_SUM_TOL}")
-    p = p / total
-
-    return SystemConfig(
-        n_users=raw.n_users,
-        n_states=raw.n_states,
-        state_probs=p,
-        rate_matrix=rates,
-        arrival_rates=lam,
-        arrival_model=raw.arrival_model,
-    )
 
 
 def load_json_object(source: str | Path | dict) -> dict:
@@ -151,13 +145,13 @@ def load_json_object(source: str | Path | dict) -> dict:
 
 
 def config_from_json(source: str | Path | dict) -> SystemConfig:
-    """Build a validated SystemConfig from a JSON document, path, or dict.
+    """Build a SystemConfig from a JSON document, path, or dict.
 
     Schema: {"n_users", "n_states", "state_probs", "rate_matrix",
     "arrival_rates", "arrival_model"}; rate_matrix is row-major, rows = states.
     """
     doc = load_json_object(source)
-    raw = SystemConfig(
+    return SystemConfig(
         n_users=int(doc["n_users"]),
         n_states=int(doc["n_states"]),
         state_probs=np.asarray(doc["state_probs"], dtype=float),
@@ -165,7 +159,6 @@ def config_from_json(source: str | Path | dict) -> SystemConfig:
         arrival_rates=np.asarray(doc["arrival_rates"], dtype=float),
         arrival_model=doc.get("arrival_model", ARRIVAL_POISSON),
     )
-    return validate_config(raw)
 
 
 def config_to_json(cfg: SystemConfig) -> dict:
@@ -241,19 +234,17 @@ def step_queues(
 
 def reference_config(arrival_model: str = ARRIVAL_POISSON) -> SystemConfig:
     """The 4-user / 3-state reference system used throughout the experiments."""
-    return validate_config(
-        SystemConfig(
-            n_users=4,
-            n_states=3,
-            state_probs=np.array([0.3, 0.6, 0.1]),
-            rate_matrix=np.array(
-                [
-                    [0.0, 0.0, 0.0, 0.0],
-                    [3.0, 9.0, 9.0, 9.0],
-                    [5.0, 0.0, 1.0, 1.0],
-                ]
-            ),
-            arrival_rates=np.array([1.0, 1.0, 1.0, 1.0]),
-            arrival_model=arrival_model,
-        )
+    return SystemConfig(
+        n_users=4,
+        n_states=3,
+        state_probs=np.array([0.3, 0.6, 0.1]),
+        rate_matrix=np.array(
+            [
+                [0.0, 0.0, 0.0, 0.0],
+                [3.0, 9.0, 9.0, 9.0],
+                [5.0, 0.0, 1.0, 1.0],
+            ]
+        ),
+        arrival_rates=np.array([1.0, 1.0, 1.0, 1.0]),
+        arrival_model=arrival_model,
     )

@@ -31,6 +31,13 @@ class Heterogeneous:
     rho1: float = 0.0
     rho2: float = 0.0
 
+    def __post_init__(self):
+        if not self.q_th > 0:
+            raise ValueError(f"q_th must be > 0, got {self.q_th}")
+        for name, val in (("rho1", self.rho1), ("rho2", self.rho2)):
+            if not 0.0 <= val <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {val}")
+
 
 @dataclass(frozen=True)
 class Exp:
@@ -39,6 +46,10 @@ class Exp:
     kind: ClassVar[str] = "exp"
     eta: float
 
+    def __post_init__(self):
+        if not 0.0 < self.eta < 1.0:
+            raise ValueError(f"eta must lie in the open interval (0, 1), got {self.eta}")
+
 
 @dataclass(frozen=True)
 class MaxWeight:
@@ -46,6 +57,10 @@ class MaxWeight:
 
     kind: ClassVar[str] = "mw"
     alpha: float
+
+    def __post_init__(self):
+        if not self.alpha >= 1.0:
+            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
 
 
 Variant = Heterogeneous | Exp | MaxWeight
@@ -60,8 +75,18 @@ VARIANT_PARAM = {Heterogeneous: "q_th", Exp: "eta", MaxWeight: "alpha"}
 
 @dataclass(frozen=True)
 class Policy:
+    """A rule and its tie-break. Each rule checks its own parameters, and the
+    policy its variant's type and tie_break, whenever one is built,
+    dataclasses.replace included."""
+
     variant: Variant
     tie_break: str = TIE_LOWEST
+
+    def __post_init__(self):
+        if not isinstance(self.variant, Variant):
+            raise TypeError(f"unknown policy variant {type(self.variant).__name__}")
+        if self.tie_break not in TIE_BREAKS:
+            raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
 
 
 @dataclass(frozen=True)
@@ -77,27 +102,6 @@ class SelectionScore:
     score: np.ndarray
     chosen: int
     tied_set: frozenset[int]
-
-
-def validate_policy(policy: Policy) -> Policy:
-    v = policy.variant
-    if isinstance(v, Heterogeneous):
-        if not v.q_th > 0:
-            raise ValueError(f"q_th must be > 0, got {v.q_th}")
-        for name, val in (("rho1", v.rho1), ("rho2", v.rho2)):
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
-    elif isinstance(v, Exp):
-        if not 0.0 < v.eta < 1.0:
-            raise ValueError(f"eta must lie in the open interval (0, 1), got {v.eta}")
-    elif isinstance(v, MaxWeight):
-        if not v.alpha >= 1.0:
-            raise ValueError(f"alpha must be >= 1, got {v.alpha}")
-    else:
-        raise TypeError(f"unknown policy variant {type(v).__name__}")
-    if policy.tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    return policy
 
 
 def policy_from_json(source: str | Path | dict) -> Policy:
@@ -119,7 +123,7 @@ def policy_from_json(source: str | Path | dict) -> Policy:
     if missing:
         raise ValueError(f"{kind} policy needs {', '.join(map(repr, missing))}")
     variant = rule(**{name: float(doc[name]) for name in params if name in doc})
-    return validate_policy(Policy(variant=variant, tie_break=doc.get("tie_break", TIE_LOWEST)))
+    return Policy(variant=variant, tie_break=doc.get("tie_break", TIE_LOWEST))
 
 
 def policy_to_json(policy: Policy) -> dict:
@@ -146,6 +150,13 @@ def rate_table(variant: Variant, cfg: SystemConfig) -> np.ndarray:
     raise TypeError(f"unknown policy variant {type(variant).__name__}")
 
 
+def _libm_pow(x: np.ndarray, a: float) -> np.ndarray:
+    """x ** a entry by entry with Python's float power, which is libm's pow as
+    in the slot kernel: numpy's vectorized power can differ from it in the
+    last bit, which would move exact ties."""
+    return np.array([v**a for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def stable_scores(variant: Variant, cfg: SystemConfig, Q: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Selection scores (R x N) for queue rows Q (R x N) in channel states m (R,).
 
@@ -162,15 +173,12 @@ def stable_scores(variant: Variant, cfg: SystemConfig, Q: np.ndarray, m: np.ndar
     if isinstance(variant, Heterogeneous):
         return table + Q / variant.q_th
     if isinstance(variant, Exp):
-        # the mean sums each row left to right, as the slot kernel does, and
-        # numpy scalar powers are libm's pow: the vectorized power can differ
-        # from them in the last bit, which would move exact ties
+        # the mean sums each row left to right, as the slot kernel does
         means = np.cumsum(Q, axis=1)[:, -1] / Q.shape[1]
-        denom = 1.0 + np.array([mean**variant.eta for mean in means])
-        return Q / denom[:, None] + table
+        return Q / (1.0 + _libm_pow(means, variant.eta))[:, None] + table
     q_max = Q.max(axis=1, keepdims=True)
     busy = q_max > 0
-    return np.where(busy, (Q / np.where(busy, q_max, 1.0)) ** variant.alpha * table, 0.0)
+    return np.where(busy, _libm_pow(Q / np.where(busy, q_max, 1.0), variant.alpha) * table, 0.0)
 
 
 def select(

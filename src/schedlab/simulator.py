@@ -49,7 +49,6 @@ from .schedulers import (
     rate_table,
     stable_scores,
     tied_mask,
-    validate_policy,
 )
 
 _CHUNK = 32_768  # fixed block size; part of the reproducibility contract
@@ -60,41 +59,42 @@ ESTIMATOR_EPISODE = "episode"
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
 DEFAULT_THRESHOLDS = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+# fewest overflow events a threshold needs to enter the decay fit
+MIN_FIT_EVENTS = 5
 
 
 @dataclass(frozen=True)
 class SimSpec:
     """One simulation campaign: horizon slots per replication, thresholds to
-    monitor, and the master seed splitting into per-replication streams."""
+    monitor, and the master seed splitting into per-replication streams.
+    Checked whenever one is built, dataclasses.replace included."""
 
     horizon: int
     replications: int = 1
-    burn_in: int | None = None  # None -> horizon // 10
+    # None -> horizon // 10, resolved when read, so a replaced horizon moves it
+    burn_in: int | None = None
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     master_seed: int = 0
     record_trace: bool = False
 
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
+        if not 0 <= resolved_burn_in(self) < self.horizon:
+            raise ValueError("burn_in must lie in [0, horizon)")
+        th = np.asarray(self.thresholds, dtype=float)
+        if th.size == 0:
+            raise ValueError("thresholds may not be empty: give at least one overflow threshold")
+        if not np.all(np.isfinite(th)):
+            raise ValueError(f"thresholds must be finite, got {th.tolist()}")
+        if np.any(th <= 0) or np.any(np.diff(th) <= 0):
+            raise ValueError("thresholds must be positive and strictly ascending")
+
 
 def resolved_burn_in(spec: SimSpec) -> int:
     return spec.horizon // 10 if spec.burn_in is None else spec.burn_in
-
-
-def validate_sim_spec(spec: SimSpec) -> SimSpec:
-    if spec.horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if spec.replications < 1:
-        raise ValueError("replications must be >= 1")
-    burn = resolved_burn_in(spec)
-    if not 0 <= burn < spec.horizon:
-        raise ValueError("burn_in must lie in [0, horizon)")
-    th = np.asarray(spec.thresholds, dtype=float)
-    if th.size == 0:
-        raise ValueError("thresholds may not be empty: give at least one overflow threshold")
-    if not np.all(np.isfinite(th)):
-        raise ValueError(f"thresholds must be finite, got {th.tolist()}")
-    if np.any(th <= 0) or np.any(np.diff(th) <= 0):
-        raise ValueError("thresholds must be positive and strictly ascending")
-    return spec
 
 
 @dataclass(frozen=True)
@@ -241,12 +241,10 @@ def run_replications(
     post-burn-in slot into the statistics, left to right, and fills the
     per-slot trace buffers only with record_trace.
     """
-    validate_policy(policy)
-    validate_sim_spec(spec)
     fluid = cfg.arrival_model == ARRIVAL_FLUID
     if not fluid:
         for user, rate in enumerate(cfg.arrival_rates.tolist()):
-            if not 0.0 <= rate <= POISSON_LAM_MAX:
+            if rate > POISSON_LAM_MAX:
                 raise ValueError(f"user {user}'s Poisson arrival rate {rate!r} lies outside "
                                  f"[0, {POISSON_LAM_MAX!r}], the range numpy's sampler takes")
     kernel = _slot_kernel(_CC, _NPYRANDOM)
@@ -360,13 +358,13 @@ def estimate_overflow(
     ]
 
 
-def fit_decay_rate(estimates: list[OverflowEstimate], min_events: int = 5) -> DecayFit | None:
+def fit_decay_rate(estimates: list[OverflowEstimate]) -> DecayFit | None:
     """Least-squares slope of -log(probability) against the threshold.
 
-    Thresholds with fewer than min_events events are excluded (log of a
+    Thresholds with fewer than MIN_FIT_EVENTS events are excluded (log of a
     zero-event estimate is undefined); None when fewer than two remain.
     """
-    usable = [e for e in estimates if e.n_events >= min_events]
+    usable = [e for e in estimates if e.n_events >= MIN_FIT_EVENTS]
     if len(usable) < 2:
         return None
     x = np.array([e.threshold for e in usable])
@@ -529,7 +527,6 @@ def decision_regions(
             f"a {n_grid:.15g} x {n_grid:.15g} grid over {cfg.n_users} users needs {n_scores:.15g} "
             f"scores per channel state, above the cap of {_REGION_SCORE_CAP}"
         )
-    validate_policy(policy)
     if fixed_queues is None:
         fixed_queues = np.zeros(cfg.n_users)
     fixed_queues = np.asarray(fixed_queues, dtype=float)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schedlab import SystemConfig, reference_config, validate_config
+from schedlab import SystemConfig, reference_config
 
 
 @pytest.fixture(scope="session")
@@ -31,15 +31,13 @@ def ref_cfg_path(tmp_path_factory):
 
 def make_config(rates, probs, lam, arrival_model="poisson"):
     rates = np.asarray(rates, dtype=float)
-    return validate_config(
-        SystemConfig(
-            n_users=rates.shape[1],
-            n_states=rates.shape[0],
-            state_probs=np.asarray(probs, dtype=float),
-            rate_matrix=rates,
-            arrival_rates=np.asarray(lam, dtype=float),
-            arrival_model=arrival_model,
-        )
+    return SystemConfig(
+        n_users=rates.shape[1],
+        n_states=rates.shape[0],
+        state_probs=np.asarray(probs, dtype=float),
+        rate_matrix=rates,
+        arrival_rates=np.asarray(lam, dtype=float),
+        arrival_model=arrival_model,
     )
 
 

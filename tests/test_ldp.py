@@ -557,20 +557,20 @@ class TestSolveStandardForm:
 
 class TestStabilizable:
     def test_reference_system_stable(self, ref_cfg):
-        ok, witness = is_stabilizable(ref_cfg, 0.0)
+        ok, witness = is_stabilizable(ref_cfg)
         assert ok
         v = (ref_cfg.state_probs[:, None] * ref_cfg.rate_matrix * witness.phi).sum(axis=0)
         assert np.all(v >= ref_cfg.arrival_rates - 1e-7)
 
     def test_overloaded_single_user(self):
         cfg = make_config([[5.0]], [1.0], [6.0])
-        ok, witness = is_stabilizable(cfg, 0.0)
+        ok, witness = is_stabilizable(cfg)
         assert not ok
         assert witness is None
 
     def test_vanishing_load(self):
         cfg = make_config([[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5], [1e-9, 1e-9])
-        ok, _ = is_stabilizable(cfg, 0.0)
+        ok, _ = is_stabilizable(cfg)
         assert ok
 
 

@@ -15,7 +15,6 @@ from schedlab import (
     sample_arrivals,
     sample_channel,
     step_queues,
-    validate_config,
 )
 from conftest import make_config
 
@@ -35,14 +34,12 @@ class TestValidateConfig:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="rate_matrix has shape"):
-            validate_config(
-                SystemConfig(
-                    n_users=2,
-                    n_states=2,
-                    state_probs=np.array([0.5, 0.5]),
-                    rate_matrix=np.array([[1.0, 2.0]]),
-                    arrival_rates=np.array([1.0, 1.0]),
-                )
+            SystemConfig(
+                n_users=2,
+                n_states=2,
+                state_probs=np.array([0.5, 0.5]),
+                rate_matrix=np.array([[1.0, 2.0]]),
+                arrival_rates=np.array([1.0, 1.0]),
             )
 
     def test_near_one_probs_renormalized(self):
@@ -72,14 +69,12 @@ class TestValidateConfig:
     )
     def test_empty_dimension_rejected(self, n_users, n_states, field):
         with pytest.raises(ValueError, match=field):
-            validate_config(
-                SystemConfig(
-                    n_users=n_users,
-                    n_states=n_states,
-                    state_probs=np.full(n_states, 1.0 / max(n_states, 1)),
-                    rate_matrix=np.ones((n_states, n_users)),
-                    arrival_rates=np.ones(n_users),
-                )
+            SystemConfig(
+                n_users=n_users,
+                n_states=n_states,
+                state_probs=np.full(n_states, 1.0 / max(n_states, 1)),
+                rate_matrix=np.ones((n_states, n_users)),
+                arrival_rates=np.ones(n_users),
             )
 
 

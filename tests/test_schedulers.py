@@ -11,7 +11,6 @@ from schedlab import (
     policy_from_json,
     policy_to_json,
     select,
-    validate_policy,
 )
 from conftest import make_config
 
@@ -151,7 +150,7 @@ class TestPolicyJson:
         with pytest.raises(ValueError):
             policy_from_json({"type": "het", "q_th": -1.0})
         with pytest.raises(ValueError):
-            validate_policy(Policy(HET, tie_break="coin_flip"))
+            Policy(HET, tie_break="coin_flip")
 
 
 queues = st.lists(st.floats(0, 50), min_size=4, max_size=4).map(np.array)

@@ -39,13 +39,12 @@ from schedlab.model import (
     step_queues,
 )
 from schedlab.errors import ComputationError
-from schedlab.schedulers import rate_table, stable_scores, tied_mask
+from schedlab.schedulers import VARIANT_PARAM, rate_table, stable_scores, tied_mask
 from schedlab.simulator import (
     ESTIMATOR_EPISODE,
     OverflowEstimate,
     ReplicationOutput,
     aggregate_counters,
-    validate_sim_spec,
 )
 from conftest import make_config
 
@@ -84,17 +83,42 @@ class TestSimSpec:
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError):
-            validate_sim_spec(SimSpec(horizon=100, burn_in=100))
+            SimSpec(horizon=100, burn_in=100)
         with pytest.raises(ValueError):
-            validate_sim_spec(SimSpec(horizon=100, thresholds=(5.0, 5.0)))
+            SimSpec(horizon=100, thresholds=(5.0, 5.0))
         with pytest.raises(ValueError):
-            validate_sim_spec(SimSpec(horizon=0))
+            SimSpec(horizon=0)
         with pytest.raises(ValueError, match="finite"):
-            validate_sim_spec(SimSpec(horizon=100, thresholds=(5.0, np.nan)))
+            SimSpec(horizon=100, thresholds=(5.0, np.nan))
         with pytest.raises(ValueError, match="finite"):
-            validate_sim_spec(SimSpec(horizon=100, thresholds=(5.0, np.inf)))
+            SimSpec(horizon=100, thresholds=(5.0, np.inf))
         with pytest.raises(ValueError, match="empty"):
-            validate_sim_spec(SimSpec(horizon=100, thresholds=()))
+            SimSpec(horizon=100, thresholds=())
+
+
+class TestBuiltObjectsAreChecked:
+    """A config, rule, policy or spec checks itself whenever it is built,
+    dataclasses.replace included, so no run starts from a bad one: a 2 x 4
+    rate_matrix on a 3-state config would have the kernel read state 2's
+    rates past the end of the array."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda cfg: replace(cfg, rate_matrix=np.ones((2, 4))),
+         r"^rate_matrix has shape \(2, 4\), expected \(3, 4\)$"),
+        (lambda cfg: replace(cfg, state_probs=np.array([0.5, 0.6, -0.1])),
+         "^state_probs entries must be >= 0$"),
+        (lambda cfg: replace(Heterogeneous(q_th=2.0), q_th=0.0), "^q_th must be > 0, got 0.0$"),
+        (lambda cfg: replace(Policy(Heterogeneous(q_th=2.0)), tie_break="coin_flip"),
+         r"^tie_break must be one of \('lowest_index', 'uniform_random'\)$"),
+        (lambda cfg: replace(SimSpec(horizon=100), burn_in=100), r"^burn_in must lie in \[0, horizon\)$"),
+    ], ids=["rate_matrix", "state_probs", "q_th", "tie_break", "burn_in"])
+    def test_replace_is_checked(self, ref_cfg, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(ref_cfg)
+
+    def test_unknown_variant_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^unknown policy variant str$"):
+            Policy("het")
 
 
 class TestRunReplication:
@@ -352,12 +376,15 @@ class TestKernelStatistics:
 
 
 def draws_config(n_states, lam, arrival_model="poisson", probs=None):
-    """A system built without validate_config, so that a Poisson rate may be 0."""
-    lam = np.asarray(lam, dtype=float)
+    """A system whose Poisson rates may be 0, which construction refuses: the
+    rates are set on a valid config afterwards, so that the draw tests reach
+    the kernel's lam == 0 branch, which mirrors numpy's sampler."""
     probs = np.full(n_states, 1.0 / n_states) if probs is None else np.asarray(probs, dtype=float)
     rates = np.arange(1.0, n_states * len(lam) + 1).reshape(n_states, len(lam)) % 7
-    return SystemConfig(n_users=len(lam), n_states=n_states, state_probs=probs, rate_matrix=rates,
-                        arrival_rates=lam, arrival_model=arrival_model)
+    cfg = SystemConfig(n_users=len(lam), n_states=n_states, state_probs=probs, rate_matrix=rates,
+                       arrival_rates=np.ones(len(lam)), arrival_model=arrival_model)
+    object.__setattr__(cfg, "arrival_rates", np.asarray(lam, dtype=float))
+    return cfg
 
 
 DRAW_CONFIGS = {
@@ -416,16 +443,20 @@ class TestKernelDraws:
     def test_poisson_rate_beyond_numpys_bound_rejected(self, ref_cfg, ref_cfg_fluid):
         """Above numpy's Poisson bound the run stops before the kernel with an
         error naming the user and the bound; at the bound it runs, and fluid
-        arrivals take any finite rate."""
+        arrivals take any finite rate. A negative or NaN rate is refused when
+        the config is built."""
         rng = np.random.default_rng(0)
         rng.poisson(POISSON_LAM_MAX)
         with pytest.raises(ValueError, match="lam value too large"):
             rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
         spec = SimSpec(horizon=3, burn_in=0)
         lam = ref_cfg.arrival_rates.copy()
-        for bad in (1e19, np.nextafter(POISSON_LAM_MAX, np.inf), -1.0, np.nan):
+        beyond = r"user 2's .*" + re.escape(repr(POISSON_LAM_MAX))
+        for bad, message in ((1e19, beyond), (np.nextafter(POISSON_LAM_MAX, np.inf), beyond),
+                             (-1.0, "^arrival_rates entries must be > 0$"),
+                             (np.nan, r"^arrival_rates entries must be finite, got \[1.0, 1.0, nan, 1.0\]$")):
             lam[2] = bad
-            with pytest.raises(ValueError, match=r"user 2's .*" + re.escape(repr(POISSON_LAM_MAX))):
+            with pytest.raises(ValueError, match=message):
                 run_replication(replace(ref_cfg, arrival_rates=lam.copy()), HET2, spec, 0)
         lam[2] = POISSON_LAM_MAX
         out = run_replication(replace(ref_cfg, arrival_rates=lam.copy()), HET2, spec, 0)
@@ -602,6 +633,27 @@ def replay(cfg, policy, seed, horizon):
     return trace["chosen"], tied, trace["tie_uniform"]
 
 
+def kernel_picks(cfg, variant, rows):
+    """The user the compiled kernel serves from each queue row of rows (R x N)
+    in one slot of a one-state cfg, with fluid arrivals at rate 0 and
+    lowest-index ties, so that no draw matters."""
+    kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
+    R, n = rows.shape
+    gen = np.random.default_rng(0)
+    # every row draws from one generator, which stays referenced until the call returns
+    bitgens = np.full(R, gen.bit_generator.ctypes.bit_generator.value, dtype=np.uintp)
+    param = float(getattr(variant, VARIANT_PARAM[type(variant)]))
+    chosen = np.empty((R, 1), dtype=np.int64)
+    stats = [np.zeros((R, n)) for _ in range(3)]
+    kernel(simulator._RULES[type(variant)], 0, 1, R, 1, 1, 0, n, 1, bitgens, np.ones(1), np.zeros(n),
+           cfg.rate_matrix, rate_table(variant, cfg), param, np.empty(0), 0, rows.copy(),
+           np.empty(2 * n), *stats, np.zeros((R, 1, n), dtype=np.int64),
+           np.zeros((R, 0), dtype=np.int64), np.zeros(R), np.zeros((R, n)), 1,
+           np.empty((R, 1), dtype=np.int64), np.empty((R, 0)), np.empty((R, 1, n)), chosen,
+           np.empty((R, 1)), np.empty((R, 2, n)))
+    return chosen[:, 0]
+
+
 def uniform_pick(tied, u):
     """The selectors' uniform rule per row: the floor(u * count)-th tied user."""
     return (tied.cumsum(axis=1) > np.floor(u * tied.sum(axis=1))[:, None]).argmax(axis=1)
@@ -693,22 +745,21 @@ class TestEngineMatchesSpec:
                 break
         else:
             pytest.fail("no row in 1000 draws whose pick depends on the summation order")
-        kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
-        R = len(rows)
-        gen = np.random.default_rng(0)
-        # every row draws from one generator: the one-state channel and fluid
-        # arrivals make the draws irrelevant
-        bitgens = np.full(R, gen.bit_generator.ctypes.bit_generator.value, dtype=np.uintp)
-        chosen = np.empty((R, 1), dtype=np.int64)
-        stats = [np.zeros((R, n)) for _ in range(3)]
-        # one fluid slot per row with no arrivals, from the queues in rows
-        kernel(1, 0, 1, R, 1, 1, 0, n, 1, bitgens, np.ones(1), np.zeros(n), cfg.rate_matrix,
-               rate_table(Exp(eta), cfg), eta, np.empty(0), 0, rows.copy(),
-               np.empty(2 * n), *stats, np.zeros((R, 1, n), dtype=np.int64),
-               np.zeros((R, 0), dtype=np.int64), np.zeros(R), np.zeros((R, n)), 1,
-               np.empty((R, 1), dtype=np.int64), np.empty((R, 0)), np.empty((R, 1, n)), chosen,
-               np.empty((R, 1)), np.empty((R, 2, n)))
-        assert np.array_equal(chosen[:, 0], spec_pick)
+        assert np.array_equal(kernel_picks(cfg, Exp(eta), rows), spec_pick)
+
+    def test_mw_power_is_libms(self):
+        """mw raises its ratios with libm's pow, as the kernel does. At
+        x = 0.6357258022650507 numpy's vectorized x ** 7 can fall one ulp
+        below pow(x, 7), and with F = (1, 0.04196515869683302) that ulp
+        decides whether user 0 is tied at Q = (x, 1): it is, and user 0 is
+        served."""
+        x = 0.6357258022650507
+        cfg = make_config([[1.0, 0.04196515869683302]], [1.0], [1.0, 1.0])
+        policy = Policy(MaxWeight(alpha=7.0))
+        rows = np.array([[x, 1.0]])
+        assert kernel_picks(cfg, policy.variant, rows).tolist() == [0]
+        assert tied_mask(stable_scores(policy.variant, cfg, rows, np.zeros(1, int)))[0].tolist() == [True, True]
+        assert select(policy, rows[0], 0, cfg).chosen == 0
 
 
 def assert_simulation_commands_fail(cfg_path, tmp_path, capsys, needle):
