@@ -13,6 +13,13 @@
  * instead of once per variate: the same value, so every draw is bitwise
  * numpy's and the generator is left where numpy would leave it.
  *
+ * A call runs P policies over the same replications: each chunk is drawn
+ * once and then walked once per policy, each with its own rule, queues,
+ * statistics and trace, so every policy sees the same draws (common random
+ * numbers) and its outputs are bitwise those of running it alone. The draws
+ * hold tie uniforms only for uniform ties, so the policies share one
+ * tie-break.
+ *
  * A slot scores the users on the queues before arrivals with
  * schedulers.stable_scores, picks from the set tied_mask gives
  * (score >= row max - 1e-12), adds the slot's arrivals and drains
@@ -86,118 +93,127 @@ static void draw_chunk(bitgen_t *g, int64_t c, int64_t n, int64_t m_states, cons
             u[k] = next_double(g);
 }
 
-/* rule: RULE_HET (table = F/maxF, param = q_th), RULE_EXP (table = log F
- * with -inf for F = 0, param = eta), RULE_MW (table = F, param = alpha).
- * With uniform nonzero each slot draws a tie uniform u and serves the
- * floor(u * count) + 1-th tied user, else the lowest tied index. cum
- * (m_states) is the channel's cumulative distribution with its last entry
- * 1; lam (n) the arrival rates, drawn as Poisson counts unless fluid is
- * nonzero. q (R x n) carries the queues in and out.
+/* Each of the P policies has its rule rules[p]: RULE_HET (table = F/maxF,
+ * param = q_th), RULE_EXP (table = log F with -inf for F = 0, param = eta)
+ * or RULE_MW (table = F, param = alpha), with its rate table tables[p]
+ * (m_states x n) and parameter params[p]. With uniform nonzero each slot
+ * draws a tie uniform u and serves the floor(u * count) + 1-th tied user,
+ * else the lowest tied index. cum (m_states) is the channel's cumulative
+ * distribution with its last entry 1; lam (n) the arrival rates, drawn as
+ * Poisson counts unless fluid is nonzero.
  *
- * Slots from burn on add into arr_sum, dep_sum, q_sum (R x n), served
- * (R x m_states x n: slots in state m serving user i), over (R x K: slots
- * whose largest queue reaches thresholds[j], which ascend strictly) and
- * max_seen (R); initial_q (R x n) takes the queues after slot burn - 1.
- * With record nonzero, states, u, arr (R x T, R x T or empty, R x T x n)
- * keep every slot's draws, chosen and dep (R x T) its choice and departure
- * and qtraj (R x (T + 1) x n) the queues after it, behind row 0, which is
- * not touched; otherwise states, u and arr are one chunk's scratch (chunk,
- * chunk, chunk x n) and chosen, dep and qtraj are not touched. work is
- * scratch for 2 n doubles. */
-void run_slots(int rule, int uniform, int fluid, int64_t R, int64_t T, int64_t chunk, int64_t burn,
+ * Every per-policy array leads with the policy axis, P x R x ...: q (n)
+ * carries the queues in and out. Slots from burn on add into arr_sum,
+ * dep_sum, q_sum (n), served (m_states x n: slots in state m serving user
+ * i), over (K: slots whose largest queue reaches thresholds[j], which ascend
+ * strictly) and max_seen (1); initial_q (n) takes the queues after slot
+ * burn - 1. With record nonzero, the shared draws states, u, arr (R x T,
+ * R x T or empty, R x T x n) keep every slot's draws, and each policy's
+ * chosen and dep (T) its choices and departures and qtraj ((T + 1) x n) the
+ * queues after each slot, behind row 0, which is not touched; otherwise
+ * states, u and arr are one chunk's scratch (chunk, chunk, chunk x n) and
+ * chosen, dep and qtraj are not touched. work is scratch for 2 n doubles. */
+void run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
+               int uniform, int fluid, int64_t R, int64_t T, int64_t chunk, int64_t burn,
                int64_t n, int64_t m_states, bitgen_t *const *gens, const double *cum,
-               const double *lam, const double *rates, const double *table, double param,
-               const double *thresholds, int64_t K, double *q, double *work, double *arr_sum,
-               double *dep_sum, double *q_sum, int64_t *served, int64_t *over, double *max_seen,
-               double *initial_q, int record, int64_t *states, double *u, double *arr,
-               int64_t *chosen, double *dep, double *qtraj)
+               const double *lam, const double *rates, const double *thresholds, int64_t K,
+               double *q, double *work, double *arr_sum, double *dep_sum, double *q_sum,
+               int64_t *served, int64_t *over, double *max_seen, double *initial_q, int record,
+               int64_t *states, double *u, double *arr, int64_t *chosen, double *dep,
+               double *qtraj)
 {
     double *score = work, *enlam = work + n;
     for (int64_t i = 0; i < n; i++)
         enlam[i] = exp(-lam[i]);
     for (int64_t r = 0; r < R; r++) {
-        double *Q = q + r * n;
         for (int64_t done = 0; done < T; done += chunk) {
             int64_t c = T - done < chunk ? T - done : chunk;
-            int64_t at = record ? r * T + done : 0; /* the chunk's first slot in the buffers */
+            int64_t at = record ? r * T + done : 0; /* the chunk's first slot in the draw buffers */
             int64_t *st = states + at;
             double *a = arr + at * n, *uc = u + at;
             draw_chunk(gens[r], c, n, m_states, cum, fluid, lam, enlam, uniform, st, a, uc);
-            for (int64_t k = 0; k < c; k++) {
-                int64_t m = st[k];
-                const double *row = table + m * n;
-                if (rule == RULE_HET) {
+            for (int64_t p = 0; p < P; p++) {
+                int rule = (int)rules[p];
+                double param = params[p];
+                const double *table = tables + p * m_states * n;
+                int64_t pr = p * R + r; /* this policy's row */
+                double *Q = q + pr * n;
+                for (int64_t k = 0; k < c; k++) {
+                    int64_t m = st[k];
+                    const double *row = table + m * n;
+                    if (rule == RULE_HET) {
+                        for (int64_t i = 0; i < n; i++)
+                            score[i] = row[i] + Q[i] / param;
+                    } else if (rule == RULE_EXP) {
+                        double total = 0.0;
+                        for (int64_t i = 0; i < n; i++)
+                            total += Q[i];
+                        double denom = 1.0 + pow(total / (double)n, param);
+                        for (int64_t i = 0; i < n; i++)
+                            score[i] = Q[i] / denom + row[i];
+                    } else {
+                        double qmax = Q[0];
+                        for (int64_t i = 1; i < n; i++)
+                            if (Q[i] > qmax)
+                                qmax = Q[i];
+                        for (int64_t i = 0; i < n; i++)
+                            score[i] = qmax > 0.0 ? pow(Q[i] / qmax, param) * row[i] : 0.0;
+                    }
+
+                    double best = score[0];
+                    for (int64_t i = 1; i < n; i++)
+                        if (score[i] > best)
+                            best = score[i];
+                    double bar = best - TIE_TOL;
+                    int64_t pick = 0;
+                    while (pick < n - 1 && !(score[pick] >= bar))
+                        pick++;
+                    if (uniform) {
+                        int64_t count = 0;
+                        for (int64_t i = pick; i < n; i++)
+                            count += score[i] >= bar;
+                        int64_t target = (int64_t)floor(uc[k] * (double)count);
+                        while (target > 0 && pick < n - 1) {
+                            pick++;
+                            target -= score[pick] >= bar;
+                        }
+                    }
+
+                    const double *ak = a + k * n;
                     for (int64_t i = 0; i < n; i++)
-                        score[i] = row[i] + Q[i] / param;
-                } else if (rule == RULE_EXP) {
-                    double total = 0.0;
-                    for (int64_t i = 0; i < n; i++)
-                        total += Q[i];
-                    double denom = 1.0 + pow(total / (double)n, param);
-                    for (int64_t i = 0; i < n; i++)
-                        score[i] = Q[i] / denom + row[i];
-                } else {
+                        Q[i] += ak[i];
+                    double rate = rates[m * n + pick];
+                    double d = Q[pick] < rate ? Q[pick] : rate;
+                    Q[pick] -= d;
+                    int64_t slot = done + k;
+                    if (record) {
+                        double *path = qtraj + (pr * (T + 1) + 1 + slot) * n;
+                        chosen[pr * T + slot] = pick;
+                        dep[pr * T + slot] = d;
+                        for (int64_t i = 0; i < n; i++)
+                            path[i] = Q[i];
+                    }
+
+                    if (slot == burn - 1)
+                        for (int64_t i = 0; i < n; i++)
+                            initial_q[pr * n + i] = Q[i];
+                    if (slot < burn)
+                        continue;
                     double qmax = Q[0];
                     for (int64_t i = 1; i < n; i++)
                         if (Q[i] > qmax)
                             qmax = Q[i];
-                    for (int64_t i = 0; i < n; i++)
-                        score[i] = qmax > 0.0 ? pow(Q[i] / qmax, param) * row[i] : 0.0;
-                }
-
-                double best = score[0];
-                for (int64_t i = 1; i < n; i++)
-                    if (score[i] > best)
-                        best = score[i];
-                double bar = best - TIE_TOL;
-                int64_t pick = 0;
-                while (pick < n - 1 && !(score[pick] >= bar))
-                    pick++;
-                if (uniform) {
-                    int64_t count = 0;
-                    for (int64_t i = pick; i < n; i++)
-                        count += score[i] >= bar;
-                    int64_t target = (int64_t)floor(uc[k] * (double)count);
-                    while (target > 0 && pick < n - 1) {
-                        pick++;
-                        target -= score[pick] >= bar;
+                    for (int64_t i = 0; i < n; i++) {
+                        arr_sum[pr * n + i] += ak[i];
+                        q_sum[pr * n + i] += Q[i];
                     }
+                    dep_sum[pr * n + pick] += d;
+                    served[(pr * m_states + m) * n + pick]++;
+                    for (int64_t j = 0; j < K && qmax >= thresholds[j]; j++)
+                        over[pr * K + j]++;
+                    if (qmax > max_seen[pr])
+                        max_seen[pr] = qmax;
                 }
-
-                const double *ak = a + k * n;
-                for (int64_t i = 0; i < n; i++)
-                    Q[i] += ak[i];
-                double rate = rates[m * n + pick];
-                double d = Q[pick] < rate ? Q[pick] : rate;
-                Q[pick] -= d;
-                int64_t slot = done + k;
-                if (record) {
-                    double *path = qtraj + (r * (T + 1) + 1 + slot) * n;
-                    chosen[at + k] = pick;
-                    dep[at + k] = d;
-                    for (int64_t i = 0; i < n; i++)
-                        path[i] = Q[i];
-                }
-
-                if (slot == burn - 1)
-                    for (int64_t i = 0; i < n; i++)
-                        initial_q[r * n + i] = Q[i];
-                if (slot < burn)
-                    continue;
-                double qmax = Q[0];
-                for (int64_t i = 1; i < n; i++)
-                    if (Q[i] > qmax)
-                        qmax = Q[i];
-                for (int64_t i = 0; i < n; i++) {
-                    arr_sum[r * n + i] += ak[i];
-                    q_sum[r * n + i] += Q[i];
-                }
-                dep_sum[r * n + pick] += d;
-                served[(r * m_states + m) * n + pick]++;
-                for (int64_t j = 0; j < K && qmax >= thresholds[j]; j++)
-                    over[r * K + j]++;
-                if (qmax > max_seen[r])
-                    max_seen[r] = qmax;
             }
         }
     }

@@ -205,7 +205,7 @@ def _spec_echo(args, cfg: SystemConfig, spec: SimSpec | None, policy: Policy | N
 
 def cmd_simulate(args) -> int:
     cfg, policy, spec = _load_inputs(args)
-    result = run_simulation(cfg, policy, spec, mode=args.estimator)
+    (result,) = run_simulation(cfg, [policy], spec, mode=args.estimator)
     out = Path(args.out)
     doc = {"spec_echo": _spec_echo(args, cfg, spec, policy)}
     doc.update(_sim_result_doc(result))
@@ -240,12 +240,10 @@ def cmd_sweep(args) -> int:
     swept = [_policy_with_param(policy, v) for v in values]
 
     iopt = compute_iopt(cfg)
-    fits = []
-    entries = []
-    for value, (pol, _) in zip(values, swept):
-        result = run_simulation(cfg, pol, spec, mode=args.estimator)
-        fits.append(result.decay)
-        entries.append({"param": value, "policy": policy_to_json(pol), **_sim_result_doc(result)})
+    results = run_simulation(cfg, [pol for pol, _ in swept], spec, mode=args.estimator)
+    fits = [r.decay for r in results]
+    entries = [{"param": value, "policy": policy_to_json(pol), **_sim_result_doc(result)}
+               for value, (pol, _), result in zip(values, swept, results)]
     rates = [np.nan if d is None else d.rate for d in fits]
 
     out = Path(args.out)
@@ -330,7 +328,8 @@ def cmd_compare(args) -> int:
         ("mw", args.alpha, Policy(MaxWeight(alpha=args.alpha))),
     ]
 
-    results = {name: run_simulation(cfg, pol, spec, mode=args.estimator) for name, _, pol in policies}
+    runs = run_simulation(cfg, [pol for _, _, pol in policies], spec, mode=args.estimator)
+    results = {name: result for (name, _, _), result in zip(policies, runs)}
     fits = [r.decay for r in results.values()]
     mean_q = np.array([r.mean_queues for r in results.values()])
     phi = np.array([r.empirical_phi.phi for r in results.values()])

@@ -44,16 +44,17 @@ class SystemConfig:
 
     def __post_init__(self):
         """Check every field on construction, dataclasses.replace included,
-        and store the arrays as float, state_probs divided by its sum. Any bad
+        and store the arrays as read-only float copies, state_probs divided by
+        its sum, so no write after construction skips these checks. Any bad
         field raises ValueError naming it: a wrong shape, a non-finite or
         negative entry, a sum more than 1e-9 from 1, or no users or no states.
         """
         for name, n in (("n_users", self.n_users), ("n_states", self.n_states)):
             if n < 1:
                 raise ValueError(f"{name} must be >= 1, got {n}")
-        p = np.asarray(self.state_probs, dtype=float)
-        rates = np.asarray(self.rate_matrix, dtype=float)
-        lam = np.asarray(self.arrival_rates, dtype=float)
+        p = np.array(self.state_probs, dtype=float)
+        rates = np.array(self.rate_matrix, dtype=float)
+        lam = np.array(self.arrival_rates, dtype=float)
 
         if p.shape != (self.n_states,):
             raise ValueError(f"state_probs has shape {p.shape}, expected ({self.n_states},)")
@@ -77,9 +78,9 @@ class SystemConfig:
         total = p.sum()
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"state_probs sum to {total}, deviation > {PROB_SUM_TOL}")
-        object.__setattr__(self, "state_probs", p / total)
-        object.__setattr__(self, "rate_matrix", rates)
-        object.__setattr__(self, "arrival_rates", lam)
+        for name, entries in (("state_probs", p / total), ("rate_matrix", rates), ("arrival_rates", lam)):
+            entries.setflags(write=False)
+            object.__setattr__(self, name, entries)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ in fixed chunk-sized blocks of channel states, arrivals and, for uniform
 ties, tie uniforms. One call of a small C kernel (_slots.c, compiled with the
 system's `cc` against numpy's static random library libnpyrandom.a on first
 use and cached by the hash of its source, that library and the flags) runs a
-whole campaign: it draws each block from the replication's own numpy bit
-generator with numpy's own Poisson sampler, bitwise as the reference
-samplers model.sample_channel and model.sample_arrivals draw it, then walks
-the block's slots, deciding exactly as `select` does, so a batch run is
-bitwise identical to running each replication alone.
+whole campaign of one or more policies: it draws each block once, from the
+replication's own numpy bit generator with numpy's own Poisson sampler,
+bitwise as the reference samplers model.sample_channel and
+model.sample_arrivals draw it, then walks the block's slots once per policy,
+deciding exactly as `select` does. So every policy in a call sees the same
+draws (common random numbers), and a batch run is bitwise identical to
+running each policy and replication alone.
 The same walk adds each post-burn-in slot into the service counters, the
 per-threshold overflow slot counts (both estimators read these) and the
 time-average queues; every float sum runs left to right, one slot at a time.
@@ -221,26 +223,36 @@ def _slot_kernel(cc: str, library: Path):
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     ptrs = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
-    fn.argtypes = [c_int, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64, ptrs, f64, f64,
-                   f64, f64, ctypes.c_double, f64, c_i64, f64, f64, f64, f64, f64, i64, i64, f64,
-                   f64, c_int, i64, f64, f64, i64, f64, f64]
+    fn.argtypes = [c_i64, i64, f64, f64, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64,
+                   ptrs, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, f64, i64, i64, f64, f64,
+                   c_int, i64, f64, f64, i64, f64, f64]
     fn.restype = None
     return fn
 
 
 def run_replications(
-    cfg: SystemConfig, policy: Policy, spec: SimSpec, rep_indices: list[int]
-) -> list[ReplicationOutput]:
-    """Run the given replications; output order follows rep_indices.
+    cfg: SystemConfig, policies: list[Policy], spec: SimSpec, rep_indices: list[int]
+) -> list[list[ReplicationOutput]]:
+    """Run the given replications under every policy: one output list per
+    policy, in policy order, each in rep_indices order.
 
     One call of the compiled kernel runs the whole campaign: it draws each
-    replication's chunks from that replication's own numpy generator, in the
-    order and with the values of model.sample_channel, model.sample_arrivals
-    and Generator.random, and walks every row's slots with the score and tie
-    rule of schedulers.stable_scores and tied_mask. The same walk adds each
-    post-burn-in slot into the statistics, left to right, and fills the
+    replication's chunks once, from that replication's own numpy generator,
+    in the order and with the values of model.sample_channel,
+    model.sample_arrivals and Generator.random, and walks them once per
+    policy with the score and tie rule of schedulers.stable_scores and
+    tied_mask. So every policy sees the same draws, and its outputs are
+    bitwise those of running it alone. The draws hold tie uniforms only for
+    uniform ties, so the policies must share one tie_break. The same walk adds
+    each post-burn-in slot into the statistics, left to right, and fills the
     per-slot trace buffers only with record_trace.
     """
+    if not policies:
+        raise ValueError("run_replications needs at least one policy")
+    tie_breaks = sorted({p.tie_break for p in policies})
+    if len(tie_breaks) > 1:
+        raise ValueError(f"policies run on shared draws must share one tie_break, got "
+                         f"{' and '.join(map(repr, tie_breaks))}")
     fluid = cfg.arrival_model == ARRIVAL_FLUID
     if not fluid:
         for user, rate in enumerate(cfg.arrival_rates.tolist()):
@@ -248,16 +260,17 @@ def run_replications(
                 raise ValueError(f"user {user}'s Poisson arrival rate {rate!r} lies outside "
                                  f"[0, {POISSON_LAM_MAX!r}], the range numpy's sampler takes")
     kernel = _slot_kernel(_CC, _NPYRANDOM)
-    R = len(rep_indices)
+    P, R = len(policies), len(rep_indices)
     N, M = cfg.n_users, cfg.n_states
     T = spec.horizon
     burn = resolved_burn_in(spec)
     thresholds = np.asarray(spec.thresholds, dtype=float)
-    uniform_ties = policy.tie_break == TIE_UNIFORM
-    rule = _RULES[type(policy.variant)]
-    param = float(getattr(policy.variant, VARIANT_PARAM[type(policy.variant)]))
+    uniform_ties = tie_breaks[0] == TIE_UNIFORM
+    rules = np.array([_RULES[type(p.variant)] for p in policies], dtype=np.int64)
+    params = np.array([getattr(p.variant, VARIANT_PARAM[type(p.variant)]) for p in policies],
+                      dtype=float)
+    tables = np.ascontiguousarray([rate_table(p.variant, cfg) for p in policies], dtype=float)
     rates = np.ascontiguousarray(cfg.rate_matrix, dtype=float)
-    table = np.ascontiguousarray(rate_table(policy.variant, cfg), dtype=float)
     lam = np.ascontiguousarray(cfg.arrival_rates, dtype=float)
     work = np.empty(2 * N)
     # the generators own the bit generators the kernel draws from: keep them
@@ -265,57 +278,59 @@ def run_replications(
     gens = [RandomSource(spec.master_seed, r).generator() for r in rep_indices]
     bitgens = np.array([g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uintp)
 
-    Q = np.zeros((R, N))
-    arr_sum = np.zeros((R, N))
-    dep_sum = np.zeros((R, N))
-    served_slots = np.zeros((R, M, N), dtype=np.int64)
-    over_counts = np.zeros((R, len(thresholds)), dtype=np.int64)
-    max_seen = np.zeros(R)
-    q_sum = np.zeros((R, N))
-    initial_q = np.zeros((R, N))
-    # the drawn inputs: the whole record with record_trace, else one chunk's scratch
+    Q = np.zeros((P, R, N))
+    arr_sum = np.zeros((P, R, N))
+    dep_sum = np.zeros((P, R, N))
+    served_slots = np.zeros((P, R, M, N), dtype=np.int64)
+    over_counts = np.zeros((P, R, len(thresholds)), dtype=np.int64)
+    max_seen = np.zeros((P, R))
+    q_sum = np.zeros((P, R, N))
+    initial_q = np.zeros((P, R, N))
+    # the drawn inputs, shared by every policy: the whole record with
+    # record_trace, else one chunk's scratch
     rows, slots = (R, T) if spec.record_trace else (1, min(T, _CHUNK))
     states = np.empty((rows, slots), dtype=np.int64)
     tie_u = np.empty((rows, slots if uniform_ties else 0))
     arr = np.empty((rows, slots, N))
-    kept = (R, T) if spec.record_trace else (0, 0)
+    kept = (P, R, T) if spec.record_trace else (0, 0, 0)
     chosen, departure = np.empty(kept, dtype=np.int64), np.empty(kept)
-    qtraj = np.zeros((kept[0], kept[1] + 1, N))  # row 0 holds the empty queues before slot 0
+    qtraj = np.zeros((*kept[:2], kept[2] + 1, N))  # row 0 holds the empty queues before slot 0
 
-    kernel(rule, uniform_ties, fluid, R, T, _CHUNK, burn, N, M, bitgens, channel_cdf(cfg), lam,
-           rates, table, param, thresholds, len(thresholds), Q, work, arr_sum, dep_sum, q_sum,
-           served_slots, over_counts, max_seen, initial_q, spec.record_trace, states, tie_u, arr,
-           chosen, departure, qtraj)
+    kernel(P, rules, params, tables, uniform_ties, fluid, R, T, _CHUNK, burn, N, M, bitgens,
+           channel_cdf(cfg), lam, rates, thresholds, len(thresholds), Q, work, arr_sum, dep_sum,
+           q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace, states, tie_u,
+           arr, chosen, departure, qtraj)
 
-    traces = [None] * R
-    if spec.record_trace:
-        traces = [{"state": states[i], "tie_uniform": tie_u[i], "arrivals": arr[i],
-                   "chosen": chosen[i], "departure": departure[i], "q": qtraj[i]} for i in range(R)]
-    state_slots = served_slots.sum(axis=2)
+    state_slots = served_slots.sum(axis=3)
     n_stat = T - burn
-    return [
-        ReplicationOutput(
-            rep_index=r,
+
+    def output(p: int, i: int, rep: int) -> ReplicationOutput:
+        trace = None
+        if spec.record_trace:
+            trace = {"state": states[i], "tie_uniform": tie_u[i], "arrivals": arr[i],
+                     "chosen": chosen[p, i], "departure": departure[p, i], "q": qtraj[p, i]}
+        return ReplicationOutput(
+            rep_index=rep,
             counters=TraceCounters(
-                arrivals=arr_sum[i], departures=dep_sum[i],
-                state_slots=state_slots[i], served_slots=served_slots[i],
-                horizon=n_stat, max_queue_seen=float(max_seen[i]),
-                initial_queues=initial_q[i], final_queues=Q[i],
+                arrivals=arr_sum[p, i], departures=dep_sum[p, i],
+                state_slots=state_slots[p, i], served_slots=served_slots[p, i],
+                horizon=n_stat, max_queue_seen=float(max_seen[p, i]),
+                initial_queues=initial_q[p, i], final_queues=Q[p, i],
             ),
             thresholds=thresholds,
-            overflow_slot_counts=over_counts[i],
-            mean_queues=q_sum[i] / n_stat,
-            trace=traces[i],
+            overflow_slot_counts=over_counts[p, i],
+            mean_queues=q_sum[p, i] / n_stat,
+            trace=trace,
         )
-        for i, r in enumerate(rep_indices)
-    ]
+
+    return [[output(p, i, rep) for i, rep in enumerate(rep_indices)] for p in range(P)]
 
 
 def run_replication(
     cfg: SystemConfig, policy: Policy, spec: SimSpec, rep_index: int
 ) -> ReplicationOutput:
-    """One replication, deterministic given (master_seed, rep_index)."""
-    return run_replications(cfg, policy, spec, [rep_index])[0]
+    """One replication of one policy, deterministic given (master_seed, rep_index)."""
+    return run_replications(cfg, [policy], spec, [rep_index])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +422,25 @@ def aggregate_counters(outputs: list[ReplicationOutput]) -> TraceCounters:
 
 def run_simulation(
     cfg: SystemConfig,
-    policy: Policy,
+    policies: list[Policy],
     spec: SimSpec,
     mode: str = ESTIMATOR_STATIONARY,
-) -> SimResult:
-    """Full campaign: all replications in one run_replications call, overflow
-    estimates, decay fit, and the empirical allocation matrix."""
-    outputs = run_replications(cfg, policy, spec, list(range(spec.replications)))
-    overflow = estimate_overflow(outputs, mode=mode)
-    agg = aggregate_counters(outputs)
-    mean_q = np.mean([o.mean_queues for o in outputs], axis=0)
-    return SimResult(
-        overflow=overflow,
-        decay=fit_decay_rate(overflow),
-        empirical_phi=empirical_phi(agg),
-        mean_queues=mean_q,
-        counters=agg,
-    )
+) -> list[SimResult]:
+    """Full campaign of every policy on the same replications, in one
+    run_replications call: one SimResult per policy, in policy order, each
+    with its overflow estimates, decay fit and empirical allocation matrix."""
+    results = []
+    for outputs in run_replications(cfg, policies, spec, list(range(spec.replications))):
+        overflow = estimate_overflow(outputs, mode=mode)
+        agg = aggregate_counters(outputs)
+        results.append(SimResult(
+            overflow=overflow,
+            decay=fit_decay_rate(overflow),
+            empirical_phi=empirical_phi(agg),
+            mean_queues=np.mean([o.mean_queues for o in outputs], axis=0),
+            counters=agg,
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ def certificate(ref_cfg):
 
 @pytest.fixture(scope="module")
 def campaigns(ref_cfg):
-    """All simulated scheduler settings: (result, elapsed seconds) per tag."""
+    """All simulated scheduler settings, run on the same draws in one call:
+    (result, elapsed seconds of that shared call) per tag."""
     settings = {
         "het1": Policy(Heterogeneous(q_th=1.0)),
         "het2": Policy(Heterogeneous(q_th=2.0)),
@@ -64,11 +65,10 @@ def campaigns(ref_cfg):
         "mw7": Policy(MaxWeight(alpha=7.0)),
     }
     spec = SimSpec(horizon=HORIZON, replications=REPS, master_seed=SEED)
-    out = {}
-    for tag, policy in settings.items():
-        t0 = time.time()
-        out[tag] = (run_simulation(ref_cfg, policy, spec), time.time() - t0)
-    return out
+    t0 = time.time()
+    results = run_simulation(ref_cfg, list(settings.values()), spec)
+    elapsed = time.time() - t0
+    return {tag: (result, elapsed) for tag, result in zip(settings, results)}
 
 
 class TestCriterion1:

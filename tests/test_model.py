@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,25 @@ class TestValidateConfig:
     def test_non_finite_entry_rejected(self, rates, probs, lam, field):
         with pytest.raises(ValueError, match=field):
             make_config(rates, probs, lam)
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("arrival_rates", 2, -1.0), ("rate_matrix", (1, 1), np.nan), ("state_probs", 0, 2.0),
+    ])
+    def test_arrays_are_read_only(self, ref_cfg, field, index, value):
+        """A write after construction would skip its checks: a negative
+        arrival rate or a NaN rate would run to nonsense counters."""
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ref_cfg, field)[index] = value
+        assert np.all(np.isfinite(getattr(ref_cfg, field)))
+        assert np.all(getattr(ref_cfg, field) >= 0)
+
+    def test_arrays_are_copies_and_replace_still_works(self, ref_cfg):
+        lam = np.array([0.5, 0.25, 0.25, 0.25])
+        cfg = replace(ref_cfg, arrival_rates=lam)
+        lam[0] = -1.0
+        assert cfg.arrival_rates.tolist() == [0.5, 0.25, 0.25, 0.25]
+        assert lam.flags.writeable and not cfg.arrival_rates.flags.writeable
+        assert np.array_equal(cfg.rate_matrix, ref_cfg.rate_matrix)
 
     @pytest.mark.parametrize(
         "n_users, n_states, field", [(0, 3, "n_users"), (2, 0, "n_states")]

@@ -146,7 +146,7 @@ class TestRunReplication:
 
     def test_batch_equals_single(self, ref_cfg):
         spec = SimSpec(horizon=40_000, master_seed=2, replications=3)
-        batch = run_replications(ref_cfg, HET2, spec, [0, 1, 2])
+        (batch,) = run_replications(ref_cfg, [HET2], spec, [0, 1, 2])
         solo = run_replication(ref_cfg, HET2, spec, 1)
         assert np.array_equal(batch[1].counters.arrivals, solo.counters.arrivals)
         assert np.array_equal(batch[1].counters.final_queues, solo.counters.final_queues)
@@ -262,7 +262,7 @@ class TestEmpiricalPhi:
 class TestRunSimulation:
     def test_overflow_monotone_in_threshold(self, ref_cfg):
         spec = SimSpec(horizon=60_000, replications=2, master_seed=8)
-        res = run_simulation(ref_cfg, HET2, spec)
+        (res,) = run_simulation(ref_cfg, [HET2], spec)
         probs = [e.probability for e in res.overflow]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
@@ -270,11 +270,11 @@ class TestRunSimulation:
         """Streams are keyed by (seed, rep_index), so splitting the indices
         over several lockstep passes changes no output bit."""
         spec = SimSpec(horizon=20_000, replications=4, master_seed=4)
-        whole = run_replications(ref_cfg, HET2, spec, [0, 1, 2, 3])
+        (whole,) = run_replications(ref_cfg, [HET2], spec, [0, 1, 2, 3])
         split = {
             o.rep_index: o
             for group in ([0, 3], [1], [2])
-            for o in run_replications(ref_cfg, HET2, spec, group)
+            for o in run_replications(ref_cfg, [HET2], spec, group)[0]
         }
         for a in whole:
             b = split[a.rep_index]
@@ -285,7 +285,7 @@ class TestRunSimulation:
 
     def test_aggregate_counters_order_independent(self, ref_cfg):
         spec = SimSpec(horizon=10_000, replications=3, master_seed=6)
-        outs = run_replications(ref_cfg, HET2, spec, [0, 1, 2])
+        (outs,) = run_replications(ref_cfg, [HET2], spec, [0, 1, 2])
         a = aggregate_counters(outs)
         b = aggregate_counters(outs[::-1])
         assert np.array_equal(a.served_slots, b.served_slots)
@@ -364,8 +364,8 @@ class TestKernelStatistics:
         for burn in STAT_BURNS:
             base = SimSpec(horizon=horizon, replications=2, burn_in=burn, master_seed=17,
                            thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
-            traced = run_replications(cfg, policy, replace(base, record_trace=True), [1, 0])
-            untraced = run_replications(cfg, policy, base, [1, 0])
+            (traced,) = run_replications(cfg, [policy], replace(base, record_trace=True), [1, 0])
+            (untraced,) = run_replications(cfg, [policy], base, [1, 0])
             for outputs in (traced, untraced):
                 for out, (counters, over, mean_q) in zip(outputs, reduce_trace(traced, base, cfg.n_states)):
                     for f in fields(TraceCounters):
@@ -398,6 +398,39 @@ DRAW_CONFIGS = {
 }
 
 
+def record_generators(monkeypatch) -> list:
+    """Have the simulator's RandomSource append each generator it makes to
+    the returned list."""
+    made = []
+
+    class Recording(RandomSource):
+        def generator(self):
+            made.append(super().generator())
+            return made[-1]
+
+    monkeypatch.setattr(simulator, "RandomSource", Recording)
+    return made
+
+
+def assert_numpys_draws(out, gen, cfg, seed, horizon, tie_break):
+    """out's recorded draws are what numpy's reference samplers draw on a
+    fresh RandomSource(seed, out.rep_index), chunk by chunk, bitwise, and
+    gen, the generator the kernel drew from, is left where they leave it."""
+    ref = RandomSource(seed, out.rep_index).generator()
+    expect = {"state": [], "arrivals": [], "tie_uniform": []}
+    for done in range(0, horizon, simulator._CHUNK):
+        c = min(simulator._CHUNK, horizon - done)
+        expect["state"].append(sample_channel(ref, cfg, size=c))
+        expect["arrivals"].append(sample_arrivals(ref, cfg, size=c))
+        if tie_break == "uniform_random":
+            expect["tie_uniform"].append(ref.random(c))
+    for key, parts in expect.items():
+        want = np.concatenate(parts) if parts else np.empty(0)
+        assert bitwise_equal(out.trace[key], want), (horizon, out.rep_index, key)
+    assert gen.bit_generator.state == ref.bit_generator.state, (horizon, out.rep_index)
+    assert gen.random() == ref.random(), (horizon, out.rep_index)
+
+
 class TestKernelDraws:
     """The kernel draws what numpy's reference samplers draw on a fresh
     RandomSource, chunk by chunk, bitwise, and leaves each generator where
@@ -408,34 +441,14 @@ class TestKernelDraws:
     def test_draws_equal_numpys_samplers(self, monkeypatch, cfg_name, tie_break):
         cfg = DRAW_CONFIGS[cfg_name]
         policy = Policy(MaxWeight(alpha=2.0), tie_break=tie_break)
-        made = []
-
-        class Recording(RandomSource):
-            def generator(self):
-                made.append(super().generator())
-                return made[-1]
-
-        monkeypatch.setattr(simulator, "RandomSource", Recording)
+        made = record_generators(monkeypatch)
         for horizon, reps in ((2 * simulator._CHUNK + 4465, [0]), (70_001, [4, 1, 2]), (5, [3, 0, 1])):
             made.clear()
             spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True)
-            outputs = run_replications(cfg, policy, spec, reps)
+            (outputs,) = run_replications(cfg, [policy], spec, reps)
             assert len(made) == len(reps)
-            for out, gen, rep in zip(outputs, made, reps):
-                ref = RandomSource(21, rep).generator()
-                chunks = [(done, min(simulator._CHUNK, horizon - done))
-                          for done in range(0, horizon, simulator._CHUNK)]
-                expect = {"state": [], "arrivals": [], "tie_uniform": []}
-                for _, c in chunks:
-                    expect["state"].append(sample_channel(ref, cfg, size=c))
-                    expect["arrivals"].append(sample_arrivals(ref, cfg, size=c))
-                    if tie_break == "uniform_random":
-                        expect["tie_uniform"].append(ref.random(c))
-                for key, parts in expect.items():
-                    want = np.concatenate(parts) if parts else np.empty(0)
-                    assert bitwise_equal(out.trace[key], want), (horizon, rep, key)
-                assert gen.bit_generator.state == ref.bit_generator.state, (horizon, rep)
-                assert gen.random() == ref.random(), (horizon, rep)
+            for out, gen in zip(outputs, made):
+                assert_numpys_draws(out, gen, cfg, 21, horizon, tie_break)
             if cfg_name == "poisson7":
                 states = np.concatenate([o.trace["state"] for o in outputs])
                 assert set(np.unique(states)) <= {1, 3}
@@ -463,6 +476,72 @@ class TestKernelDraws:
         assert out.counters.arrivals[2] > 1e18
         fluid = run_replication(replace(ref_cfg_fluid, arrival_rates=np.full(4, 1e19)), HET2, spec, 0)
         assert np.array_equal(fluid.counters.arrivals, np.full(4, 3e19))
+
+
+SHARED_POLICIES = (Heterogeneous(q_th=2.0), Exp(eta=0.25), MaxWeight(alpha=7.0))
+
+
+class TestSharedDraws:
+    """One call runs every policy on the same draws: each chunk is drawn once
+    and walked once per policy, and each policy's outputs are bitwise those
+    of running it alone."""
+
+    @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
+    @pytest.mark.parametrize("cfg_name", list(DRAW_CONFIGS))
+    def test_each_policy_equals_running_it_alone(self, monkeypatch, cfg_name, tie_break):
+        cfg = DRAW_CONFIGS[cfg_name]
+        policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES]
+        for horizon, reps in ((2 * simulator._CHUNK + 4465, [1, 0]), (5, [3, 0, 1])):
+            spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True,
+                           thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
+            made = record_generators(monkeypatch)
+            shared = run_replications(cfg, policies, spec, reps)
+            assert len(made) == len(reps) and len(shared) == len(policies)
+            for out, gen in zip(shared[0], made):
+                assert_numpys_draws(out, gen, cfg, 21, horizon, tie_break)
+            monkeypatch.undo()
+            for policy, outputs in zip(policies, shared):
+                (alone,) = run_replications(cfg, [policy], spec, reps)
+                for a, b in zip(outputs, alone):
+                    assert a.rep_index == b.rep_index
+                    for f in fields(TraceCounters):
+                        assert bitwise_equal(getattr(a.counters, f.name), getattr(b.counters, f.name)), f.name
+                    assert bitwise_equal(a.overflow_slot_counts, b.overflow_slot_counts)
+                    assert bitwise_equal(a.mean_queues, b.mean_queues)
+                    assert a.trace.keys() == b.trace.keys()
+                    for key in a.trace:
+                        assert bitwise_equal(a.trace[key], b.trace[key]), (policy, key)
+
+    def test_mixed_tie_breaks_rejected(self, ref_cfg):
+        """The draws hold tie uniforms only for uniform ties, so the policies
+        of one call must share their tie-break."""
+        mixed = [HET2, Policy(Exp(eta=0.25), tie_break="uniform_random")]
+        spec = SimSpec(horizon=10)
+        message = "^policies run on shared draws must share one tie_break, got 'lowest_index' and 'uniform_random'$"
+        with pytest.raises(ValueError, match=message):
+            run_replications(ref_cfg, mixed, spec, [0])
+        with pytest.raises(ValueError, match=message):
+            run_simulation(ref_cfg, mixed[::-1], spec)
+        with pytest.raises(ValueError, match="^run_replications needs at least one policy$"):
+            run_replications(ref_cfg, [], spec, [0])
+
+    @pytest.mark.parametrize("argv", [
+        ["compare"],
+        ["sweep", "--policy", '{"type": "het", "q_th": 2}', "--values", "1,2"],
+    ], ids=["compare", "sweep"])
+    def test_compare_and_sweep_make_one_call(self, monkeypatch, ref_cfg_path, tmp_path, argv):
+        calls = []
+        original = simulator.run_replications
+
+        def counting(cfg, policies, spec, rep_indices):
+            calls.append(len(policies))
+            return original(cfg, policies, spec, rep_indices)
+
+        monkeypatch.setattr(simulator, "run_replications", counting)
+        rc = cli.main([*argv, "--config", str(ref_cfg_path), "--horizon", "2000",
+                       "--replications", "2", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert calls == [3 if argv[0] == "compare" else 2]
 
 
 class TestScaledTrace:
@@ -636,7 +715,8 @@ def replay(cfg, policy, seed, horizon):
 def kernel_picks(cfg, variant, rows):
     """The user the compiled kernel serves from each queue row of rows (R x N)
     in one slot of a one-state cfg, with fluid arrivals at rate 0 and
-    lowest-index ties, so that no draw matters."""
+    lowest-index ties, so that no draw matters: one policy, so every
+    per-policy array is the R-row one with a policy axis of 1."""
     kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
     R, n = rows.shape
     gen = np.random.default_rng(0)
@@ -645,9 +725,9 @@ def kernel_picks(cfg, variant, rows):
     param = float(getattr(variant, VARIANT_PARAM[type(variant)]))
     chosen = np.empty((R, 1), dtype=np.int64)
     stats = [np.zeros((R, n)) for _ in range(3)]
-    kernel(simulator._RULES[type(variant)], 0, 1, R, 1, 1, 0, n, 1, bitgens, np.ones(1), np.zeros(n),
-           cfg.rate_matrix, rate_table(variant, cfg), param, np.empty(0), 0, rows.copy(),
-           np.empty(2 * n), *stats, np.zeros((R, 1, n), dtype=np.int64),
+    kernel(1, np.array([simulator._RULES[type(variant)]]), np.array([param]), rate_table(variant, cfg),
+           0, 1, R, 1, 1, 0, n, 1, bitgens, np.ones(1), np.zeros(n), cfg.rate_matrix, np.empty(0), 0,
+           rows.copy(), np.empty(2 * n), *stats, np.zeros((R, 1, n), dtype=np.int64),
            np.zeros((R, 0), dtype=np.int64), np.zeros(R), np.zeros((R, n)), 1,
            np.empty((R, 1), dtype=np.int64), np.empty((R, 0)), np.empty((R, 1, n)), chosen,
            np.empty((R, 1)), np.empty((R, 2, n)))
@@ -710,7 +790,7 @@ class TestEngineMatchesSpec:
             cfg = replace(ref_cfg, arrival_model="fluid", arrival_rates=np.array([0.7, 0.45, 0.9, 0.35]))
         spec = SimSpec(horizon=simulator._CHUNK + 500, master_seed=5, record_trace=True)
         policy = Policy(Heterogeneous(q_th=3.0), tie_break=tie_break)
-        for out in run_replications(cfg, policy, spec, [0, 1]):
+        for out in run_replications(cfg, [policy], spec, [0, 1])[0]:
             tr = out.trace
             steps = [step_queues(q, a, c, m, cfg) for q, a, c, m in
                      zip(tr["q"][:-1], tr["arrivals"], tr["chosen"].tolist(), tr["state"].tolist())]
@@ -867,8 +947,8 @@ class TestSlotKernelBuild:
         script = (
             "import hashlib, numpy as np\n"
             "from schedlab import Exp, Policy, SimSpec, reference_config, run_replications\n"
-            "outs = run_replications(reference_config(), Policy(Exp(eta=0.25), 'uniform_random'),\n"
-            "                        SimSpec(horizon=5000, master_seed=7), [0, 1])\n"
+            "(outs,) = run_replications(reference_config(), [Policy(Exp(eta=0.25), 'uniform_random')],\n"
+            "                           SimSpec(horizon=5000, master_seed=7), [0, 1])\n"
             "h = hashlib.sha256()\n"
             "for o in outs:\n"
             "    for a in (o.counters.served_slots, o.counters.departures, o.counters.final_queues,\n"
