@@ -1,12 +1,10 @@
 """schedlab: queue- and channel-aware scheduling simulation and decay-rate analysis."""
 
 from .ldp import (
-    AllocationMatrix,
     IoptResult,
     PathSample,
     aux_growth,
     compute_iopt,
-    is_stabilizable,
     path_cost,
     poisson_rate,
     relative_entropy,

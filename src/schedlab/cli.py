@@ -286,10 +286,10 @@ def cmd_iopt(args) -> int:
             "arg_y": result.arg_y,
             "arg_gamma": result.arg_gamma,
             "arg_w": result.arg_w,
-            "arg_phi": result.arg_phi.phi,
+            "arg_phi": result.arg_phi,
         },
     )
-    _write_csv(out / "phi_opt.csv", _phi_columns(result.arg_phi.phi))
+    _write_csv(out / "phi_opt.csv", _phi_columns(result.arg_phi))
     return EXIT_OK
 
 
@@ -405,9 +405,10 @@ _COMMANDS = {
     "compare": cmd_compare,
 }
 
-# bad input: a config, policy or option the library rejects (ValueError), or a
-# path that cannot be read or written (OSError)
-_USAGE_ERRORS = (OSError, KeyError, TypeError, ValueError)
+# bad input: a config, policy or option the library rejects (ValueError, or
+# TypeError for a value of the wrong JSON type), or a path that cannot be read
+# or written (OSError)
+_USAGE_ERRORS = (OSError, TypeError, ValueError)
 
 
 def main(argv=None) -> int:

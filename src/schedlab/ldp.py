@@ -28,9 +28,7 @@ from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp, rel_entr
 
 from .errors import ComputationError
-from .model import ARRIVAL_FLUID, SystemConfig
-
-PROB_TOL = 1e-9
+from .model import ARRIVAL_FLUID, PROB_SUM_TOL, SystemConfig
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +63,8 @@ def _check_prob_vector(v: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be 1-D")
     if np.any(v < 0):
         raise ValueError(f"{name} has negative entries")
-    if abs(v.sum() - 1.0) > PROB_TOL:
-        raise ValueError(f"{name} sums to {v.sum()}, not 1 within {PROB_TOL}")
+    if abs(v.sum() - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"{name} sums to {v.sum()}, not 1 within {PROB_SUM_TOL}")
     return v
 
 
@@ -117,33 +115,14 @@ def path_cost(path: PathSample, cfg: SystemConfig) -> float:
 
     fdot = np.clip(df, 0.0, None) / dt[:, None]
     gdot = np.clip(dg, 0.0, None) / dt[:, None]
-    if np.any(np.abs(gdot.sum(axis=1) - 1.0) > PROB_TOL * np.maximum(1.0, 1.0 / dt)):
+    if np.any(np.abs(gdot.sum(axis=1) - 1.0) > PROB_SUM_TOL * np.maximum(1.0, 1.0 / dt)):
         return math.inf
     step = poisson_rate(fdot, cfg.arrival_rates).sum(axis=1) + rel_entr(gdot, cfg.state_probs).sum(axis=1)
     return float(dt @ step)
 
 
 # ---------------------------------------------------------------------------
-# allocation matrices and the growth-rate LP
-
-
-@dataclass(frozen=True)
-class AllocationMatrix:
-    """Row-stochastic per-state time shares: phi[m][i] = fraction of state-m
-    slots in which user i is served."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        object.__setattr__(self, "phi", phi)
-        if phi.ndim != 2:
-            raise ValueError("phi must be a 2-D matrix")
-        if np.any(phi < -1e-12) or np.any(phi > 1.0 + 1e-12):
-            raise ValueError("phi entries must lie in [0, 1]")
-        sums = phi.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > PROB_TOL):
-            raise ValueError(f"phi rows must sum to 1 within {PROB_TOL}, got {sums}")
+# the allocation LP
 
 
 def _clean_rows(phi: np.ndarray) -> np.ndarray:
@@ -163,12 +142,34 @@ def solve_standard_form(c, A, b) -> tuple[np.ndarray, float]:
     return res.x, float(res.fun)
 
 
-def w_growth(y, gamma, cfg: SystemConfig) -> tuple[float, AllocationMatrix]:
+def _allocation_lp(R: np.ndarray, demand: np.ndarray, phi_cost: np.ndarray, grow: bool):
+    """Minimize [w +] phi_cost . phi over [w,] phi (M*N, row-major) and one
+    surplus s_i per constrained user: with grow every user gets the row
+    w + sum_m R[m,i] phi[m,i] - s_i = demand_i, without it (and without w)
+    only users with demand_i > 0 do; every state gets sum_i phi[m,i] = 1.
+    Returns the optimum and the (M, N) phi as HiGHS left it."""
+    M, N = R.shape
+    users = np.arange(N) if grow else np.flatnonzero(demand > 0)
+    k, lead = len(users), int(grow)
+    A = np.zeros((k + M, lead + M * N + k))
+    A[:k, :lead] = 1.0
+    for r, i in enumerate(users):
+        A[r, lead + i : lead + M * N : N] = R[:, i]
+        A[r, lead + M * N + r] = -1.0
+    for m in range(M):
+        A[k + m, lead + m * N : lead + (m + 1) * N] = 1.0
+    b = np.concatenate([demand[users], np.ones(M)])
+    c = np.concatenate([np.ones(lead), np.ravel(phi_cost), np.zeros(k)])
+    x, value = solve_standard_form(c, A, b)
+    return value, x[lead : lead + M * N].reshape(M, N)
+
+
+def w_growth(y, gamma, cfg: SystemConfig) -> tuple[float, np.ndarray]:
     """Minimum achievable growth rate of the largest queue.
 
     Solves min w s.t. w >= y_i - sum_m gamma_m phi[m][i] F[m][i] for all i,
     rows of phi stochastic, everything nonnegative. Returns the optimum and a
-    minimizing allocation.
+    minimizing allocation, an (M, N) array with rows summing to 1.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
@@ -177,34 +178,8 @@ def w_growth(y, gamma, cfg: SystemConfig) -> tuple[float, AllocationMatrix]:
     M, N = cfg.n_states, cfg.n_users
     if y.shape != (N,) or gamma.shape != (M,):
         raise ValueError("y/gamma dimensions disagree with the config")
-
-    R = gamma[:, None] * cfg.rate_matrix  # (M, N) effective service rates
-    # variables: [w, phi (M*N), surplus (N)]
-    nv = 1 + M * N + N
-    A = np.zeros((N + M, nv))
-    b = np.zeros(N + M)
-    for i in range(N):
-        A[i, 0] = 1.0
-        A[i, 1 + i::N][:M] = R[:, i]
-        A[i, 1 + M * N + i] = -1.0
-        b[i] = y[i]
-    for m in range(M):
-        A[N + m, 1 + m * N : 1 + (m + 1) * N] = 1.0
-        b[N + m] = 1.0
-    c = np.zeros(nv)
-    c[0] = 1.0
-    x, value = solve_standard_form(c, A, b)
-    phi = _clean_rows(x[1 : 1 + M * N].reshape(M, N))
-    return max(0.0, value), AllocationMatrix(phi)
-
-
-def is_stabilizable(cfg: SystemConfig) -> tuple[bool, AllocationMatrix | None]:
-    """True iff some allocation serves every user at >= lambda_i under the
-    true state distribution; returns the witness allocation."""
-    w, phi = w_growth(cfg.arrival_rates, cfg.state_probs, cfg)
-    if w <= 1e-9:
-        return True, phi
-    return False, None
+    value, phi = _allocation_lp(gamma[:, None] * cfg.rate_matrix, y, np.zeros(M * N), grow=True)
+    return max(0.0, value), _clean_rows(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -285,38 +260,21 @@ class IoptResult:
     value: float
     arg_y: np.ndarray
     arg_gamma: np.ndarray
-    arg_phi: AllocationMatrix
+    arg_phi: np.ndarray
     arg_w: float
 
 
 def _canonical_phi(y: np.ndarray, gamma: np.ndarray, w: float, cfg: SystemConfig) -> np.ndarray:
     """Deterministic representative of the optimal-allocation face.
 
-    Among allocations achieving the optimal w, picks the vertex maximizing the
+    Among allocations achieving the optimal w, picks a vertex maximizing the
     squared-rate weight sum (time concentrates on high-rate user/state pairs);
     states with all-zero rates get a uniform row since any split is optimal.
+    Where users share a rate in some state that vertex is not unique, and
+    HiGHS's pivot path picks among them: the pick is repeatable, not canonical.
     """
-    M, N = cfg.n_states, cfg.n_users
-    R = gamma[:, None] * cfg.rate_matrix
-    req = y - w - 1e-9
-    keep = [i for i in range(N) if req[i] > 0]
-    nk = len(keep)
-    nv = M * N + nk
-    A = np.zeros((nk + M, nv))
-    b = np.zeros(nk + M)
-    for r, i in enumerate(keep):
-        A[r, i::N][:M] = R[:, i]
-        A[r, M * N + r] = -1.0
-        b[r] = req[i]
-    for m in range(M):
-        A[nk + m, m * N : (m + 1) * N] = 1.0
-        b[nk + m] = 1.0
-    c = np.zeros(nv)
-    c[: M * N] = -(cfg.rate_matrix**2).ravel()
-    x, _ = solve_standard_form(c, A, b)
-    phi = x[: M * N].reshape(M, N)
-    dead = cfg.rate_matrix.max(axis=1) <= 0
-    phi[dead] = 1.0 / N
+    _, phi = _allocation_lp(gamma[:, None] * cfg.rate_matrix, y - w - 1e-9, -(cfg.rate_matrix**2), grow=False)
+    phi[cfg.rate_matrix.max(axis=1) <= 0] = 1.0 / cfg.n_users
     return _clean_rows(phi)
 
 
@@ -336,7 +294,7 @@ def compute_iopt(cfg: SystemConfig) -> IoptResult:
 
     w0, phi0 = w_growth(lam, p, cfg)
     if w0 > 1e-9:
-        # the mean path itself overflows at zero deviation cost
+        # not stabilizable: the mean path itself overflows at zero deviation cost
         return IoptResult(0.0, lam.copy(), p.copy(), phi0, w0)
 
     U = _dual_candidates(cfg.rate_matrix)
@@ -369,8 +327,7 @@ def compute_iopt(cfg: SystemConfig) -> IoptResult:
     gamma = p * np.exp(-theta * C[k])
     gamma /= gamma.sum()
     w, _ = w_growth(y, gamma, cfg)
-    phi = AllocationMatrix(_canonical_phi(y, gamma, w, cfg))
-    return IoptResult(theta, y, gamma, phi, w)
+    return IoptResult(theta, y, gamma, _canonical_phi(y, gamma, w, cfg), w)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ deterministic fluid of exactly ``arrival_rates[i]`` packets per slot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -137,12 +137,17 @@ class TraceCounters:
 def load_json_object(source: str | Path | dict) -> dict:
     """A dict as is, a Path's file, or a string: a JSON object when its first
     non-blank character is "{", else a path to read. A JSON document is never
-    looked up on disk, so its length is not limited by the file system."""
+    looked up on disk, so its length is not limited by the file system. A
+    document that is not a JSON object is a ValueError naming its type."""
     if isinstance(source, dict):
         return source
     if isinstance(source, str) and source.lstrip().startswith("{"):
-        return json.loads(source)
-    return json.loads(Path(source).read_text())
+        doc = json.loads(source)
+    else:
+        doc = json.loads(Path(source).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def config_from_json(source: str | Path | dict) -> SystemConfig:
@@ -150,8 +155,17 @@ def config_from_json(source: str | Path | dict) -> SystemConfig:
 
     Schema: {"n_users", "n_states", "state_probs", "rate_matrix",
     "arrival_rates", "arrival_model"}; rate_matrix is row-major, rows = states.
+    arrival_model may be left out (Poisson). A missing key, or any other key,
+    is a ValueError naming it.
     """
     doc = load_json_object(source)
+    keys = [f.name for f in fields(SystemConfig)]
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; the schema's keys are {keys}")
+    missing = [f.name for f in fields(SystemConfig) if f.default is MISSING and f.name not in doc]
+    if missing:
+        raise ValueError(f"config needs {', '.join(map(repr, missing))}")
     return SystemConfig(
         n_users=int(doc["n_users"]),
         n_states=int(doc["n_states"]),

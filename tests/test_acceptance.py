@@ -90,7 +90,7 @@ class TestCriterion1:
 class TestCriterion2:
     def test_c02_optimal_allocation_structure(self, iopt_timed, certificate, ref_cfg):
         result, _ = iopt_timed
-        phi = result.arg_phi.phi
+        phi = result.arg_phi
         # Complementary slackness with the certified dual vertex u: every u_i > 0,
         # so every growth constraint is tight at the tilt, and user 0 alone
         # maximises u_i F[m3][i], so state m3 serves only user 0. User 0's

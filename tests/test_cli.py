@@ -77,6 +77,23 @@ class TestSimulate:
         assert "state_probs entries must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {**doc, "arrival_modle": "fluid"}, "unknown config keys ['arrival_modle']"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "n_states"}, "config needs 'n_states'"),
+        (lambda doc: list(doc.values()), "expected a JSON object, got list"),
+    ], ids=["unknown_key", "missing_key", "not_an_object"])
+    def test_bad_config_document_exits_2_without_outputs(self, ref_cfg_path, tmp_path, capsys, edit, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(edit(json.loads(ref_cfg_path.read_text()))))
+        out = tmp_path / "x"
+        rc = run_cli("simulate", "--config", str(cfg), "--policy", HET_POLICY,
+                     "--horizon", "1000", "--replications", "1", "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert not out.exists()
+        assert err.startswith("schedlab: ") and err.count("\n") == 1, err
+        assert message in err
+
     def test_single_tiny_replication_is_valid(self, ref_cfg_path, tmp_path):
         out = tmp_path / "tiny"
         rc = run_cli(

@@ -13,7 +13,6 @@ from schedlab import (
     PathSample,
     aux_growth,
     compute_iopt,
-    is_stabilizable,
     path_cost,
     poisson_rate,
     relative_entropy,
@@ -21,7 +20,8 @@ from schedlab import (
 )
 from schedlab.errors import ComputationError
 from schedlab import ldp
-from schedlab.ldp import _dual_candidates, solve_standard_form
+from schedlab.ldp import _allocation_lp, _dual_candidates, solve_standard_form
+from schedlab.model import PROB_SUM_TOL
 from conftest import make_config
 
 
@@ -357,7 +357,7 @@ class TestWGrowth:
         assert w == pytest.approx(0.0, abs=1e-9)
         w, phi = w_growth(np.array([7.0]), np.array([1.0]), single_user_cfg)
         assert w == pytest.approx(2.0, abs=1e-9)
-        assert phi.phi[0, 0] == pytest.approx(1.0)
+        assert phi[0, 0] == pytest.approx(1.0)
 
     def test_reference_mean_point_is_stable(self, ref_cfg):
         w, _ = w_growth(ref_cfg.arrival_rates, ref_cfg.state_probs, ref_cfg)
@@ -390,7 +390,7 @@ class TestWGrowth:
             gamma = rng.dirichlet(np.ones(3))
             y = rng.uniform(0, 5, 4)
             w, phi = w_growth(y, gamma, ref_cfg)
-            v = (gamma[:, None] * ref_cfg.rate_matrix * phi.phi).sum(axis=0)
+            v = (gamma[:, None] * ref_cfg.rate_matrix * phi).sum(axis=0)
             if w <= 1e-9:
                 assert np.all(y <= v + 1e-7)
             else:
@@ -556,22 +556,56 @@ class TestSolveStandardForm:
 
 
 class TestStabilizable:
+    # compute_iopt's early return is the one stability test: w_growth at the
+    # means (lam, p) is 0 exactly when some allocation serves every lam_i
     def test_reference_system_stable(self, ref_cfg):
-        ok, witness = is_stabilizable(ref_cfg)
-        assert ok
-        v = (ref_cfg.state_probs[:, None] * ref_cfg.rate_matrix * witness.phi).sum(axis=0)
+        w, witness = w_growth(ref_cfg.arrival_rates, ref_cfg.state_probs, ref_cfg)
+        assert w <= 1e-9
+        v = (ref_cfg.state_probs[:, None] * ref_cfg.rate_matrix * witness).sum(axis=0)
         assert np.all(v >= ref_cfg.arrival_rates - 1e-7)
 
     def test_overloaded_single_user(self):
         cfg = make_config([[5.0]], [1.0], [6.0])
-        ok, witness = is_stabilizable(cfg)
-        assert not ok
-        assert witness is None
+        w, _ = w_growth(cfg.arrival_rates, cfg.state_probs, cfg)
+        assert w > 1e-9
 
     def test_vanishing_load(self):
         cfg = make_config([[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5], [1e-9, 1e-9])
-        ok, _ = is_stabilizable(cfg)
-        assert ok
+        w, _ = w_growth(cfg.arrival_rates, cfg.state_probs, cfg)
+        assert w <= 1e-9
+
+
+def _allocation_configs():
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        M, N = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        rates = rng.uniform(0, 3, (M, N)) * (rng.random((M, N)) > 0.3)
+        yield make_config(rates, rng.dirichlet(np.ones(M)), rng.uniform(0.05, 0.6, N))
+    yield make_config([[0.0, 0.0, 0.0], [2.0, 1.0, 3.0], [1.0, 4.0, 0.0]], [0.2, 0.5, 0.3], [0.3, 0.3, 0.3])
+
+
+class TestAllocations:
+    @staticmethod
+    def assert_row_stochastic(phi, cfg):
+        assert isinstance(phi, np.ndarray) and phi.shape == (cfg.n_states, cfg.n_users)
+        assert np.all((phi >= 0.0) & (phi <= 1.0))
+        assert np.all(np.abs(phi.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
+
+    @pytest.mark.parametrize("cfg", list(_allocation_configs()), ids=lambda cfg: f"{cfg.n_states}x{cfg.n_users}")
+    def test_allocations_are_row_stochastic_arrays(self, cfg):
+        rng = np.random.default_rng(cfg.n_states * 10 + cfg.n_users)
+        for _ in range(3):
+            y = rng.uniform(0, 3, cfg.n_users)
+            _, phi = w_growth(y, rng.dirichlet(np.ones(cfg.n_states)), cfg)
+            self.assert_row_stochastic(phi, cfg)
+        self.assert_row_stochastic(compute_iopt(cfg).arg_phi, cfg)
+
+    def test_infeasible_demand_raises(self, ref_cfg):
+        # no allocation serves 100 packets a slot to user 0: its best is 5
+        demand = np.array([100.0, 0.0, 0.0, 0.0])
+        R = ref_cfg.rate_matrix
+        with pytest.raises(ComputationError, match="LP failed"):
+            _allocation_lp(R, demand, np.zeros(R.size), grow=False)
 
 
 class TestComputeIopt:
@@ -604,7 +638,7 @@ class TestComputeIopt:
         )
         assert res.value * res.arg_w == pytest.approx(cost, abs=1e-9)
         assert res.arg_w >= 1e-6
-        rows = res.arg_phi.phi.sum(axis=1)
+        rows = res.arg_phi.sum(axis=1)
         assert np.allclose(rows, 1.0, atol=1e-9)
 
 
