@@ -16,10 +16,6 @@ from .model import (
     TraceCounters,
     config_from_json,
     config_to_json,
-    sample_arrivals,
-    sample_channel,
-    step_queues,
-    reference_config,
 )
 from .schedulers import (
     Exp,
@@ -44,7 +40,6 @@ from .simulator import (
     empirical_phi,
     estimate_overflow,
     fit_decay_rate,
-    run_replication,
     run_replications,
     run_simulation,
     scaled_trace,

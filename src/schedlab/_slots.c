@@ -2,12 +2,12 @@
  *
  * Each of R rows runs its replication's T slots in chunks of `chunk` slots,
  * drawing each chunk from the row's own numpy bit generator (gens[r], the
- * bitgen_t behind its numpy Generator) in the order numpy's reference
- * samplers (model.sample_channel, model.sample_arrivals, Generator.random)
- * draw it: chunk channel uniforms, each mapped to the count of cum <= u
+ * bitgen_t behind its numpy Generator) in the order and with the values of
+ * numpy's own calls on that Generator: chunk channel uniforms
+ * (Generator.random), each mapped to the count of cum <= u
  * (np.searchsorted(cum, u, side="right")); chunk x n Poisson counts,
- * slot-major, or lam itself for fluid arrivals; then, for uniform ties,
- * chunk tie uniforms. Poisson counts come from numpy's own random_poisson
+ * slot-major (Generator.poisson), or lam itself for fluid arrivals; then,
+ * for uniform ties, chunk tie uniforms (Generator.random). Poisson counts come from numpy's own random_poisson
  * (libnpyrandom.a) for lam == 0 and lam >= 10, and below 10 from its
  * multiplication method, inlined here with exp(-lam) taken once per user
  * instead of once per variate: the same value, so every draw is bitwise

@@ -28,8 +28,8 @@ from .schedulers import (
 )
 from .simulator import (
     DEFAULT_THRESHOLDS,
-    ESTIMATOR_EPISODE,
     ESTIMATOR_STATIONARY,
+    ESTIMATORS,
     SimResult,
     SimSpec,
     decision_regions,
@@ -153,7 +153,7 @@ def _add_common(sub: argparse.ArgumentParser, policy: bool = True, campaign: boo
     sub.add_argument("--thresholds", default=None, help="comma-separated overflow thresholds")
     sub.add_argument(
         "--estimator",
-        choices=[ESTIMATOR_STATIONARY, ESTIMATOR_EPISODE],
+        choices=ESTIMATORS,
         default=ESTIMATOR_STATIONARY,
         help="stationary: fraction of post-burn-in slots whose largest queue is at or above B; "
         "episode: fraction of replications whose largest queue reaches B after the burn-in "
@@ -176,6 +176,7 @@ def _load_inputs(args, policy: bool = True):
         burn_in=args.burn_in,
         thresholds=_parse_thresholds(args.thresholds),
         master_seed=args.seed,
+        estimator=args.estimator,
     )
     return cfg, pol, spec
 
@@ -190,7 +191,7 @@ def _spec_echo(args, cfg: SystemConfig, spec: SimSpec | None, policy: Policy | N
                 "replications": spec.replications,
                 "burn_in": resolved_burn_in(spec),
                 "thresholds": list(spec.thresholds),
-                "estimator": getattr(args, "estimator", ESTIMATOR_STATIONARY),
+                "estimator": spec.estimator,
             }
         )
     if policy is not None:
@@ -205,7 +206,7 @@ def _spec_echo(args, cfg: SystemConfig, spec: SimSpec | None, policy: Policy | N
 
 def cmd_simulate(args) -> int:
     cfg, policy, spec = _load_inputs(args)
-    (result,) = run_simulation(cfg, [policy], spec, mode=args.estimator)
+    (result,) = run_simulation(cfg, [policy], spec)
     out = Path(args.out)
     doc = {"spec_echo": _spec_echo(args, cfg, spec, policy)}
     doc.update(_sim_result_doc(result))
@@ -240,7 +241,7 @@ def cmd_sweep(args) -> int:
     swept = [_policy_with_param(policy, v) for v in values]
 
     iopt = compute_iopt(cfg)
-    results = run_simulation(cfg, [pol for pol, _ in swept], spec, mode=args.estimator)
+    results = run_simulation(cfg, [pol for pol, _ in swept], spec)
     fits = [r.decay for r in results]
     entries = [{"param": value, "policy": policy_to_json(pol), **_sim_result_doc(result)}
                for value, (pol, _), result in zip(values, swept, results)]
@@ -328,7 +329,7 @@ def cmd_compare(args) -> int:
         ("mw", args.alpha, Policy(MaxWeight(alpha=args.alpha))),
     ]
 
-    runs = run_simulation(cfg, [pol for _, _, pol in policies], spec, mode=args.estimator)
+    runs = run_simulation(cfg, [pol for _, _, pol in policies], spec)
     results = {name: result for (name, _, _), result in zip(policies, runs)}
     fits = [r.decay for r in results.values()]
     mean_q = np.array([r.mean_queues for r in results.values()])

@@ -1,10 +1,11 @@
-"""System model: configuration, randomness, channel/arrival sampling, queue updates.
+"""System model: configuration, seeded streams and the channel's cumulative law.
 
 The system is N users sharing a single downlink channel. Time is slotted; each
 slot the channel is in one of M i.i.d. states drawn from ``state_probs``. When
 user i is selected in state m it drains up to ``rate_matrix[m][i]`` packets.
 Arrivals are per-slot Poisson draws at rate ``arrival_rates[i]`` (default) or a
-deterministic fluid of exactly ``arrival_rates[i]`` packets per slot.
+deterministic fluid of exactly ``arrival_rates[i]`` packets per slot. The
+simulator's compiled kernel draws and updates every slot itself.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ ARRIVAL_MODELS = (ARRIVAL_POISSON, ARRIVAL_FLUID)
 POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
+def require_integer(name: str, value) -> None:
+    """A count must be a Python or numpy integer, not a float or a bool: a
+    ValueError naming the field otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Ground truth of one experiment.
@@ -46,10 +54,12 @@ class SystemConfig:
         """Check every field on construction, dataclasses.replace included,
         and store the arrays as read-only float copies, state_probs divided by
         its sum, so no write after construction skips these checks. Any bad
-        field raises ValueError naming it: a wrong shape, a non-finite or
-        negative entry, a sum more than 1e-9 from 1, or no users or no states.
+        field raises ValueError naming it: a count that is not an integer, a
+        wrong shape, a non-finite or negative entry, a sum more than 1e-9 from
+        1, no users or no states, or a Poisson rate above POISSON_LAM_MAX.
         """
         for name, n in (("n_users", self.n_users), ("n_states", self.n_states)):
+            require_integer(name, n)
             if n < 1:
                 raise ValueError(f"{name} must be >= 1, got {n}")
         p = np.array(self.state_probs, dtype=float)
@@ -74,6 +84,11 @@ class SystemConfig:
             raise ValueError("rate_matrix entries must be >= 0")
         if np.any(lam <= 0):
             raise ValueError("arrival_rates entries must be > 0")
+        if self.arrival_model == ARRIVAL_POISSON:
+            for user, rate in enumerate(lam.tolist()):
+                if rate > POISSON_LAM_MAX:
+                    raise ValueError(f"user {user}'s Poisson arrival rate {rate!r} lies outside "
+                                     f"[0, {POISSON_LAM_MAX!r}], the range numpy's sampler takes")
 
         total = p.sum()
         if abs(total - 1.0) > PROB_SUM_TOL:
@@ -167,8 +182,8 @@ def config_from_json(source: str | Path | dict) -> SystemConfig:
     if missing:
         raise ValueError(f"config needs {', '.join(map(repr, missing))}")
     return SystemConfig(
-        n_users=int(doc["n_users"]),
-        n_states=int(doc["n_states"]),
+        n_users=doc["n_users"],
+        n_states=doc["n_states"],
         state_probs=np.asarray(doc["state_probs"], dtype=float),
         rate_matrix=np.asarray(doc["rate_matrix"], dtype=float),
         arrival_rates=np.asarray(doc["arrival_rates"], dtype=float),
@@ -192,74 +207,3 @@ def channel_cdf(cfg: SystemConfig) -> np.ndarray:
     cum = np.cumsum(cfg.state_probs)
     cum[-1] = 1.0  # guard against cumulative rounding
     return cum
-
-
-def sample_channel(gen: np.random.Generator, cfg: SystemConfig, size: int | None = None):
-    """Draw channel state index(es) with probabilities cfg.state_probs.
-
-    Returns an int for size=None, else an int array of the given length.
-    Uses inverse-CDF lookup so batched and scalar draws share one code path.
-    """
-    cum = channel_cdf(cfg)
-    if size is None:
-        return int(np.searchsorted(cum, gen.random(), side="right"))
-    return np.searchsorted(cum, gen.random(size), side="right").astype(np.int64)
-
-
-def sample_arrivals(gen: np.random.Generator, cfg: SystemConfig, size: int | None = None):
-    """Draw one slot of arrivals (or ``size`` slots as a (size, N) array).
-
-    Poisson mode draws integer counts at rate lambda_i; fluid mode returns
-    exactly lambda_i every slot.
-    """
-    if cfg.arrival_model == ARRIVAL_FLUID:
-        if size is None:
-            return cfg.arrival_rates.copy()
-        return np.broadcast_to(cfg.arrival_rates, (size, cfg.n_users)).copy()
-    if size is None:
-        return gen.poisson(cfg.arrival_rates).astype(float)
-    return gen.poisson(cfg.arrival_rates, size=(size, cfg.n_users)).astype(float)
-
-
-def step_queues(
-    q: np.ndarray,
-    arrivals: np.ndarray,
-    served_user: int,
-    state: int,
-    cfg: SystemConfig,
-) -> tuple[np.ndarray, float]:
-    """Advance the queue vector one slot; returns (new_queues, departure).
-
-    The served user drains min(backlog + own arrivals, rate) packets, so the
-    cumulative balance Q(T) = Q(0) + arrivals(T) - departures(T) is exact.
-    """
-    if not 0 <= served_user < cfg.n_users:
-        raise ValueError(f"served_user {served_user} outside [0, {cfg.n_users})")
-    if not 0 <= state < cfg.n_states:
-        raise ValueError(f"state {state} outside [0, {cfg.n_states})")
-    arrivals = np.asarray(arrivals, dtype=float)
-    if np.any(arrivals < 0):
-        raise ValueError("arrivals entries must be >= 0")
-
-    new_q = q + arrivals
-    departure = float(min(new_q[served_user], cfg.rate_matrix[state, served_user]))
-    new_q[served_user] -= departure
-    return new_q, departure
-
-
-def reference_config(arrival_model: str = ARRIVAL_POISSON) -> SystemConfig:
-    """The 4-user / 3-state reference system used throughout the experiments."""
-    return SystemConfig(
-        n_users=4,
-        n_states=3,
-        state_probs=np.array([0.3, 0.6, 0.1]),
-        rate_matrix=np.array(
-            [
-                [0.0, 0.0, 0.0, 0.0],
-                [3.0, 9.0, 9.0, 9.0],
-                [5.0, 0.0, 1.0, 1.0],
-            ]
-        ),
-        arrival_rates=np.array([1.0, 1.0, 1.0, 1.0]),
-        arrival_model=arrival_model,
-    )

@@ -6,12 +6,13 @@ ties, tie uniforms. One call of a small C kernel (_slots.c, compiled with the
 system's `cc` against numpy's static random library libnpyrandom.a on first
 use and cached by the hash of its source, that library and the flags) runs a
 whole campaign of one or more policies: it draws each block once, from the
-replication's own numpy bit generator with numpy's own Poisson sampler,
-bitwise as the reference samplers model.sample_channel and
-model.sample_arrivals draw it, then walks the block's slots once per policy,
-deciding exactly as `select` does. So every policy in a call sees the same
-draws (common random numbers), and a batch run is bitwise identical to
-running each policy and replication alone.
+replication's own numpy bit generator, bitwise what numpy's own calls on that
+Generator draw (Generator.random mapped by searchsorted(side="right") for the
+states, Generator.poisson for the arrivals, Generator.random for the tie
+uniforms), then walks the block's slots once per policy, deciding exactly as
+`select` does. So every policy in a call sees the same draws (common random
+numbers), and a batch run is bitwise identical to running each policy and
+replication alone.
 The same walk adds each post-burn-in slot into the service counters, the
 per-threshold overflow slot counts (both estimators read these) and the
 time-average queues; every float sum runs left to right, one slot at a time.
@@ -35,11 +36,11 @@ import numpy as np
 from .errors import ComputationError
 from .model import (
     ARRIVAL_FLUID,
-    POISSON_LAM_MAX,
     RandomSource,
     SystemConfig,
     TraceCounters,
     channel_cdf,
+    require_integer,
 )
 from .schedulers import (
     TIE_UNIFORM,
@@ -57,6 +58,7 @@ _CHUNK = 32_768  # fixed block size; part of the reproducibility contract
 
 ESTIMATOR_STATIONARY = "stationary"
 ESTIMATOR_EPISODE = "episode"
+ESTIMATORS = (ESTIMATOR_STATIONARY, ESTIMATOR_EPISODE)
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
@@ -68,8 +70,9 @@ MIN_FIT_EVENTS = 5
 @dataclass(frozen=True)
 class SimSpec:
     """One simulation campaign: horizon slots per replication, thresholds to
-    monitor, and the master seed splitting into per-replication streams.
-    Checked whenever one is built, dataclasses.replace included."""
+    monitor, the overflow estimator (see estimate_overflow) and the master
+    seed splitting into per-replication streams. Checked whenever one is
+    built, dataclasses.replace included."""
 
     horizon: int
     replications: int = 1
@@ -78,8 +81,15 @@ class SimSpec:
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     master_seed: int = 0
     record_trace: bool = False
+    estimator: str = ESTIMATOR_STATIONARY
 
     def __post_init__(self):
+        for name in ("horizon", "replications", "master_seed"):
+            require_integer(name, getattr(self, name))
+        if self.burn_in is not None:
+            require_integer("burn_in", self.burn_in)
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.replications < 1:
@@ -238,9 +248,11 @@ def run_replications(
 
     One call of the compiled kernel runs the whole campaign: it draws each
     replication's chunks once, from that replication's own numpy generator,
-    in the order and with the values of model.sample_channel,
-    model.sample_arrivals and Generator.random, and walks them once per
-    policy with the score and tie rule of schedulers.stable_scores and
+    in the order and with the values of numpy's own calls on it (per chunk
+    of c slots: searchsorted(channel_cdf(cfg), gen.random(c), side="right"),
+    then gen.poisson(arrival_rates, size=(c, N)) or the rates themselves for
+    fluid arrivals, then gen.random(c) for uniform ties), and walks them once
+    per policy with the score and tie rule of schedulers.stable_scores and
     tied_mask. So every policy sees the same draws, and its outputs are
     bitwise those of running it alone. The draws hold tie uniforms only for
     uniform ties, so the policies must share one tie_break. The same walk adds
@@ -254,11 +266,6 @@ def run_replications(
         raise ValueError(f"policies run on shared draws must share one tie_break, got "
                          f"{' and '.join(map(repr, tie_breaks))}")
     fluid = cfg.arrival_model == ARRIVAL_FLUID
-    if not fluid:
-        for user, rate in enumerate(cfg.arrival_rates.tolist()):
-            if rate > POISSON_LAM_MAX:
-                raise ValueError(f"user {user}'s Poisson arrival rate {rate!r} lies outside "
-                                 f"[0, {POISSON_LAM_MAX!r}], the range numpy's sampler takes")
     kernel = _slot_kernel(_CC, _NPYRANDOM)
     P, R = len(policies), len(rep_indices)
     N, M = cfg.n_users, cfg.n_states
@@ -324,13 +331,6 @@ def run_replications(
         )
 
     return [[output(p, i, rep) for i, rep in enumerate(rep_indices)] for p in range(P)]
-
-
-def run_replication(
-    cfg: SystemConfig, policy: Policy, spec: SimSpec, rep_index: int
-) -> ReplicationOutput:
-    """One replication of one policy, deterministic given (master_seed, rep_index)."""
-    return run_replications(cfg, [policy], spec, [rep_index])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +420,14 @@ def aggregate_counters(outputs: list[ReplicationOutput]) -> TraceCounters:
     )
 
 
-def run_simulation(
-    cfg: SystemConfig,
-    policies: list[Policy],
-    spec: SimSpec,
-    mode: str = ESTIMATOR_STATIONARY,
-) -> list[SimResult]:
+def run_simulation(cfg: SystemConfig, policies: list[Policy], spec: SimSpec) -> list[SimResult]:
     """Full campaign of every policy on the same replications, in one
     run_replications call: one SimResult per policy, in policy order, each
-    with its overflow estimates, decay fit and empirical allocation matrix."""
+    with its overflow estimates (by spec.estimator), decay fit and empirical
+    allocation matrix."""
     results = []
     for outputs in run_replications(cfg, policies, spec, list(range(spec.replications))):
-        overflow = estimate_overflow(outputs, mode=mode)
+        overflow = estimate_overflow(outputs, spec.estimator)
         agg = aggregate_counters(outputs)
         results.append(SimResult(
             overflow=overflow,

@@ -1,32 +1,33 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from schedlab import SystemConfig, reference_config
+from schedlab import SystemConfig, config_from_json, run_replications
+
+# the 4-user / 3-state reference system: the one file that writes out its numbers
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference4x3.json"
 
 
 @pytest.fixture(scope="session")
 def ref_cfg():
-    return reference_config()
+    return config_from_json(REFERENCE_CONFIG)
 
 
 @pytest.fixture(scope="session")
-def ref_cfg_fluid():
-    return reference_config(arrival_model="fluid")
+def ref_cfg_fluid(ref_cfg):
+    return replace(ref_cfg, arrival_model="fluid")
 
 
 @pytest.fixture(scope="session")
-def ref_cfg_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cfg") / "ref_cfg.json"
-    path.write_text(
-        """{
-  "n_users": 4, "n_states": 3,
-  "state_probs": [0.3, 0.6, 0.1],
-  "rate_matrix": [[0, 0, 0, 0], [3, 9, 9, 9], [5, 0, 1, 1]],
-  "arrival_rates": [1, 1, 1, 1],
-  "arrival_model": "poisson"
-}"""
-    )
-    return path
+def ref_cfg_path():
+    return REFERENCE_CONFIG
+
+
+def run_replication(cfg, policy, spec, rep_index):
+    """One replication of one policy, deterministic given (master_seed, rep_index)."""
+    return run_replications(cfg, [policy], spec, [rep_index])[0][0]
 
 
 def make_config(rates, probs, lam, arrival_model="poisson"):

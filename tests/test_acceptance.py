@@ -22,12 +22,11 @@ from schedlab import (
     aux_growth,
     compute_iopt,
     poisson_rate,
-    run_replication,
     run_simulation,
     select,
     w_growth,
 )
-from conftest import make_config
+from conftest import make_config, run_replication
 from test_ldp import aux_grid_oracle, iopt_certificate, w_bruteforce
 
 SEED = 20250

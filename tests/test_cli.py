@@ -81,7 +81,8 @@ class TestSimulate:
         (lambda doc: {**doc, "arrival_modle": "fluid"}, "unknown config keys ['arrival_modle']"),
         (lambda doc: {k: v for k, v in doc.items() if k != "n_states"}, "config needs 'n_states'"),
         (lambda doc: list(doc.values()), "expected a JSON object, got list"),
-    ], ids=["unknown_key", "missing_key", "not_an_object"])
+        (lambda doc: {**doc, "n_users": 4.7}, "n_users must be an integer, got 4.7"),
+    ], ids=["unknown_key", "missing_key", "not_an_object", "float_count"])
     def test_bad_config_document_exits_2_without_outputs(self, ref_cfg_path, tmp_path, capsys, edit, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(edit(json.loads(ref_cfg_path.read_text()))))
@@ -237,6 +238,16 @@ class TestIopt:
         assert "no channel deviation" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_poisson_rate_beyond_numpys_bound_exits_2(self, tmp_path, capsys):
+        """iopt never samples, but a Poisson config numpy cannot sample is
+        refused when built, as every command refuses it."""
+        cfg_path = self.write_config(tmp_path / "huge.json", [[2.0], [3.0]], [0.5, 0.5], [1e19])
+        out = tmp_path / "x"
+        assert run_cli("iopt", "--config", cfg_path, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schedlab: user 0's Poisson arrival rate 1e+19") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--out", "--config"])
     def test_path_under_a_file_exits_2(self, ref_cfg_path, tmp_path, capsys, option):

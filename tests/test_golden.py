@@ -8,19 +8,15 @@ digests."""
 
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
 import schedlab.cli as cli
-from schedlab import reference_config
-from schedlab.model import config_to_json
-
-REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference4x3.json"
+from conftest import REFERENCE_CONFIG
 
 IOPT_CONFIGS = {
     "reference": json.loads(REFERENCE_CONFIG.read_text()),
-    "fluid": config_to_json(reference_config("fluid")),
+    "fluid": {**json.loads(REFERENCE_CONFIG.read_text()), "arrival_model": "fluid"},
     # the benchmark's 5-user x 3-state system with the lambda its analysis
     # workload draws at seed 1
     "five_user": {

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,18 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from schedlab import (
-    RandomSource,
+    Heterogeneous,
+    Policy,
+    SimSpec,
     SystemConfig,
     TraceCounters,
     config_from_json,
-    sample_arrivals,
-    sample_channel,
-    step_queues,
 )
-from conftest import make_config
+from conftest import make_config, run_replication
 
 
 class TestValidateConfig:
@@ -98,83 +97,53 @@ class TestValidateConfig:
             )
 
 
-class TestSampleChannel:
-    def test_degenerate_distribution(self):
-        cfg = make_config([[1.0], [1.0], [1.0]], [1.0, 0.0, 0.0], [1.0])
-        gen = RandomSource(1).generator()
-        draws = sample_channel(gen, cfg, size=1000)
-        assert np.all(draws == 0)
+    @pytest.mark.parametrize("field, value", [
+        ("n_users", 4.0), ("n_users", True), ("n_users", "4"), ("n_states", 3.0), ("n_states", np.float64(3)),
+    ])
+    def test_counts_must_be_integers(self, ref_cfg, field, value):
+        """A float count would run to a numpy TypeError inside the kernel
+        call; a bool is no count either."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            replace(ref_cfg, **{field: value})
 
-    def test_law_of_large_numbers(self, ref_cfg):
-        gen = RandomSource(7).generator()
-        draws = sample_channel(gen, ref_cfg, size=1_000_000)
-        freq = np.bincount(draws, minlength=3) / 1e6
+    def test_numpy_integer_counts_accepted(self, ref_cfg):
+        cfg = replace(ref_cfg, n_users=np.int64(4), n_states=np.int32(3))
+        assert cfg.n_users == 4 and cfg.n_states == 3
+
+    def test_json_counts_are_not_truncated(self, ref_cfg_path):
+        """config_from_json used to turn 4.7 users into 4."""
+        doc = json.loads(ref_cfg_path.read_text())
+        with pytest.raises(ValueError, match=r"^n_users must be an integer, got 4\.7$"):
+            config_from_json({**doc, "n_users": 4.7})
+        with pytest.raises(ValueError, match=r"^n_states must be an integer, got 3\.0$"):
+            config_from_json({**doc, "n_states": 3.0})
+
+
+class TestSlotLaw:
+    """The channel law and the queue update, seen on runs of the kernel,
+    which draws and updates every slot."""
+
+    def test_channel_law_of_large_numbers(self, ref_cfg):
+        spec = SimSpec(horizon=1_000_000, burn_in=0, master_seed=7)
+        counters = run_replication(ref_cfg, Policy(Heterogeneous(q_th=2.0)), spec, 0).counters
+        freq = counters.state_slots / counters.horizon
         assert np.all(np.abs(freq - ref_cfg.state_probs) < 0.005)
 
-    def test_fixed_seed_reproducible(self, ref_cfg):
-        a = sample_channel(RandomSource(3, 1).generator(), ref_cfg, size=100)
-        b = sample_channel(RandomSource(3, 1).generator(), ref_cfg, size=100)
-        assert np.array_equal(a, b)
-        one = sample_channel(RandomSource(3, 1).generator(), ref_cfg)
-        assert one == a[0]
-
-
-class TestSampleArrivals:
-    def test_fluid_exact(self, ref_cfg_fluid):
-        gen = RandomSource(0).generator()
-        assert np.array_equal(sample_arrivals(gen, ref_cfg_fluid), np.ones(4))
-        block = sample_arrivals(gen, ref_cfg_fluid, size=10)
-        assert np.array_equal(block, np.ones((10, 4)))
-
-    def test_poisson_moments(self, ref_cfg):
-        gen = RandomSource(11).generator()
-        draws = sample_arrivals(gen, ref_cfg, size=1_000_000)[:, 0]
-        assert abs(draws.mean() - 1.0) < 0.004
-        assert abs(draws.var() - 1.0) < 0.01
-
-    def test_poisson_nonnegative_integers(self, ref_cfg):
-        gen = RandomSource(5).generator()
-        draws = sample_arrivals(gen, ref_cfg, size=10_000)
-        assert np.all(draws >= 0)
-        assert np.all(draws == np.floor(draws))
-
-
-class TestStepQueues:
-    def test_truncation_at_zero(self, single_user_cfg):
-        q, dep = step_queues(np.array([3.0]), np.array([1.0]), 0, 0, single_user_cfg)
-        assert q[0] == 0.0
-        assert dep == 4.0
-
-    def test_basic_arithmetic(self):
-        cfg = make_config([[3.0, 2.0]], [1.0], [1.0, 1.0])
-        q, dep = step_queues(np.array([3.0, 2.0]), np.array([1.0, 0.0]), 0, 0, cfg)
-        assert np.array_equal(q, [1.0, 2.0])
-        assert dep == 3.0
-
-    def test_index_out_of_range(self, single_user_cfg):
-        with pytest.raises(ValueError, match="served_user 1 outside"):
-            step_queues(np.array([1.0]), np.array([0.0]), 1, 0, single_user_cfg)
-        with pytest.raises(ValueError, match="state 5 outside"):
-            step_queues(np.array([1.0]), np.array([0.0]), 0, 5, single_user_cfg)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_multi_step_balance_identity(self, seed):
-        """Q(T) = Q(0) + arrivals - departures holds exactly on random runs."""
-        cfg = make_config([[0, 0], [4, 2]], [0.4, 0.6], [1.0, 1.0])
-        gen = RandomSource(seed).generator()
-        q = np.zeros(2)
-        total_arr = np.zeros(2)
-        total_dep = np.zeros(2)
-        for _ in range(200):
-            state = sample_channel(gen, cfg)
-            arr = sample_arrivals(gen, cfg)
-            served = int(gen.integers(2))
-            q, dep = step_queues(q, arr, served, state, cfg)
-            assert np.all(q >= 0)
-            total_arr += arr
-            total_dep[served] += dep
-        assert np.array_equal(q, total_arr - total_dep)
+    def test_truncation_at_zero(self):
+        """The served user departs min(backlog + arrivals, rate): where that
+        is under the rate it departs all of it and its queue is exactly 0,
+        and no queue goes below 0."""
+        cfg = make_config([[0.0], [5.0]], [0.25, 0.75], [1.5], arrival_model="fluid")
+        spec = SimSpec(horizon=2000, burn_in=0, master_seed=3, record_trace=True)
+        tr = run_replication(cfg, Policy(Heterogeneous(q_th=2.0)), spec, 0).trace
+        backlog = tr["q"][:-1, 0] + tr["arrivals"][:, 0]
+        rate = cfg.rate_matrix[tr["state"], 0]
+        short = backlog < rate
+        assert short.sum() > 100 and (~short).sum() > 100
+        assert np.array_equal(tr["departure"][short], backlog[short])
+        assert np.all(tr["q"][1:, 0][short] == 0.0)
+        assert np.array_equal(tr["departure"][~short], rate[~short])
+        assert np.all(tr["q"] >= 0.0)
 
 
 # a consistent window of 10 one-state slots: 1 queued, 7 in, 5 out, 3 left

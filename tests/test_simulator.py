@@ -21,7 +21,6 @@ from schedlab import (
     empirical_phi,
     estimate_overflow,
     fit_decay_rate,
-    run_replication,
     run_replications,
     run_simulation,
     scaled_trace,
@@ -29,15 +28,7 @@ from schedlab import (
 )
 import schedlab.cli as cli
 from schedlab import simulator
-from schedlab.model import (
-    POISSON_LAM_MAX,
-    RandomSource,
-    SystemConfig,
-    reference_config,
-    sample_arrivals,
-    sample_channel,
-    step_queues,
-)
+from schedlab.model import POISSON_LAM_MAX, RandomSource, SystemConfig, channel_cdf, config_from_json
 from schedlab.errors import ComputationError
 from schedlab.schedulers import VARIANT_PARAM, rate_table, stable_scores, tied_mask
 from schedlab.simulator import (
@@ -46,7 +37,7 @@ from schedlab.simulator import (
     ReplicationOutput,
     aggregate_counters,
 )
-from conftest import make_config
+from conftest import REFERENCE_CONFIG, make_config, run_replication
 
 HET2 = Policy(Heterogeneous(q_th=2.0))
 
@@ -94,6 +85,37 @@ class TestSimSpec:
             SimSpec(horizon=100, thresholds=(5.0, np.inf))
         with pytest.raises(ValueError, match="empty"):
             SimSpec(horizon=100, thresholds=())
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 100.0), ("horizon", True), ("replications", 2.0), ("burn_in", 10.5),
+        ("master_seed", 1.5), ("master_seed", False),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        """A float burn-in used to die in ctypes with an ArgumentError, and a
+        float seed was accepted."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            SimSpec(**{"horizon": 100, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = SimSpec(horizon=np.int64(100), replications=np.int32(2), burn_in=np.int64(5),
+                       master_seed=np.uint32(7))
+        assert simulator.resolved_burn_in(spec) == 5
+
+    def test_misspelt_estimator_fails_before_the_kernel(self, monkeypatch, ref_cfg):
+        """A spec with an unknown estimator is refused when built, so no
+        campaign starts; run_simulation takes the estimator from the spec."""
+        calls = []
+        monkeypatch.setattr(simulator, "_slot_kernel", lambda *args: calls.append(args))
+        message = r"^estimator must be one of \('stationary', 'episode'\), got 'epsiode'$"
+        with pytest.raises(ValueError, match=message):
+            run_simulation(ref_cfg, [HET2], SimSpec(horizon=100, estimator="epsiode"))
+        with pytest.raises(ValueError, match=message):
+            replace(SimSpec(horizon=100), estimator="epsiode")
+        assert calls == []
+        monkeypatch.undo()
+        spec = SimSpec(horizon=2000, replications=3, master_seed=1, estimator=ESTIMATOR_EPISODE)
+        (res,) = run_simulation(ref_cfg, [HET2], spec)
+        assert [e.n_samples for e in res.overflow] == [3] * len(spec.thresholds)
 
 
 class TestBuiltObjectsAreChecked:
@@ -392,8 +414,8 @@ DRAW_CONFIGS = {
     # states 0 and 2 have probability 0, so no draw may land in them
     "poisson7": draws_config(4, [0.0, 0.05, 1.0, 9.999, 10.0, 37.5, 1000.0],
                              probs=[0.0, 0.25, 0.0, 0.75]),
-    "reference": reference_config(),
-    "fluid": reference_config(arrival_model="fluid"),
+    "reference": config_from_json(REFERENCE_CONFIG),
+    "fluid": replace(config_from_json(REFERENCE_CONFIG), arrival_model="fluid"),
     "poisson1": draws_config(2, [3.1]),
 }
 
@@ -413,15 +435,18 @@ def record_generators(monkeypatch) -> list:
 
 
 def assert_numpys_draws(out, gen, cfg, seed, horizon, tie_break):
-    """out's recorded draws are what numpy's reference samplers draw on a
-    fresh RandomSource(seed, out.rep_index), chunk by chunk, bitwise, and
-    gen, the generator the kernel drew from, is left where they leave it."""
+    """out's recorded draws are what numpy's own calls draw on a fresh
+    RandomSource(seed, out.rep_index), chunk by chunk, bitwise, and gen, the
+    generator the kernel drew from, is left where they leave it."""
     ref = RandomSource(seed, out.rep_index).generator()
     expect = {"state": [], "arrivals": [], "tie_uniform": []}
     for done in range(0, horizon, simulator._CHUNK):
         c = min(simulator._CHUNK, horizon - done)
-        expect["state"].append(sample_channel(ref, cfg, size=c))
-        expect["arrivals"].append(sample_arrivals(ref, cfg, size=c))
+        expect["state"].append(np.searchsorted(channel_cdf(cfg), ref.random(c), side="right"))
+        if cfg.arrival_model == "fluid":
+            expect["arrivals"].append(np.tile(cfg.arrival_rates, (c, 1)))
+        else:
+            expect["arrivals"].append(ref.poisson(cfg.arrival_rates, size=(c, cfg.n_users)).astype(float))
         if tie_break == "uniform_random":
             expect["tie_uniform"].append(ref.random(c))
     for key, parts in expect.items():
@@ -432,7 +457,7 @@ def assert_numpys_draws(out, gen, cfg, seed, horizon, tie_break):
 
 
 class TestKernelDraws:
-    """The kernel draws what numpy's reference samplers draw on a fresh
+    """The kernel draws what numpy's own calls draw on a fresh
     RandomSource, chunk by chunk, bitwise, and leaves each generator where
     they leave it: a numpy upgrade that moved a draw would show here."""
 
@@ -454,10 +479,10 @@ class TestKernelDraws:
                 assert set(np.unique(states)) <= {1, 3}
 
     def test_poisson_rate_beyond_numpys_bound_rejected(self, ref_cfg, ref_cfg_fluid):
-        """Above numpy's Poisson bound the run stops before the kernel with an
-        error naming the user and the bound; at the bound it runs, and fluid
-        arrivals take any finite rate. A negative or NaN rate is refused when
-        the config is built."""
+        """Above numpy's Poisson bound the config is refused when built, with
+        an error naming the user and the bound, so no run reaches the kernel;
+        at the bound it runs, and fluid arrivals take any finite rate. A
+        negative or NaN rate is refused when the config is built too."""
         rng = np.random.default_rng(0)
         rng.poisson(POISSON_LAM_MAX)
         with pytest.raises(ValueError, match="lam value too large"):
@@ -474,8 +499,11 @@ class TestKernelDraws:
         lam[2] = POISSON_LAM_MAX
         out = run_replication(replace(ref_cfg, arrival_rates=lam.copy()), HET2, spec, 0)
         assert out.counters.arrivals[2] > 1e18
-        fluid = run_replication(replace(ref_cfg_fluid, arrival_rates=np.full(4, 1e19)), HET2, spec, 0)
+        fluid_cfg = replace(ref_cfg_fluid, arrival_rates=np.full(4, 1e19))
+        fluid = run_replication(fluid_cfg, HET2, spec, 0)
         assert np.array_equal(fluid.counters.arrivals, np.full(4, 3e19))
+        with pytest.raises(ValueError, match=r"^user 0's .*" + re.escape(repr(POISSON_LAM_MAX))):
+            replace(fluid_cfg, arrival_model="poisson")
 
 
 SHARED_POLICIES = (Heterogeneous(q_th=2.0), Exp(eta=0.25), MaxWeight(alpha=7.0))
@@ -780,11 +808,11 @@ class TestEngineMatchesSpec:
 
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("arrival_model", ["poisson", "fluid"])
-    def test_queue_update_is_step_queues(self, ref_cfg, arrival_model, tie_break):
-        """Every recorded slot's queues and departure are bitwise what
-        model.step_queues makes of the queues before it, its arrivals, its
-        choice and its state: Poisson and non-integer fluid arrivals, two
-        replications, across a chunk boundary."""
+    def test_queue_update_adds_arrivals_then_drains(self, ref_cfg, arrival_model, tie_break):
+        """Every recorded slot's queues and departure are bitwise what adding
+        its arrivals to the queues before it and then draining
+        min(backlog, rate) from its chosen user makes: Poisson and non-integer
+        fluid arrivals, two replications, across a chunk boundary."""
         cfg = ref_cfg
         if arrival_model == "fluid":
             cfg = replace(ref_cfg, arrival_model="fluid", arrival_rates=np.array([0.7, 0.45, 0.9, 0.35]))
@@ -792,10 +820,12 @@ class TestEngineMatchesSpec:
         policy = Policy(Heterogeneous(q_th=3.0), tie_break=tie_break)
         for out in run_replications(cfg, [policy], spec, [0, 1])[0]:
             tr = out.trace
-            steps = [step_queues(q, a, c, m, cfg) for q, a, c, m in
-                     zip(tr["q"][:-1], tr["arrivals"], tr["chosen"].tolist(), tr["state"].tolist())]
-            assert bitwise_equal(tr["q"][1:], np.array([q for q, _ in steps]))
-            assert bitwise_equal(tr["departure"], np.array([d for _, d in steps]))
+            q = tr["q"][:-1] + tr["arrivals"]
+            k, rows = tr["chosen"], np.arange(len(q))
+            d = np.minimum(q[rows, k], cfg.rate_matrix[tr["state"], k])
+            q[rows, k] -= d
+            assert bitwise_equal(tr["q"][1:], q)
+            assert bitwise_equal(tr["departure"], d)
             assert tr["departure"].any() and tr["q"][1:].any()
 
     def test_replay_sees_ties(self, ref_cfg_fluid):
@@ -946,8 +976,9 @@ class TestSlotKernelBuild:
         outputs of the one loaded here bit for bit."""
         script = (
             "import hashlib, numpy as np\n"
-            "from schedlab import Exp, Policy, SimSpec, reference_config, run_replications\n"
-            "(outs,) = run_replications(reference_config(), [Policy(Exp(eta=0.25), 'uniform_random')],\n"
+            "from schedlab import Exp, Policy, SimSpec, config_from_json, run_replications\n"
+            f"(outs,) = run_replications(config_from_json({str(REFERENCE_CONFIG)!r}),\n"
+            "                           [Policy(Exp(eta=0.25), 'uniform_random')],\n"
             "                           SimSpec(horizon=5000, master_seed=7), [0, 1])\n"
             "h = hashlib.sha256()\n"
             "for o in outs:\n"
