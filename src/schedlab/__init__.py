@@ -29,7 +29,6 @@ from .schedulers import (
 )
 from .simulator import (
     DecayFit,
-    EmpiricalPhi,
     OverflowEstimate,
     RegionMap,
     ReplicationOutput,

@@ -23,9 +23,7 @@ from . import svg
 from .errors import ComputationError
 from .ldp import compute_iopt
 from .model import SystemConfig, config_from_json, config_to_json
-from .schedulers import (
-    VARIANT_PARAM, Exp, Heterogeneous, MaxWeight, Policy, policy_from_json, policy_to_json,
-)
+from .schedulers import Exp, Heterogeneous, MaxWeight, Policy, policy_from_json, policy_to_json
 from .simulator import (
     DEFAULT_THRESHOLDS,
     ESTIMATOR_STATIONARY,
@@ -104,8 +102,8 @@ def _sim_result_doc(result: SimResult) -> dict:
     return {
         "overflow": [asdict(e) for e in result.overflow],
         "decay_rate": None if result.decay is None else asdict(result.decay),
-        "empirical_phi": result.empirical_phi.phi,
-        "phi_observed": result.empirical_phi.observed,
+        "empirical_phi": result.empirical_phi,
+        "phi_observed": result.counters.state_slots > 0,
         "mean_queues": result.mean_queues,
         "counters": {
             "arrivals": result.counters.arrivals,
@@ -219,8 +217,8 @@ def cmd_simulate(args) -> int:
         "ci_high": [e.ci_high for e in overflow],
         "n_events": [e.n_events for e in overflow],
     })
-    phi = _phi_columns(result.empirical_phi.phi)
-    phi["observed"] = result.empirical_phi.observed.astype(int)[phi["state"]]
+    phi = _phi_columns(result.empirical_phi)
+    phi["observed"] = (result.counters.state_slots > 0).astype(int)[phi["state"]]
     _write_csv(out / "phi.csv", phi)
     if args.svg:
         chart = _overflow_chart({"overflow": result}, "Overflow probability vs threshold")
@@ -228,9 +226,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _policy_with_param(policy: Policy, value: float) -> tuple[Policy, str]:
-    name = VARIANT_PARAM[type(policy.variant)]
-    return replace(policy, variant=replace(policy.variant, **{name: value})), name
+def _policy_with_param(policy: Policy, value: float) -> Policy:
+    return replace(policy, variant=replace(policy.variant, **{policy.variant.param: value}))
 
 
 def cmd_sweep(args) -> int:
@@ -241,10 +238,10 @@ def cmd_sweep(args) -> int:
     swept = [_policy_with_param(policy, v) for v in values]
 
     iopt = compute_iopt(cfg)
-    results = run_simulation(cfg, [pol for pol, _ in swept], spec)
+    results = run_simulation(cfg, swept, spec)
     fits = [r.decay for r in results]
     entries = [{"param": value, "policy": policy_to_json(pol), **_sim_result_doc(result)}
-               for value, (pol, _), result in zip(values, swept, results)]
+               for value, pol, result in zip(values, swept, results)]
     rates = [np.nan if d is None else d.rate for d in fits]
 
     out = Path(args.out)
@@ -263,7 +260,7 @@ def cmd_sweep(args) -> int:
         "n_used": [0 if d is None else d.n_used for d in fits],
         "iopt": np.full(len(values), iopt.value),
     })
-    param_name = swept[0][1]
+    param_name = policy.variant.param
     chart = svg.line_chart(
         [{"label": "fitted decay", "x": values, "y": rates}],
         title=f"Decay rate vs {param_name}",
@@ -333,7 +330,7 @@ def cmd_compare(args) -> int:
     results = {name: result for (name, _, _), result in zip(policies, runs)}
     fits = [r.decay for r in results.values()]
     mean_q = np.array([r.mean_queues for r in results.values()])
-    phi = np.array([r.empirical_phi.phi for r in results.values()])
+    phi = np.array([r.empirical_phi for r in results.values()])
     columns = {
         "policy": list(results),
         "param": [param for _, param, _ in policies],

@@ -2,6 +2,9 @@
 
 select(policy, q, state, cfg) -> SelectionScore is the one pure selector for every
 rule; ties go to the lowest index (default) or a uniform draw from the tied set.
+Each rule class names its policy JSON type (kind), its tuning parameter, the
+one a sweep varies and the slot kernel reads (param), and its RULE_* code in
+_slots.c (code).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ class Heterogeneous:
     """Serve argmax_i 1 - exp(rho1 - F/maxF + rho2 - Q/q_th)."""
 
     kind: ClassVar[str] = "het"
+    param: ClassVar[str] = "q_th"
+    code: ClassVar[int] = 0
     q_th: float
     rho1: float = 0.0
     rho2: float = 0.0
@@ -44,6 +49,8 @@ class Exp:
     """Serve argmax_i exp(Q_i / (1 + meanQ^eta)) * F_i."""
 
     kind: ClassVar[str] = "exp"
+    param: ClassVar[str] = "eta"
+    code: ClassVar[int] = 1
     eta: float
 
     def __post_init__(self):
@@ -56,6 +63,8 @@ class MaxWeight:
     """Serve argmax_i Q_i^alpha * F_i."""
 
     kind: ClassVar[str] = "mw"
+    param: ClassVar[str] = "alpha"
+    code: ClassVar[int] = 2
     alpha: float
 
     def __post_init__(self):
@@ -67,10 +76,6 @@ Variant = Heterogeneous | Exp | MaxWeight
 
 # the policy JSON "type" of each rule
 RULES = {rule.kind: rule for rule in (Heterogeneous, Exp, MaxWeight)}
-
-# the tuning parameter of each variant's rule: what a sweep varies and what
-# the slot kernel reads
-VARIANT_PARAM = {Heterogeneous: "q_th", Exp: "eta", MaxWeight: "alpha"}
 
 
 @dataclass(frozen=True)

@@ -42,17 +42,7 @@ from .model import (
     channel_cdf,
     require_integer,
 )
-from .schedulers import (
-    TIE_UNIFORM,
-    VARIANT_PARAM,
-    Exp,
-    Heterogeneous,
-    MaxWeight,
-    Policy,
-    rate_table,
-    stable_scores,
-    tied_mask,
-)
+from .schedulers import TIE_UNIFORM, Policy, rate_table, stable_scores, tied_mask
 
 _CHUNK = 32_768  # fixed block size; part of the reproducibility contract
 
@@ -94,6 +84,8 @@ class SimSpec:
             raise ValueError("horizon must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 <= resolved_burn_in(self) < self.horizon:
             raise ValueError("burn_in must lie in [0, horizon)")
         th = np.asarray(self.thresholds, dtype=float)
@@ -127,14 +119,6 @@ class DecayFit:
     n_used: int
 
 
-@dataclass(frozen=True)
-class EmpiricalPhi:
-    """Conditional service shares per state; rows of unobserved states are NaN."""
-
-    phi: np.ndarray
-    observed: np.ndarray
-
-
 @dataclass
 class ReplicationOutput:
     """Post-burn-in statistics over counters.horizon slots and, with
@@ -154,7 +138,7 @@ class ReplicationOutput:
 class SimResult:
     overflow: list[OverflowEstimate]
     decay: DecayFit | None
-    empirical_phi: EmpiricalPhi
+    empirical_phi: np.ndarray
     mean_queues: np.ndarray
     counters: TraceCounters
 
@@ -170,8 +154,6 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # its static random library, whose Poisson sampler the kernel links
 _NPY_INCLUDE = np.get_include()
 _NPYRANDOM = Path(np.__file__).with_name("random") / "lib" / "libnpyrandom.a"
-# variant -> RULE_* code of _slots.c
-_RULES = {Heterogeneous: 0, Exp: 1, MaxWeight: 2}
 
 
 def _build(command: list[str], library: Path, path: Path) -> None:
@@ -273,9 +255,8 @@ def run_replications(
     burn = resolved_burn_in(spec)
     thresholds = np.asarray(spec.thresholds, dtype=float)
     uniform_ties = tie_breaks[0] == TIE_UNIFORM
-    rules = np.array([_RULES[type(p.variant)] for p in policies], dtype=np.int64)
-    params = np.array([getattr(p.variant, VARIANT_PARAM[type(p.variant)]) for p in policies],
-                      dtype=float)
+    rules = np.array([p.variant.code for p in policies], dtype=np.int64)
+    params = np.array([getattr(p.variant, p.variant.param) for p in policies], dtype=float)
     tables = np.ascontiguousarray([rate_table(p.variant, cfg) for p in policies], dtype=float)
     rates = np.ascontiguousarray(cfg.rate_matrix, dtype=float)
     lam = np.ascontiguousarray(cfg.arrival_rates, dtype=float)
@@ -308,7 +289,6 @@ def run_replications(
            q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace, states, tie_u,
            arr, chosen, departure, qtraj)
 
-    state_slots = served_slots.sum(axis=3)
     n_stat = T - burn
 
     def output(p: int, i: int, rep: int) -> ReplicationOutput:
@@ -319,9 +299,8 @@ def run_replications(
         return ReplicationOutput(
             rep_index=rep,
             counters=TraceCounters(
-                arrivals=arr_sum[p, i], departures=dep_sum[p, i],
-                state_slots=state_slots[p, i], served_slots=served_slots[p, i],
-                horizon=n_stat, max_queue_seen=float(max_seen[p, i]),
+                arrivals=arr_sum[p, i], departures=dep_sum[p, i], served_slots=served_slots[p, i],
+                max_queue_seen=float(max_seen[p, i]),
                 initial_queues=initial_q[p, i], final_queues=Q[p, i],
             ),
             thresholds=thresholds,
@@ -397,13 +376,12 @@ def fit_decay_rate(estimates: list[OverflowEstimate]) -> DecayFit | None:
     return DecayFit(rate=slope, stderr=se, intercept=intercept, n_used=n)
 
 
-def empirical_phi(counters: TraceCounters) -> EmpiricalPhi:
-    """Conditional service-share matrix served_slots[m][i] / state_slots[m]."""
-    observed = counters.state_slots > 0
-    denom = np.where(observed, counters.state_slots, 1)[:, None]
-    phi = counters.served_slots / denom
-    phi = np.where(observed[:, None], phi, np.nan)
-    return EmpiricalPhi(phi=phi, observed=observed)
+def empirical_phi(counters: TraceCounters) -> np.ndarray:
+    """The conditional service-share matrix (M x N) served_slots[m][i] /
+    state_slots[m], NaN in the rows of states never observed
+    (counters.state_slots == 0)."""
+    state_slots = counters.state_slots[:, None]
+    return np.where(state_slots > 0, counters.served_slots / np.maximum(state_slots, 1), np.nan)
 
 
 def aggregate_counters(outputs: list[ReplicationOutput]) -> TraceCounters:
@@ -411,9 +389,7 @@ def aggregate_counters(outputs: list[ReplicationOutput]) -> TraceCounters:
     return TraceCounters(
         arrivals=sum(o.counters.arrivals for o in outputs),
         departures=sum(o.counters.departures for o in outputs),
-        state_slots=sum(o.counters.state_slots for o in outputs),
         served_slots=sum(o.counters.served_slots for o in outputs),
-        horizon=sum(o.counters.horizon for o in outputs),
         max_queue_seen=max(o.counters.max_queue_seen for o in outputs),
         initial_queues=sum(o.counters.initial_queues for o in outputs),
         final_queues=sum(o.counters.final_queues for o in outputs),
@@ -483,12 +459,6 @@ def scaled_trace(output: ReplicationOutput, scale: float) -> ScaledTrace:
     )
 
 
-REGION_ALWAYS_A = "always_a"
-REGION_ALWAYS_B = "always_b"
-REGION_MIXED = "mixed"
-REGION_OTHER = "other"
-REGION_TIE = "tie"
-
 # most grid points x users a region map scores per channel state; a
 # 1001 x 1001 grid over 4 users (4e6 scores) peaks at 0.2 GB (ru_maxrss) in
 # decision_regions and 0.35 GB in `regions`, which also writes its CSV and SVG
@@ -499,16 +469,15 @@ _REGION_SCORE_CAP = 2**24
 class RegionMap:
     """Grid of scheduling-decision labels over two queue axes.
 
-    labels[ia, ib] describes point (q_values[ia], q_values[ib]): which axis
-    user wins in every positive-probability, positive-rate channel state, or
-    "mixed" when it varies by state, "other" when a fixed off-axis user wins
-    everywhere, "tie" when some state leaves a non-singleton tied set.
+    labels[ia, ib] describes point (q_values[ia], q_values[ib]), the other
+    users' queues held at the fixed queues the map was made with: "always_a"
+    or "always_b" when that axis user wins in every positive-probability,
+    positive-rate channel state, "mixed" when the winner varies by state,
+    "other" when a fixed off-axis user wins everywhere, "tie" when some state
+    leaves a non-singleton tied set.
     """
 
     axis_users: tuple[int, int]
-    grid_step: float
-    grid_max: float
-    fixed_queues: np.ndarray
     q_values: np.ndarray
     labels: np.ndarray
 
@@ -577,15 +546,6 @@ def decision_regions(
         (chosen == b).all(axis=0),
         ((chosen != a) & (chosen != b)).all(axis=0),
     ]
-    names = np.array(
-        [REGION_TIE, REGION_ALWAYS_A, REGION_ALWAYS_B, REGION_OTHER, REGION_MIXED], dtype=object
-    )
+    names = np.array(["tie", "always_a", "always_b", "other", "mixed"], dtype=object)
     labels = names[np.select(conditions, [0, 1, 2, 3], 4)].reshape(G, G)
-    return RegionMap(
-        axis_users=(a, b),
-        grid_step=grid_step,
-        grid_max=grid_max,
-        fixed_queues=fixed_queues,
-        q_values=q_values,
-        labels=labels,
-    )
+    return RegionMap(axis_users=(a, b), q_values=q_values, labels=labels)

@@ -179,6 +179,20 @@ class TestSweep:
         assert "--svg" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_2_before_any_work(self, ref_cfg_path, tmp_path, capsys, monkeypatch):
+        """A negative seed used to pass the spec, run compute_iopt and then
+        fail in numpy's SeedSequence with a message naming neither the
+        option nor the field."""
+        calls = []
+        monkeypatch.setattr(cli, "compute_iopt", lambda *args: calls.append(args))
+        out = tmp_path / "sweep"
+        rc = run_cli("sweep", "--config", str(ref_cfg_path), "--policy", HET_POLICY,
+                     "--values", "1,2", "--horizon", "1000", "--seed", "-1", "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["schedlab: master_seed must be >= 0, got -1"]
+        assert calls == []
+        assert not out.exists()
+
     def test_degenerate_sweep_rejected(self, ref_cfg_path, tmp_path):
         rc = run_cli(
             "sweep", "--config", str(ref_cfg_path), "--policy", HET_POLICY,

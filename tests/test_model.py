@@ -147,12 +147,10 @@ class TestSlotLaw:
 
 
 # a consistent window of 10 one-state slots: 1 queued, 7 in, 5 out, 3 left
-COUNTERS = dict(arrivals=[7.0], departures=[5.0], state_slots=[10], served_slots=[[10]],
-                horizon=10, max_queue_seen=3.0, initial_queues=[1.0], final_queues=[3.0])
-# one broken set per conservation identity, with the message naming it
+COUNTERS = dict(arrivals=[7.0], departures=[5.0], served_slots=[[10]], max_queue_seen=3.0,
+                initial_queues=[1.0], final_queues=[3.0])
+# one broken set per queue balance identity, with the message naming it
 BROKEN_COUNTERS = [
-    ({"served_slots": [[9]]}, "state_slots must equal served_slots summed over users"),
-    ({"horizon": 11}, "state slot counts must total the recorded horizon"),
     ({"departures": [9.0], "final_queues": [-1.0]}, "departures may not exceed arrivals plus the initial backlog"),
     ({"final_queues": [4.0]}, "queue balance identity violated"),
 ]
@@ -167,7 +165,7 @@ class TestTraceCountersValidate:
     def test_consistent_set_accepted(self):
         trace_counters().validate()
 
-    @pytest.mark.parametrize("changes,message", BROKEN_COUNTERS, ids=["served", "horizon", "departures", "balance"])
+    @pytest.mark.parametrize("changes,message", BROKEN_COUNTERS, ids=["departures", "balance"])
     def test_broken_set_rejected(self, changes, message):
         with pytest.raises(ValueError, match=message):
             trace_counters(**changes).validate()

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import re
@@ -30,7 +31,7 @@ import schedlab.cli as cli
 from schedlab import simulator
 from schedlab.model import POISSON_LAM_MAX, RandomSource, SystemConfig, channel_cdf, config_from_json
 from schedlab.errors import ComputationError
-from schedlab.schedulers import VARIANT_PARAM, rate_table, stable_scores, tied_mask
+from schedlab.schedulers import rate_table, stable_scores, tied_mask
 from schedlab.simulator import (
     ESTIMATOR_EPISODE,
     OverflowEstimate,
@@ -48,9 +49,7 @@ def synthetic_output(slot_counts, n_slots, thresholds):
     counters = TraceCounters(
         arrivals=zeros.copy(),
         departures=zeros.copy(),
-        state_slots=np.array([n_slots]),
         served_slots=np.array([[n_slots, 0]]),
-        horizon=n_slots,
         max_queue_seen=0.0,
         initial_queues=zeros.copy(),
         final_queues=zeros.copy(),
@@ -95,6 +94,14 @@ class TestSimSpec:
         float seed was accepted."""
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             SimSpec(**{"horizon": 100, field: value})
+
+    def test_negative_seed_rejected(self):
+        """numpy's SeedSequence takes no negative seed: refused when the spec
+        is built, with a message naming the field."""
+        with pytest.raises(ValueError, match=r"^master_seed must be >= 0, got -5$"):
+            SimSpec(horizon=100, master_seed=-5)
+        with pytest.raises(ValueError, match=r"^master_seed must be >= 0, got -1$"):
+            replace(SimSpec(horizon=100), master_seed=-1)
 
     def test_numpy_integer_counts_accepted(self):
         spec = SimSpec(horizon=np.int64(100), replications=np.int32(2), burn_in=np.int64(5),
@@ -187,8 +194,7 @@ class TestRunReplication:
         for policy in (HET2, Policy(Exp(eta=0.5)), Policy(MaxWeight(alpha=2.0))):
             out = run_replication(ref_cfg, policy, spec, 0)
             c = out.counters
-            assert np.array_equal(c.state_slots, c.served_slots.sum(axis=1))
-            assert c.state_slots.sum() == c.horizon
+            assert c.horizon == spec.horizon - simulator.resolved_burn_in(spec)
             balance = c.final_queues - c.initial_queues - c.arrivals + c.departures
             assert np.all(balance == 0.0)
 
@@ -257,27 +263,25 @@ class TestFitDecayRate:
         assert fit_decay_rate(ests) is None
 
 
-class TestEmpiricalPhi:
+class TestServiceShares:
     def test_simple_fraction(self):
         counters = TraceCounters(
             arrivals=np.zeros(2),
             departures=np.zeros(2),
-            state_slots=np.array([0, 100]),
             served_slots=np.array([[0, 0], [50, 50]]),
-            horizon=100,
             max_queue_seen=0.0,
             initial_queues=np.zeros(2),
             final_queues=np.zeros(2),
         )
         phi = empirical_phi(counters)
-        assert phi.phi[1, 0] == 0.5
-        assert not phi.observed[0]
-        assert np.isnan(phi.phi[0, 0])
+        assert phi[1, 0] == 0.5
+        assert np.array_equal(counters.state_slots, [0, 100]) and counters.horizon == 100
+        assert np.all(np.isnan(phi[0]))
 
     def test_observed_rows_stochastic(self, ref_cfg):
         out = run_replication(ref_cfg, HET2, SimSpec(horizon=30_000, master_seed=1), 0)
         phi = empirical_phi(out.counters)
-        sums = phi.phi[phi.observed].sum(axis=1)
+        sums = phi[out.counters.state_slots > 0].sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-9)
 
 
@@ -339,9 +343,8 @@ def reduce_trace(outputs, spec, n_states):
     return [
         (
             TraceCounters(
-                arrivals=arr_sum[i], departures=dep_sum[i],
-                state_slots=served_slots[i].sum(axis=1), served_slots=served_slots[i],
-                horizon=n_stat, max_queue_seen=float(max_seen[i]),
+                arrivals=arr_sum[i], departures=dep_sum[i], served_slots=served_slots[i],
+                max_queue_seen=float(max_seen[i]),
                 initial_queues=initial_q[i], final_queues=tr["q"][i, -1],
             ),
             over_counts[i],
@@ -750,10 +753,10 @@ def kernel_picks(cfg, variant, rows):
     gen = np.random.default_rng(0)
     # every row draws from one generator, which stays referenced until the call returns
     bitgens = np.full(R, gen.bit_generator.ctypes.bit_generator.value, dtype=np.uintp)
-    param = float(getattr(variant, VARIANT_PARAM[type(variant)]))
+    param = float(getattr(variant, variant.param))
     chosen = np.empty((R, 1), dtype=np.int64)
     stats = [np.zeros((R, n)) for _ in range(3)]
-    kernel(1, np.array([simulator._RULES[type(variant)]]), np.array([param]), rate_table(variant, cfg),
+    kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
            0, 1, R, 1, 1, 0, n, 1, bitgens, np.ones(1), np.zeros(n), cfg.rate_matrix, np.empty(0), 0,
            rows.copy(), np.empty(2 * n), *stats, np.zeros((R, 1, n), dtype=np.int64),
            np.zeros((R, 0), dtype=np.int64), np.zeros(R), np.zeros((R, n)), 1,
@@ -906,6 +909,24 @@ def with_extra_member(archive: bytes) -> bytes:
 
 
 class TestSlotKernelBuild:
+    def test_argtypes_match_the_c_signature(self):
+        """ctypes passes each argument as the kernel's argtypes say, never
+        checked against _slots.c, so a drift between the two corrupts memory:
+        run_slots' 34 parameters need one argtype each, its own scalar type
+        for a scalar and an ndpointer of the element's dtype for a pointer."""
+        params = re.search(r"void run_slots\(([^)]*)\)", simulator._SLOTS_SOURCE.read_text()).group(1)
+        params = [p.replace("const", "").split() for p in params.split(",")]
+        assert (len(params), sum("*" in p[-1] for p in params)) == (34, 23)
+        argtypes = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM).argtypes
+        assert len(argtypes) == len(params)
+        scalars = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
+        elements = {"double": np.float64, "int64_t": np.int64, "bitgen_t": np.uintp}
+        for (ctype, *_, name), argtype in zip(params, argtypes):
+            if "*" in name:
+                assert getattr(argtype, "_dtype_", None) == np.dtype(elements[ctype]), name
+            else:
+                assert argtype is scalars[ctype], name
+
     def test_missing_compiler_fails_cleanly(self, monkeypatch, ref_cfg, ref_cfg_path, tmp_path, capsys):
         monkeypatch.setattr(simulator, "_CC", str(tmp_path / "no-such-cc"))
         with pytest.raises(ComputationError, match="no-such-cc"):
