@@ -15,6 +15,10 @@ The central objects:
 Every result is exact up to floating point and root tolerance: the LPs go
 to HiGHS, ``compute_iopt`` solves one scalar root of the largest secant over
 the dual vertices, and no grid or local search is left.
+
+scipy is imported inside the functions that call it, not here: loading
+scipy.optimize costs more start-up time than a simulation campaign, and
+``simulate``, ``compare`` and ``regions`` never reach it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linprog
-from scipy.special import logsumexp, rel_entr
 
 from .errors import ComputationError
 from .model import ARRIVAL_FLUID, PROB_SUM_TOL, SystemConfig
@@ -70,6 +72,8 @@ def _check_prob_vector(v: np.ndarray, name: str) -> np.ndarray:
 
 def relative_entropy(gamma, p) -> float:
     """H(gamma || p) with 0*ln(0/p) = 0; +inf when gamma puts mass where p has none."""
+    from scipy.special import rel_entr
+
     gamma = _check_prob_vector(gamma, "gamma")
     p = _check_prob_vector(p, "p")
     if gamma.shape != p.shape:
@@ -98,6 +102,8 @@ class PathSample:
 def path_cost(path: PathSample, cfg: SystemConfig) -> float:
     """Integrated deviation cost of a path; +inf when a step's channel
     increment is not a probability distribution over the step length."""
+    from scipy.special import rel_entr
+
     t = np.asarray(path.times, dtype=float)
     f = np.asarray(path.f_values, dtype=float)
     g = np.asarray(path.g_values, dtype=float)
@@ -136,6 +142,8 @@ def solve_standard_form(c, A, b) -> tuple[np.ndarray, float]:
     Raises ComputationError on any non-success status (infeasible,
     unbounded, iteration limit, numerical trouble).
     """
+    from scipy.optimize import linprog
+
     res = linprog(c, A_eq=A, b_eq=b, method="highs")
     if not res.success:
         raise ComputationError(f"LP failed: {res.message}")
@@ -296,6 +304,9 @@ def compute_iopt(cfg: SystemConfig) -> IoptResult:
     if w0 > 1e-9:
         # not stabilizable: the mean path itself overflows at zero deviation cost
         return IoptResult(0.0, lam.copy(), p.copy(), phi0, w0)
+
+    from scipy.optimize import brentq
+    from scipy.special import logsumexp
 
     U = _dual_candidates(cfg.rate_matrix)
     C = np.max(U[:, None, :] * cfg.rate_matrix[None, :, :], axis=2)

@@ -226,7 +226,8 @@ def run_replications(
     cfg: SystemConfig, policies: list[Policy], spec: SimSpec, rep_indices: list[int]
 ) -> list[list[ReplicationOutput]]:
     """Run the given replications under every policy: one output list per
-    policy, in policy order, each in rep_indices order.
+    policy, in policy order, each in rep_indices order. rep_indices must be
+    non-empty, of integers >= 0; a ValueError names the bad entry otherwise.
 
     One call of the compiled kernel runs the whole campaign: it draws each
     replication's chunks once, from that replication's own numpy generator,
@@ -243,6 +244,12 @@ def run_replications(
     """
     if not policies:
         raise ValueError("run_replications needs at least one policy")
+    if not rep_indices:
+        raise ValueError("run_replications needs at least one replication index")
+    for r in rep_indices:
+        require_integer("rep_indices entry", r)
+        if r < 0:
+            raise ValueError(f"rep_indices entries must be >= 0, got {r}")
     tie_breaks = sorted({p.tie_break for p in policies})
     if len(tie_breaks) > 1:
         raise ValueError(f"policies run on shared draws must share one tie_break, got "

@@ -180,6 +180,18 @@ class TestRunReplication:
         assert np.array_equal(batch[1].counters.arrivals, solo.counters.arrivals)
         assert np.array_equal(batch[1].counters.final_queues, solo.counters.final_queues)
 
+    @pytest.mark.parametrize("rep_indices, message", [
+        ([], r"^run_replications needs at least one replication index$"),
+        ([0, -1], r"^rep_indices entries must be >= 0, got -1$"),
+        ([1.5], r"^rep_indices entry must be an integer, got 1\.5$"),
+    ], ids=["empty", "negative", "non_integer"])
+    def test_bad_rep_indices_rejected_before_the_kernel(self, monkeypatch, ref_cfg, rep_indices, message):
+        calls = []
+        monkeypatch.setattr(simulator, "_slot_kernel", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=message):
+            run_replications(ref_cfg, [HET2], SimSpec(horizon=100), rep_indices)
+        assert calls == []
+
     def test_uniform_tie_break_reproducible(self, ref_cfg):
         policy = Policy(Heterogeneous(q_th=2.0), tie_break="uniform_random")
         spec = SimSpec(horizon=20_000, master_seed=5)
