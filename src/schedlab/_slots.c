@@ -5,13 +5,15 @@
  * bitgen_t behind its numpy Generator) in the order and with the values of
  * numpy's own calls on that Generator: chunk channel uniforms
  * (Generator.random), each mapped to the count of cum <= u
- * (np.searchsorted(cum, u, side="right")); chunk x n Poisson counts,
- * slot-major (Generator.poisson), or lam itself for fluid arrivals; then,
- * for uniform ties, chunk tie uniforms (Generator.random). Poisson counts come from numpy's own random_poisson
- * (libnpyrandom.a) for lam == 0 and lam >= 10, and below 10 from its
- * multiplication method, inlined here with exp(-lam) taken once per user
- * instead of once per variate: the same value, so every draw is bitwise
- * numpy's and the generator is left where numpy would leave it.
+ * (np.searchsorted(cum, u, side="right")), summed entry by entry with no
+ * data-dependent branch; chunk x n Poisson counts, slot-major
+ * (Generator.poisson), or lam itself for fluid arrivals; then, for uniform
+ * ties, chunk tie uniforms (Generator.random). Poisson counts come from
+ * numpy's own random_poisson (libnpyrandom.a) for lam == 0 and lam >= 10,
+ * and below 10 from its multiplication method, inlined here with exp(-lam)
+ * taken once per user instead of once per variate: the same value, so every
+ * draw is bitwise numpy's and the generator is left where numpy would leave
+ * it.
  *
  * A call runs P policies over the same replications: each chunk is drawn
  * once and then walked once per policy, each with its own rule, queues,
@@ -27,6 +29,14 @@
  * scores are bitwise the ones stable_scores computes, whose powers are libm's
  * pow too.
  *
+ * exp's pow(mean queue, eta) and mw's pow(Q_i / max Q, alpha) go through a
+ * per-policy memo: a direct-mapped table keyed by the argument's 64 bits,
+ * reset at the start of every call, that returns the value pow gave for the
+ * bitwise-identical argument. Queues that take few distinct values (integer
+ * arrivals and rates) repeat their arguments, so pow runs about once per
+ * distinct argument; a miss costs one hash and one store beside the pow.
+ * The memo changes no score, so no choice or statistic either.
+ *
  * The same walk adds each post-burn-in slot into the run's statistics, and
  * fills the per-slot trace (draws, choice, departure, queues) only when the
  * caller records one. Every float sum, here and in exp's mean, runs left to
@@ -34,6 +44,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #include "numpy/random/bitgen.h"
 
@@ -66,24 +77,44 @@ static int64_t poisson(bitgen_t *g, double lam, double enlam)
     }
 }
 
+/* One policy's pow memo: entry h holds vals[h] = pow(x, a) for the x whose
+ * bits are keys[h], a being the policy's parameter. */
+struct memo {
+    uint64_t *keys;
+    double *vals;
+    int64_t len;
+};
+
+/* pow(x, a) through the memo, at the entry h(x): the top 32 bits of x's
+ * bits times 2^64 / golden ratio, scaled to [0, len) (len < 2^32), so that
+ * arguments that differ only in their high bits spread too. */
+static inline double memo_pow(struct memo *memo, double x, double a)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t mixed = (bits * 0x9E3779B97F4A7C15u) >> 32;
+    uint64_t h = (mixed * (uint64_t)memo->len) >> 32;
+    if (memo->keys[h] != bits) {
+        memo->keys[h] = bits;
+        memo->vals[h] = pow(x, a);
+    }
+    return memo->vals[h];
+}
+
 /* One row's c slots of draws, in numpy's order: states, arrivals (c x n,
  * slot-major), and tie uniforms u when uniform is nonzero. cum ascends to
- * cum[m_states - 1] = 1 > u, so the count of cum <= u is a state index. */
+ * cum[m_states - 1] = 1 > u, so the count of cum[j] <= u over
+ * j < m_states - 1 is a state index, the one searchsorted gives. */
 static void draw_chunk(bitgen_t *g, int64_t c, int64_t n, int64_t m_states, const double *cum,
                        int fluid, const double *lam, const double *enlam, int uniform,
                        int64_t *states, double *arr, double *u)
 {
     for (int64_t k = 0; k < c; k++) {
         double v = next_double(g);
-        int64_t lo = 0, hi = m_states - 1;
-        while (lo < hi) {
-            int64_t mid = (lo + hi) / 2;
-            if (cum[mid] <= v)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        states[k] = lo;
+        int64_t state = 0;
+        for (int64_t j = 0; j < m_states - 1; j++)
+            state += cum[j] <= v;
+        states[k] = state;
     }
     for (int64_t k = 0; k < c; k++)
         for (int64_t i = 0; i < n; i++)
@@ -112,7 +143,9 @@ static void draw_chunk(bitgen_t *g, int64_t c, int64_t n, int64_t m_states, cons
  * chosen and dep (T) its choices and departures and qtraj ((T + 1) x n) the
  * queues after each slot, behind row 0, which is not touched; otherwise
  * states, u and arr are one chunk's scratch (chunk, chunk, chunk x n) and
- * chosen, dep and qtraj are not touched. work is scratch for 2 n doubles. */
+ * chosen, dep and qtraj are not touched. work is scratch for 2 n doubles.
+ * memo_keys and memo_vals (P x memo_len, 1 <= memo_len < 2^32) are each
+ * policy's pow memo, filled here before any slot. */
 void run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
                int uniform, int fluid, int64_t R, int64_t T, int64_t chunk, int64_t burn,
                int64_t n, int64_t m_states, bitgen_t *const *gens, const double *cum,
@@ -120,11 +153,19 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
                double *q, double *work, double *arr_sum, double *dep_sum, double *q_sum,
                int64_t *served, int64_t *over, double *max_seen, double *initial_q, int record,
                int64_t *states, double *u, double *arr, int64_t *chosen, double *dep,
-               double *qtraj)
+               double *qtraj, uint64_t *memo_keys, double *memo_vals, int64_t memo_len)
 {
     double *score = work, *enlam = work + n;
     for (int64_t i = 0; i < n; i++)
         enlam[i] = exp(-lam[i]);
+    /* every entry starts as the argument 0.0 (all bits 0) with its pow */
+    for (int64_t p = 0; p < P; p++) {
+        double zero_pow = pow(0.0, params[p]);
+        for (int64_t h = 0; h < memo_len; h++) {
+            memo_keys[p * memo_len + h] = 0;
+            memo_vals[p * memo_len + h] = zero_pow;
+        }
+    }
     for (int64_t r = 0; r < R; r++) {
         for (int64_t done = 0; done < T; done += chunk) {
             int64_t c = T - done < chunk ? T - done : chunk;
@@ -136,6 +177,7 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
                 int rule = (int)rules[p];
                 double param = params[p];
                 const double *table = tables + p * m_states * n;
+                struct memo memo = {memo_keys + p * memo_len, memo_vals + p * memo_len, memo_len};
                 int64_t pr = p * R + r; /* this policy's row */
                 double *Q = q + pr * n;
                 for (int64_t k = 0; k < c; k++) {
@@ -148,7 +190,7 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
                         double total = 0.0;
                         for (int64_t i = 0; i < n; i++)
                             total += Q[i];
-                        double denom = 1.0 + pow(total / (double)n, param);
+                        double denom = 1.0 + memo_pow(&memo, total / (double)n, param);
                         for (int64_t i = 0; i < n; i++)
                             score[i] = Q[i] / denom + row[i];
                     } else {
@@ -157,7 +199,8 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
                             if (Q[i] > qmax)
                                 qmax = Q[i];
                         for (int64_t i = 0; i < n; i++)
-                            score[i] = qmax > 0.0 ? pow(Q[i] / qmax, param) * row[i] : 0.0;
+                            score[i] = qmax > 0.0 ? memo_pow(&memo, Q[i] / qmax, param) * row[i]
+                                                  : 0.0;
                     }
 
                     double best = score[0];

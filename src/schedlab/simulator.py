@@ -45,6 +45,7 @@ from .model import (
 from .schedulers import TIE_UNIFORM, Policy, rate_table, stable_scores, tied_mask
 
 _CHUNK = 32_768  # fixed block size; part of the reproducibility contract
+_POW_MEMO = 4096  # entries of each policy's pow memo in the slot kernel
 
 ESTIMATOR_STATIONARY = "stationary"
 ESTIMATOR_EPISODE = "episode"
@@ -213,11 +214,12 @@ def _slot_kernel(cc: str, library: Path):
     fn = ctypes.CDLL(str(path)).run_slots
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
     ptrs = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
     fn.argtypes = [c_i64, i64, f64, f64, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64,
                    ptrs, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, f64, i64, i64, f64, f64,
-                   c_int, i64, f64, f64, i64, f64, f64]
+                   c_int, i64, f64, f64, i64, f64, f64, u64, f64, c_i64]
     fn.restype = None
     return fn
 
@@ -268,6 +270,7 @@ def run_replications(
     rates = np.ascontiguousarray(cfg.rate_matrix, dtype=float)
     lam = np.ascontiguousarray(cfg.arrival_rates, dtype=float)
     work = np.empty(2 * N)
+    memo_keys, memo_vals = np.empty((P, _POW_MEMO), dtype=np.uint64), np.empty((P, _POW_MEMO))
     # the generators own the bit generators the kernel draws from: keep them
     # referenced until it returns
     gens = [RandomSource(spec.master_seed, r).generator() for r in rep_indices]
@@ -294,7 +297,7 @@ def run_replications(
     kernel(P, rules, params, tables, uniform_ties, fluid, R, T, _CHUNK, burn, N, M, bitgens,
            channel_cdf(cfg), lam, rates, thresholds, len(thresholds), Q, work, arr_sum, dep_sum,
            q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace, states, tie_u,
-           arr, chosen, departure, qtraj)
+           arr, chosen, departure, qtraj, memo_keys, memo_vals, _POW_MEMO)
 
     n_stat = T - burn
 

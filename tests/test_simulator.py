@@ -773,7 +773,8 @@ def kernel_picks(cfg, variant, rows):
            rows.copy(), np.empty(2 * n), *stats, np.zeros((R, 1, n), dtype=np.int64),
            np.zeros((R, 0), dtype=np.int64), np.zeros(R), np.zeros((R, n)), 1,
            np.empty((R, 1), dtype=np.int64), np.empty((R, 0)), np.empty((R, 1, n)), chosen,
-           np.empty((R, 1)), np.empty((R, 2, n)))
+           np.empty((R, 1)), np.empty((R, 2, n)), np.empty(simulator._POW_MEMO, dtype=np.uint64),
+           np.empty(simulator._POW_MEMO), simulator._POW_MEMO)
     return chosen[:, 0]
 
 
@@ -792,6 +793,10 @@ REPLAY_VARIANTS = [
     MaxWeight(alpha=1.0),
     MaxWeight(alpha=7.0),
 ]
+
+# the rules whose scores take a power, which the kernel memoizes per call
+POW_VARIANTS = [Exp(eta=0.25), Exp(eta=0.75), MaxWeight(alpha=1.0), MaxWeight(alpha=2.5),
+                MaxWeight(alpha=7.0)]
 
 
 class TestEngineMatchesSpec:
@@ -842,6 +847,53 @@ class TestEngineMatchesSpec:
             assert bitwise_equal(tr["q"][1:], q)
             assert bitwise_equal(tr["departure"], d)
             assert tr["departure"].any() and tr["q"][1:].any()
+
+    @pytest.mark.parametrize("variant", POW_VARIANTS, ids=repr)
+    def test_pow_memo_edges(self, variant):
+        """The kernel keeps each pow it takes for the rest of the call, keyed
+        by the argument's bits. One call's rows, its second half the first
+        half reversed so that every argument comes back: repeated integer
+        rows, zeros and all-empty rows, non-integer queues, and queues of 1e6
+        and 1e15. Each is served as stable_scores and tied_mask pick."""
+        cfg = make_config([[3.0, 9.0, 1.0, 5.0]], [1.0], [1.0] * 4)
+        rng = np.random.default_rng(7)
+        small = rng.integers(0, 6, (300, 4)).astype(float)
+        rows = np.concatenate([
+            small,
+            np.zeros((3, 4)),
+            [[0.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, 0.0], [5.0, 0.0, 5.0, 0.0]],
+            rng.uniform(0.0, 9.0, (300, 4)),
+            small + 0.5,
+            small * 1e6,
+            small * 1e15,
+            [[1e15, 1.0, 0.0, 3.0], [1e6, 1e15, 0.5, 0.0], [1e15, 1e15, 1e6, 1e6]],
+        ])
+        rows = np.concatenate([rows, rows[::-1]])
+        spec_pick = tied_mask(stable_scores(variant, cfg, rows, np.zeros(len(rows), int))).argmax(1)
+        assert len(set(spec_pick.tolist())) > 1
+        assert np.array_equal(kernel_picks(cfg, variant, rows), spec_pick)
+
+    @pytest.mark.parametrize("variant", POW_VARIANTS, ids=repr)
+    def test_replay_past_the_pow_memo(self, ref_cfg, variant):
+        """Fluid arrivals at 0.9 and one rate of 2.5 make non-integer queues
+        whose pow arguments outnumber the memo's entries within 10 000
+        slots, so entries are overwritten and looked up again: every slot
+        still serves the user the rule picks."""
+        rates = ref_cfg.rate_matrix.copy()
+        rates[1, 0] = 2.5
+        cfg = replace(ref_cfg, arrival_model="fluid", arrival_rates=np.full(4, 0.9), rate_matrix=rates)
+        spec = SimSpec(horizon=10_000, burn_in=0, master_seed=0, record_trace=True)
+        q = run_replication(cfg, Policy(variant), spec, 0).trace["q"][:-1]
+        if isinstance(variant, Exp):
+            args = np.cumsum(q, axis=1)[:, -1] / q.shape[1]
+        else:
+            busy = q[q.max(axis=1) > 0]
+            args = busy / busy.max(axis=1, keepdims=True)
+        assert len(np.unique(args)) > simulator._POW_MEMO
+        chosen, tied, _ = replay(cfg, Policy(variant), 0, 10_000)
+        assert np.array_equal(chosen, tied.argmax(axis=1))
+        chosen, tied, u = replay(cfg, Policy(variant, tie_break="uniform_random"), 0, 10_000)
+        assert np.array_equal(chosen, uniform_pick(tied, u))
 
     def test_replay_sees_ties(self, ref_cfg_fluid):
         """The gate is not vacuous: fluid het q_th=3 meets multi-user tied sets
@@ -924,20 +976,29 @@ class TestSlotKernelBuild:
     def test_argtypes_match_the_c_signature(self):
         """ctypes passes each argument as the kernel's argtypes say, never
         checked against _slots.c, so a drift between the two corrupts memory:
-        run_slots' 34 parameters need one argtype each, its own scalar type
+        run_slots' 37 parameters need one argtype each, its own scalar type
         for a scalar and an ndpointer of the element's dtype for a pointer."""
         params = re.search(r"void run_slots\(([^)]*)\)", simulator._SLOTS_SOURCE.read_text()).group(1)
         params = [p.replace("const", "").split() for p in params.split(",")]
-        assert (len(params), sum("*" in p[-1] for p in params)) == (34, 23)
+        assert (len(params), sum("*" in p[-1] for p in params)) == (37, 25)
         argtypes = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM).argtypes
         assert len(argtypes) == len(params)
         scalars = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
-        elements = {"double": np.float64, "int64_t": np.int64, "bitgen_t": np.uintp}
+        elements = {"double": np.float64, "int64_t": np.int64, "uint64_t": np.uint64,
+                    "bitgen_t": np.uintp}
         for (ctype, *_, name), argtype in zip(params, argtypes):
             if "*" in name:
                 assert getattr(argtype, "_dtype_", None) == np.dtype(elements[ctype]), name
             else:
                 assert argtype is scalars[ctype], name
+
+    def test_kernel_compiles_without_warnings(self):
+        """_slots.c compiles clean under -Wall -Wextra with the build's own
+        flags and include directory."""
+        argv = [simulator._CC, *simulator._CFLAGS, f"-I{simulator._NPY_INCLUDE}", "-Wall", "-Wextra",
+                "-Werror", "-fsyntax-only", str(simulator._SLOTS_SOURCE)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_compiler_fails_cleanly(self, monkeypatch, ref_cfg, ref_cfg_path, tmp_path, capsys):
         monkeypatch.setattr(simulator, "_CC", str(tmp_path / "no-such-cc"))
