@@ -8,12 +8,27 @@
  * (np.searchsorted(cum, u, side="right")), summed entry by entry with no
  * data-dependent branch; chunk x n Poisson counts, slot-major
  * (Generator.poisson), or lam itself for fluid arrivals; then, for uniform
- * ties, chunk tie uniforms (Generator.random). Poisson counts come from
- * numpy's own random_poisson (libnpyrandom.a) for lam == 0 and lam >= 10,
- * and below 10 from its multiplication method, inlined here with exp(-lam)
- * taken once per user instead of once per variate: the same value, so every
- * draw is bitwise numpy's and the generator is left where numpy would leave
- * it.
+ * ties, chunk tie uniforms (Generator.random).
+ *
+ * A row reads its uniforms from a buffer of STREAM_LEN doubles filled by its
+ * generator's next_double; a refill moves the unread entries to the front
+ * and tops the buffer up. So the generator runs ahead of what the row
+ * consumes, and used[r] returns the uniforms row r consumed: the caller
+ * rewinds each generator to its state before the call and advances it by
+ * used[r] draws, which leaves it where numpy's own calls leave it. Rows that
+ * shared a generator would read each other's draws, so every row needs its
+ * own.
+ *
+ * Poisson counts come from numpy's own random_poisson (libnpyrandom.a) for
+ * lam == 0 and lam >= 10, through a bitgen_t whose next_double reads the
+ * row's buffer. Below 10 they follow its multiplication method with
+ * exp(-lam) taken once per user instead of once per variate: the running
+ * products p1 = 1.0 * u0, p2 = p1 * u1, p3 = p2 * u2, p4 = p3 * u3, formed in
+ * numpy's order, fall, so the count x of those above exp(-lam) is the
+ * variate when x < 4, having consumed x + 1 uniforms, which the buffer holds
+ * (a refill keeps at least 4 ahead); at x = 4 numpy's loop goes on from p4.
+ * The same values as numpy's loop, without its unpredictable exit, so every
+ * draw is bitwise numpy's.
  *
  * A call runs P policies over the same replications: each chunk is drawn
  * once and then walked once per policy, each with its own rule, queues,
@@ -55,21 +70,76 @@ enum { RULE_HET = 0, RULE_EXP = 1, RULE_MW = 2 };
 
 #define TIE_TOL 1e-12
 
-static inline double next_double(bitgen_t *g)
+/* uniforms a row's buffer holds, and how many the short Poisson path reads
+ * ahead */
+#define STREAM_LEN 1024
+#define SHORT_RUN 4
+
+/* One row's uniforms: buf[pos..STREAM_LEN) are drawn from g and not yet
+ * read, and base counts the uniforms read before buf[0]. view is a bitgen_t
+ * whose next_double reads this stream, for random_poisson. */
+struct stream {
+    bitgen_t *g;
+    bitgen_t view;
+    int64_t pos;
+    int64_t base;
+    double buf[STREAM_LEN];
+};
+
+/* Move the unread entries to the front and fill the rest from g. */
+static void refill(struct stream *s)
 {
-    return g->next_double(g->state);
+    int64_t keep = STREAM_LEN - s->pos;
+    memmove(s->buf, s->buf + s->pos, (size_t)keep * sizeof s->buf[0]);
+    s->base += s->pos;
+    s->pos = 0;
+    for (int64_t k = keep; k < STREAM_LEN; k++)
+        s->buf[k] = s->g->next_double(s->g->state);
+}
+
+static inline double next_double(struct stream *s)
+{
+    if (s->pos == STREAM_LEN)
+        refill(s);
+    return s->buf[s->pos++];
+}
+
+static double view_double(void *s)
+{
+    return next_double(s);
+}
+
+/* Start s on g with a full buffer: the first refill of an empty buffer that
+ * has read nothing. */
+static void open_stream(struct stream *s, bitgen_t *g)
+{
+    s->g = g;
+    s->view = (bitgen_t){.state = s, .next_double = view_double};
+    s->pos = STREAM_LEN;
+    s->base = -STREAM_LEN;
+    refill(s);
 }
 
 /* numpy's random_poisson, with its multiplication method for 0 < lam < 10
- * (random_poisson_mult) inlined on enlam = exp(-lam) */
-static int64_t poisson(bitgen_t *g, double lam, double enlam)
+ * (random_poisson_mult) on enlam = exp(-lam): the first four products at
+ * once, then numpy's loop. */
+static int64_t poisson(struct stream *s, double lam, double enlam)
 {
     if (lam >= 10.0 || lam == 0.0)
-        return random_poisson(g, lam);
-    int64_t x = 0;
-    double prod = 1.0;
+        return random_poisson(&s->view, lam);
+    if (STREAM_LEN - s->pos < SHORT_RUN)
+        refill(s);
+    const double *u = s->buf + s->pos;
+    double p1 = 1.0 * u[0], p2 = p1 * u[1], p3 = p2 * u[2], p4 = p3 * u[3];
+    int64_t x = (p1 > enlam) + (p2 > enlam) + (p3 > enlam) + (p4 > enlam);
+    if (x < SHORT_RUN) {
+        s->pos += x + 1;
+        return x;
+    }
+    s->pos += SHORT_RUN;
+    double prod = p4;
     for (;;) {
-        prod *= next_double(g);
+        prod *= next_double(s);
         if (prod > enlam)
             x++;
         else
@@ -105,12 +175,12 @@ static inline double memo_pow(struct memo *memo, double x, double a)
  * slot-major), and tie uniforms u when uniform is nonzero. cum ascends to
  * cum[m_states - 1] = 1 > u, so the count of cum[j] <= u over
  * j < m_states - 1 is a state index, the one searchsorted gives. */
-static void draw_chunk(bitgen_t *g, int64_t c, int64_t n, int64_t m_states, const double *cum,
+static void draw_chunk(struct stream *s, int64_t c, int64_t n, int64_t m_states, const double *cum,
                        int fluid, const double *lam, const double *enlam, int uniform,
                        int64_t *states, double *arr, double *u)
 {
     for (int64_t k = 0; k < c; k++) {
-        double v = next_double(g);
+        double v = next_double(s);
         int64_t state = 0;
         for (int64_t j = 0; j < m_states - 1; j++)
             state += cum[j] <= v;
@@ -118,10 +188,10 @@ static void draw_chunk(bitgen_t *g, int64_t c, int64_t n, int64_t m_states, cons
     }
     for (int64_t k = 0; k < c; k++)
         for (int64_t i = 0; i < n; i++)
-            arr[k * n + i] = fluid ? lam[i] : (double)poisson(g, lam[i], enlam[i]);
+            arr[k * n + i] = fluid ? lam[i] : (double)poisson(s, lam[i], enlam[i]);
     if (uniform)
         for (int64_t k = 0; k < c; k++)
-            u[k] = next_double(g);
+            u[k] = next_double(s);
 }
 
 /* Each of the P policies has its rule rules[p]: RULE_HET (table = F/maxF,
@@ -131,7 +201,8 @@ static void draw_chunk(bitgen_t *g, int64_t c, int64_t n, int64_t m_states, cons
  * draws a tie uniform u and serves the floor(u * count) + 1-th tied user,
  * else the lowest tied index. cum (m_states) is the channel's cumulative
  * distribution with its last entry 1; lam (n) the arrival rates, drawn as
- * Poisson counts unless fluid is nonzero.
+ * Poisson counts unless fluid is nonzero. Row r draws from gens[r], every
+ * row from its own, and used[r] returns the uniforms it consumed.
  *
  * Every per-policy array leads with the policy axis, P x R x ...: q (n)
  * carries the queues in and out. Slots from burn on add into arr_sum,
@@ -148,12 +219,13 @@ static void draw_chunk(bitgen_t *g, int64_t c, int64_t n, int64_t m_states, cons
  * policy's pow memo, filled here before any slot. */
 void run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
                int uniform, int fluid, int64_t R, int64_t T, int64_t chunk, int64_t burn,
-               int64_t n, int64_t m_states, bitgen_t *const *gens, const double *cum,
-               const double *lam, const double *rates, const double *thresholds, int64_t K,
-               double *q, double *work, double *arr_sum, double *dep_sum, double *q_sum,
-               int64_t *served, int64_t *over, double *max_seen, double *initial_q, int record,
-               int64_t *states, double *u, double *arr, int64_t *chosen, double *dep,
-               double *qtraj, uint64_t *memo_keys, double *memo_vals, int64_t memo_len)
+               int64_t n, int64_t m_states, bitgen_t *const *gens, int64_t *used,
+               const double *cum, const double *lam, const double *rates,
+               const double *thresholds, int64_t K, double *q, double *work, double *arr_sum,
+               double *dep_sum, double *q_sum, int64_t *served, int64_t *over, double *max_seen,
+               double *initial_q, int record, int64_t *states, double *u, double *arr,
+               int64_t *chosen, double *dep, double *qtraj, uint64_t *memo_keys,
+               double *memo_vals, int64_t memo_len)
 {
     double *score = work, *enlam = work + n;
     for (int64_t i = 0; i < n; i++)
@@ -167,12 +239,14 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
         }
     }
     for (int64_t r = 0; r < R; r++) {
+        struct stream s;
+        open_stream(&s, gens[r]);
         for (int64_t done = 0; done < T; done += chunk) {
             int64_t c = T - done < chunk ? T - done : chunk;
             int64_t at = record ? r * T + done : 0; /* the chunk's first slot in the draw buffers */
             int64_t *st = states + at;
             double *a = arr + at * n, *uc = u + at;
-            draw_chunk(gens[r], c, n, m_states, cum, fluid, lam, enlam, uniform, st, a, uc);
+            draw_chunk(&s, c, n, m_states, cum, fluid, lam, enlam, uniform, st, a, uc);
             for (int64_t p = 0; p < P; p++) {
                 int rule = (int)rules[p];
                 double param = params[p];
@@ -259,5 +333,6 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
                 }
             }
         }
+        used[r] = s.base + s.pos;
     }
 }

@@ -12,7 +12,10 @@ states, Generator.poisson for the arrivals, Generator.random for the tie
 uniforms), then walks the block's slots once per policy, deciding exactly as
 `select` does. So every policy in a call sees the same draws (common random
 numbers), and a batch run is bitwise identical to running each policy and
-replication alone.
+replication alone. The kernel reads a replication's uniforms through a
+buffer that its generator fills ahead of them and returns how many it
+consumed; each generator is then set back to its state before the call and
+advanced by that count, so it ends where numpy's own calls leave it.
 The same walk adds each post-burn-in slot into the service counters, the
 per-threshold overflow slot counts (both estimators read these) and the
 time-average queues; every float sum runs left to right, one slot at a time.
@@ -211,6 +214,11 @@ def _slot_kernel(cc: str, library: Path):
                 _build(command, library, path)
         except OSError as exc:
             raise ComputationError(f"cannot build the slot kernel: {exc}") from exc
+    return _load_kernel(path)
+
+
+def _load_kernel(path: Path):
+    """run_slots from the built library at path, with its argument types."""
     fn = ctypes.CDLL(str(path)).run_slots
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -218,8 +226,8 @@ def _slot_kernel(cc: str, library: Path):
     ptrs = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
     fn.argtypes = [c_i64, i64, f64, f64, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64,
-                   ptrs, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, f64, i64, i64, f64, f64,
-                   c_int, i64, f64, f64, i64, f64, f64, u64, f64, c_i64]
+                   ptrs, i64, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, f64, i64, i64, f64,
+                   f64, c_int, i64, f64, f64, i64, f64, f64, u64, f64, c_i64]
     fn.restype = None
     return fn
 
@@ -242,7 +250,8 @@ def run_replications(
     bitwise those of running it alone. The draws hold tie uniforms only for
     uniform ties, so the policies must share one tie_break. The same walk adds
     each post-burn-in slot into the statistics, left to right, and fills the
-    per-slot trace buffers only with record_trace.
+    per-slot trace buffers only with record_trace. Each generator is left
+    where numpy's own calls for the run leave it.
     """
     if not policies:
         raise ValueError("run_replications needs at least one policy")
@@ -275,6 +284,8 @@ def run_replications(
     # referenced until it returns
     gens = [RandomSource(spec.master_seed, r).generator() for r in rep_indices]
     bitgens = np.array([g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uintp)
+    start = [g.bit_generator.state for g in gens]
+    used = np.zeros(R, dtype=np.int64)
 
     Q = np.zeros((P, R, N))
     arr_sum = np.zeros((P, R, N))
@@ -294,10 +305,15 @@ def run_replications(
     chosen, departure = np.empty(kept, dtype=np.int64), np.empty(kept)
     qtraj = np.zeros((*kept[:2], kept[2] + 1, N))  # row 0 holds the empty queues before slot 0
 
-    kernel(P, rules, params, tables, uniform_ties, fluid, R, T, _CHUNK, burn, N, M, bitgens,
+    kernel(P, rules, params, tables, uniform_ties, fluid, R, T, _CHUNK, burn, N, M, bitgens, used,
            channel_cdf(cfg), lam, rates, thresholds, len(thresholds), Q, work, arr_sum, dep_sum,
            q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace, states, tie_u,
            arr, chosen, departure, qtraj, memo_keys, memo_vals, _POW_MEMO)
+    # the kernel's buffers drew ahead: leave each generator where the uniforms
+    # its row consumed leave it (one PCG64 step per next_double)
+    for g, state, n in zip(gens, start, used.tolist()):
+        g.bit_generator.state = state
+        g.bit_generator.advance(n)
 
     n_stat = T - burn
 

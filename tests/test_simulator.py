@@ -1,6 +1,7 @@
 import ctypes
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -449,26 +450,102 @@ def record_generators(monkeypatch) -> list:
     return made
 
 
+def numpys_draws(cfg, seed, rep, horizon, tie_break):
+    """The draws numpy's own calls make on a fresh RandomSource(seed, rep)
+    for horizon slots, chunk by chunk, and the generator they leave."""
+    ref = RandomSource(seed, rep).generator()
+    draws = {"state": [], "arrivals": [], "tie_uniform": []}
+    for done in range(0, horizon, simulator._CHUNK):
+        c = min(simulator._CHUNK, horizon - done)
+        draws["state"].append(np.searchsorted(channel_cdf(cfg), ref.random(c), side="right"))
+        if cfg.arrival_model == "fluid":
+            draws["arrivals"].append(np.tile(cfg.arrival_rates, (c, 1)))
+        else:
+            draws["arrivals"].append(ref.poisson(cfg.arrival_rates, size=(c, cfg.n_users)).astype(float))
+        if tie_break == "uniform_random":
+            draws["tie_uniform"].append(ref.random(c))
+    return {key: np.concatenate(parts) if parts else np.empty(0) for key, parts in draws.items()}, ref
+
+
+def assert_left_as_numpy_leaves(gen, ref, where):
+    assert gen.bit_generator.state == ref.bit_generator.state, where
+    assert gen.random() == ref.random(), where
+
+
 def assert_numpys_draws(out, gen, cfg, seed, horizon, tie_break):
     """out's recorded draws are what numpy's own calls draw on a fresh
     RandomSource(seed, out.rep_index), chunk by chunk, bitwise, and gen, the
     generator the kernel drew from, is left where they leave it."""
-    ref = RandomSource(seed, out.rep_index).generator()
-    expect = {"state": [], "arrivals": [], "tie_uniform": []}
-    for done in range(0, horizon, simulator._CHUNK):
-        c = min(simulator._CHUNK, horizon - done)
-        expect["state"].append(np.searchsorted(channel_cdf(cfg), ref.random(c), side="right"))
-        if cfg.arrival_model == "fluid":
-            expect["arrivals"].append(np.tile(cfg.arrival_rates, (c, 1)))
-        else:
-            expect["arrivals"].append(ref.poisson(cfg.arrival_rates, size=(c, cfg.n_users)).astype(float))
-        if tie_break == "uniform_random":
-            expect["tie_uniform"].append(ref.random(c))
-    for key, parts in expect.items():
-        want = np.concatenate(parts) if parts else np.empty(0)
+    expect, ref = numpys_draws(cfg, seed, out.rep_index, horizon, tie_break)
+    for key, want in expect.items():
         assert bitwise_equal(out.trace[key], want), (horizon, out.rep_index, key)
-    assert gen.bit_generator.state == ref.bit_generator.state, (horizon, out.rep_index)
-    assert gen.random() == ref.random(), (horizon, out.rep_index)
+    assert_left_as_numpy_leaves(gen, ref, (horizon, out.rep_index))
+
+
+def uniforms_consumed(ref, seed, rep):
+    """How many uniforms ref, a RandomSource(seed, rep) generator, has drawn."""
+    probe = RandomSource(seed, rep).generator().bit_generator
+    n = 0
+    while probe.state != ref.bit_generator.state:
+        probe.advance(1)
+        n += 1
+    return n
+
+
+# doubles in each row's draw buffer in _slots.c (STREAM_LEN)
+STREAM_LEN = 1024
+
+
+def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
+    """One call of the compiled kernel: one policy, lowest-index ties, no
+    burn-in and a record kept, so that every per-policy array is the R-row
+    one with a policy axis of 1. Row r starts from the queues q[r] (R x N)
+    and draws from the bitgen_t at bitgens[r] horizon slots of cfg's channel
+    and arrivals at rates lam (fluid nonzero: lam itself). Returns each
+    row's choices (R x horizon), arrivals (R x horizon x N) and the uniforms
+    it consumed (R)."""
+    kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
+    (R, n), M, T = q.shape, cfg.n_states, horizon
+    param = float(getattr(variant, variant.param))
+    used = np.zeros(R, dtype=np.int64)
+    chosen, arr = np.empty((R, T), dtype=np.int64), np.empty((R, T, n))
+    stats = [np.zeros((R, n)) for _ in range(3)]
+    kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
+           0, fluid, R, T, T, 0, n, M, bitgens, used, channel_cdf(cfg), np.asarray(lam, dtype=float),
+           cfg.rate_matrix, np.empty(0), 0, q.copy(), np.empty(2 * n), *stats,
+           np.zeros((R, M, n), dtype=np.int64), np.zeros((R, 0), dtype=np.int64), np.zeros(R),
+           np.zeros((R, n)), 1, np.empty((R, T), dtype=np.int64), np.empty((R, 0)), arr, chosen,
+           np.empty((R, T)), np.empty((R, T + 1, n)), np.empty(simulator._POW_MEMO, dtype=np.uint64),
+           np.empty(simulator._POW_MEMO), simulator._POW_MEMO)
+    return chosen, arr, used
+
+
+NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class ScriptedBitGen(ctypes.Structure):
+    """numpy's bitgen_t (numpy/random/bitgen.h) whose next_double returns
+    the given uniforms in turn and then 0.0; its other entries are null."""
+
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p),
+                ("next_uint32", ctypes.c_void_p), ("next_double", NEXT_DOUBLE),
+                ("next_raw", ctypes.c_void_p)]
+
+    def __init__(self, uniforms):
+        stream = iter(uniforms)
+        super().__init__(next_double=NEXT_DOUBLE(lambda _: next(stream, 0.0)))
+
+
+def poisson_mult(uniforms, enlam):
+    """numpy's random_poisson_mult on enlam = exp(-lam), reading from the
+    iterator uniforms."""
+    x, prod = 0, 1.0
+    while True:
+        prod *= next(uniforms)
+        if prod > enlam:
+            x += 1
+        else:
+            return x
 
 
 class TestKernelDraws:
@@ -492,6 +569,72 @@ class TestKernelDraws:
             if cfg_name == "poisson7":
                 states = np.concatenate([o.trace["state"] for o in outputs])
                 assert set(np.unique(states)) <= {1, 3}
+
+    @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
+    @pytest.mark.parametrize("cfg_name", ["poisson7", "reference", "fluid"])
+    def test_untraced_runs_leave_generators_where_numpy_does(self, monkeypatch, cfg_name, tie_break):
+        """Without record_trace too, each generator ends where numpy's own
+        calls leave it: rows that read less than one buffer (horizon 5), and
+        rows whose draws end just before, at and just after the buffer's
+        first refill, each beside a second row with its own generator."""
+        cfg = DRAW_CONFIGS[cfg_name]
+        policy = Policy(MaxWeight(alpha=2.0), tie_break=tie_break)
+        made = record_generators(monkeypatch)
+
+        def consumed(rep, horizon):
+            return uniforms_consumed(numpys_draws(cfg, 21, rep, horizon, tie_break)[1], 21, rep)
+
+        runs = [(5, [3, 0, 1])]
+        for rep in (3, 0):
+            lo, hi = 1, STREAM_LEN + 1  # consumed(lo) <= STREAM_LEN < consumed(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if consumed(rep, mid) <= STREAM_LEN else (lo, mid)
+            assert consumed(rep, lo) <= STREAM_LEN < consumed(rep, lo + 1)
+            runs += [(horizon, [rep, 1]) for horizon in (lo - 1, lo, lo + 1)]
+        for horizon, reps in runs:
+            made.clear()
+            (outputs,) = run_replications(cfg, [policy], SimSpec(horizon=horizon, master_seed=21), reps)
+            assert all(o.trace is None for o in outputs)
+            for rep, gen in zip(reps, made):
+                assert_left_as_numpy_leaves(gen, numpys_draws(cfg, 21, rep, horizon, tie_break)[1],
+                                            (horizon, rep))
+
+    def test_short_poisson_path_counts_as_numpys_loop(self):
+        """Below lam = 10 the kernel counts the first four running products
+        at once and continues numpy's loop from the fourth. Scripted uniforms
+        put a product exactly on exp(-lam), which ends a variate, and just
+        above it, at each of the first five products and beyond, in 1000
+        variates that cross several of the buffer's refills: each count is
+        numpy's, and the kernel consumed the uniforms numpy's loop
+        consumed."""
+        lam = 3.0
+        e = math.exp(-lam)
+        cases = [
+            ([e], 0),
+            ([np.nextafter(e, 1.0), 0.0], 1),
+            ([0.5, 2 * e], 1),
+            ([0.5, 0.5, 4 * e], 2),
+            ([0.5, 0.5, 0.5, 8 * e], 3),
+            ([0.5, 0.5, 0.5, 0.5, 16 * e], 4),
+            ([0.5, 0.5, 0.5, np.nextafter(8 * e, 1.0), 0.0], 4),
+            ([0.99] * 4 + [0.01], 4),
+            ([0.9] * 10 + [0.0], 10),
+        ]
+        for uniforms, count in cases:
+            assert poisson_mult(iter(uniforms), e) == count, uniforms
+        T = 1000
+        picks = np.random.default_rng(5).integers(0, len(cases), T)
+        script = [0.5] * T + [u for k in picks for u in cases[k][0]]  # T channel uniforms first
+        assert len(script) > 3 * STREAM_LEN
+        cfg = make_config([[1.0]], [1.0], [lam])
+        bitgen = ScriptedBitGen(script)
+        bitgens = np.array([ctypes.addressof(bitgen)], dtype=np.uintp)
+        _, arr, used = run_kernel(cfg, Heterogeneous(q_th=2.0), np.zeros((1, 1)), bitgens, T, [lam], 0)
+        stream = iter(script[T:])
+        assert arr[0, :, 0].tolist() == [poisson_mult(stream, e) for _ in range(T)]
+        assert arr[0, :, 0].tolist() == [cases[k][1] for k in picks]
+        assert used.tolist() == [len(script)]
 
     def test_poisson_rate_beyond_numpys_bound_rejected(self, ref_cfg, ref_cfg_fluid):
         """Above numpy's Poisson bound the config is refused when built, with
@@ -758,23 +901,11 @@ def replay(cfg, policy, seed, horizon):
 def kernel_picks(cfg, variant, rows):
     """The user the compiled kernel serves from each queue row of rows (R x N)
     in one slot of a one-state cfg, with fluid arrivals at rate 0 and
-    lowest-index ties, so that no draw matters: one policy, so every
-    per-policy array is the R-row one with a policy axis of 1."""
-    kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
-    R, n = rows.shape
-    gen = np.random.default_rng(0)
-    # every row draws from one generator, which stays referenced until the call returns
-    bitgens = np.full(R, gen.bit_generator.ctypes.bit_generator.value, dtype=np.uintp)
-    param = float(getattr(variant, variant.param))
-    chosen = np.empty((R, 1), dtype=np.int64)
-    stats = [np.zeros((R, n)) for _ in range(3)]
-    kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
-           0, 1, R, 1, 1, 0, n, 1, bitgens, np.ones(1), np.zeros(n), cfg.rate_matrix, np.empty(0), 0,
-           rows.copy(), np.empty(2 * n), *stats, np.zeros((R, 1, n), dtype=np.int64),
-           np.zeros((R, 0), dtype=np.int64), np.zeros(R), np.zeros((R, n)), 1,
-           np.empty((R, 1), dtype=np.int64), np.empty((R, 0)), np.empty((R, 1, n)), chosen,
-           np.empty((R, 1)), np.empty((R, 2, n)), np.empty(simulator._POW_MEMO, dtype=np.uint64),
-           np.empty(simulator._POW_MEMO), simulator._POW_MEMO)
+    lowest-index ties, so that no draw matters."""
+    # every row draws from its own generator, referenced until the call returns
+    gens = [np.random.default_rng(r) for r in range(len(rows))]
+    bitgens = np.array([g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uintp)
+    chosen, _, _ = run_kernel(cfg, variant, rows, bitgens, 1, np.zeros(cfg.n_users), 1)
     return chosen[:, 0]
 
 
@@ -976,11 +1107,11 @@ class TestSlotKernelBuild:
     def test_argtypes_match_the_c_signature(self):
         """ctypes passes each argument as the kernel's argtypes say, never
         checked against _slots.c, so a drift between the two corrupts memory:
-        run_slots' 37 parameters need one argtype each, its own scalar type
+        run_slots' 38 parameters need one argtype each, its own scalar type
         for a scalar and an ndpointer of the element's dtype for a pointer."""
         params = re.search(r"void run_slots\(([^)]*)\)", simulator._SLOTS_SOURCE.read_text()).group(1)
         params = [p.replace("const", "").split() for p in params.split(",")]
-        assert (len(params), sum("*" in p[-1] for p in params)) == (37, 25)
+        assert (len(params), sum("*" in p[-1] for p in params)) == (38, 26)
         argtypes = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM).argtypes
         assert len(argtypes) == len(params)
         scalars = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
@@ -999,6 +1130,45 @@ class TestSlotKernelBuild:
                 "-Werror", "-fsyntax-only", str(simulator._SLOTS_SOURCE)]
         proc = subprocess.run(argv, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_kernel_runs_clean_under_sanitizers(self, tmp_path):
+        """A kernel built with AddressSanitizer and UndefinedBehaviorSanitizer,
+        in a fresh process, runs a traced poisson7 campaign of het and mw,
+        two rows of 70 001 slots, through every refill of the rows' draw
+        buffers without a read or write outside a buffer and without
+        undefined behaviour, and records what the plain build records."""
+        runtime = subprocess.run([simulator._CC, "-print-file-name=libasan.so"], capture_output=True,
+                                 text=True).stdout.strip()
+        if not os.path.isfile(runtime):
+            pytest.skip(f"{simulator._CC} has no AddressSanitizer runtime")
+        library = tmp_path / "_slots-sanitized.so"
+        simulator._build([simulator._CC, *simulator._CFLAGS, "-fsanitize=address,undefined",
+                          "-fno-sanitize-recover=all", f"-I{simulator._NPY_INCLUDE}"],
+                         simulator._NPYRANDOM, library)
+        campaign = (DRAW_CONFIGS["poisson7"], [HET2, Policy(MaxWeight(alpha=7.0))],
+                    SimSpec(horizon=70_001, master_seed=3, record_trace=True), [0, 1])
+        (tmp_path / "campaign.pkl").write_bytes(pickle.dumps(campaign))
+        script = (
+            "import pickle, sys, numpy as np\n"
+            "from schedlab import simulator\n"
+            "library, campaign, record = sys.argv[1:]\n"
+            "simulator._slot_kernel = lambda cc, npyrandom: simulator._load_kernel(library)\n"
+            "with open(campaign, 'rb') as f:\n"
+            "    outputs = simulator.run_replications(*pickle.load(f))\n"
+            "np.savez(record, *[o.trace[k] for outs in outputs for o in outs for k in sorted(o.trace)])\n"
+        )
+        src = Path(simulator.__file__).resolve().parents[1]
+        env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, str(library), str(tmp_path / "campaign.pkl"),
+                               str(tmp_path / "record.npz")], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        with np.load(tmp_path / "record.npz") as record:
+            sanitized = [record[f"arr_{i}"] for i in range(len(record.files))]
+        plain = [o.trace[k] for outs in run_replications(*campaign) for o in outs for k in sorted(o.trace)]
+        assert len(sanitized) == len(plain) == 2 * 2 * 6
+        assert all(bitwise_equal(a, b) for a, b in zip(sanitized, plain))
 
     def test_missing_compiler_fails_cleanly(self, monkeypatch, ref_cfg, ref_cfg_path, tmp_path, capsys):
         monkeypatch.setattr(simulator, "_CC", str(tmp_path / "no-such-cc"))
