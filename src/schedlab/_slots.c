@@ -19,6 +19,14 @@
  * shared a generator would read each other's draws, so every row needs its
  * own.
  *
+ * A call walks the rows r_lo <= r < r_hi of the R-row arrays, so that
+ * callers can run contiguous row slices in concurrent calls: each call
+ * writes only its own rows of the shared per-row arrays and draws only from
+ * its own rows' generators. The scratch (work, the pow memo and the untraced
+ * draw buffers) is written by every row, so every concurrent call, like
+ * every row's generator, needs its own: a shared memo could pair one call's
+ * key with another's value.
+ *
  * Poisson counts come from numpy's own random_poisson (libnpyrandom.a) for
  * lam == 0 and lam >= 10, through a bitgen_t whose next_double reads the
  * row's buffer. Below 10 they follow its multiplication method with
@@ -202,7 +210,9 @@ static void draw_chunk(struct stream *s, int64_t c, int64_t n, int64_t m_states,
  * else the lowest tied index. cum (m_states) is the channel's cumulative
  * distribution with its last entry 1; lam (n) the arrival rates, drawn as
  * Poisson counts unless fluid is nonzero. Row r draws from gens[r], every
- * row from its own, and used[r] returns the uniforms it consumed.
+ * row from its own, and used[r] returns the uniforms it consumed. Only the
+ * rows r_lo <= r < r_hi (0 <= r_lo < r_hi <= R) run; the others are not
+ * touched.
  *
  * Every per-policy array leads with the policy axis, P x R x ...: q (n)
  * carries the queues in and out. Slots from burn on add into arr_sum,
@@ -218,9 +228,9 @@ static void draw_chunk(struct stream *s, int64_t c, int64_t n, int64_t m_states,
  * memo_keys and memo_vals (P x memo_len, 1 <= memo_len < 2^32) are each
  * policy's pow memo, filled here before any slot. */
 void run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
-               int uniform, int fluid, int64_t R, int64_t T, int64_t chunk, int64_t burn,
-               int64_t n, int64_t m_states, bitgen_t *const *gens, int64_t *used,
-               const double *cum, const double *lam, const double *rates,
+               int uniform, int fluid, int64_t R, int64_t r_lo, int64_t r_hi, int64_t T,
+               int64_t chunk, int64_t burn, int64_t n, int64_t m_states, bitgen_t *const *gens,
+               int64_t *used, const double *cum, const double *lam, const double *rates,
                const double *thresholds, int64_t K, double *q, double *work, double *arr_sum,
                double *dep_sum, double *q_sum, int64_t *served, int64_t *over, double *max_seen,
                double *initial_q, int record, int64_t *states, double *u, double *arr,
@@ -238,7 +248,7 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
             memo_vals[p * memo_len + h] = zero_pow;
         }
     }
-    for (int64_t r = 0; r < R; r++) {
+    for (int64_t r = r_lo; r < r_hi; r++) {
         struct stream s;
         open_stream(&s, gens[r]);
         for (int64_t done = 0; done < T; done += chunk) {

@@ -15,7 +15,10 @@ numbers), and a batch run is bitwise identical to running each policy and
 replication alone. The kernel reads a replication's uniforms through a
 buffer that its generator fills ahead of them and returns how many it
 consumed; each generator is then set back to its state before the call and
-advanced by that count, so it ends where numpy's own calls leave it.
+advanced by that count, so it ends where numpy's own calls leave it. The
+replications run in contiguous row slices, one per usable CPU, in concurrent
+kernel calls, each with its own scratch and pow memo; since a row reads only
+its own generator, the outputs are bitwise those of one call.
 The same walk adds each post-burn-in slot into the service counters, the
 per-threshold overflow slot counts (both estimators read these) and the
 time-average queues; every float sum runs left to right, one slot at a time.
@@ -31,6 +34,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,10 +230,17 @@ def _load_kernel(path: Path):
     ptrs = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
     fn.argtypes = [c_i64, i64, f64, f64, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64,
-                   ptrs, i64, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, f64, i64, i64, f64,
-                   f64, c_int, i64, f64, f64, i64, f64, f64, u64, f64, c_i64]
+                   c_i64, c_i64, ptrs, i64, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, f64, i64,
+                   i64, f64, f64, c_int, i64, f64, f64, i64, f64, f64, u64, f64, c_i64]
     fn.restype = None
     return fn
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_replications(
@@ -252,6 +263,14 @@ def run_replications(
     each post-burn-in slot into the statistics, left to right, and fills the
     per-slot trace buffers only with record_trace. Each generator is left
     where numpy's own calls for the run leave it.
+
+    The rows run in min(R, usable CPUs) contiguous slices, one kernel call
+    each, concurrently: the caller's thread walks the first and one thread
+    each the others. Every slice writes only its own rows of the shared
+    outputs and has its own scratch and pow memo, and a row's results depend
+    on its own generator alone, so the outputs are bitwise those of one
+    call over every row. One slice starts no thread. A slice's exception is
+    raised here once every slice has ended; of several, the lowest slice's.
     """
     if not policies:
         raise ValueError("run_replications needs at least one policy")
@@ -278,8 +297,7 @@ def run_replications(
     tables = np.ascontiguousarray([rate_table(p.variant, cfg) for p in policies], dtype=float)
     rates = np.ascontiguousarray(cfg.rate_matrix, dtype=float)
     lam = np.ascontiguousarray(cfg.arrival_rates, dtype=float)
-    work = np.empty(2 * N)
-    memo_keys, memo_vals = np.empty((P, _POW_MEMO), dtype=np.uint64), np.empty((P, _POW_MEMO))
+    cum = channel_cdf(cfg)
     # the generators own the bit generators the kernel draws from: keep them
     # referenced until it returns
     gens = [RandomSource(spec.master_seed, r).generator() for r in rep_indices]
@@ -295,20 +313,52 @@ def run_replications(
     max_seen = np.zeros((P, R))
     q_sum = np.zeros((P, R, N))
     initial_q = np.zeros((P, R, N))
-    # the drawn inputs, shared by every policy: the whole record with
-    # record_trace, else one chunk's scratch
-    rows, slots = (R, T) if spec.record_trace else (1, min(T, _CHUNK))
-    states = np.empty((rows, slots), dtype=np.int64)
-    tie_u = np.empty((rows, slots if uniform_ties else 0))
-    arr = np.empty((rows, slots, N))
     kept = (P, R, T) if spec.record_trace else (0, 0, 0)
     chosen, departure = np.empty(kept, dtype=np.int64), np.empty(kept)
     qtraj = np.zeros((*kept[:2], kept[2] + 1, N))  # row 0 holds the empty queues before slot 0
 
-    kernel(P, rules, params, tables, uniform_ties, fluid, R, T, _CHUNK, burn, N, M, bitgens, used,
-           channel_cdf(cfg), lam, rates, thresholds, len(thresholds), Q, work, arr_sum, dep_sum,
-           q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace, states, tie_u,
-           arr, chosen, departure, qtraj, memo_keys, memo_vals, _POW_MEMO)
+    def draw_buffers(rows: int, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The drawn inputs every policy reads: states, tie uniforms, arrivals."""
+        return (np.empty((rows, slots), dtype=np.int64), np.empty((rows, slots if uniform_ties else 0)),
+                np.empty((rows, slots, N)))
+
+    # with record_trace, the whole record, each slice filling its own rows
+    states, tie_u, arr = draw_buffers(R, T) if spec.record_trace else (None, None, None)
+
+    def walk(r_lo: int, r_hi: int) -> None:
+        """Rows r_lo <= r < r_hi in one kernel call, with this call's own
+        scratch, pow memo and, untraced, one chunk's draw buffers."""
+        work = np.empty(2 * N)
+        memo_keys, memo_vals = np.empty((P, _POW_MEMO), dtype=np.uint64), np.empty((P, _POW_MEMO))
+        drawn = (states, tie_u, arr) if spec.record_trace else draw_buffers(1, min(T, _CHUNK))
+        kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, _CHUNK, burn, N, M,
+               bitgens, used, cum, lam, rates, thresholds, len(thresholds), Q, work, arr_sum,
+               dep_sum, q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace,
+               *drawn, chosen, departure, qtraj, memo_keys, memo_vals, _POW_MEMO)
+
+    S = min(R, _usable_cpus())
+    bounds = [R * k // S for k in range(S + 1)]
+    errors: list[BaseException | None] = [None] * S
+
+    def walk_slice(k: int) -> None:
+        try:
+            walk(bounds[k], bounds[k + 1])
+        except BaseException as exc:  # raised in the caller's thread, below
+            errors[k] = exc
+
+    started = []
+    try:
+        for k in range(1, S):
+            thread = threading.Thread(target=walk_slice, args=(k,), name=f"schedlab-rows-{k}")
+            thread.start()
+            started.append(thread)
+        walk(bounds[0], bounds[1])
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     # the kernel's buffers drew ahead: leave each generator where the uniforms
     # its row consumed leave it (one PCG64 step per next_double)
     for g, state, n in zip(gens, start, used.tolist()):

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import schedlab.cli as cli
 from schedlab import PathSample, SystemConfig, compute_iopt, config_from_json, path_cost, relative_entropy
@@ -128,3 +129,71 @@ def test_deferred_scipy_imports_resolve_from_a_cold_start(tmp_path, monkeypatch)
     assert cold_values["early"][:2] == [0.0, 1.0]  # the early return: w = 2 - 1 at zero cost
     for name in ("iopt.json", "phi_opt.csv"):
         assert (cold / "iopt" / name).read_bytes() == (warm / "iopt" / name).read_bytes(), name
+
+
+def perfbench_report(workload, seed, trace, sha, wall_s, raw_s, written_ns, directory):
+    """A perfbench report as perfbench/run.py writes it, with one command,
+    `compare`, written into directory at time written_ns."""
+    env = {"nproc": 2, "affinity": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1",
+           "git_sha": sha, "OMP_NUM_THREADS": "1"}
+    if trace:
+        metrics = {"simulator.engine_s": {"value": wall_s, "unit": "s"}}
+    else:
+        metrics = {name: {"value": value, "unit": "s"}
+                   for name, value in (("setup_s", 0.1), ("wall_s", wall_s), ("cmd_geomean_s", wall_s))}
+    figures = {"compare_s": raw_s, "compare_ref_s": wall_s, "compare_cpu_s": 2 * raw_s, "compare_n": 200,
+               "multi_cpu_n": 200 * (raw_s != wall_s), "rep_slots_per_s": 1e7, "failed_frac": 0.0}
+    report = {"workload": workload, "seed": seed, "seconds": 20.0, "trace": trace, "env": env,
+              "figures": figures, "metrics": metrics, "missing_layers": ["schedlab.ldp.minimize"]}
+    path = directory / f"{workload}-seed{seed}-trace{trace}.json"
+    path.write_text(json.dumps(report))
+    os.utime(path, ns=(written_ns, written_ns))
+
+
+def test_bench_pairs_writes_a_bench_file(tmp_path):
+    """bench_pairs.py pairs the reports of two directories by workload, seed
+    and trace setting. Each pair names the side whose report is older as
+    first and keeps metrics, multi_cpu_n and raw command seconds; each
+    workload's summary holds inclusive quartiles and the change's wins;
+    --trace 1 pairs go under "traced"; a report without a pair is left out."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    sha = "f6d6d4575be679e9c83f8de29e314029d7fa1d3a"
+    walls = {"parent": [0.070, 0.072, 0.074, 0.076, 0.080], "change": [0.030, 0.031, 0.075, 0.033, 0.034]}
+    for seed in range(1, 6):
+        first, second = (parent, change) if seed % 2 else (change, parent)
+        for directory, written in ((first, 1000 * seed), (second, 1000 * seed + 1)):
+            side = directory.name
+            wall = walls[side][seed - 1]
+            raw = wall if side == "parent" else wall * 0.9
+            perfbench_report("campaign", seed, 0, sha if side == "parent" else "c0ffee0", wall, raw, written,
+                             directory)
+    perfbench_report("campaign", 1, 1, sha, 0.2, 0.2, 10, parent)
+    perfbench_report("campaign", 1, 1, "c0ffee0", 0.1, 0.1, 11, change)
+    perfbench_report("analysis", 1, 0, sha, 0.05, 0.05, 12, parent)  # no pair
+    out = run_fresh([str(ROOT / "scripts" / "bench_pairs.py"), str(parent), str(change), "--out", str(tmp_path)])
+    assert out.strip() == str(tmp_path / "BENCH_f6d6d45.json")
+    bench = json.loads((tmp_path / "BENCH_f6d6d45.json").read_text())
+    assert bench["parent"] == "f6d6d45"
+    assert bench["host"] == {"nproc": 2, "affinity": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+    assert list(bench["workloads"]) == ["campaign"]
+    pairs = bench["workloads"]["campaign"]["pairs"]
+    assert [(p["seed"], p["first"]) for p in pairs] == [
+        (1, "parent"), (2, "change"), (3, "parent"), (4, "change"), (5, "parent")]
+    assert pairs[1]["change"] == {
+        "correct": True, "metrics": {"setup_s": 0.1, "wall_s": 0.031, "cmd_geomean_s": 0.031},
+        "failed_frac": 0.0, "multi_cpu_n": 200, "raw_s": {"compare_s": 0.031 * 0.9}}
+    assert pairs[1]["parent"]["multi_cpu_n"] == 0
+    summary = bench["workloads"]["campaign"]["summary"]
+    assert list(summary) == ["setup_s", "wall_s", "cmd_geomean_s", "compare_s"]
+    assert summary["wall_s"]["parent"] == pytest.approx({"q1": 0.072, "median": 0.074, "q3": 0.076})
+    assert summary["wall_s"]["change"] == pytest.approx({"q1": 0.031, "median": 0.033, "q3": 0.034})
+    assert (summary["wall_s"]["change_lower_in"], summary["wall_s"]["pairs"]) == (4, 5)
+    assert summary["setup_s"]["change_lower_in"] == 0  # ties count for neither side
+    assert summary["compare_s"]["change"]["median"] == pytest.approx(0.033 * 0.9)
+    (traced,) = bench["traced"]["campaign"]
+    assert traced == {"seed": 1, "first": "parent", "parent": {"simulator.engine_s": 0.2},
+                      "parent_missing_layers": ["schedlab.ldp.minimize"],
+                      "change": {"simulator.engine_s": 0.1},
+                      "change_missing_layers": ["schedlab.ldp.minimize"]}

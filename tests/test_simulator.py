@@ -5,8 +5,11 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -189,6 +192,7 @@ class TestRunReplication:
     def test_bad_rep_indices_rejected_before_the_kernel(self, monkeypatch, ref_cfg, rep_indices, message):
         calls = []
         monkeypatch.setattr(simulator, "_slot_kernel", lambda *args: calls.append(args))
+        allow_slices(monkeypatch, 3, threads=False)
         with pytest.raises(ValueError, match=message):
             run_replications(ref_cfg, [HET2], SimSpec(horizon=100), rep_indices)
         assert calls == []
@@ -511,7 +515,7 @@ def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
     chosen, arr = np.empty((R, T), dtype=np.int64), np.empty((R, T, n))
     stats = [np.zeros((R, n)) for _ in range(3)]
     kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
-           0, fluid, R, T, T, 0, n, M, bitgens, used, channel_cdf(cfg), np.asarray(lam, dtype=float),
+           0, fluid, R, 0, R, T, T, 0, n, M, bitgens, used, channel_cdf(cfg), np.asarray(lam, dtype=float),
            cfg.rate_matrix, np.empty(0), 0, q.copy(), np.empty(2 * n), *stats,
            np.zeros((R, M, n), dtype=np.int64), np.zeros((R, 0), dtype=np.int64), np.zeros(R),
            np.zeros((R, n)), 1, np.empty((R, T), dtype=np.int64), np.empty((R, 0)), arr, chosen,
@@ -667,6 +671,21 @@ class TestKernelDraws:
 SHARED_POLICIES = (Heterogeneous(q_th=2.0), Exp(eta=0.25), MaxWeight(alpha=7.0))
 
 
+def assert_same_outputs(a, b, where):
+    """Two replications' outputs are bitwise equal: counters, overflow
+    counts, mean queues and trace."""
+    assert a.rep_index == b.rep_index, where
+    for f in fields(TraceCounters):
+        assert bitwise_equal(getattr(a.counters, f.name), getattr(b.counters, f.name)), (where, f.name)
+    assert bitwise_equal(a.overflow_slot_counts, b.overflow_slot_counts), where
+    assert bitwise_equal(a.mean_queues, b.mean_queues), where
+    assert (a.trace is None) == (b.trace is None), where
+    if a.trace is not None:
+        assert a.trace.keys() == b.trace.keys(), where
+        for key in a.trace:
+            assert bitwise_equal(a.trace[key], b.trace[key]), (where, key)
+
+
 class TestSharedDraws:
     """One call runs every policy on the same draws: each chunk is drawn once
     and walked once per policy, and each policy's outputs are bitwise those
@@ -689,27 +708,22 @@ class TestSharedDraws:
             for policy, outputs in zip(policies, shared):
                 (alone,) = run_replications(cfg, [policy], spec, reps)
                 for a, b in zip(outputs, alone):
-                    assert a.rep_index == b.rep_index
-                    for f in fields(TraceCounters):
-                        assert bitwise_equal(getattr(a.counters, f.name), getattr(b.counters, f.name)), f.name
-                    assert bitwise_equal(a.overflow_slot_counts, b.overflow_slot_counts)
-                    assert bitwise_equal(a.mean_queues, b.mean_queues)
-                    assert a.trace.keys() == b.trace.keys()
-                    for key in a.trace:
-                        assert bitwise_equal(a.trace[key], b.trace[key]), (policy, key)
+                    assert_same_outputs(a, b, policy)
 
-    def test_mixed_tie_breaks_rejected(self, ref_cfg):
+    def test_mixed_tie_breaks_rejected(self, monkeypatch, ref_cfg):
         """The draws hold tie uniforms only for uniform ties, so the policies
-        of one call must share their tie-break."""
+        of one call must share their tie-break. Both refusals come before
+        any row slice starts."""
+        allow_slices(monkeypatch, 3, threads=False)
         mixed = [HET2, Policy(Exp(eta=0.25), tie_break="uniform_random")]
         spec = SimSpec(horizon=10)
         message = "^policies run on shared draws must share one tie_break, got 'lowest_index' and 'uniform_random'$"
         with pytest.raises(ValueError, match=message):
-            run_replications(ref_cfg, mixed, spec, [0])
+            run_replications(ref_cfg, mixed, spec, [0, 1, 2])
         with pytest.raises(ValueError, match=message):
             run_simulation(ref_cfg, mixed[::-1], spec)
         with pytest.raises(ValueError, match="^run_replications needs at least one policy$"):
-            run_replications(ref_cfg, [], spec, [0])
+            run_replications(ref_cfg, [], spec, [0, 1, 2])
 
     @pytest.mark.parametrize("argv", [
         ["compare"],
@@ -728,6 +742,110 @@ class TestSharedDraws:
                        "--replications", "2", "--out", str(tmp_path / "out")])
         assert rc == 0
         assert calls == [3 if argv[0] == "compare" else 2]
+
+
+def refuse_thread(*args, **kwargs):
+    raise AssertionError("run_replications started a thread")
+
+
+def allow_slices(monkeypatch, cpus, threads=True):
+    """Have run_replications see cpus usable CPUs; with threads False, any
+    thread it starts fails the test."""
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulator, "threading", threading if threads else SimpleNamespace(Thread=refuse_thread))
+
+
+def spy_kernel(monkeypatch) -> list:
+    """Have each kernel call append its row range (r_lo, r_hi) to the
+    returned list."""
+    kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
+    ranges = []
+
+    def spy(*args):
+        ranges.append(args[7:9])
+        return kernel(*args)
+
+    monkeypatch.setattr(simulator, "_slot_kernel", lambda cc, npyrandom: spy)
+    return ranges
+
+
+class TestRowSlices:
+    """run_replications splits its rows into min(R, usable CPUs) contiguous
+    slices, walked concurrently: the outputs and every generator's end state
+    are bitwise those of one slice, one slice starts no thread, and a
+    slice's exception reaches the caller once every slice has ended."""
+
+    @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
+    @pytest.mark.parametrize("cfg_name", ["reference", "fluid"])
+    def test_any_slice_count_equals_one_slice(self, monkeypatch, cfg_name, tie_break, record_trace):
+        cfg = DRAW_CONFIGS[cfg_name]
+        policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES]
+        spec = SimSpec(horizon=3000, master_seed=21, record_trace=record_trace,
+                       thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
+        for reps in ([4, 0, 3, 1, 2], [1, 0], [2]):
+            runs = {}
+            for cpus in (1, 2, 3):
+                S = min(cpus, len(reps))
+                allow_slices(monkeypatch, cpus, threads=S > 1)
+                ranges = spy_kernel(monkeypatch)
+                made = record_generators(monkeypatch)
+                runs[cpus] = run_replications(cfg, policies, spec, reps), made
+                bounds = [len(reps) * k // S for k in range(S + 1)]
+                assert sorted(ranges) == list(zip(bounds, bounds[1:])), (reps, cpus)
+            (one, one_gens) = runs[1]
+            for cpus in (2, 3):
+                sliced, gens = runs[cpus]
+                for outputs, alone in zip(sliced, one):
+                    for a, b in zip(outputs, alone):
+                        assert_same_outputs(a, b, (reps, cpus))
+                assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in one_gens]
+            assert len({tuple(g.random() for g in gens) for _, gens in runs.values()}) == 1
+
+    def test_more_slices_than_cpus_on_a_thrashed_memo(self, monkeypatch, ref_cfg):
+        """Four concurrent slices, more than the CPUs of a small host, on
+        non-integer queues (fluid arrivals at 0.9, user 0's state-1 rate
+        2.5), on which over 40% of exp's and mw's powers miss the pow memo,
+        so every slice rewrites its memo all the time: three runs equal one
+        slice's, bitwise. Slices that shared one memo could read one slice's
+        key beside another's value, which makes these outputs differ."""
+        rates = ref_cfg.rate_matrix.copy()
+        rates[1, 0] = 2.5
+        cfg = replace(ref_cfg, arrival_model="fluid", arrival_rates=np.full(4, 0.9), rate_matrix=rates)
+        policies = [Policy(Exp(eta=0.25)), Policy(MaxWeight(alpha=7.0))]
+        spec = SimSpec(horizon=200_000, master_seed=3)
+        allow_slices(monkeypatch, 1, threads=False)
+        one = run_replications(cfg, policies, spec, [0, 1, 2, 3])
+        allow_slices(monkeypatch, 4)
+        for trial in range(3):
+            for outputs, alone in zip(run_replications(cfg, policies, spec, [0, 1, 2, 3]), one):
+                for a, b in zip(outputs, alone):
+                    assert_same_outputs(a, b, trial)
+
+    @pytest.mark.parametrize("failing", [(1,), (2,), (1, 2), (0, 2)])
+    def test_a_failing_slice_raises_once_every_slice_ends(self, monkeypatch, ref_cfg, failing):
+        """Three slices of one row each: the failing slices' kernels raise,
+        the others end a little later. run_replications raises the first
+        failing slice's exception itself, after every slice has ended and
+        no thread it started is left."""
+        errors = {k: RuntimeError(f"slice {k}") for k in failing}
+        ended = []
+
+        def kernel(*args):
+            r_lo = args[7]
+            if r_lo in errors:
+                raise errors[r_lo]
+            time.sleep(0.05)
+            ended.append(r_lo)
+
+        monkeypatch.setattr(simulator, "_slot_kernel", lambda cc, npyrandom: kernel)
+        allow_slices(monkeypatch, 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run_replications(ref_cfg, [HET2], SimSpec(horizon=100), [0, 1, 2])
+        assert info.value is errors[min(failing)]
+        assert sorted(ended) == [k for k in range(3) if k not in errors]
+        assert threading.active_count() == before
 
 
 class TestScaledTrace:
@@ -1107,11 +1225,11 @@ class TestSlotKernelBuild:
     def test_argtypes_match_the_c_signature(self):
         """ctypes passes each argument as the kernel's argtypes say, never
         checked against _slots.c, so a drift between the two corrupts memory:
-        run_slots' 38 parameters need one argtype each, its own scalar type
+        run_slots' 40 parameters need one argtype each, its own scalar type
         for a scalar and an ndpointer of the element's dtype for a pointer."""
         params = re.search(r"void run_slots\(([^)]*)\)", simulator._SLOTS_SOURCE.read_text()).group(1)
         params = [p.replace("const", "").split() for p in params.split(",")]
-        assert (len(params), sum("*" in p[-1] for p in params)) == (38, 26)
+        assert (len(params), sum("*" in p[-1] for p in params)) == (40, 26)
         argtypes = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM).argtypes
         assert len(argtypes) == len(params)
         scalars = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
@@ -1136,7 +1254,9 @@ class TestSlotKernelBuild:
         in a fresh process, runs a traced poisson7 campaign of het and mw,
         two rows of 70 001 slots, through every refill of the rows' draw
         buffers without a read or write outside a buffer and without
-        undefined behaviour, and records what the plain build records."""
+        undefined behaviour, and records what the plain build records. Each
+        row is its own slice, so two kernels run at once on disjoint rows of
+        the shared arrays."""
         runtime = subprocess.run([simulator._CC, "-print-file-name=libasan.so"], capture_output=True,
                                  text=True).stdout.strip()
         if not os.path.isfile(runtime):
@@ -1153,6 +1273,7 @@ class TestSlotKernelBuild:
             "from schedlab import simulator\n"
             "library, campaign, record = sys.argv[1:]\n"
             "simulator._slot_kernel = lambda cc, npyrandom: simulator._load_kernel(library)\n"
+            "simulator._usable_cpus = lambda: 2\n"
             "with open(campaign, 'rb') as f:\n"
             "    outputs = simulator.run_replications(*pickle.load(f))\n"
             "np.savez(record, *[o.trace[k] for outs in outputs for o in outs for k in sorted(o.trace)])\n"
