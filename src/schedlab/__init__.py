@@ -2,10 +2,8 @@
 
 from .ldp import (
     IoptResult,
-    PathSample,
     aux_growth,
     compute_iopt,
-    path_cost,
     poisson_rate,
     relative_entropy,
     w_growth,
@@ -32,7 +30,6 @@ from .simulator import (
     OverflowEstimate,
     RegionMap,
     ReplicationOutput,
-    ScaledTrace,
     SimResult,
     SimSpec,
     decision_regions,
@@ -41,7 +38,6 @@ from .simulator import (
     fit_decay_rate,
     run_replications,
     run_simulation,
-    scaled_trace,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Large-deviations machinery: rate functions, path costs, and decay-rate optimization.
+"""Large-deviations machinery: rate functions, the growth LP, and decay-rate optimization.
 
 The central objects:
 
@@ -79,52 +79,6 @@ def relative_entropy(gamma, p) -> float:
     if gamma.shape != p.shape:
         raise ValueError("gamma and p must have equal length")
     return float(rel_entr(gamma, p).sum())
-
-
-# ---------------------------------------------------------------------------
-# piecewise-linear path costs
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """Piecewise-linear cumulative paths on a shared time grid.
-
-    times is ascending starting at the path origin; f_values (len(times), N)
-    and g_values (len(times), M) are the cumulative arrival and channel-state
-    counts, both nondecreasing componentwise.
-    """
-
-    times: np.ndarray
-    f_values: np.ndarray
-    g_values: np.ndarray
-
-
-def path_cost(path: PathSample, cfg: SystemConfig) -> float:
-    """Integrated deviation cost of a path; +inf when a step's channel
-    increment is not a probability distribution over the step length."""
-    from scipy.special import rel_entr
-
-    t = np.asarray(path.times, dtype=float)
-    f = np.asarray(path.f_values, dtype=float)
-    g = np.asarray(path.g_values, dtype=float)
-    if t.ndim != 1 or len(t) < 2:
-        raise ValueError("times must be a 1-D grid with at least two points")
-    if f.shape != (len(t), cfg.n_users) or g.shape != (len(t), cfg.n_states):
-        raise ValueError("f_values/g_values shapes disagree with the time grid")
-    dt = np.diff(t)
-    if np.any(dt <= 0):
-        raise ValueError("times must be strictly ascending")
-    df = np.diff(f, axis=0)
-    dg = np.diff(g, axis=0)
-    if np.any(df < -1e-12) or np.any(dg < -1e-12):
-        raise ValueError("paths must be nondecreasing componentwise")
-
-    fdot = np.clip(df, 0.0, None) / dt[:, None]
-    gdot = np.clip(dg, 0.0, None) / dt[:, None]
-    if np.any(np.abs(gdot.sum(axis=1) - 1.0) > PROB_SUM_TOL * np.maximum(1.0, 1.0 / dt)):
-        return math.inf
-    step = poisson_rate(fdot, cfg.arrival_rates).sum(axis=1) + rel_entr(gdot, cfg.state_probs).sum(axis=1)
-    return float(dt @ step)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +171,7 @@ def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray:
     _CANDIDATE_CAP, instead of running for hours.
     """
     M, N = rate_matrix.shape
-    rows = [np.eye(N)[i] for i in range(N)]
+    rows = list(np.eye(N))
     rhs = [0.0] * N
     rows.append(np.ones(N))
     rhs.append(1.0)

@@ -23,7 +23,7 @@ The same walk adds each post-burn-in slot into the service counters, the
 per-threshold overflow slot counts (both estimators read these) and the
 time-average queues; every float sum runs left to right, one slot at a time.
 The per-slot record (drawn inputs, choices, departures, queues) is kept only
-with record_trace, as the trace scaled_trace rescales.
+with record_trace, for the tests that replay the engine slot by slot.
 """
 
 from __future__ import annotations
@@ -492,47 +492,7 @@ def run_simulation(cfg: SystemConfig, policies: list[Policy], spec: SimSpec) -> 
 
 
 # ---------------------------------------------------------------------------
-# scaled processes and decision regions
-
-
-@dataclass(frozen=True)
-class ScaledTrace:
-    """Cumulative processes sampled at integer scaled times t: value(B*t)/B."""
-
-    scale: float
-    times: np.ndarray
-    f: np.ndarray
-    fhat: np.ndarray
-    g: np.ndarray
-    ghat: np.ndarray
-    q: np.ndarray
-
-
-def scaled_trace(output: ReplicationOutput, scale: float) -> ScaledTrace:
-    """Rescale a recorded trace by B: emits (F, Fhat, G, Ghat, Q)(B t)/B at
-    integer scaled times; cumulative counts are step functions, so non-integer
-    B*t floors to the enclosing slot."""
-    if output.trace is None:
-        raise ValueError("replication was run without record_trace")
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    tr = output.trace
-    M, N = output.counters.served_slots.shape
-    T = len(tr["state"])
-    times = np.arange(int(np.floor(T / scale)) + 1)
-    idx = np.floor(times * scale).astype(np.int64)
-    # per-slot increments of F, Fhat and Ghat after an empty row 0
-    slot = np.arange(1, T + 1)
-    inc = np.zeros((T + 1, 2 * N + M * N))
-    inc[1:, :N] = tr["arrivals"]
-    inc[slot, N + tr["chosen"]] = tr["departure"]
-    inc[slot, 2 * N + tr["state"] * N + tr["chosen"]] = 1.0
-    cum = inc.cumsum(axis=0)[idx]
-    ghat = cum[:, 2 * N:].reshape(-1, M, N)
-    return ScaledTrace(
-        scale=scale, times=times, f=cum[:, :N] / scale, fhat=cum[:, N:2 * N] / scale,
-        g=ghat.sum(axis=2) / scale, ghat=ghat / scale, q=tr["q"][idx] / scale,
-    )
+# decision regions
 
 
 # most grid points x users a region map scores per channel state; a

@@ -117,7 +117,7 @@ def line_chart(
         f'transform="rotate(-90 20 {(MARGIN_T+HEIGHT-MARGIN_B)/2})">{_esc(ylabel)}</text>'
     )
 
-    for li, (_, yv) in enumerate(hlines or []):
+    for _, yv in hlines or []:
         if not plotted(yv):
             continue
         yy = py(math.log10(yv) if log_y else yv)
@@ -149,7 +149,7 @@ def line_chart(
             f'<text x="{WIDTH-MARGIN_R-160}" y="{ly+12}">{_esc(s["label"])}</text>'
         )
         ly += 20
-    for li, (label, _) in enumerate(hlines or []):
+    for label, _ in hlines or []:
         parts.append(
             f'<line x1="{WIDTH-MARGIN_R-180}" y1="{ly+7}" x2="{WIDTH-MARGIN_R-166}" y2="{ly+7}" '
             f'stroke="#555555" stroke-dasharray="6 4" stroke-width="2"/>'

@@ -10,10 +10,8 @@ from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp
 
 from schedlab import (
-    PathSample,
     aux_growth,
     compute_iopt,
-    path_cost,
     poisson_rate,
     relative_entropy,
     w_growth,
@@ -103,64 +101,6 @@ class TestRelativeEntropy:
         assert h >= 0.0
         if h < 1e-12:
             assert np.allclose(gamma, p, atol=1e-5)
-
-
-class TestPathCost:
-    def test_mean_path_costs_nothing(self, ref_cfg):
-        t = np.linspace(0.0, 4.0, 9)
-        path = PathSample(
-            times=t,
-            f_values=np.outer(t, ref_cfg.arrival_rates),
-            g_values=np.outer(t, ref_cfg.state_probs),
-        )
-        assert path_cost(path, ref_cfg) == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_slopes(self, ref_cfg):
-        y = np.array([2.0, 1.0, 1.0, 0.5])
-        gamma = np.array([0.5, 0.25, 0.25])
-        T = 3.0
-        t = np.linspace(0.0, T, 7)
-        path = PathSample(times=t, f_values=np.outer(t, y), g_values=np.outer(t, gamma))
-        expected = T * (
-            poisson_rate(y, ref_cfg.arrival_rates).sum()
-            + relative_entropy(gamma, ref_cfg.state_probs)
-        )
-        assert path_cost(path, ref_cfg) == pytest.approx(expected, rel=1e-12)
-
-    def test_invalid_state_increment_is_infinite(self, ref_cfg):
-        t = np.array([0.0, 1.0])
-        g = np.array([[0.0, 0.0, 0.0], [0.25, 0.25, 0.0]])  # sums to 0.5, not 1
-        path = PathSample(times=t, f_values=np.outer(t, ref_cfg.arrival_rates), g_values=g)
-        assert path_cost(path, ref_cfg) == math.inf
-
-    def test_malformed_paths_rejected(self, ref_cfg):
-        t = np.array([0.0, 1.0, 0.5])
-        with pytest.raises(ValueError, match="times must be strictly ascending"):
-            path_cost(
-                PathSample(t, np.zeros((3, 4)), np.zeros((3, 3))), ref_cfg
-            )
-        t = np.array([0.0, 1.0])
-        with pytest.raises(ValueError, match="paths must be nondecreasing"):
-            path_cost(
-                PathSample(t, np.array([[0.0] * 4, [-1.0] * 4]), np.outer(t, ref_cfg.state_probs)),
-                ref_cfg,
-            )
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_additive_over_concatenation(self, seed, ref_cfg):
-        rng = np.random.default_rng(seed)
-        t_all = np.array([0.0, 0.5, 1.0, 1.6, 2.0])
-        df = rng.uniform(0, 2, size=(4, 4)) * np.diff(t_all)[:, None]
-        dg = rng.dirichlet(np.ones(3), size=4) * np.diff(t_all)[:, None]
-        f = np.vstack([np.zeros(4), df.cumsum(axis=0)])
-        g = np.vstack([np.zeros(3), dg.cumsum(axis=0)])
-        whole = path_cost(PathSample(t_all, f, g), ref_cfg)
-        first = path_cost(PathSample(t_all[:3], f[:3], g[:3]), ref_cfg)
-        second = path_cost(
-            PathSample(t_all[2:] - t_all[2], f[2:] - f[2], g[2:] - g[2]), ref_cfg
-        )
-        assert whole == pytest.approx(first + second, rel=1e-9, abs=1e-12)
 
 
 def allocation_lattice(n, parts):

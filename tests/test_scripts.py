@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import schedlab.cli as cli
-from schedlab import PathSample, SystemConfig, compute_iopt, config_from_json, path_cost, relative_entropy
+from schedlab import SystemConfig, compute_iopt, config_from_json, relative_entropy
 from conftest import REFERENCE_CONFIG
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,21 +92,15 @@ def deferred_import_calls() -> dict:
     """Every ldp function that imports scipy when called, in cold-start order:
     compute_iopt on an overloaded config first (its early return reaches only
     w_growth's LP), then iopt on the reference config into ./iopt, then
-    relative_entropy and path_cost. Returns their values."""
+    relative_entropy. Returns their values."""
     overloaded = SystemConfig(n_users=1, n_states=1, state_probs=np.array([1.0]),
                               rate_matrix=np.array([[1.0]]), arrival_rates=np.array([2.0]))
     early = compute_iopt(overloaded)
     assert cli.main(["iopt", "--config", str(REFERENCE_CONFIG), "--out", "iopt"]) == 0
     ref_cfg = config_from_json(REFERENCE_CONFIG)
-    path = PathSample(
-        times=np.array([0.0, 1.0, 3.0]),
-        f_values=np.array([[0.0] * 4, [1.5, 1.0, 0.5, 1.0], [3.0, 2.0, 2.5, 1.5]]),
-        g_values=np.array([[0.0] * 3, [0.2, 0.7, 0.1], [0.4, 1.8, 0.8]]),
-    )
     return {
         "early": [early.value, early.arg_w, early.arg_y.tolist(), early.arg_phi.tolist()],
         "relative_entropy": relative_entropy([0.5, 0.3, 0.2], ref_cfg.state_probs),
-        "path_cost": path_cost(path, ref_cfg),
     }
 
 

@@ -28,7 +28,6 @@ from schedlab import (
     fit_decay_rate,
     run_replications,
     run_simulation,
-    scaled_trace,
     select,
 )
 import schedlab.cli as cli
@@ -848,43 +847,6 @@ class TestRowSlices:
         assert threading.active_count() == before
 
 
-class TestScaledTrace:
-    def test_unit_scale_is_identity(self, ref_cfg):
-        spec = SimSpec(horizon=500, burn_in=0, master_seed=3, record_trace=True)
-        out = run_replication(ref_cfg, HET2, spec, 0)
-        st1 = scaled_trace(out, 1.0)
-        assert np.array_equal(st1.f[1:], out.trace["arrivals"].cumsum(0))
-        assert np.array_equal(st1.q, out.trace["q"])
-
-    def test_poisson_unit_scale_balance_is_exact(self, ref_cfg):
-        """Poisson counts are integers, so at B = 1 the queue is F - Fhat with
-        no rounding, across a chunk boundary too."""
-        spec = SimSpec(horizon=33_000, burn_in=0, master_seed=7, record_trace=True)
-        st1 = scaled_trace(run_replication(ref_cfg, HET2, spec, 0), 1.0)
-        assert np.array_equal(st1.q, st1.f - st1.fhat)
-        assert np.array_equal(st1.g, st1.ghat.sum(axis=2))
-
-    def test_scaled_balance_identity(self, ref_cfg):
-        spec = SimSpec(horizon=512, burn_in=0, master_seed=5, record_trace=True)
-        out = run_replication(ref_cfg, HET2, spec, 0)
-        for scale in (2.0, 8.0):
-            tr = scaled_trace(out, scale)
-            assert np.allclose(tr.q, tr.f - tr.fhat, atol=1e-12)
-
-    def test_fluid_single_user_linear(self):
-        cfg = make_config([[0.5]], [1.0], [1.0], arrival_model="fluid")
-        spec = SimSpec(horizon=100, burn_in=0, master_seed=0, record_trace=True)
-        out = run_replication(cfg, HET2, spec, 0)
-        for scale in (1.0, 5.0):
-            tr = scaled_trace(out, scale)
-            assert np.allclose(tr.f[:, 0], tr.times * 1.0, atol=1e-12)
-
-    def test_unrecorded_trace_raises(self, ref_cfg):
-        out = run_replication(ref_cfg, HET2, SimSpec(horizon=100, master_seed=0), 0)
-        with pytest.raises(ValueError, match="without record_trace"):
-            scaled_trace(out, 2.0)
-
-
 def random_3user_config():
     rng = np.random.default_rng(2)
     rates = rng.integers(0, 8, size=(3, 3)).astype(float)
@@ -1047,6 +1009,17 @@ REPLAY_VARIANTS = [
 POW_VARIANTS = [Exp(eta=0.25), Exp(eta=0.75), MaxWeight(alpha=1.0), MaxWeight(alpha=2.5),
                 MaxWeight(alpha=7.0)]
 
+# (arrival model, rule) pairs of the queue-update check: every rule on each
+# arrival model; the het cases keep the bare arrival model as their id
+QUEUE_UPDATE_CASES = [
+    (model, variant)
+    for variant in (Heterogeneous(q_th=3.0), Exp(eta=0.25), MaxWeight(alpha=7.0))
+    for model in ("poisson", "fluid", "fluid_one_user")
+]
+
+QUEUE_UPDATE_IDS = [model if isinstance(variant, Heterogeneous) else f"{model}-{variant!r}"
+                    for model, variant in QUEUE_UPDATE_CASES]
+
 
 class TestEngineMatchesSpec:
     """The engine serves, slot by slot, the user the specified rule picks."""
@@ -1076,19 +1049,25 @@ class TestEngineMatchesSpec:
         assert (tied[late].sum(axis=1) > 1).any()
 
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
-    @pytest.mark.parametrize("arrival_model", ["poisson", "fluid"])
-    def test_queue_update_adds_arrivals_then_drains(self, ref_cfg, arrival_model, tie_break):
+    @pytest.mark.parametrize(("arrival_model", "variant"), QUEUE_UPDATE_CASES, ids=QUEUE_UPDATE_IDS)
+    def test_queue_update_adds_arrivals_then_drains(self, ref_cfg, arrival_model, variant, tie_break):
         """Every recorded slot's queues and departure are bitwise what adding
         its arrivals to the queues before it and then draining
-        min(backlog, rate) from its chosen user makes: Poisson and non-integer
-        fluid arrivals, two replications, across a chunk boundary."""
+        min(backlog, rate) from its chosen user makes, under each rule:
+        Poisson and non-integer fluid arrivals, and one overloaded user whose
+        queue only grows, two replications, across a chunk boundary. The
+        record starts from empty queues, so with integer Poisson counts the
+        queues are exactly cumulative arrivals minus cumulative departures."""
         cfg = ref_cfg
         if arrival_model == "fluid":
             cfg = replace(ref_cfg, arrival_model="fluid", arrival_rates=np.array([0.7, 0.45, 0.9, 0.35]))
+        elif arrival_model == "fluid_one_user":
+            cfg = make_config([[0.5]], [1.0], [1.0], arrival_model="fluid")
         spec = SimSpec(horizon=simulator._CHUNK + 500, master_seed=5, record_trace=True)
-        policy = Policy(Heterogeneous(q_th=3.0), tie_break=tie_break)
+        policy = Policy(variant, tie_break=tie_break)
         for out in run_replications(cfg, [policy], spec, [0, 1])[0]:
             tr = out.trace
+            assert not tr["q"][0].any()
             q = tr["q"][:-1] + tr["arrivals"]
             k, rows = tr["chosen"], np.arange(len(q))
             d = np.minimum(q[rows, k], cfg.rate_matrix[tr["state"], k])
