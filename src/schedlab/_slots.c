@@ -22,10 +22,11 @@
  * A call walks the rows r_lo <= r < r_hi of the R-row arrays, so that
  * callers can run contiguous row slices in concurrent calls: each call
  * writes only its own rows of the shared per-row arrays and draws only from
- * its own rows' generators. The scratch (work, the pow memo and the untraced
- * draw buffers) is written by every row, so every concurrent call, like
- * every row's generator, needs its own: a shared memo could pair one call's
- * key with another's value.
+ * its own rows' generators. The scratch (work and tally, which hold the
+ * lanes' queues and statistics, the pow memo and the untraced draw buffers)
+ * is written by every row, so every concurrent call, like every row's
+ * generator, needs its own: a shared memo could pair one call's key with
+ * another's value.
  *
  * Poisson counts come from numpy's own random_poisson (libnpyrandom.a) for
  * lam == 0 and lam >= 10, through a bitgen_t whose next_double reads the
@@ -39,18 +40,28 @@
  * draw is bitwise numpy's.
  *
  * A call runs P policies over the same replications: each chunk is drawn
- * once and then walked once per policy, each with its own rule, queues,
- * statistics and trace, so every policy sees the same draws (common random
- * numbers) and its outputs are bitwise those of running it alone. The draws
- * hold tie uniforms only for uniform ties, so the policies share one
- * tie-break.
+ * once and then walked slot by slot, each slot once per policy, so every
+ * policy sees the same draws (common random numbers). The policies are
+ * lanes in lockstep: each has its own rule, pow memo, queues, statistics
+ * and trace, and within a lane the draws, scores and sums keep their order,
+ * so its outputs are bitwise those of running it alone. A lane's queues
+ * form one long chain of dependent updates; walking P lanes side by side
+ * gives the core P independent chains to overlap, where walking a chunk
+ * once per policy ran them one after another. Every value a lane writes
+ * each slot goes to the call's own scratch and reaches the shared
+ * per-policy arrays when its row ends, so concurrent calls share no cache
+ * line slot by slot. The draws hold tie uniforms only for uniform ties, so
+ * the policies share one tie-break.
  *
  * A slot scores the users on the queues before arrivals with
  * schedulers.stable_scores, picks from the set tied_mask gives
  * (score >= row max - 1e-12), adds the slot's arrivals and drains
- * min(backlog, rate) from the chosen user. Built with -ffp-contract=off, the
- * scores are bitwise the ones stable_scores computes, whose powers are libm's
- * pow too.
+ * min(backlog, rate) from the chosen user. Several lanes pick with selects
+ * instead of branches, since one mispredicted branch discards every lane's
+ * work in flight; a lone lane is bound by its own chain's latency, and its
+ * predicted early-exit scan is the faster there. Both forms pick the same
+ * user for every score vector. Built with -ffp-contract=off, the scores are
+ * bitwise the ones stable_scores computes, whose powers are libm's pow too.
  *
  * exp's pow(mean queue, eta) and mw's pow(Q_i / max Q, alpha) go through a
  * per-policy memo: a direct-mapped table keyed by the argument's 64 bits,
@@ -60,7 +71,7 @@
  * distinct argument; a miss costs one hash and one store beside the pow.
  * The memo changes no score, so no choice or statistic either.
  *
- * The same walk adds each post-burn-in slot into the run's statistics, and
+ * The same walk adds each post-burn-in slot into the lanes' statistics, and
  * fills the per-slot trace (draws, choice, departure, queues) only when the
  * caller records one. Every float sum, here and in exp's mean, runs left to
  * right, one slot or user at a time, from 0.0.
@@ -202,6 +213,206 @@ static void draw_chunk(struct stream *s, int64_t c, int64_t n, int64_t m_states,
             u[k] = next_double(s);
 }
 
+/* What every slot of a call reads and writes: run_slots' parameters of the
+ * same names, and the slice's lane scratch (see run_slots). */
+struct call {
+    const int64_t *rules;
+    const double *params, *tables, *rates, *thresholds;
+    int uniform, record;
+    int64_t R, T, burn, n, m_states, K;
+    double *initial_q, *dep, *qtraj;
+    int64_t *chosen;
+    uint64_t *memo_keys;
+    double *memo_vals;
+    int64_t memo_len;
+    double *arr_acc, *lane_f;
+    int64_t *lane_i;
+};
+
+/* Lane p's doubles, at lane_f + p * LANE_F(n): queues, scores, dep_sum,
+ * q_sum (n each) and max_seen (1); and its counts, at
+ * lane_i + p * LANE_I(n, m_states, K): served (m_states x n) and the
+ * histogram of how many thresholds the largest queue reaches (K + 1). */
+#define LANE_F(n) (4 * (n) + 1)
+#define LANE_I(n, m_states, K) ((m_states) * (n) + (K) + 1)
+
+/* The largest of x[0..n), NaNs passed over after x[0]: with branches for a
+ * lone lane, which predicts them, and with selects for lanes in lockstep. */
+static inline double largest(const double *x, int64_t n, int one_lane)
+{
+    double top = x[0];
+    if (one_lane) {
+        for (int64_t i = 1; i < n; i++)
+            if (x[i] > top)
+                top = x[i];
+    } else {
+        for (int64_t i = 1; i < n; i++)
+            top = x[i] > top ? x[i] : top;
+    }
+    return top;
+}
+
+/* The slot's scores (n) of the queues Q under rule with param, table row
+ * row (the rate table's row of the slot's state) and the policy's memo. */
+static inline void score_slot(int rule, double param, const double *row, struct memo *memo,
+                              const double *Q, double *score, int64_t n, int one_lane)
+{
+    if (rule == RULE_HET) {
+        for (int64_t i = 0; i < n; i++)
+            score[i] = row[i] + Q[i] / param;
+    } else if (rule == RULE_EXP) {
+        double total = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            total += Q[i];
+        double denom = 1.0 + memo_pow(memo, total / (double)n, param);
+        for (int64_t i = 0; i < n; i++)
+            score[i] = Q[i] / denom + row[i];
+    } else {
+        double qmax = largest(Q, n, one_lane);
+        for (int64_t i = 0; i < n; i++)
+            score[i] = qmax > 0.0 ? memo_pow(memo, Q[i] / qmax, param) * row[i] : 0.0;
+    }
+}
+
+/* The user a slot serves: among the tied users (score >= max - TIE_TOL,
+ * as tied_mask gives), the floor(u * count) + 1-th with uniform ties, else
+ * the first; n - 1 when none is tied. The scan stops at the first tied
+ * user and branches on each score, which the one-lane walk, bound by its
+ * own chain of queue updates, predicts ahead. */
+static inline int64_t scan_pick(const double *score, int64_t n, int uniform, double u)
+{
+    double bar = largest(score, n, 1) - TIE_TOL;
+    int64_t pick = 0;
+    while (pick < n - 1 && !(score[pick] >= bar))
+        pick++;
+    if (uniform) {
+        int64_t count = 0;
+        for (int64_t i = pick; i < n; i++)
+            count += score[i] >= bar;
+        int64_t target = (int64_t)(u * (double)count);
+        while (target > 0 && pick < n - 1) {
+            pick++;
+            target -= score[pick] >= bar;
+        }
+    }
+    return pick;
+}
+
+/* scan_pick's user, found with selects instead of branches: the first tied
+ * user by a scan down from n - 1, and with uniform ties the
+ * (count - target)-th tied user counting from the top, target being
+ * floor(u * count). A mispredicted branch would discard the in-flight
+ * slots of every lane. */
+static inline int64_t select_pick(const double *score, int64_t n, int uniform, double u)
+{
+    double bar = largest(score, n, 0) - TIE_TOL;
+    int64_t pick = n - 1;
+    if (!uniform) {
+        for (int64_t i = n - 2; i >= 0; i--)
+            pick = score[i] >= bar ? i : pick;
+        return pick;
+    }
+    int64_t count = 0;
+    for (int64_t i = 0; i < n; i++)
+        count += score[i] >= bar;
+    int64_t k = count - (int64_t)(u * (double)count), seen = 0;
+    for (int64_t i = n - 1; i >= 0; i--) {
+        int64_t tied = score[i] >= bar;
+        seen += tied;
+        pick = tied & (seen == k) ? i : pick;
+    }
+    return pick;
+}
+
+/* Row r's slots done <= slot < done + c, drawn into states st, arrivals a
+ * and tie uniforms uc, slot by slot, each slot lane by lane: the P lanes'
+ * chains of queue updates are independent, so the core runs them at once.
+ * Inlined into walk_one with P = 1, a walk with no lane loop that picks by
+ * scan_pick, and into walk_lanes. */
+static inline __attribute__((always_inline)) void
+walk_chunk(const struct call *call, int64_t P, int64_t r, int64_t done, int64_t c,
+           const int64_t *st, const double *a, const double *uc)
+{
+    const int64_t n = call->n, m_states = call->m_states, K = call->K, T = call->T;
+    const int64_t burn = call->burn, memo_len = call->memo_len;
+    const int uniform = call->uniform, record = call->record;
+    const double *thresholds = call->thresholds, *rates = call->rates;
+    double *arr_acc = call->arr_acc;
+    /* a lone lane's rule and parameter, held in registers: every slot
+     * stores through pointers that could alias rules and params */
+    const int rule0 = (int)call->rules[0];
+    const double param0 = call->params[0];
+    for (int64_t k = 0; k < c; k++) {
+        int64_t m = st[k], slot = done + k;
+        const double *ak = a + k * n;
+        double tie_u = uniform ? uc[k] : 0.0;
+        if (slot >= burn)
+            for (int64_t i = 0; i < n; i++)
+                arr_acc[i] += ak[i];
+        for (int64_t p = 0; p < P; p++) {
+            double *Q = call->lane_f + p * LANE_F(n), *score = Q + n;
+            double *dep_sum = Q + 2 * n, *q_sum = Q + 3 * n, *max_seen = Q + 4 * n;
+            int64_t *served = call->lane_i + p * LANE_I(n, m_states, K);
+            int64_t *hist = served + m_states * n;
+            struct memo memo = {call->memo_keys + p * memo_len, call->memo_vals + p * memo_len,
+                                memo_len};
+            int rule = P == 1 ? rule0 : (int)call->rules[p];
+            double param = P == 1 ? param0 : call->params[p];
+            score_slot(rule, param, call->tables + (p * m_states + m) * n, &memo, Q, score, n,
+                       P == 1);
+            int64_t pick = P == 1 ? scan_pick(score, n, uniform, tie_u)
+                                  : select_pick(score, n, uniform, tie_u);
+
+            for (int64_t i = 0; i < n; i++)
+                Q[i] += ak[i];
+            double rate = rates[m * n + pick];
+            double d = Q[pick] < rate ? Q[pick] : rate;
+            Q[pick] -= d;
+            int64_t pr = p * call->R + r; /* this policy's row */
+            if (record) {
+                double *path = call->qtraj + (pr * (T + 1) + 1 + slot) * n;
+                call->chosen[pr * T + slot] = pick;
+                call->dep[pr * T + slot] = d;
+                for (int64_t i = 0; i < n; i++)
+                    path[i] = Q[i];
+            }
+
+            if (slot == burn - 1)
+                for (int64_t i = 0; i < n; i++)
+                    call->initial_q[pr * n + i] = Q[i];
+            if (slot < burn)
+                continue;
+            double qmax = largest(Q, n, P == 1);
+            for (int64_t i = 0; i < n; i++)
+                q_sum[i] += Q[i];
+            dep_sum[pick] += d;
+            served[m * n + pick]++;
+            int64_t reached = 0;
+            for (int64_t j = 0; j < K; j++)
+                reached += qmax >= thresholds[j];
+            hist[reached]++;
+            if (qmax > *max_seen)
+                *max_seen = qmax;
+        }
+    }
+}
+
+/* walk_chunk for one lane and for P lanes, each its own function: inlined
+ * side by side into run_slots, the one-lane walk ran ~3% slower. */
+static __attribute__((noinline)) void walk_one(const struct call *call, int64_t r, int64_t done,
+                                               int64_t c, const int64_t *st, const double *a,
+                                               const double *uc)
+{
+    walk_chunk(call, 1, r, done, c, st, a, uc);
+}
+
+static __attribute__((noinline)) void walk_lanes(const struct call *call, int64_t P, int64_t r,
+                                                 int64_t done, int64_t c, const int64_t *st,
+                                                 const double *a, const double *uc)
+{
+    walk_chunk(call, P, r, done, c, st, a, uc);
+}
+
 /* Each of the P policies has its rule rules[p]: RULE_HET (table = F/maxF,
  * param = q_th), RULE_EXP (table = log F with -inf for F = 0, param = eta)
  * or RULE_MW (table = F, param = alpha), with its rate table tables[p]
@@ -215,29 +426,46 @@ static void draw_chunk(struct stream *s, int64_t c, int64_t n, int64_t m_states,
  * touched.
  *
  * Every per-policy array leads with the policy axis, P x R x ...: q (n)
- * carries the queues in and out. Slots from burn on add into arr_sum,
- * dep_sum, q_sum (n), served (m_states x n: slots in state m serving user
- * i), over (K: slots whose largest queue reaches thresholds[j], which ascend
- * strictly) and max_seen (1); initial_q (n) takes the queues after slot
- * burn - 1. With record nonzero, the shared draws states, u, arr (R x T,
- * R x T or empty, R x T x n) keep every slot's draws, and each policy's
- * chosen and dep (T) its choices and departures and qtraj ((T + 1) x n) the
- * queues after each slot, behind row 0, which is not touched; otherwise
- * states, u and arr are one chunk's scratch (chunk, chunk, chunk x n) and
- * chosen, dep and qtraj are not touched. work is scratch for 2 n doubles.
+ * carries the queues in and out. The statistics of slots burn on are
+ * written, not added to: arr_sum, dep_sum, q_sum (n), served (m_states x n:
+ * slots in state m serving user i), over (K: slots whose largest queue
+ * reaches thresholds[j], which ascend strictly) and max_seen (1); initial_q
+ * (n) takes the queues after slot burn - 1. With record nonzero, the shared
+ * draws states, u, arr (R x T, R x T or empty, R x T x n) keep every slot's
+ * draws, and each policy's chosen and dep (T) its choices and departures
+ * and qtraj ((T + 1) x n) the queues after each slot, behind row 0, which
+ * is not touched; otherwise states, u and arr are one chunk's scratch
+ * (chunk, chunk, chunk x n) and chosen, dep and qtraj are not touched.
  * memo_keys and memo_vals (P x memo_len, 1 <= memo_len < 2^32) are each
- * policy's pow memo, filled here before any slot. */
+ * policy's pow memo, filled here before any slot.
+ *
+ * A row's policies run as P lanes in lockstep, slot by slot, each with its
+ * own queues and statistics in the call's scratch, work (doubles:
+ * 2 n + P * (4 n + 1)) and tally (counts: P * (m_states * n + K + 1)), so
+ * every slot writes only memory this call owns; a row's lanes store their
+ * queues and statistics in the per-policy arrays when the row ends, and
+ * over from a histogram of how many thresholds the largest queue reaches,
+ * as exact suffix sums. Since arr_sum sums the draws alone, the row keeps
+ * it once for every policy. */
 void run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
                int uniform, int fluid, int64_t R, int64_t r_lo, int64_t r_hi, int64_t T,
                int64_t chunk, int64_t burn, int64_t n, int64_t m_states, bitgen_t *const *gens,
                int64_t *used, const double *cum, const double *lam, const double *rates,
-               const double *thresholds, int64_t K, double *q, double *work, double *arr_sum,
-               double *dep_sum, double *q_sum, int64_t *served, int64_t *over, double *max_seen,
-               double *initial_q, int record, int64_t *states, double *u, double *arr,
-               int64_t *chosen, double *dep, double *qtraj, uint64_t *memo_keys,
+               const double *thresholds, int64_t K, double *q, double *work, int64_t *tally,
+               double *arr_sum, double *dep_sum, double *q_sum, int64_t *served, int64_t *over,
+               double *max_seen, double *initial_q, int record, int64_t *states, double *u,
+               double *arr, int64_t *chosen, double *dep, double *qtraj, uint64_t *memo_keys,
                double *memo_vals, int64_t memo_len)
 {
-    double *score = work, *enlam = work + n;
+    double *enlam = work;
+    struct call call = {
+        .rules = rules, .params = params, .tables = tables, .rates = rates,
+        .thresholds = thresholds, .uniform = uniform, .record = record, .R = R, .T = T,
+        .burn = burn, .n = n, .m_states = m_states, .K = K, .initial_q = initial_q, .dep = dep,
+        .qtraj = qtraj, .chosen = chosen, .memo_keys = memo_keys, .memo_vals = memo_vals,
+        .memo_len = memo_len, .arr_acc = work + n, .lane_f = work + 2 * n, .lane_i = tally,
+    };
+    const int64_t lane_f = LANE_F(n), lane_i = LANE_I(n, m_states, K);
     for (int64_t i = 0; i < n; i++)
         enlam[i] = exp(-lam[i]);
     /* every entry starts as the argument 0.0 (all bits 0) with its pow */
@@ -249,6 +477,14 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
         }
     }
     for (int64_t r = r_lo; r < r_hi; r++) {
+        memset(call.arr_acc, 0, (size_t)n * sizeof(double));
+        memset(tally, 0, (size_t)(P * lane_i) * sizeof(int64_t));
+        for (int64_t p = 0; p < P; p++) {
+            double *lane = call.lane_f + p * lane_f;
+            memcpy(lane, q + (p * R + r) * n, (size_t)n * sizeof(double));
+            /* dep_sum, q_sum and max_seen */
+            memset(lane + 2 * n, 0, (size_t)(2 * n + 1) * sizeof(double));
+        }
         struct stream s;
         open_stream(&s, gens[r]);
         for (int64_t done = 0; done < T; done += chunk) {
@@ -257,92 +493,27 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
             int64_t *st = states + at;
             double *a = arr + at * n, *uc = u + at;
             draw_chunk(&s, c, n, m_states, cum, fluid, lam, enlam, uniform, st, a, uc);
-            for (int64_t p = 0; p < P; p++) {
-                int rule = (int)rules[p];
-                double param = params[p];
-                const double *table = tables + p * m_states * n;
-                struct memo memo = {memo_keys + p * memo_len, memo_vals + p * memo_len, memo_len};
-                int64_t pr = p * R + r; /* this policy's row */
-                double *Q = q + pr * n;
-                for (int64_t k = 0; k < c; k++) {
-                    int64_t m = st[k];
-                    const double *row = table + m * n;
-                    if (rule == RULE_HET) {
-                        for (int64_t i = 0; i < n; i++)
-                            score[i] = row[i] + Q[i] / param;
-                    } else if (rule == RULE_EXP) {
-                        double total = 0.0;
-                        for (int64_t i = 0; i < n; i++)
-                            total += Q[i];
-                        double denom = 1.0 + memo_pow(&memo, total / (double)n, param);
-                        for (int64_t i = 0; i < n; i++)
-                            score[i] = Q[i] / denom + row[i];
-                    } else {
-                        double qmax = Q[0];
-                        for (int64_t i = 1; i < n; i++)
-                            if (Q[i] > qmax)
-                                qmax = Q[i];
-                        for (int64_t i = 0; i < n; i++)
-                            score[i] = qmax > 0.0 ? memo_pow(&memo, Q[i] / qmax, param) * row[i]
-                                                  : 0.0;
-                    }
-
-                    double best = score[0];
-                    for (int64_t i = 1; i < n; i++)
-                        if (score[i] > best)
-                            best = score[i];
-                    double bar = best - TIE_TOL;
-                    int64_t pick = 0;
-                    while (pick < n - 1 && !(score[pick] >= bar))
-                        pick++;
-                    if (uniform) {
-                        int64_t count = 0;
-                        for (int64_t i = pick; i < n; i++)
-                            count += score[i] >= bar;
-                        int64_t target = (int64_t)floor(uc[k] * (double)count);
-                        while (target > 0 && pick < n - 1) {
-                            pick++;
-                            target -= score[pick] >= bar;
-                        }
-                    }
-
-                    const double *ak = a + k * n;
-                    for (int64_t i = 0; i < n; i++)
-                        Q[i] += ak[i];
-                    double rate = rates[m * n + pick];
-                    double d = Q[pick] < rate ? Q[pick] : rate;
-                    Q[pick] -= d;
-                    int64_t slot = done + k;
-                    if (record) {
-                        double *path = qtraj + (pr * (T + 1) + 1 + slot) * n;
-                        chosen[pr * T + slot] = pick;
-                        dep[pr * T + slot] = d;
-                        for (int64_t i = 0; i < n; i++)
-                            path[i] = Q[i];
-                    }
-
-                    if (slot == burn - 1)
-                        for (int64_t i = 0; i < n; i++)
-                            initial_q[pr * n + i] = Q[i];
-                    if (slot < burn)
-                        continue;
-                    double qmax = Q[0];
-                    for (int64_t i = 1; i < n; i++)
-                        if (Q[i] > qmax)
-                            qmax = Q[i];
-                    for (int64_t i = 0; i < n; i++) {
-                        arr_sum[pr * n + i] += ak[i];
-                        q_sum[pr * n + i] += Q[i];
-                    }
-                    dep_sum[pr * n + pick] += d;
-                    served[(pr * m_states + m) * n + pick]++;
-                    for (int64_t j = 0; j < K && qmax >= thresholds[j]; j++)
-                        over[pr * K + j]++;
-                    if (qmax > max_seen[pr])
-                        max_seen[pr] = qmax;
-                }
-            }
+            if (P == 1)
+                walk_one(&call, r, done, c, st, a, uc);
+            else
+                walk_lanes(&call, P, r, done, c, st, a, uc);
         }
         used[r] = s.base + s.pos;
+        for (int64_t p = 0; p < P; p++) {
+            int64_t pr = p * R + r;
+            const double *lane = call.lane_f + p * lane_f;
+            const int64_t *counts = tally + p * lane_i, *hist = counts + m_states * n;
+            memcpy(q + pr * n, lane, (size_t)n * sizeof(double));
+            memcpy(arr_sum + pr * n, call.arr_acc, (size_t)n * sizeof(double));
+            memcpy(dep_sum + pr * n, lane + 2 * n, (size_t)n * sizeof(double));
+            memcpy(q_sum + pr * n, lane + 3 * n, (size_t)n * sizeof(double));
+            max_seen[pr] = lane[4 * n];
+            memcpy(served + pr * m_states * n, counts, (size_t)(m_states * n) * sizeof(int64_t));
+            int64_t reached = 0;
+            for (int64_t j = K - 1; j >= 0; j--) {
+                reached += hist[j + 1];
+                over[pr * K + j] = reached;
+            }
+        }
     }
 }

@@ -9,8 +9,10 @@ whole campaign of one or more policies: it draws each block once, from the
 replication's own numpy bit generator, bitwise what numpy's own calls on that
 Generator draw (Generator.random mapped by searchsorted(side="right") for the
 states, Generator.poisson for the arrivals, Generator.random for the tie
-uniforms), then walks the block's slots once per policy, deciding exactly as
-`select` does. So every policy in a call sees the same draws (common random
+uniforms), then walks the block slot by slot with the policies as lanes in
+lockstep, each deciding exactly as `select` does with its own queues and
+statistics, so that the core overlaps the policies' independent chains of
+queue updates. So every policy in a call sees the same draws (common random
 numbers), and a batch run is bitwise identical to running each policy and
 replication alone. The kernel reads a replication's uniforms through a
 buffer that its generator fills ahead of them and returns how many it
@@ -22,6 +24,9 @@ its own generator, the outputs are bitwise those of one call.
 The same walk adds each post-burn-in slot into the service counters, the
 per-threshold overflow slot counts (both estimators read these) and the
 time-average queues; every float sum runs left to right, one slot at a time.
+The lanes keep these in their slice's own scratch and store them in the
+shared per-policy arrays when a row ends, so concurrent slices write no
+shared cache line slot by slot.
 The per-slot record (drawn inputs, choices, departures, queues) is kept only
 with record_trace, for the tests that replay the engine slot by slot.
 """
@@ -230,8 +235,8 @@ def _load_kernel(path: Path):
     ptrs = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
     fn.argtypes = [c_i64, i64, f64, f64, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64,
-                   c_i64, c_i64, ptrs, i64, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, f64, i64,
-                   i64, f64, f64, c_int, i64, f64, f64, i64, f64, f64, u64, f64, c_i64]
+                   c_i64, c_i64, ptrs, i64, f64, f64, f64, f64, c_i64, f64, f64, i64, f64, f64, f64,
+                   i64, i64, f64, f64, c_int, i64, f64, f64, i64, f64, f64, u64, f64, c_i64]
     fn.restype = None
     return fn
 
@@ -255,9 +260,10 @@ def run_replications(
     in the order and with the values of numpy's own calls on it (per chunk
     of c slots: searchsorted(channel_cdf(cfg), gen.random(c), side="right"),
     then gen.poisson(arrival_rates, size=(c, N)) or the rates themselves for
-    fluid arrivals, then gen.random(c) for uniform ties), and walks them once
-    per policy with the score and tie rule of schedulers.stable_scores and
-    tied_mask. So every policy sees the same draws, and its outputs are
+    fluid arrivals, then gen.random(c) for uniform ties), and walks them slot
+    by slot, the policies in lockstep as lanes, each with the score and tie
+    rule of schedulers.stable_scores and tied_mask and its own queues and
+    statistics. So every policy sees the same draws, and its outputs are
     bitwise those of running it alone. The draws hold tie uniforms only for
     uniform ties, so the policies must share one tie_break. The same walk adds
     each post-burn-in slot into the statistics, left to right, and fills the
@@ -267,7 +273,8 @@ def run_replications(
     The rows run in min(R, usable CPUs) contiguous slices, one kernel call
     each, concurrently: the caller's thread walks the first and one thread
     each the others. Every slice writes only its own rows of the shared
-    outputs and has its own scratch and pow memo, and a row's results depend
+    outputs, the statistics once per row, and has its own scratch (its
+    lanes' queues and statistics) and pow memo, and a row's results depend
     on its own generator alone, so the outputs are bitwise those of one
     call over every row. One slice starts no thread. A slice's exception is
     raised here once every slice has ended; of several, the lowest slice's.
@@ -305,13 +312,13 @@ def run_replications(
     start = [g.bit_generator.state for g in gens]
     used = np.zeros(R, dtype=np.int64)
 
+    K = len(thresholds)
     Q = np.zeros((P, R, N))
-    arr_sum = np.zeros((P, R, N))
-    dep_sum = np.zeros((P, R, N))
-    served_slots = np.zeros((P, R, M, N), dtype=np.int64)
-    over_counts = np.zeros((P, R, len(thresholds)), dtype=np.int64)
-    max_seen = np.zeros((P, R))
-    q_sum = np.zeros((P, R, N))
+    # the post-burn-in statistics, each row written by its slice's kernel call
+    arr_sum, dep_sum, q_sum = np.empty((P, R, N)), np.empty((P, R, N)), np.empty((P, R, N))
+    served_slots = np.empty((P, R, M, N), dtype=np.int64)
+    over_counts = np.empty((P, R, K), dtype=np.int64)
+    max_seen = np.empty((P, R))
     initial_q = np.zeros((P, R, N))
     kept = (P, R, T) if spec.record_trace else (0, 0, 0)
     chosen, departure = np.empty(kept, dtype=np.int64), np.empty(kept)
@@ -327,14 +334,15 @@ def run_replications(
 
     def walk(r_lo: int, r_hi: int) -> None:
         """Rows r_lo <= r < r_hi in one kernel call, with this call's own
-        scratch, pow memo and, untraced, one chunk's draw buffers."""
-        work = np.empty(2 * N)
+        scratch (its lanes' queues and statistics among it), pow memo and,
+        untraced, one chunk's draw buffers."""
+        work, tally = np.empty(2 * N + P * (4 * N + 1)), np.empty(P * (M * N + K + 1), dtype=np.int64)
         memo_keys, memo_vals = np.empty((P, _POW_MEMO), dtype=np.uint64), np.empty((P, _POW_MEMO))
         drawn = (states, tie_u, arr) if spec.record_trace else draw_buffers(1, min(T, _CHUNK))
         kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, _CHUNK, burn, N, M,
-               bitgens, used, cum, lam, rates, thresholds, len(thresholds), Q, work, arr_sum,
-               dep_sum, q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace,
-               *drawn, chosen, departure, qtraj, memo_keys, memo_vals, _POW_MEMO)
+               bitgens, used, cum, lam, rates, thresholds, K, Q, work, tally, arr_sum, dep_sum,
+               q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace, *drawn,
+               chosen, departure, qtraj, memo_keys, memo_vals, _POW_MEMO)
 
     S = min(R, _usable_cpus())
     bounds = [R * k // S for k in range(S + 1)]

@@ -515,8 +515,9 @@ def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
     stats = [np.zeros((R, n)) for _ in range(3)]
     kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
            0, fluid, R, 0, R, T, T, 0, n, M, bitgens, used, channel_cdf(cfg), np.asarray(lam, dtype=float),
-           cfg.rate_matrix, np.empty(0), 0, q.copy(), np.empty(2 * n), *stats,
-           np.zeros((R, M, n), dtype=np.int64), np.zeros((R, 0), dtype=np.int64), np.zeros(R),
+           cfg.rate_matrix, np.empty(0), 0, q.copy(), np.empty(6 * n + 1),
+           np.empty(M * n + 1, dtype=np.int64), *stats, np.zeros((R, M, n), dtype=np.int64),
+           np.zeros((R, 0), dtype=np.int64), np.zeros(R),
            np.zeros((R, n)), 1, np.empty((R, T), dtype=np.int64), np.empty((R, 0)), arr, chosen,
            np.empty((R, T)), np.empty((R, T + 1, n)), np.empty(simulator._POW_MEMO, dtype=np.uint64),
            np.empty(simulator._POW_MEMO), simulator._POW_MEMO)
@@ -668,6 +669,16 @@ class TestKernelDraws:
 
 
 SHARED_POLICIES = (Heterogeneous(q_th=2.0), Exp(eta=0.25), MaxWeight(alpha=7.0))
+# twelve lanes of every rule in one call
+WIDE_POLICIES = (
+    *(Heterogeneous(q_th=q) for q in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)),
+    *(Exp(eta=eta) for eta in (0.1, 0.25, 0.9)),
+    *(MaxWeight(alpha=alpha) for alpha in (1.0, 3.0, 7.0)),
+)
+# 70 users, more than a 64-bit mask holds, at light load: the queues are
+# often all empty, which ties all 70 users under mw
+SEVENTY_USERS = make_config(np.random.default_rng(70).integers(0, 10, size=(3, 70)), [0.2, 0.5, 0.3],
+                            np.full(70, 0.01))
 
 
 def assert_same_outputs(a, b, where):
@@ -687,8 +698,9 @@ def assert_same_outputs(a, b, where):
 
 class TestSharedDraws:
     """One call runs every policy on the same draws: each chunk is drawn once
-    and walked once per policy, and each policy's outputs are bitwise those
-    of running it alone."""
+    and walked slot by slot with the policies as lanes in lockstep, and each
+    policy's outputs are bitwise those of running it alone, a lone lane
+    picking with the early-exit scan and several lanes with selects."""
 
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("cfg_name", list(DRAW_CONFIGS))
@@ -708,6 +720,31 @@ class TestSharedDraws:
                 (alone,) = run_replications(cfg, [policy], spec, reps)
                 for a, b in zip(outputs, alone):
                     assert_same_outputs(a, b, policy)
+
+    @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
+    @pytest.mark.parametrize("case", ["twelve_policies", "seventy_users"])
+    def test_lanes_at_width_equal_each_policy_alone(self, case, tie_break, record_trace):
+        """Twelve policies of all three rules in one call, on the reference
+        config across a chunk boundary and on 70 users: each policy's
+        outputs are bitwise those of running it alone, twelve lanes picking
+        with selects and a lone lane with the early-exit scan. The 70-user
+        run meets slots on which all 70 users tie."""
+        if case == "twelve_policies":
+            cfg, horizon = DRAW_CONFIGS["reference"], simulator._CHUNK + 4465
+        else:
+            cfg, horizon = SEVENTY_USERS, 3000
+        policies = [Policy(v, tie_break=tie_break) for v in WIDE_POLICIES]
+        spec = SimSpec(horizon=horizon, master_seed=21, record_trace=record_trace,
+                       thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
+        shared = run_replications(cfg, policies, spec, [1, 0])
+        for policy, outputs in zip(policies, shared):
+            (alone,) = run_replications(cfg, [policy], spec, [1, 0])
+            for a, b in zip(outputs, alone):
+                assert_same_outputs(a, b, policy)
+        if case == "seventy_users" and record_trace:
+            mw_queues = shared[-1][0].trace["q"][:-1]  # the queues before each slot
+            assert (mw_queues == 0).all(axis=1).sum() > horizon // 10
 
     def test_mixed_tie_breaks_rejected(self, monkeypatch, ref_cfg):
         """The draws hold tie uniforms only for uniform ties, so the policies
@@ -1204,11 +1241,11 @@ class TestSlotKernelBuild:
     def test_argtypes_match_the_c_signature(self):
         """ctypes passes each argument as the kernel's argtypes say, never
         checked against _slots.c, so a drift between the two corrupts memory:
-        run_slots' 40 parameters need one argtype each, its own scalar type
+        run_slots' 41 parameters need one argtype each, its own scalar type
         for a scalar and an ndpointer of the element's dtype for a pointer."""
         params = re.search(r"void run_slots\(([^)]*)\)", simulator._SLOTS_SOURCE.read_text()).group(1)
         params = [p.replace("const", "").split() for p in params.split(",")]
-        assert (len(params), sum("*" in p[-1] for p in params)) == (40, 26)
+        assert (len(params), sum("*" in p[-1] for p in params)) == (41, 27)
         argtypes = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM).argtypes
         assert len(argtypes) == len(params)
         scalars = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
@@ -1232,10 +1269,13 @@ class TestSlotKernelBuild:
         """A kernel built with AddressSanitizer and UndefinedBehaviorSanitizer,
         in a fresh process, runs a traced poisson7 campaign of het and mw,
         two rows of 70 001 slots, through every refill of the rows' draw
-        buffers without a read or write outside a buffer and without
-        undefined behaviour, and records what the plain build records. Each
-        row is its own slice, so two kernels run at once on disjoint rows of
-        the shared arrays."""
+        buffers, and then the path every command takes: an untraced
+        reference campaign of all three rules with uniform ties, three rows
+        of 70 001 slots. Both run without a read or write outside a buffer
+        and without undefined behaviour, and record what the plain build
+        records: every trace of the first, every statistic of the second.
+        The rows run in two slices, so two kernels run at once on disjoint
+        rows of the shared arrays."""
         runtime = subprocess.run([simulator._CC, "-print-file-name=libasan.so"], capture_output=True,
                                  text=True).stdout.strip()
         if not os.path.isfile(runtime):
@@ -1244,30 +1284,45 @@ class TestSlotKernelBuild:
         simulator._build([simulator._CC, *simulator._CFLAGS, "-fsanitize=address,undefined",
                           "-fno-sanitize-recover=all", f"-I{simulator._NPY_INCLUDE}"],
                          simulator._NPYRANDOM, library)
-        campaign = (DRAW_CONFIGS["poisson7"], [HET2, Policy(MaxWeight(alpha=7.0))],
-                    SimSpec(horizon=70_001, master_seed=3, record_trace=True), [0, 1])
-        (tmp_path / "campaign.pkl").write_bytes(pickle.dumps(campaign))
+        campaigns = [
+            (DRAW_CONFIGS["poisson7"], [HET2, Policy(MaxWeight(alpha=7.0))],
+             SimSpec(horizon=70_001, master_seed=3, record_trace=True), [0, 1]),
+            (DRAW_CONFIGS["reference"], [Policy(v, tie_break="uniform_random") for v in SHARED_POLICIES],
+             SimSpec(horizon=70_001, master_seed=5), [0, 1, 2]),
+        ]
+        (tmp_path / "campaigns.pkl").write_bytes(pickle.dumps(campaigns))
         script = (
             "import pickle, sys, numpy as np\n"
+            "from dataclasses import fields\n"
             "from schedlab import simulator\n"
-            "library, campaign, record = sys.argv[1:]\n"
+            "library, campaigns, record = sys.argv[1:]\n"
             "simulator._slot_kernel = lambda cc, npyrandom: simulator._load_kernel(library)\n"
             "simulator._usable_cpus = lambda: 2\n"
-            "with open(campaign, 'rb') as f:\n"
-            "    outputs = simulator.run_replications(*pickle.load(f))\n"
-            "np.savez(record, *[o.trace[k] for outs in outputs for o in outs for k in sorted(o.trace)])\n"
+            "def recorded(o):\n"
+            "    if o.trace is not None:\n"
+            "        return [o.trace[k] for k in sorted(o.trace)]\n"
+            "    counters = [np.asarray(getattr(o.counters, f.name)) for f in fields(o.counters)]\n"
+            "    return [*counters, o.overflow_slot_counts, o.mean_queues]\n"
+            "with open(campaigns, 'rb') as f:\n"
+            "    runs = [simulator.run_replications(*campaign) for campaign in pickle.load(f)]\n"
+            "arrays = [a for outputs in runs for outs in outputs for o in outs for a in recorded(o)]\n"
+            "np.savez(record, *arrays)\n"
         )
         src = Path(simulator.__file__).resolve().parents[1]
         env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
                    PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script, str(library), str(tmp_path / "campaign.pkl"),
+        proc = subprocess.run([sys.executable, "-c", script, str(library), str(tmp_path / "campaigns.pkl"),
                                str(tmp_path / "record.npz")], env=env, capture_output=True, text=True,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr[-4000:]
         with np.load(tmp_path / "record.npz") as record:
             sanitized = [record[f"arr_{i}"] for i in range(len(record.files))]
-        plain = [o.trace[k] for outs in run_replications(*campaign) for o in outs for k in sorted(o.trace)]
-        assert len(sanitized) == len(plain) == 2 * 2 * 6
+        traced, untraced = (run_replications(*campaign) for campaign in campaigns)
+        plain = [o.trace[k] for outs in traced for o in outs for k in sorted(o.trace)]
+        plain += [a for outs in untraced for o in outs
+                  for a in [*(np.asarray(getattr(o.counters, f.name)) for f in fields(TraceCounters)),
+                            o.overflow_slot_counts, o.mean_queues]]
+        assert len(sanitized) == len(plain) == 2 * 2 * 6 + 3 * 3 * 8
         assert all(bitwise_equal(a, b) for a, b in zip(sanitized, plain))
 
     def test_missing_compiler_fails_cleanly(self, monkeypatch, ref_cfg, ref_cfg_path, tmp_path, capsys):
