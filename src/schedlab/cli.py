@@ -10,6 +10,7 @@ library, or a path that cannot be read or written), 3 computation error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -85,11 +86,15 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _cells(col) -> list[str]:
     """A column's CSV cells: a float's carry 12 significant digits, NaN as an
-    empty cell; any other value (int, str) is written as its str."""
+    empty cell; any other value (int, str) is written as its str, and a
+    column of strings passes through as it is."""
     arr = np.asarray(col)
     if arr.dtype.kind == "f":
         return ["" if v != v else f"{v:.12g}" for v in arr.tolist()]
-    return [str(v) for v in arr.tolist()]
+    cells = arr.tolist()
+    if arr.dtype.kind == "U" or (arr.dtype.kind == "O" and set(map(type, cells)) <= {str}):
+        return cells
+    return [str(v) for v in cells]
 
 
 def _write_csv(path: Path, columns: dict) -> None:
@@ -358,7 +363,11 @@ def cmd_compare(args) -> int:
 # parser and entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: building it costs
+    more than an iopt LP, and parse_args leaves it as it was. Callers parse
+    with it and add nothing to it."""
     parser = argparse.ArgumentParser(
         prog="schedlab",
         description="Queue-aware wireless scheduling lab: simulation and decay-rate analysis",

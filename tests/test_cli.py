@@ -426,3 +426,46 @@ class TestCompare:
             "--horizon", "1000", "--out", str(tmp_path / "x"),
         )
         assert rc == 2
+
+
+class TestParserReuse:
+    """main parses every call with the one parser of the process: no call's
+    options, defaults or usage errors reach the next call."""
+
+    SMALL = ("--horizon", "2000", "--replications", "1")
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_svg_flag_does_not_carry_over(self, ref_cfg_path, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        common = ("simulate", "--config", str(ref_cfg_path), "--policy", HET_POLICY, *self.SMALL)
+        assert run_cli(*common, "--svg", "--out", str(first)) == 0
+        assert run_cli(*common, "--out", str(second)) == 0
+        assert (first / "overflow.svg").exists()
+        assert (second / "overflow.csv").exists() and not (second / "overflow.svg").exists()
+
+    def test_compare_option_does_not_carry_over(self, ref_cfg_path, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        common = ("compare", "--config", str(ref_cfg_path), *self.SMALL)
+        assert run_cli(*common, "--q-th", "5", "--out", str(first)) == 0
+        assert run_cli(*common, "--out", str(second)) == 0
+        q_th = [json.loads((out / "compare.json").read_text())["runs"][0]["policy"]["q_th"]
+                for out in (first, second)]
+        assert q_th == [5, 2]
+
+    def test_usage_error_between_calls_changes_nothing(self, ref_cfg_path, tmp_path, capsys):
+        common = ("compare", "--config", str(ref_cfg_path), *self.SMALL)
+        outs = tmp_path / "before", tmp_path / "after"
+        assert run_cli(*common, "--out", str(outs[0])) == 0
+        for bad in (("--q-th",), ("--q-th", "five"), ("--no-such-option",)):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*common, *bad, "--out", str(tmp_path / "bad"))
+            assert exc.value.code == 2
+        assert "usage: schedlab compare" in capsys.readouterr().err
+        assert run_cli(*common, "--out", str(outs[1])) == 0
+        assert not (tmp_path / "bad").exists()
+        assert (outs[0] / "compare.csv").read_bytes() == (outs[1] / "compare.csv").read_bytes()
+        docs = [json.loads((out / "compare.json").read_text()) for out in outs]
+        assert [doc["spec_echo"].pop("out") for doc in docs] == [str(out) for out in outs]
+        assert docs[0] == docs[1]

@@ -1,6 +1,7 @@
-"""Golden outputs: SHA-256 digests of the `iopt` and `regions` outputs and of
-short `compare`, `simulate` and `sweep` campaigns, so a change that moves any
-output byte fails here.
+"""Golden outputs: SHA-256 digests of the `iopt` and `regions` outputs, of
+short `compare`, `simulate` and `sweep` campaigns, and of `compute_iopt`'s
+exact floats on seeded random configs, so a change that moves any output
+byte, or any bit of the `I_opt` search, fails here.
 
 A change that moves these outputs on purpose must declare it as a
 correctness fix, record the before/after in CHANGES.md, and re-pin the
@@ -9,10 +10,13 @@ digests."""
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import schedlab.cli as cli
 from conftest import REFERENCE_CONFIG
+from schedlab import SystemConfig, compute_iopt
+from schedlab.errors import ComputationError
 
 IOPT_CONFIGS = {
     "reference": json.loads(REFERENCE_CONFIG.read_text()),
@@ -67,6 +71,43 @@ def test_iopt_outputs_are_golden(tmp_path, name):
         _sha((out / "phi_opt.csv").read_bytes()),
     )
     assert digests == GOLDEN_IOPT[name]
+
+
+def iopt_digest_configs():
+    """64 seeded configs: 2-5 users, 2-4 states, integer rates 0-9 (every
+    sixth with an all-zero state), a third of them fluid, arrivals at 0.3-1.2
+    times a random allocation's service, so some are not stabilizable and two
+    fluid ones have no growing channel deviation."""
+    rng = np.random.default_rng(2026)
+    for k in range(64):
+        N, M = 2 + k % 4, 2 + (k // 4) % 3
+        rates = rng.integers(0, 10, size=(M, N)).astype(float)
+        if k % 6 == 0:
+            rates[rng.integers(M)] = 0.0
+        probs = rng.dirichlet(np.ones(M))
+        served = probs @ (rng.dirichlet(np.ones(N), size=M) * rates)
+        lam = np.maximum(served * rng.uniform(0.3, 1.2, N), 0.05)
+        yield SystemConfig(N, M, probs, rates, lam, "fluid" if k % 3 == 1 else "poisson")
+
+
+# SHA-256 over every config's compute_iopt result (or error) as float.hex: a
+# change to the LP, the dual-vertex enumeration or the root solve that moves
+# one bit of any config fails here
+GOLDEN_IOPT_FLOATS = "3bad17441d02ff426293bb30c2ca2bef712e9576f4b754dc1ef31417701bb03b"
+
+
+def test_compute_iopt_floats_are_golden():
+    digest = hashlib.sha256()
+    for cfg in iopt_digest_configs():
+        try:
+            res = compute_iopt(cfg)
+        except ComputationError as exc:
+            digest.update(f"error: {exc}\n".encode())
+            continue
+        fields = (res.value, res.arg_y, res.arg_gamma, res.arg_phi, res.arg_w)
+        line = "|".join(",".join(float(v).hex() for v in np.ravel(f)) for f in fields)
+        digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == GOLDEN_IOPT_FLOATS
 
 
 def test_regions_outputs_are_golden(tmp_path):

@@ -18,7 +18,7 @@ from schedlab import (
 )
 from schedlab.errors import ComputationError
 from schedlab import ldp
-from schedlab.ldp import _allocation_lp, _dual_candidates, solve_standard_form
+from schedlab.ldp import _allocation_lp, _dual_candidates, _unique_rows, solve_standard_form
 from schedlab.model import PROB_SUM_TOL
 from conftest import make_config
 
@@ -438,12 +438,22 @@ def dual_candidates_loop(rate_matrix):
 FIVE_USER_RATES = np.array([[0, 0, 0, 0, 0], [3, 9, 9, 9, 9], [5, 0, 1, 1, 2]], dtype=float)
 
 
+def degenerate_rates(seed, shape):
+    """A states x users rate matrix with entries from {0, 1, 2, 3, 9}: many
+    hyperplane subsets meet at one vertex, and some hyperplanes coincide."""
+    return np.random.default_rng(seed).choice([0, 1, 2, 3, 9], size=shape).astype(float)
+
+
 def enumeration_cases():
     rng = np.random.default_rng(31)
     cases = [np.array([[0, 0, 0, 0], [3, 9, 9, 9], [5, 0, 1, 1]], dtype=float), FIVE_USER_RATES]
     for shape in ((2, 2), (3, 3), (2, 4), (3, 4)):
         cases.append(rng.integers(0, 7, size=shape).astype(float))
         cases.append(rng.uniform(0.5, 9.0, size=shape))
+    # degenerate: 3 users x 2 states (seed 126), 5 x 2 (seed 136), a 5 x 4
+    # system with 624 face vertices, and smaller shapes
+    cases += [degenerate_rates(126, (2, 3)), degenerate_rates(136, (2, 5)), degenerate_rates(142, (4, 5))]
+    cases += [degenerate_rates(150 + k, shape) for k, shape in enumerate(((2, 2), (3, 3), (3, 4), (4, 3)))]
     return cases
 
 
@@ -465,8 +475,62 @@ class TestDualEnumeration:
         assert np.array_equal(_dual_candidates(FIVE_USER_RATES), expected)
         assert len(expected) == 200
 
+    def test_unique_rows_equals_np_unique(self):
+        # duplicate rows, -0.0 beside 0.0 in one column, and no rows at all
+        rng = np.random.default_rng(43)
+        for n in (0, 1, 2, 7, 40, 300):
+            for width in (1, 3, 5):
+                a = rng.choice([-0.0, 0.0, 1 / 3, 0.5, 1.0], size=(n, width))
+                a = a[rng.integers(0, max(n, 1), size=n)]
+                assert np.array_equal(_unique_rows(a), np.unique(a, axis=0))
+
+
+def lp_oracle_configs():
+    """200 seeded configs: 2-4 users, 2-3 states, integer rates 0-9 (every
+    fifth with an all-zero state), a quarter fluid, arrivals at 0.4-1.4 times
+    a random allocation's service, so some means are not stabilizable."""
+    rng = np.random.default_rng(41)
+    for k in range(200):
+        M, N = 2 + k % 2, 2 + (k // 2) % 3
+        rates = rng.integers(0, 10, size=(M, N)).astype(float)
+        if k % 5 == 0:
+            rates[rng.integers(M)] = 0.0
+        probs = rng.dirichlet(np.ones(M))
+        served = probs @ (rng.dirichlet(np.ones(N), size=M) * rates)
+        lam = np.maximum(served * rng.uniform(0.4, 1.4, N), 0.05)
+        yield make_config(rates, probs, lam, "fluid" if k % 4 == 3 else "poisson")
+
 
 class TestSolveStandardForm:
+    def test_allocation_lps_are_bitwise_linprog(self, monkeypatch):
+        """Every LP compute_iopt builds (the growth LP at the means and at the
+        tilt, and the canonical-phi LP at y - w - 1e-9) gets from
+        solve_standard_form the x and objective linprog's HiGHS gives, bit
+        for bit."""
+        lps = []
+
+        def recording(c, A, b):
+            lps.append((c, A, b))
+            return solve_standard_form(c, A, b)
+
+        monkeypatch.setattr(ldp, "solve_standard_form", recording)
+        unstable = 0
+        for cfg in lp_oracle_configs():
+            before = len(lps)
+            try:
+                compute_iopt(cfg)
+            except ComputationError:
+                continue  # a fluid config no channel deviation overloads
+            unstable += len(lps) == before + 1  # the early return: one LP at the means
+        growth = sum(c[0] == 1.0 for c, _, _ in lps)  # only the growth LP's w costs 1
+        assert unstable >= 20 and growth >= 300 and len(lps) - growth >= 150
+        for c, A, b in lps:
+            x, value = solve_standard_form(c, A, b)
+            res = linprog(c, A_eq=A, b_eq=b, method="highs")
+            assert res.success
+            assert x.tobytes() == res.x.tobytes()
+            assert value.hex() == float(res.fun).hex()
+
     def test_simple_instance(self):
         # min -x1 - 2x2 s.t. x1 + x2 + s = 4, x1 + 3x2 + t = 6
         c = np.array([-1.0, -2.0, 0.0, 0.0])
