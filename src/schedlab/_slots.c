@@ -28,6 +28,20 @@
  * generator, needs its own: a shared memo could pair one call's key with
  * another's value.
  *
+ * A call takes its rows in groups of up to GROUP and draws a group's rows
+ * together: each chunk's channel uniforms slot by slot, row by row, then
+ * its Poisson variates slot by slot, user by user, row by row. A row's
+ * variates form one chain, each starting where the last one's uniforms
+ * ended; alternating the rows gives the core GROUP independent chains to
+ * overlap. Each row still reads its own stream in numpy's order, so every
+ * draw is the one the row would draw alone. Under lowest-index ties the
+ * arrivals come SUB_BLOCK slots at a time, each block walked as soon as it
+ * is drawn, so an untraced group holds one chunk of states and one block of
+ * arrivals per row (1.1 MB per call at n = 4, no more than one row's whole
+ * chunk). Under uniform ties a row's tie uniforms follow its whole chunk of
+ * arrivals, so the group holds GROUP whole chunks of draws (6 MB per call at
+ * n = 4).
+ *
  * Poisson counts come from numpy's own random_poisson (libnpyrandom.a) for
  * lam == 0 and lam >= 10, through a bitgen_t whose next_double reads the
  * row's buffer. Below 10 they follow its multiplication method with
@@ -49,7 +63,7 @@
  * gives the core P independent chains to overlap, where walking a chunk
  * once per policy ran them one after another. Every value a lane writes
  * each slot goes to the call's own scratch and reaches the shared
- * per-policy arrays when its row ends, so concurrent calls share no cache
+ * per-policy arrays when its group ends, so concurrent calls share no cache
  * line slot by slot. The draws hold tie uniforms only for uniform ties, so
  * the policies share one tie-break.
  *
@@ -93,6 +107,12 @@ enum { RULE_HET = 0, RULE_EXP = 1, RULE_MW = 2 };
  * ahead */
 #define STREAM_LEN 1024
 #define SHORT_RUN 4
+
+/* rows drawn together, and the slots of arrivals a group draws before
+ * walking them under lowest-index ties; simulator._GROUP and _SUB_BLOCK
+ * size the scratch by the same numbers */
+#define GROUP 4
+#define SUB_BLOCK 1024
 
 /* One row's uniforms: buf[pos..STREAM_LEN) are drawn from g and not yet
  * read, and base counts the uniforms read before buf[0]. view is a bitgen_t
@@ -190,36 +210,47 @@ static inline double memo_pow(struct memo *memo, double x, double a)
     return memo->vals[h];
 }
 
-/* One row's c slots of draws, in numpy's order: states, arrivals (c x n,
- * slot-major), and tie uniforms u when uniform is nonzero. cum ascends to
+/* The states of slots 0 <= k < c of a group's g rows, into st[h][k] for the
+ * row reading stream s[h], slot by slot, row by row. cum ascends to
  * cum[m_states - 1] = 1 > u, so the count of cum[j] <= u over
  * j < m_states - 1 is a state index, the one searchsorted gives. */
-static void draw_chunk(struct stream *s, int64_t c, int64_t n, int64_t m_states, const double *cum,
-                       int fluid, const double *lam, const double *enlam, int uniform,
-                       int64_t *states, double *arr, double *u)
+static inline __attribute__((always_inline)) void
+draw_states(struct stream *s, int64_t g, int64_t c, int64_t m_states, const double *cum,
+            int64_t *const *st)
 {
-    for (int64_t k = 0; k < c; k++) {
-        double v = next_double(s);
-        int64_t state = 0;
-        for (int64_t j = 0; j < m_states - 1; j++)
-            state += cum[j] <= v;
-        states[k] = state;
-    }
+    for (int64_t k = 0; k < c; k++)
+        for (int64_t h = 0; h < g; h++) {
+            double v = next_double(&s[h]);
+            int64_t state = 0;
+            for (int64_t j = 0; j < m_states - 1; j++)
+                state += cum[j] <= v;
+            st[h][k] = state;
+        }
+}
+
+/* The arrivals of c slots (c x n, slot-major) of a group's g rows, into
+ * a[h], slot by slot, user by user, row by row: Poisson counts, or lam
+ * itself for fluid arrivals. */
+static inline __attribute__((always_inline)) void
+draw_arrivals(struct stream *s, int64_t g, int64_t c, int64_t n, int fluid, const double *lam,
+              const double *enlam, double *const *a)
+{
     for (int64_t k = 0; k < c; k++)
         for (int64_t i = 0; i < n; i++)
-            arr[k * n + i] = fluid ? lam[i] : (double)poisson(s, lam[i], enlam[i]);
-    if (uniform)
-        for (int64_t k = 0; k < c; k++)
-            u[k] = next_double(s);
+            for (int64_t h = 0; h < g; h++)
+                a[h][k * n + i] = fluid ? lam[i] : (double)poisson(&s[h], lam[i], enlam[i]);
 }
 
 /* What every slot of a call reads and writes: run_slots' parameters of the
- * same names, and the slice's lane scratch (see run_slots). */
+ * same names, enlam = exp(-lam), and one row's lane scratch (see
+ * run_slots). */
 struct call {
     const int64_t *rules;
-    const double *params, *tables, *rates, *thresholds;
-    int uniform, record;
-    int64_t R, T, burn, n, m_states, K;
+    const double *params, *tables, *rates, *thresholds, *cum, *lam, *enlam;
+    int uniform, record, fluid;
+    int64_t P, R, T, chunk, burn, n, m_states, K;
+    int64_t *states;
+    double *u, *arr;
     double *initial_q, *dep, *qtraj;
     int64_t *chosen;
     uint64_t *memo_keys;
@@ -413,6 +444,55 @@ static __attribute__((noinline)) void walk_lanes(const struct call *call, int64_
     walk_chunk(call, P, r, done, c, st, a, uc);
 }
 
+/* Rows r0 <= r < r0 + g, a group, row r0 + h reading stream s[h] and
+ * walked with the scratch of calls[h]. Each chunk's states are drawn first;
+ * then its arrivals come a block at a time, each block walked as soon as it
+ * is drawn: SUB_BLOCK slots with lowest-index ties, the whole chunk with
+ * uniform ties, whose tie uniforms follow the chunk's arrivals. Untraced,
+ * row h's draws go to its h-th span of the draw buffers: min(T, chunk) slots
+ * of states and tie uniforms, and a block of arrivals. run_slots inlines it
+ * for one row apart, with no row loop: one draw with a row loop for every g
+ * ran a lone fluid row ~7% slower. */
+static inline __attribute__((always_inline)) void
+run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
+{
+    const struct call *call = calls;
+    const int64_t T = call->T, n = call->n, chunk = call->chunk;
+    const int uniform = call->uniform, record = call->record;
+    const int64_t span = T < chunk ? T : chunk;
+    const int64_t arr_span = uniform || span < SUB_BLOCK ? span : SUB_BLOCK;
+    int64_t *st[GROUP];
+    double *a[GROUP], *uc[GROUP];
+    for (int64_t done = 0; done < T; done += chunk) {
+        int64_t c = T - done < chunk ? T - done : chunk;
+        for (int64_t h = 0; h < g; h++) {
+            /* row h's first slot of this chunk in the draw buffers */
+            int64_t at = record ? (r0 + h) * T + done : h * span;
+            st[h] = call->states + at;
+            uc[h] = uniform ? call->u + at : call->u;
+        }
+        draw_states(s, g, c, call->m_states, call->cum, st);
+        int64_t block = uniform ? c : SUB_BLOCK;
+        for (int64_t b = 0; b < c; b += block) {
+            int64_t bc = c - b < block ? c - b : block;
+            for (int64_t h = 0; h < g; h++)
+                a[h] = call->arr + (record ? (r0 + h) * T + done + b : h * arr_span) * n;
+            draw_arrivals(s, g, bc, n, call->fluid, call->lam, call->enlam, a);
+            if (uniform)
+                for (int64_t h = 0; h < g; h++)
+                    for (int64_t k = 0; k < c; k++)
+                        uc[h][k] = next_double(&s[h]);
+            /* uc[h] is read with uniform ties only, where b is 0 */
+            for (int64_t h = 0; h < g; h++) {
+                if (call->P == 1)
+                    walk_one(&calls[h], r0 + h, done + b, bc, st[h] + b, a[h], uc[h]);
+                else
+                    walk_lanes(&calls[h], call->P, r0 + h, done + b, bc, st[h] + b, a[h], uc[h]);
+            }
+        }
+    }
+}
+
 /* Each of the P policies has its rule rules[p]: RULE_HET (table = F/maxF,
  * param = q_th), RULE_EXP (table = log F with -inf for F = 0, param = eta)
  * or RULE_MW (table = F, param = alpha), with its rate table tables[p]
@@ -434,19 +514,22 @@ static __attribute__((noinline)) void walk_lanes(const struct call *call, int64_
  * draws states, u, arr (R x T, R x T or empty, R x T x n) keep every slot's
  * draws, and each policy's chosen and dep (T) its choices and departures
  * and qtraj ((T + 1) x n) the queues after each slot, behind row 0, which
- * is not touched; otherwise states, u and arr are one chunk's scratch
- * (chunk, chunk, chunk x n) and chosen, dep and qtraj are not touched.
- * memo_keys and memo_vals (P x memo_len, 1 <= memo_len < 2^32) are each
- * policy's pow memo, filled here before any slot.
+ * is not touched; otherwise states, u and arr are a group's draw buffers,
+ * g = min(GROUP, r_hi - r_lo) rows of span = min(T, chunk) slots: states
+ * g x span, u g x span or empty, arr g x span x n with uniform ties and
+ * g x min(span, SUB_BLOCK) x n without; chosen, dep and qtraj are not
+ * touched. memo_keys and memo_vals (P x memo_len, 1 <= memo_len < 2^32) are
+ * each policy's pow memo, filled here before any slot.
  *
  * A row's policies run as P lanes in lockstep, slot by slot, each with its
- * own queues and statistics in the call's scratch, work (doubles:
- * 2 n + P * (4 n + 1)) and tally (counts: P * (m_states * n + K + 1)), so
- * every slot writes only memory this call owns; a row's lanes store their
- * queues and statistics in the per-policy arrays when the row ends, and
- * over from a histogram of how many thresholds the largest queue reaches,
- * as exact suffix sums. Since arr_sum sums the draws alone, the row keeps
- * it once for every policy. */
+ * own queues and statistics in the call's scratch, so every slot writes
+ * only memory this call owns: work (doubles: n + g * (n + P * (4 n + 1)))
+ * and tally (counts: g * P * (m_states * n + K + 1)), one row's share for
+ * each row of a group. A row's lanes store their queues and statistics in
+ * the per-policy arrays when its group ends, and over from a histogram of
+ * how many thresholds the largest queue reaches, as exact suffix sums.
+ * Since arr_sum sums the draws alone, the row keeps it once for every
+ * policy. */
 void run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
                int uniform, int fluid, int64_t R, int64_t r_lo, int64_t r_hi, int64_t T,
                int64_t chunk, int64_t burn, int64_t n, int64_t m_states, bitgen_t *const *gens,
@@ -458,12 +541,13 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
                double *memo_vals, int64_t memo_len)
 {
     double *enlam = work;
-    struct call call = {
+    const struct call call = {
         .rules = rules, .params = params, .tables = tables, .rates = rates,
-        .thresholds = thresholds, .uniform = uniform, .record = record, .R = R, .T = T,
-        .burn = burn, .n = n, .m_states = m_states, .K = K, .initial_q = initial_q, .dep = dep,
-        .qtraj = qtraj, .chosen = chosen, .memo_keys = memo_keys, .memo_vals = memo_vals,
-        .memo_len = memo_len, .arr_acc = work + n, .lane_f = work + 2 * n, .lane_i = tally,
+        .thresholds = thresholds, .cum = cum, .lam = lam, .enlam = enlam, .uniform = uniform,
+        .record = record, .fluid = fluid, .P = P, .R = R, .T = T, .chunk = chunk, .burn = burn,
+        .n = n, .m_states = m_states, .K = K, .states = states, .u = u, .arr = arr,
+        .initial_q = initial_q, .dep = dep, .qtraj = qtraj, .chosen = chosen,
+        .memo_keys = memo_keys, .memo_vals = memo_vals, .memo_len = memo_len,
     };
     const int64_t lane_f = LANE_F(n), lane_i = LANE_I(n, m_states, K);
     for (int64_t i = 0; i < n; i++)
@@ -476,43 +560,50 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
             memo_vals[p * memo_len + h] = zero_pow;
         }
     }
-    for (int64_t r = r_lo; r < r_hi; r++) {
-        memset(call.arr_acc, 0, (size_t)n * sizeof(double));
-        memset(tally, 0, (size_t)(P * lane_i) * sizeof(int64_t));
-        for (int64_t p = 0; p < P; p++) {
-            double *lane = call.lane_f + p * lane_f;
-            memcpy(lane, q + (p * R + r) * n, (size_t)n * sizeof(double));
-            /* dep_sum, q_sum and max_seen */
-            memset(lane + 2 * n, 0, (size_t)(2 * n + 1) * sizeof(double));
+    for (int64_t r0 = r_lo; r0 < r_hi; r0 += GROUP) {
+        const int64_t g = r_hi - r0 < GROUP ? r_hi - r0 : GROUP;
+        struct call calls[GROUP];
+        struct stream s[GROUP];
+        for (int64_t h = 0; h < g; h++) {
+            struct call *row = &calls[h];
+            *row = call;
+            row->arr_acc = work + n + h * (n + P * lane_f);
+            row->lane_f = row->arr_acc + n;
+            row->lane_i = tally + h * P * lane_i;
+            memset(row->arr_acc, 0, (size_t)n * sizeof(double));
+            memset(row->lane_i, 0, (size_t)(P * lane_i) * sizeof(int64_t));
+            for (int64_t p = 0; p < P; p++) {
+                double *lane = row->lane_f + p * lane_f;
+                memcpy(lane, q + (p * R + r0 + h) * n, (size_t)n * sizeof(double));
+                /* dep_sum, q_sum and max_seen */
+                memset(lane + 2 * n, 0, (size_t)(2 * n + 1) * sizeof(double));
+            }
+            open_stream(&s[h], gens[r0 + h]);
         }
-        struct stream s;
-        open_stream(&s, gens[r]);
-        for (int64_t done = 0; done < T; done += chunk) {
-            int64_t c = T - done < chunk ? T - done : chunk;
-            int64_t at = record ? r * T + done : 0; /* the chunk's first slot in the draw buffers */
-            int64_t *st = states + at;
-            double *a = arr + at * n, *uc = u + at;
-            draw_chunk(&s, c, n, m_states, cum, fluid, lam, enlam, uniform, st, a, uc);
-            if (P == 1)
-                walk_one(&call, r, done, c, st, a, uc);
-            else
-                walk_lanes(&call, P, r, done, c, st, a, uc);
-        }
-        used[r] = s.base + s.pos;
-        for (int64_t p = 0; p < P; p++) {
-            int64_t pr = p * R + r;
-            const double *lane = call.lane_f + p * lane_f;
-            const int64_t *counts = tally + p * lane_i, *hist = counts + m_states * n;
-            memcpy(q + pr * n, lane, (size_t)n * sizeof(double));
-            memcpy(arr_sum + pr * n, call.arr_acc, (size_t)n * sizeof(double));
-            memcpy(dep_sum + pr * n, lane + 2 * n, (size_t)n * sizeof(double));
-            memcpy(q_sum + pr * n, lane + 3 * n, (size_t)n * sizeof(double));
-            max_seen[pr] = lane[4 * n];
-            memcpy(served + pr * m_states * n, counts, (size_t)(m_states * n) * sizeof(int64_t));
-            int64_t reached = 0;
-            for (int64_t j = K - 1; j >= 0; j--) {
-                reached += hist[j + 1];
-                over[pr * K + j] = reached;
+        if (g == 1)
+            run_group(calls, s, 1, r0);
+        else
+            run_group(calls, s, g, r0);
+        for (int64_t h = 0; h < g; h++) {
+            const struct call *row = &calls[h];
+            int64_t r = r0 + h;
+            used[r] = s[h].base + s[h].pos;
+            for (int64_t p = 0; p < P; p++) {
+                int64_t pr = p * R + r;
+                const double *lane = row->lane_f + p * lane_f;
+                const int64_t *counts = row->lane_i + p * lane_i, *hist = counts + m_states * n;
+                memcpy(q + pr * n, lane, (size_t)n * sizeof(double));
+                memcpy(arr_sum + pr * n, row->arr_acc, (size_t)n * sizeof(double));
+                memcpy(dep_sum + pr * n, lane + 2 * n, (size_t)n * sizeof(double));
+                memcpy(q_sum + pr * n, lane + 3 * n, (size_t)n * sizeof(double));
+                max_seen[pr] = lane[4 * n];
+                memcpy(served + pr * m_states * n, counts,
+                       (size_t)(m_states * n) * sizeof(int64_t));
+                int64_t reached = 0;
+                for (int64_t j = K - 1; j >= 0; j--) {
+                    reached += hist[j + 1];
+                    over[pr * K + j] = reached;
+                }
             }
         }
     }

@@ -20,7 +20,9 @@ consumed; each generator is then set back to its state before the call and
 advanced by that count, so it ends where numpy's own calls leave it. The
 replications run in contiguous row slices, one per usable CPU, in concurrent
 kernel calls, each with its own scratch and pow memo; since a row reads only
-its own generator, the outputs are bitwise those of one call.
+its own generator, the outputs are bitwise those of one call. A slice draws
+its rows in groups of up to _GROUP, their chains of Poisson variates
+alternating so that the core overlaps them (see run_replications).
 The same walk adds each post-burn-in slot into the service counters, the
 per-threshold overflow slot counts (both estimators read these) and the
 time-average queues; every float sum runs left to right, one slot at a time.
@@ -58,6 +60,10 @@ from .schedulers import TIE_UNIFORM, Policy, rate_table, stable_scores, tied_mas
 
 _CHUNK = 32_768  # fixed block size; part of the reproducibility contract
 _POW_MEMO = 4096  # entries of each policy's pow memo in the slot kernel
+# rows the slot kernel draws together, and the slots of arrivals it draws
+# before walking them under lowest-index ties: GROUP and SUB_BLOCK in _slots.c
+_GROUP = 4
+_SUB_BLOCK = 1024
 
 ESTIMATOR_STATIONARY = "stationary"
 ESTIMATOR_EPISODE = "episode"
@@ -241,6 +247,19 @@ def _load_kernel(path: Path):
     return fn
 
 
+def _kernel_scratch(P: int, N: int, M: int, K: int, T: int, rows: int, uniform_ties: bool):
+    """One kernel call's scratch over `rows` rows, as run_slots sizes it: work
+    and tally, one row's lanes for each of the min(_GROUP, rows) rows it
+    draws together, and the untraced draw buffers states, u and arr, each
+    row's min(T, _CHUNK) slots of states and tie uniforms (none for lowest
+    ties) and, for lowest ties, _SUB_BLOCK slots of arrivals at most."""
+    g, span = min(_GROUP, rows), min(T, _CHUNK)
+    arr_span = span if uniform_ties else min(span, _SUB_BLOCK)
+    return (np.empty(N + g * (N + P * (4 * N + 1))), np.empty(g * P * (M * N + K + 1), dtype=np.int64),
+            np.empty((g, span), dtype=np.int64), np.empty((g, span if uniform_ties else 0)),
+            np.empty((g, arr_span, N)))
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -269,6 +288,16 @@ def run_replications(
     each post-burn-in slot into the statistics, left to right, and fills the
     per-slot trace buffers only with record_trace. Each generator is left
     where numpy's own calls for the run leave it.
+
+    The kernel draws up to _GROUP rows at once, their Poisson variates
+    alternating, and walks each row with its own lanes' scratch, so each
+    row's outputs are bitwise those of running it alone. Under lowest-index
+    ties it draws a chunk's states and then its arrivals _SUB_BLOCK slots at
+    a time, walking each block as soon as it is drawn, so an untraced slice
+    holds a chunk of states and one block of arrivals per row of its group
+    (1.1 MB at 4 users). Under uniform ties a row's tie uniforms come after
+    its chunk's arrivals, so the group's whole chunks are drawn before the
+    walk (6 MB at 4 users). _kernel_scratch sizes these buffers.
 
     The rows run in min(R, usable CPUs) contiguous slices, one kernel call
     each, concurrently: the caller's thread walks the first and one thread
@@ -324,21 +353,20 @@ def run_replications(
     chosen, departure = np.empty(kept, dtype=np.int64), np.empty(kept)
     qtraj = np.zeros((*kept[:2], kept[2] + 1, N))  # row 0 holds the empty queues before slot 0
 
-    def draw_buffers(rows: int, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The drawn inputs every policy reads: states, tie uniforms, arrivals."""
-        return (np.empty((rows, slots), dtype=np.int64), np.empty((rows, slots if uniform_ties else 0)),
-                np.empty((rows, slots, N)))
-
-    # with record_trace, the whole record, each slice filling its own rows
-    states, tie_u, arr = draw_buffers(R, T) if spec.record_trace else (None, None, None)
+    # with record_trace, the drawn inputs every policy reads (states, tie
+    # uniforms, arrivals) are kept whole, each slice filling its own rows
+    if spec.record_trace:
+        states, tie_u, arr = (np.empty((R, T), dtype=np.int64), np.empty((R, T if uniform_ties else 0)),
+                              np.empty((R, T, N)))
 
     def walk(r_lo: int, r_hi: int) -> None:
         """Rows r_lo <= r < r_hi in one kernel call, with this call's own
         scratch (its lanes' queues and statistics among it), pow memo and,
-        untraced, one chunk's draw buffers."""
-        work, tally = np.empty(2 * N + P * (4 * N + 1)), np.empty(P * (M * N + K + 1), dtype=np.int64)
+        untraced, draw buffers."""
+        work, tally, *drawn = _kernel_scratch(P, N, M, K, T, r_hi - r_lo, uniform_ties)
         memo_keys, memo_vals = np.empty((P, _POW_MEMO), dtype=np.uint64), np.empty((P, _POW_MEMO))
-        drawn = (states, tie_u, arr) if spec.record_trace else draw_buffers(1, min(T, _CHUNK))
+        if spec.record_trace:
+            drawn = (states, tie_u, arr)
         kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, _CHUNK, burn, N, M,
                bitgens, used, cum, lam, rates, thresholds, K, Q, work, tally, arr_sum, dep_sum,
                q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace, *drawn,
@@ -469,7 +497,11 @@ def empirical_phi(counters: TraceCounters) -> np.ndarray:
 
 
 def aggregate_counters(outputs: list[ReplicationOutput]) -> TraceCounters:
-    """Commutative sum of per-replication counters (order-independent)."""
+    """Sum of per-replication counters in the order given, and the largest
+    max_queue_seen. The counts are exact in any order; the float sums
+    (arrivals, departures and queues, fractional under fluid arrivals) add
+    left to right in replication order, so another order may move their
+    last bits."""
     return TraceCounters(
         arrivals=sum(o.counters.arrivals for o in outputs),
         departures=sum(o.counters.departures for o in outputs),

@@ -1,13 +1,17 @@
+import importlib
+import importlib.util
 import json
 import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schedlab
 import schedlab.cli as cli
 from schedlab import SystemConfig, compute_iopt, config_from_json, relative_entropy
 from conftest import REFERENCE_CONFIG
@@ -191,3 +195,30 @@ def test_bench_pairs_writes_a_bench_file(tmp_path):
                       "parent_missing_layers": ["schedlab.ldp.minimize"],
                       "change": {"simulator.engine_s": 0.1},
                       "change_missing_layers": ["schedlab.ldp.minimize"]}
+
+
+def test_kernel_pairs_runs_each_shape_on_a_second_copy_of_the_package():
+    """kernel_pairs.py imports a checkout's package under another name and
+    runs each of its shapes through that copy's simulator with a kernel it
+    hands in. On this checkout, with the kernel schedlab itself built, every
+    shape's outputs are bitwise schedlab's own, and digest tells them from
+    another seed's."""
+    spec = importlib.util.spec_from_file_location("kernel_pairs", ROOT / "scripts" / "kernel_pairs.py")
+    kernel_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernel_pairs)
+    name = "schedlab_kernel_pairs_copy"
+    try:
+        copy = kernel_pairs.load_tree(ROOT, name)
+        simulator = importlib.import_module(f"{name}.simulator")
+        assert copy is not schedlab and simulator is not schedlab.simulator
+        kernel = schedlab.simulator._slot_kernel(schedlab.simulator._CC, schedlab.simulator._NPYRANDOM)
+        for shape in kernel_pairs.SHAPES.values():
+            _, outputs = kernel_pairs.run(simulator, kernel, kernel_pairs.run_args(copy, ROOT, shape))
+            cfg, policies, sim_spec, reps = kernel_pairs.run_args(schedlab, ROOT, shape)
+            assert kernel_pairs.digest(outputs) == kernel_pairs.digest(
+                schedlab.run_replications(cfg, policies, sim_spec, reps))
+            other = schedlab.run_replications(cfg, policies, replace(sim_spec, master_seed=2), reps)
+            assert kernel_pairs.digest(outputs) != kernel_pairs.digest(other)
+    finally:
+        for module in [m for m in sys.modules if m == name or m.startswith(f"{name}.")]:
+            del sys.modules[module]

@@ -513,10 +513,10 @@ def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
     used = np.zeros(R, dtype=np.int64)
     chosen, arr = np.empty((R, T), dtype=np.int64), np.empty((R, T, n))
     stats = [np.zeros((R, n)) for _ in range(3)]
+    work, tally, *_ = simulator._kernel_scratch(1, n, M, 0, T, R, False)
     kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
            0, fluid, R, 0, R, T, T, 0, n, M, bitgens, used, channel_cdf(cfg), np.asarray(lam, dtype=float),
-           cfg.rate_matrix, np.empty(0), 0, q.copy(), np.empty(6 * n + 1),
-           np.empty(M * n + 1, dtype=np.int64), *stats, np.zeros((R, M, n), dtype=np.int64),
+           cfg.rate_matrix, np.empty(0), 0, q.copy(), work, tally, *stats, np.zeros((R, M, n), dtype=np.int64),
            np.zeros((R, 0), dtype=np.int64), np.zeros(R),
            np.zeros((R, n)), 1, np.empty((R, T), dtype=np.int64), np.empty((R, 0)), arr, chosen,
            np.empty((R, T)), np.empty((R, T + 1, n)), np.empty(simulator._POW_MEMO, dtype=np.uint64),
@@ -884,6 +884,40 @@ class TestRowSlices:
         assert threading.active_count() == before
 
 
+class TestRowGroups:
+    """A slice takes its rows in groups of up to _GROUP, drawn together, the
+    arrivals under lowest-index ties _SUB_BLOCK slots at a time: each row's
+    outputs, trace and generator end state are bitwise those of the row run
+    alone, for every group size of one slice and for horizons and burn-ins
+    at, inside and across the blocks' and the chunk's edges."""
+
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
+    @pytest.mark.parametrize("cfg_name", ["reference", "fluid"])
+    def test_each_row_equals_running_it_alone(self, monkeypatch, cfg_name, tie_break, record_trace, P):
+        cfg = DRAW_CONFIGS[cfg_name]
+        policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES[:P]]
+        sub, chunk = simulator._SUB_BLOCK, simulator._CHUNK
+        assert (sub, chunk) == (1024, 32_768)
+        allow_slices(monkeypatch, 1, threads=False)
+        made = record_generators(monkeypatch)
+        for horizon, burn in ((1, 0), (sub - 1, 0), (sub - 1, 500), (sub + 1, sub), (3001, 1500),
+                              (3001, 2 * sub), (chunk + 3, 5000), (chunk + 3, chunk)):
+            spec = SimSpec(horizon=horizon, burn_in=burn, master_seed=21, record_trace=record_trace,
+                           thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
+            made.clear()
+            alone = [run_replications(cfg, policies, spec, [r]) for r in range(9)]
+            alone_states = [g.bit_generator.state for g in made]
+            for R in range(1, 10):
+                made.clear()
+                grouped = run_replications(cfg, policies, spec, list(range(R)))
+                for p in range(P):
+                    for r in range(R):
+                        assert_same_outputs(grouped[p][r], alone[r][p][0], (horizon, burn, R, p, r))
+                assert [g.bit_generator.state for g in made] == alone_states[:R], (horizon, burn, R)
+
+
 def random_3user_config():
     rng = np.random.default_rng(2)
     rates = rng.integers(0, 8, size=(3, 3)).astype(float)
@@ -1242,8 +1276,13 @@ class TestSlotKernelBuild:
         """ctypes passes each argument as the kernel's argtypes say, never
         checked against _slots.c, so a drift between the two corrupts memory:
         run_slots' 41 parameters need one argtype each, its own scalar type
-        for a scalar and an ndpointer of the element's dtype for a pointer."""
-        params = re.search(r"void run_slots\(([^)]*)\)", simulator._SLOTS_SOURCE.read_text()).group(1)
+        for a scalar and an ndpointer of the element's dtype for a pointer.
+        So does scratch sized by other numbers than the kernel's: the group
+        and block sizes _kernel_scratch reads are _slots.c's own."""
+        source = simulator._SLOTS_SOURCE.read_text()
+        defines = dict(re.findall(r"^#define (GROUP|SUB_BLOCK) (\d+)$", source, re.MULTILINE))
+        assert defines == {"GROUP": str(simulator._GROUP), "SUB_BLOCK": str(simulator._SUB_BLOCK)}
+        params = re.search(r"void run_slots\(([^)]*)\)", source).group(1)
         params = [p.replace("const", "").split() for p in params.split(",")]
         assert (len(params), sum("*" in p[-1] for p in params)) == (41, 27)
         argtypes = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM).argtypes
@@ -1258,10 +1297,10 @@ class TestSlotKernelBuild:
                 assert argtype is scalars[ctype], name
 
     def test_kernel_compiles_without_warnings(self):
-        """_slots.c compiles clean under -Wall -Wextra with the build's own
-        flags and include directory."""
+        """_slots.c compiles clean under -Wall -Wextra -Wshadow with the
+        build's own flags and include directory."""
         argv = [simulator._CC, *simulator._CFLAGS, f"-I{simulator._NPY_INCLUDE}", "-Wall", "-Wextra",
-                "-Werror", "-fsyntax-only", str(simulator._SLOTS_SOURCE)]
+                "-Wshadow", "-Werror", "-fsyntax-only", str(simulator._SLOTS_SOURCE)]
         proc = subprocess.run(argv, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
@@ -1271,11 +1310,15 @@ class TestSlotKernelBuild:
         two rows of 70 001 slots, through every refill of the rows' draw
         buffers, and then the path every command takes: an untraced
         reference campaign of all three rules with uniform ties, three rows
-        of 70 001 slots. Both run without a read or write outside a buffer
-        and without undefined behaviour, and record what the plain build
-        records: every trace of the first, every statistic of the second.
-        The rows run in two slices, so two kernels run at once on disjoint
-        rows of the shared arrays."""
+        of 70 001 slots. These rows run in two slices, so two kernels run at
+        once on disjoint rows of the shared arrays. Then, in one slice, two
+        untraced campaigns of six rows of 3 001 slots, one per tie-break: a
+        group of four rows and a group of two, in draw buffers of
+        min(horizon, chunk) slots per row and, for lowest-index ties, a
+        short last block of arrivals. All run without a read or write
+        outside a buffer and without undefined behaviour, and record what
+        the plain build records: every trace of the first, every statistic
+        of the others."""
         runtime = subprocess.run([simulator._CC, "-print-file-name=libasan.so"], capture_output=True,
                                  text=True).stdout.strip()
         if not os.path.isfile(runtime):
@@ -1289,22 +1332,28 @@ class TestSlotKernelBuild:
              SimSpec(horizon=70_001, master_seed=3, record_trace=True), [0, 1]),
             (DRAW_CONFIGS["reference"], [Policy(v, tie_break="uniform_random") for v in SHARED_POLICIES],
              SimSpec(horizon=70_001, master_seed=5), [0, 1, 2]),
+            *((DRAW_CONFIGS["reference"], [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES],
+               SimSpec(horizon=3001, master_seed=7), [0, 1, 2, 3, 4, 5])
+              for tie_break in ("lowest_index", "uniform_random")),
         ]
-        (tmp_path / "campaigns.pkl").write_bytes(pickle.dumps(campaigns))
+        slices = [2, 2, 1, 1]
+        (tmp_path / "campaigns.pkl").write_bytes(pickle.dumps(list(zip(slices, campaigns))))
         script = (
             "import pickle, sys, numpy as np\n"
             "from dataclasses import fields\n"
             "from schedlab import simulator\n"
             "library, campaigns, record = sys.argv[1:]\n"
             "simulator._slot_kernel = lambda cc, npyrandom: simulator._load_kernel(library)\n"
-            "simulator._usable_cpus = lambda: 2\n"
             "def recorded(o):\n"
             "    if o.trace is not None:\n"
             "        return [o.trace[k] for k in sorted(o.trace)]\n"
             "    counters = [np.asarray(getattr(o.counters, f.name)) for f in fields(o.counters)]\n"
             "    return [*counters, o.overflow_slot_counts, o.mean_queues]\n"
+            "runs = []\n"
             "with open(campaigns, 'rb') as f:\n"
-            "    runs = [simulator.run_replications(*campaign) for campaign in pickle.load(f)]\n"
+            "    for cpus, campaign in pickle.load(f):\n"
+            "        simulator._usable_cpus = lambda: cpus\n"
+            "        runs.append(simulator.run_replications(*campaign))\n"
             "arrays = [a for outputs in runs for outs in outputs for o in outs for a in recorded(o)]\n"
             "np.savez(record, *arrays)\n"
         )
@@ -1317,12 +1366,12 @@ class TestSlotKernelBuild:
         assert proc.returncode == 0, proc.stderr[-4000:]
         with np.load(tmp_path / "record.npz") as record:
             sanitized = [record[f"arr_{i}"] for i in range(len(record.files))]
-        traced, untraced = (run_replications(*campaign) for campaign in campaigns)
+        traced, *untraced = (run_replications(*campaign) for campaign in campaigns)
         plain = [o.trace[k] for outs in traced for o in outs for k in sorted(o.trace)]
-        plain += [a for outs in untraced for o in outs
+        plain += [a for run in untraced for outs in run for o in outs
                   for a in [*(np.asarray(getattr(o.counters, f.name)) for f in fields(TraceCounters)),
                             o.overflow_slot_counts, o.mean_queues]]
-        assert len(sanitized) == len(plain) == 2 * 2 * 6 + 3 * 3 * 8
+        assert len(sanitized) == len(plain) == 2 * 2 * 6 + 3 * 3 * 8 + 2 * 3 * 6 * 8
         assert all(bitwise_equal(a, b) for a, b in zip(sanitized, plain))
 
     def test_missing_compiler_fails_cleanly(self, monkeypatch, ref_cfg, ref_cfg_path, tmp_path, capsys):
