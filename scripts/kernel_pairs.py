@@ -55,6 +55,8 @@ SHAPES = {
     "mw_alone": ((("mw", 7.0),), "lowest_index", 8, 200_000, False),
     "het_uniform": ((("het", 2.0),), "uniform_random", 8, 200_000, False),
     "single_stream": ((("het", 10.0),), "uniform_random", 1, 80_000, True),
+    # the largest scratch: four whole chunks of draws per slice
+    "campaign_uniform": ((("het", 2.0), ("exp", 0.25), ("mw", 7.0)), "uniform_random", 8, 50_000, False),
 }
 SIDES = ("parent", "change")
 

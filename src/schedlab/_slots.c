@@ -19,15 +19,6 @@
  * shared a generator would read each other's draws, so every row needs its
  * own.
  *
- * A call walks the rows r_lo <= r < r_hi of the R-row arrays, so that
- * callers can run contiguous row slices in concurrent calls: each call
- * writes only its own rows of the shared per-row arrays and draws only from
- * its own rows' generators. The scratch (work and tally, which hold the
- * lanes' queues and statistics, the pow memo and the untraced draw buffers)
- * is written by every row, so every concurrent call, like every row's
- * generator, needs its own: a shared memo could pair one call's key with
- * another's value.
- *
  * A call takes its rows in groups of up to GROUP and draws a group's rows
  * together: each chunk's channel uniforms slot by slot, row by row, then
  * its Poisson variates slot by slot, user by user, row by row. A row's
@@ -61,11 +52,8 @@
  * so its outputs are bitwise those of running it alone. A lane's queues
  * form one long chain of dependent updates; walking P lanes side by side
  * gives the core P independent chains to overlap, where walking a chunk
- * once per policy ran them one after another. Every value a lane writes
- * each slot goes to the call's own scratch and reaches the shared
- * per-policy arrays when its group ends, so concurrent calls share no cache
- * line slot by slot. The draws hold tie uniforms only for uniform ties, so
- * the policies share one tie-break.
+ * once per policy ran them one after another. The draws hold tie uniforms
+ * only for uniform ties, so the policies share one tie-break.
  *
  * A slot scores the users on the queues before arrivals with
  * schedulers.stable_scores, picks from the set tied_mask gives
@@ -78,12 +66,13 @@
  * bitwise the ones stable_scores computes, whose powers are libm's pow too.
  *
  * exp's pow(mean queue, eta) and mw's pow(Q_i / max Q, alpha) go through a
- * per-policy memo: a direct-mapped table keyed by the argument's 64 bits,
- * reset at the start of every call, that returns the value pow gave for the
- * bitwise-identical argument. Queues that take few distinct values (integer
- * arrivals and rates) repeat their arguments, so pow runs about once per
- * distinct argument; a miss costs one hash and one store beside the pow.
- * The memo changes no score, so no choice or statistic either.
+ * per-policy memo of POW_MEMO entries: a direct-mapped table keyed by the
+ * argument's 64 bits, reset at the start of every call, that returns the
+ * value pow gave for the bitwise-identical argument. Queues that take few
+ * distinct values (integer arrivals and rates) repeat their arguments, so
+ * pow runs about once per distinct argument; a miss costs one hash and one
+ * store beside the pow. The memo changes no score, so no choice or
+ * statistic either.
  *
  * The same walk adds each post-burn-in slot into the lanes' statistics, and
  * fills the per-slot trace (draws, choice, departure, queues) only when the
@@ -92,6 +81,7 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #include "numpy/random/bitgen.h"
@@ -108,11 +98,11 @@ enum { RULE_HET = 0, RULE_EXP = 1, RULE_MW = 2 };
 #define STREAM_LEN 1024
 #define SHORT_RUN 4
 
-/* rows drawn together, and the slots of arrivals a group draws before
- * walking them under lowest-index ties; simulator._GROUP and _SUB_BLOCK
- * size the scratch by the same numbers */
+/* rows drawn together, the slots of arrivals a group draws before walking
+ * them under lowest-index ties, and the entries of each policy's pow memo */
 #define GROUP 4
 #define SUB_BLOCK 1024
+#define POW_MEMO 4096
 
 /* One row's uniforms: buf[pos..STREAM_LEN) are drawn from g and not yet
  * read, and base counts the uniforms read before buf[0]. view is a bitgen_t
@@ -242,8 +232,8 @@ draw_arrivals(struct stream *s, int64_t g, int64_t c, int64_t n, int fluid, cons
 }
 
 /* What every slot of a call reads and writes: run_slots' parameters of the
- * same names, enlam = exp(-lam), and one row's lane scratch (see
- * run_slots). */
+ * same names and, from its scratch, enlam = exp(-lam), the policies' pow
+ * memos (memo_len = POW_MEMO entries each) and one row's lane scratch. */
 struct call {
     const int64_t *rules;
     const double *params, *tables, *rates, *thresholds, *cum, *lam, *enlam;
@@ -501,63 +491,85 @@ run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
  * else the lowest tied index. cum (m_states) is the channel's cumulative
  * distribution with its last entry 1; lam (n) the arrival rates, drawn as
  * Poisson counts unless fluid is nonzero. Row r draws from gens[r], every
- * row from its own, and used[r] returns the uniforms it consumed. Only the
- * rows r_lo <= r < r_hi (0 <= r_lo < r_hi <= R) run; the others are not
- * touched.
+ * row from its own, and used[r] returns the uniforms it consumed.
+ *
+ * Only the rows r_lo <= r < r_hi (0 <= r_lo < r_hi <= R) run; the others
+ * are not touched. A call writes only its own rows of the shared arrays and
+ * draws only from its own rows' generators, so callers can run contiguous
+ * row slices in concurrent calls.
  *
  * Every per-policy array leads with the policy axis, P x R x ...: q (n)
  * carries the queues in and out. The statistics of slots burn on are
- * written, not added to: arr_sum, dep_sum, q_sum (n), served (m_states x n:
- * slots in state m serving user i), over (K: slots whose largest queue
- * reaches thresholds[j], which ascend strictly) and max_seen (1); initial_q
- * (n) takes the queues after slot burn - 1. With record nonzero, the shared
- * draws states, u, arr (R x T, R x T or empty, R x T x n) keep every slot's
- * draws, and each policy's chosen and dep (T) its choices and departures
- * and qtraj ((T + 1) x n) the queues after each slot, behind row 0, which
- * is not touched; otherwise states, u and arr are a group's draw buffers,
- * g = min(GROUP, r_hi - r_lo) rows of span = min(T, chunk) slots: states
- * g x span, u g x span or empty, arr g x span x n with uniform ties and
- * g x min(span, SUB_BLOCK) x n without; chosen, dep and qtraj are not
- * touched. memo_keys and memo_vals (P x memo_len, 1 <= memo_len < 2^32) are
- * each policy's pow memo, filled here before any slot.
+ * written, not added to: dep_sum, q_sum (n), served (m_states x n: slots in
+ * state m serving user i), over (K: slots whose largest queue reaches
+ * thresholds[j], which ascend strictly) and max_seen (1); initial_q (n)
+ * takes the queues after slot burn - 1. arr_sum (R x n) sums the draws
+ * alone, so it is kept once per row for every policy. With record nonzero,
+ * the shared draws states, u, arr (R x T, R x T or empty, R x T x n) keep
+ * every slot's draws, and each policy's chosen and dep (T) its choices and
+ * departures and qtraj ((T + 1) x n) the queues after each slot, behind row
+ * 0, which is not touched; otherwise all six are empty and not touched.
  *
- * A row's policies run as P lanes in lockstep, slot by slot, each with its
- * own queues and statistics in the call's scratch, so every slot writes
- * only memory this call owns: work (doubles: n + g * (n + P * (4 n + 1)))
- * and tally (counts: g * P * (m_states * n + K + 1)), one row's share for
- * each row of a group. A row's lanes store their queues and statistics in
- * the per-policy arrays when its group ends, and over from a histogram of
- * how many thresholds the largest queue reaches, as exact suffix sums.
- * Since arr_sum sums the draws alone, the row keeps it once for every
- * policy. */
-void run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
-               int uniform, int fluid, int64_t R, int64_t r_lo, int64_t r_hi, int64_t T,
-               int64_t chunk, int64_t burn, int64_t n, int64_t m_states, bitgen_t *const *gens,
-               int64_t *used, const double *cum, const double *lam, const double *rates,
-               const double *thresholds, int64_t K, double *q, double *work, int64_t *tally,
-               double *arr_sum, double *dep_sum, double *q_sum, int64_t *served, int64_t *over,
-               double *max_seen, double *initial_q, int record, int64_t *states, double *u,
-               double *arr, int64_t *chosen, double *dep, double *qtraj, uint64_t *memo_keys,
-               double *memo_vals, int64_t memo_len)
+ * The call allocates its own scratch, one block that no other call shares:
+ * exp(-lam) (n); for each of the g = min(GROUP, r_hi - r_lo) rows of a
+ * group, the row's arrival sums (n) and its lanes' doubles and counts (P x
+ * LANE_F and P x LANE_I); each policy's memo (POW_MEMO keys and values);
+ * and, untraced, the group's draws: states and tie uniforms (g x
+ * min(T, chunk), the uniforms for uniform ties only) and arrivals (g x
+ * min(T, chunk) x n with uniform ties, g x min(T, chunk, SUB_BLOCK) x n
+ * without). A lane writes only this scratch slot by slot, so concurrent
+ * calls share no cache line then; a row's lanes store their queues and
+ * statistics in the per-policy arrays when its group ends, and over from a
+ * histogram of how many thresholds the largest queue reaches, as exact
+ * suffix sums. Returns 0, or 1 with used[r_lo] the bytes the scratch needs
+ * when it cannot be allocated, before any row runs. */
+int run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
+              int uniform, int fluid, int64_t R, int64_t r_lo, int64_t r_hi, int64_t T,
+              int64_t chunk, int64_t burn, int64_t n, int64_t m_states, bitgen_t *const *gens,
+              int64_t *used, const double *cum, const double *lam, const double *rates,
+              const double *thresholds, int64_t K, double *q, double *arr_sum, double *dep_sum,
+              double *q_sum, int64_t *served, int64_t *over, double *max_seen, double *initial_q,
+              int record, int64_t *states, double *u, double *arr, int64_t *chosen, double *dep,
+              double *qtraj)
 {
-    double *enlam = work;
+    const int64_t lane_f = LANE_F(n), lane_i = LANE_I(n, m_states, K);
+    const int64_t g_max = r_hi - r_lo < GROUP ? r_hi - r_lo : GROUP;
+    const int64_t span = T < chunk ? T : chunk, drawn = record ? 0 : g_max * span;
+    const int64_t arr_span = uniform || span < SUB_BLOCK ? span : SUB_BLOCK;
+    /* the scratch's parts, in 8-byte words from its start */
+    const int64_t at_tally = n + g_max * (n + P * lane_f), at_keys = at_tally + g_max * P * lane_i;
+    const int64_t at_vals = at_keys + P * POW_MEMO, at_states = at_vals + P * POW_MEMO;
+    const int64_t at_u = at_states + drawn, at_arr = at_u + (uniform ? drawn : 0);
+    const size_t bytes = (size_t)(at_arr + (record ? 0 : g_max * arr_span * n)) * sizeof(double);
+    double *work = malloc(bytes);
+    if (work == NULL) {
+        used[r_lo] = (int64_t)bytes;
+        return 1;
+    }
+    int64_t *tally = (int64_t *)(work + at_tally);
+    uint64_t *memo_keys = (uint64_t *)(work + at_keys);
+    double *memo_vals = work + at_vals, *enlam = work;
+    if (!record) {
+        states = (int64_t *)(work + at_states);
+        u = work + at_u;
+        arr = work + at_arr;
+    }
     const struct call call = {
         .rules = rules, .params = params, .tables = tables, .rates = rates,
         .thresholds = thresholds, .cum = cum, .lam = lam, .enlam = enlam, .uniform = uniform,
         .record = record, .fluid = fluid, .P = P, .R = R, .T = T, .chunk = chunk, .burn = burn,
         .n = n, .m_states = m_states, .K = K, .states = states, .u = u, .arr = arr,
         .initial_q = initial_q, .dep = dep, .qtraj = qtraj, .chosen = chosen,
-        .memo_keys = memo_keys, .memo_vals = memo_vals, .memo_len = memo_len,
+        .memo_keys = memo_keys, .memo_vals = memo_vals, .memo_len = POW_MEMO,
     };
-    const int64_t lane_f = LANE_F(n), lane_i = LANE_I(n, m_states, K);
     for (int64_t i = 0; i < n; i++)
         enlam[i] = exp(-lam[i]);
     /* every entry starts as the argument 0.0 (all bits 0) with its pow */
     for (int64_t p = 0; p < P; p++) {
         double zero_pow = pow(0.0, params[p]);
-        for (int64_t h = 0; h < memo_len; h++) {
-            memo_keys[p * memo_len + h] = 0;
-            memo_vals[p * memo_len + h] = zero_pow;
+        for (int64_t h = 0; h < POW_MEMO; h++) {
+            memo_keys[p * POW_MEMO + h] = 0;
+            memo_vals[p * POW_MEMO + h] = zero_pow;
         }
     }
     for (int64_t r0 = r_lo; r0 < r_hi; r0 += GROUP) {
@@ -588,12 +600,12 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
             const struct call *row = &calls[h];
             int64_t r = r0 + h;
             used[r] = s[h].base + s[h].pos;
+            memcpy(arr_sum + r * n, row->arr_acc, (size_t)n * sizeof(double));
             for (int64_t p = 0; p < P; p++) {
                 int64_t pr = p * R + r;
                 const double *lane = row->lane_f + p * lane_f;
                 const int64_t *counts = row->lane_i + p * lane_i, *hist = counts + m_states * n;
                 memcpy(q + pr * n, lane, (size_t)n * sizeof(double));
-                memcpy(arr_sum + pr * n, row->arr_acc, (size_t)n * sizeof(double));
                 memcpy(dep_sum + pr * n, lane + 2 * n, (size_t)n * sizeof(double));
                 memcpy(q_sum + pr * n, lane + 3 * n, (size_t)n * sizeof(double));
                 max_seen[pr] = lane[4 * n];
@@ -607,4 +619,6 @@ void run_slots(int64_t P, const int64_t *rules, const double *params, const doub
             }
         }
     }
+    free(work);
+    return 0;
 }

@@ -4,7 +4,7 @@ All commands ingest a JSON system config, write JSON/CSV results (and SVG
 plots) atomically into --out, and echo the fully resolved parameters in every
 JSON document. Exit codes: 0 success, 2 bad input (a ValueError from the
 library, or a path that cannot be read or written), 3 computation error
-(schedlab.errors.ComputationError).
+(schedlab.errors.ComputationError) or out of memory (MemoryError).
 """
 
 from __future__ import annotations
@@ -425,6 +425,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ComputationError as exc:
         print(f"schedlab: computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        print(f"schedlab: out of memory: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except _USAGE_ERRORS as exc:
         print(f"schedlab: {exc}", file=sys.stderr)

@@ -2,33 +2,15 @@
 
 Every replication draws from its own seeded stream (master_seed, rep_index)
 in fixed chunk-sized blocks of channel states, arrivals and, for uniform
-ties, tie uniforms. One call of a small C kernel (_slots.c, compiled with the
-system's `cc` against numpy's static random library libnpyrandom.a on first
-use and cached by the hash of its source, that library and the flags) runs a
-whole campaign of one or more policies: it draws each block once, from the
-replication's own numpy bit generator, bitwise what numpy's own calls on that
-Generator draw (Generator.random mapped by searchsorted(side="right") for the
-states, Generator.poisson for the arrivals, Generator.random for the tie
-uniforms), then walks the block slot by slot with the policies as lanes in
-lockstep, each deciding exactly as `select` does with its own queues and
-statistics, so that the core overlaps the policies' independent chains of
-queue updates. So every policy in a call sees the same draws (common random
-numbers), and a batch run is bitwise identical to running each policy and
-replication alone. The kernel reads a replication's uniforms through a
-buffer that its generator fills ahead of them and returns how many it
-consumed; each generator is then set back to its state before the call and
-advanced by that count, so it ends where numpy's own calls leave it. The
-replications run in contiguous row slices, one per usable CPU, in concurrent
-kernel calls, each with its own scratch and pow memo; since a row reads only
-its own generator, the outputs are bitwise those of one call. A slice draws
-its rows in groups of up to _GROUP, their chains of Poisson variates
-alternating so that the core overlaps them (see run_replications).
-The same walk adds each post-burn-in slot into the service counters, the
-per-threshold overflow slot counts (both estimators read these) and the
-time-average queues; every float sum runs left to right, one slot at a time.
-The lanes keep these in their slice's own scratch and store them in the
-shared per-policy arrays when a row ends, so concurrent slices write no
-shared cache line slot by slot.
+ties, tie uniforms, bitwise what numpy's own calls on its Generator draw.
+One call of a small C kernel (_slots.c, compiled with the system's `cc`
+against numpy's static random library libnpyrandom.a on first use and cached
+by the hash of its source, that library and the flags) runs a whole campaign
+of one or more policies on the same draws (common random numbers), each
+deciding exactly as `select` does; _slots.c says how it draws and walks them
+and what scratch it keeps. The same walk adds each post-burn-in slot into
+the service counters, the per-threshold overflow slot counts (both
+estimators read these) and the time-average queues.
 The per-slot record (drawn inputs, choices, departures, queues) is kept only
 with record_trace, for the tests that replay the engine slot by slot.
 """
@@ -59,11 +41,6 @@ from .model import (
 from .schedulers import TIE_UNIFORM, Policy, rate_table, stable_scores, tied_mask
 
 _CHUNK = 32_768  # fixed block size; part of the reproducibility contract
-_POW_MEMO = 4096  # entries of each policy's pow memo in the slot kernel
-# rows the slot kernel draws together, and the slots of arrivals it draws
-# before walking them under lowest-index ties: GROUP and SUB_BLOCK in _slots.c
-_GROUP = 4
-_SUB_BLOCK = 1024
 
 ESTIMATOR_STATIONARY = "stationary"
 ESTIMATOR_EPISODE = "episode"
@@ -237,27 +214,13 @@ def _load_kernel(path: Path):
     fn = ctypes.CDLL(str(path)).run_slots
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    u64 = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
     ptrs = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
     fn.argtypes = [c_i64, i64, f64, f64, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64,
-                   c_i64, c_i64, ptrs, i64, f64, f64, f64, f64, c_i64, f64, f64, i64, f64, f64, f64,
-                   i64, i64, f64, f64, c_int, i64, f64, f64, i64, f64, f64, u64, f64, c_i64]
-    fn.restype = None
+                   c_i64, c_i64, ptrs, i64, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, i64,
+                   i64, f64, f64, c_int, i64, f64, f64, i64, f64, f64]
+    fn.restype = c_int
     return fn
-
-
-def _kernel_scratch(P: int, N: int, M: int, K: int, T: int, rows: int, uniform_ties: bool):
-    """One kernel call's scratch over `rows` rows, as run_slots sizes it: work
-    and tally, one row's lanes for each of the min(_GROUP, rows) rows it
-    draws together, and the untraced draw buffers states, u and arr, each
-    row's min(T, _CHUNK) slots of states and tie uniforms (none for lowest
-    ties) and, for lowest ties, _SUB_BLOCK slots of arrivals at most."""
-    g, span = min(_GROUP, rows), min(T, _CHUNK)
-    arr_span = span if uniform_ties else min(span, _SUB_BLOCK)
-    return (np.empty(N + g * (N + P * (4 * N + 1))), np.empty(g * P * (M * N + K + 1), dtype=np.int64),
-            np.empty((g, span), dtype=np.int64), np.empty((g, span if uniform_ties else 0)),
-            np.empty((g, arr_span, N)))
 
 
 def _usable_cpus() -> int:
@@ -274,39 +237,24 @@ def run_replications(
     policy, in policy order, each in rep_indices order. rep_indices must be
     non-empty, of integers >= 0; a ValueError names the bad entry otherwise.
 
-    One call of the compiled kernel runs the whole campaign: it draws each
-    replication's chunks once, from that replication's own numpy generator,
-    in the order and with the values of numpy's own calls on it (per chunk
-    of c slots: searchsorted(channel_cdf(cfg), gen.random(c), side="right"),
-    then gen.poisson(arrival_rates, size=(c, N)) or the rates themselves for
-    fluid arrivals, then gen.random(c) for uniform ties), and walks them slot
-    by slot, the policies in lockstep as lanes, each with the score and tie
-    rule of schedulers.stable_scores and tied_mask and its own queues and
-    statistics. So every policy sees the same draws, and its outputs are
-    bitwise those of running it alone. The draws hold tie uniforms only for
-    uniform ties, so the policies must share one tie_break. The same walk adds
-    each post-burn-in slot into the statistics, left to right, and fills the
-    per-slot trace buffers only with record_trace. Each generator is left
-    where numpy's own calls for the run leave it.
-
-    The kernel draws up to _GROUP rows at once, their Poisson variates
-    alternating, and walks each row with its own lanes' scratch, so each
-    row's outputs are bitwise those of running it alone. Under lowest-index
-    ties it draws a chunk's states and then its arrivals _SUB_BLOCK slots at
-    a time, walking each block as soon as it is drawn, so an untraced slice
-    holds a chunk of states and one block of arrivals per row of its group
-    (1.1 MB at 4 users). Under uniform ties a row's tie uniforms come after
-    its chunk's arrivals, so the group's whole chunks are drawn before the
-    walk (6 MB at 4 users). _kernel_scratch sizes these buffers.
+    Each replication draws, per chunk of c slots, what numpy's own calls on
+    its generator draw: searchsorted(channel_cdf(cfg), gen.random(c),
+    side="right"), then gen.poisson(arrival_rates, size=(c, N)) or the rates
+    themselves for fluid arrivals, then gen.random(c) for uniform ties; each
+    generator is left where those calls leave it. Every policy walks the
+    same draws with the score and tie rule of schedulers.stable_scores and
+    tied_mask, so the policies must share one tie_break, and each policy's
+    outputs for each replication are bitwise those of running it alone. The
+    float statistics sum left to right. counters.arrivals depends on the
+    draws alone: every policy's output holds a read-only view of one row.
 
     The rows run in min(R, usable CPUs) contiguous slices, one kernel call
     each, concurrently: the caller's thread walks the first and one thread
-    each the others. Every slice writes only its own rows of the shared
-    outputs, the statistics once per row, and has its own scratch (its
-    lanes' queues and statistics) and pow memo, and a row's results depend
-    on its own generator alone, so the outputs are bitwise those of one
-    call over every row. One slice starts no thread. A slice's exception is
-    raised here once every slice has ended; of several, the lowest slice's.
+    each the others. A row's results depend on its own generator alone, so
+    the outputs are bitwise those of one call over every row. One slice
+    starts no thread. A slice's exception is raised here once every slice
+    has ended; of several, the lowest slice's. A kernel call that cannot
+    allocate its scratch raises MemoryError, naming the bytes it needs.
     """
     if not policies:
         raise ValueError("run_replications needs at least one policy")
@@ -343,34 +291,28 @@ def run_replications(
 
     K = len(thresholds)
     Q = np.zeros((P, R, N))
-    # the post-burn-in statistics, each row written by its slice's kernel call
-    arr_sum, dep_sum, q_sum = np.empty((P, R, N)), np.empty((P, R, N)), np.empty((P, R, N))
+    # the post-burn-in statistics, each row written by its slice's kernel call;
+    # the arrivals are the draws' alone, one row for every policy
+    arr_sum, dep_sum, q_sum = np.empty((R, N)), np.empty((P, R, N)), np.empty((P, R, N))
     served_slots = np.empty((P, R, M, N), dtype=np.int64)
     over_counts = np.empty((P, R, K), dtype=np.int64)
     max_seen = np.empty((P, R))
     initial_q = np.zeros((P, R, N))
+    # with record_trace, each policy's choices, departures and queues and
+    # the drawn inputs they all read (states, tie uniforms, arrivals)
     kept = (P, R, T) if spec.record_trace else (0, 0, 0)
     chosen, departure = np.empty(kept, dtype=np.int64), np.empty(kept)
     qtraj = np.zeros((*kept[:2], kept[2] + 1, N))  # row 0 holds the empty queues before slot 0
-
-    # with record_trace, the drawn inputs every policy reads (states, tie
-    # uniforms, arrivals) are kept whole, each slice filling its own rows
-    if spec.record_trace:
-        states, tie_u, arr = (np.empty((R, T), dtype=np.int64), np.empty((R, T if uniform_ties else 0)),
-                              np.empty((R, T, N)))
+    states, arr = np.empty(kept[1:], dtype=np.int64), np.empty((*kept[1:], N))
+    tie_u = np.empty((kept[1], kept[2] if uniform_ties else 0))
 
     def walk(r_lo: int, r_hi: int) -> None:
-        """Rows r_lo <= r < r_hi in one kernel call, with this call's own
-        scratch (its lanes' queues and statistics among it), pow memo and,
-        untraced, draw buffers."""
-        work, tally, *drawn = _kernel_scratch(P, N, M, K, T, r_hi - r_lo, uniform_ties)
-        memo_keys, memo_vals = np.empty((P, _POW_MEMO), dtype=np.uint64), np.empty((P, _POW_MEMO))
-        if spec.record_trace:
-            drawn = (states, tie_u, arr)
-        kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, _CHUNK, burn, N, M,
-               bitgens, used, cum, lam, rates, thresholds, K, Q, work, tally, arr_sum, dep_sum,
-               q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace, *drawn,
-               chosen, departure, qtraj, memo_keys, memo_vals, _POW_MEMO)
+        """Rows r_lo <= r < r_hi in one kernel call."""
+        if kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, _CHUNK, burn, N,
+                  M, bitgens, used, cum, lam, rates, thresholds, K, Q, arr_sum, dep_sum, q_sum,
+                  served_slots, over_counts, max_seen, initial_q, spec.record_trace, states, tie_u,
+                  arr, chosen, departure, qtraj):
+            raise MemoryError(f"the slot kernel cannot allocate its {used[r_lo]}-byte scratch")
 
     S = min(R, _usable_cpus())
     bounds = [R * k // S for k in range(S + 1)]
@@ -401,6 +343,7 @@ def run_replications(
         g.bit_generator.state = state
         g.bit_generator.advance(n)
 
+    arr_sum.flags.writeable = False
     n_stat = T - burn
 
     def output(p: int, i: int, rep: int) -> ReplicationOutput:
@@ -411,7 +354,7 @@ def run_replications(
         return ReplicationOutput(
             rep_index=rep,
             counters=TraceCounters(
-                arrivals=arr_sum[p, i], departures=dep_sum[p, i], served_slots=served_slots[p, i],
+                arrivals=arr_sum[i], departures=dep_sum[p, i], served_slots=served_slots[p, i],
                 max_queue_seen=float(max_seen[p, i]),
                 initial_queues=initial_q[p, i], final_queues=Q[p, i],
             ),

@@ -1,4 +1,5 @@
 import ctypes
+import json
 import math
 import os
 import pickle
@@ -495,8 +496,16 @@ def uniforms_consumed(ref, seed, rep):
     return n
 
 
-# doubles in each row's draw buffer in _slots.c (STREAM_LEN)
-STREAM_LEN = 1024
+def kernel_defines():
+    """_slots.c's integer #defines by name, STREAM_LEN, GROUP, SUB_BLOCK and
+    POW_MEMO among them: the sizes the kernel alone keeps."""
+    source = simulator._SLOTS_SOURCE.read_text()
+    return {name: int(value) for name, value in re.findall(r"^#define (\w+) (\d+)$", source, re.MULTILINE)}
+
+
+KERNEL = kernel_defines()
+# doubles in each row's draw buffer
+STREAM_LEN = KERNEL["STREAM_LEN"]
 
 
 def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
@@ -513,14 +522,12 @@ def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
     used = np.zeros(R, dtype=np.int64)
     chosen, arr = np.empty((R, T), dtype=np.int64), np.empty((R, T, n))
     stats = [np.zeros((R, n)) for _ in range(3)]
-    work, tally, *_ = simulator._kernel_scratch(1, n, M, 0, T, R, False)
-    kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
-           0, fluid, R, 0, R, T, T, 0, n, M, bitgens, used, channel_cdf(cfg), np.asarray(lam, dtype=float),
-           cfg.rate_matrix, np.empty(0), 0, q.copy(), work, tally, *stats, np.zeros((R, M, n), dtype=np.int64),
-           np.zeros((R, 0), dtype=np.int64), np.zeros(R),
-           np.zeros((R, n)), 1, np.empty((R, T), dtype=np.int64), np.empty((R, 0)), arr, chosen,
-           np.empty((R, T)), np.empty((R, T + 1, n)), np.empty(simulator._POW_MEMO, dtype=np.uint64),
-           np.empty(simulator._POW_MEMO), simulator._POW_MEMO)
+    assert kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
+                  0, fluid, R, 0, R, T, T, 0, n, M, bitgens, used, channel_cdf(cfg), np.asarray(lam, dtype=float),
+                  cfg.rate_matrix, np.empty(0), 0, q.copy(), *stats, np.zeros((R, M, n), dtype=np.int64),
+                  np.zeros((R, 0), dtype=np.int64), np.zeros(R),
+                  np.zeros((R, n)), 1, np.empty((R, T), dtype=np.int64), np.empty((R, 0)), arr, chosen,
+                  np.empty((R, T)), np.empty((R, T + 1, n))) == 0
     return chosen, arr, used
 
 
@@ -885,8 +892,8 @@ class TestRowSlices:
 
 
 class TestRowGroups:
-    """A slice takes its rows in groups of up to _GROUP, drawn together, the
-    arrivals under lowest-index ties _SUB_BLOCK slots at a time: each row's
+    """A slice takes its rows in groups of up to GROUP, drawn together, the
+    arrivals under lowest-index ties SUB_BLOCK slots at a time: each row's
     outputs, trace and generator end state are bitwise those of the row run
     alone, for every group size of one slice and for horizons and burn-ins
     at, inside and across the blocks' and the chunk's edges."""
@@ -898,7 +905,7 @@ class TestRowGroups:
     def test_each_row_equals_running_it_alone(self, monkeypatch, cfg_name, tie_break, record_trace, P):
         cfg = DRAW_CONFIGS[cfg_name]
         policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES[:P]]
-        sub, chunk = simulator._SUB_BLOCK, simulator._CHUNK
+        sub, chunk = KERNEL["SUB_BLOCK"], simulator._CHUNK
         assert (sub, chunk) == (1024, 32_768)
         allow_slices(monkeypatch, 1, threads=False)
         made = record_generators(monkeypatch)
@@ -1188,7 +1195,7 @@ class TestEngineMatchesSpec:
         else:
             busy = q[q.max(axis=1) > 0]
             args = busy / busy.max(axis=1, keepdims=True)
-        assert len(np.unique(args)) > simulator._POW_MEMO
+        assert len(np.unique(args)) > KERNEL["POW_MEMO"]
         chosen, tied, _ = replay(cfg, Policy(variant), 0, 10_000)
         assert np.array_equal(chosen, tied.argmax(axis=1))
         chosen, tied, u = replay(cfg, Policy(variant, tie_break="uniform_random"), 0, 10_000)
@@ -1275,21 +1282,19 @@ class TestSlotKernelBuild:
     def test_argtypes_match_the_c_signature(self):
         """ctypes passes each argument as the kernel's argtypes say, never
         checked against _slots.c, so a drift between the two corrupts memory:
-        run_slots' 41 parameters need one argtype each, its own scalar type
-        for a scalar and an ndpointer of the element's dtype for a pointer.
-        So does scratch sized by other numbers than the kernel's: the group
-        and block sizes _kernel_scratch reads are _slots.c's own."""
+        run_slots' 36 parameters need one argtype each, its own scalar type
+        for a scalar and an ndpointer of the element's dtype for a pointer,
+        and its int status needs restype c_int."""
         source = simulator._SLOTS_SOURCE.read_text()
-        defines = dict(re.findall(r"^#define (GROUP|SUB_BLOCK) (\d+)$", source, re.MULTILINE))
-        assert defines == {"GROUP": str(simulator._GROUP), "SUB_BLOCK": str(simulator._SUB_BLOCK)}
-        params = re.search(r"void run_slots\(([^)]*)\)", source).group(1)
+        params = re.search(r"int run_slots\(([^)]*)\)", source).group(1)
         params = [p.replace("const", "").split() for p in params.split(",")]
-        assert (len(params), sum("*" in p[-1] for p in params)) == (41, 27)
-        argtypes = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM).argtypes
+        assert (len(params), sum("*" in p[-1] for p in params)) == (36, 23)
+        kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
+        assert kernel.restype is ctypes.c_int
+        argtypes = kernel.argtypes
         assert len(argtypes) == len(params)
         scalars = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
-        elements = {"double": np.float64, "int64_t": np.int64, "uint64_t": np.uint64,
-                    "bitgen_t": np.uintp}
+        elements = {"double": np.float64, "int64_t": np.int64, "bitgen_t": np.uintp}
         for (ctype, *_, name), argtype in zip(params, argtypes):
             if "*" in name:
                 assert getattr(argtype, "_dtype_", None) == np.dtype(elements[ctype]), name
@@ -1473,3 +1478,96 @@ class TestSlotKernelBuild:
         assert digest() == before
         rebuilt = list(cache.glob("_slots-*.so"))
         assert len(rebuilt) == 1 and rebuilt[0] in libraries
+
+
+def run_python(script, *args, timeout=300):
+    """script run by a fresh interpreter that imports this checkout's schedlab."""
+    src = Path(simulator.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+class TestKernelScratch:
+    """Each kernel call allocates its own scratch and frees it again."""
+
+    def test_scratch_beyond_the_address_space_exits_3(self, tmp_path):
+        """A 1000-user simulate with uniform ties needs about 260 MB of
+        untraced draw buffers, here in a process whose address space may
+        grow by 150 MB only: the kernel refuses before any slot runs, and
+        simulate exits 3 with one line naming the bytes the scratch needs,
+        without a traceback and without its output directory. The limit is
+        set inside the child, after its kernel is loaded."""
+        if not os.path.isfile("/proc/self/status"):
+            pytest.skip("no /proc/self/status to read the address space from")
+        n = 1000
+        cfg = {"n_users": n, "n_states": 2, "state_probs": [0.5, 0.5],
+               "rate_matrix": [[1.0] * n, [2.0] * n], "arrival_rates": [0.001] * n,
+               "arrival_model": "poisson"}
+        (tmp_path / "wide.json").write_text(json.dumps(cfg))
+        script = (
+            "import resource, sys\n"
+            "from schedlab import cli, simulator\n"
+            "simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)\n"
+            "with open('/proc/self/status') as f:\n"
+            "    size = next(int(line.split()[1]) for line in f if line.startswith('VmSize:'))\n"
+            "limit = size * 1024 + 150 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "out"
+        proc = run_python(script, "simulate", "--config", tmp_path / "wide.json", "--policy",
+                          '{"type": "het", "q_th": 2, "tie_break": "uniform_random"}', "--horizon", 40_000,
+                          "--replications", 1, "--out", out)
+        assert proc.returncode == cli.EXIT_COMPUTE, proc.stderr[-4000:]
+        assert proc.stderr.startswith("schedlab: out of memory: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        requested = int(re.search(r"allocate its (\d+)-byte scratch", proc.stderr).group(1))
+        assert requested > 150 * 2**20
+        assert not out.exists()
+
+    def test_calls_leave_no_scratch_behind(self):
+        """After two warm-up calls, 20 more uniform-tie campaigns of het, exp
+        and mw over four rows in one slice, each call's scratch about 6 MB,
+        leave glibc's in-use heap (mallinfo2's uordblks + hblkhd, mapped
+        blocks included) less than 1 MB above where it was."""
+        if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+            pytest.skip("the C library has no mallinfo2")
+        script = (
+            "import ctypes, sys\n"
+            "from schedlab import Exp, Heterogeneous, MaxWeight, Policy, SimSpec, config_from_json, simulator\n"
+            "class Mallinfo2(ctypes.Structure):\n"
+            "    _fields_ = [(name, ctypes.c_size_t) for name in ('arena', 'ordblks', 'smblks', 'hblks',\n"
+            "                'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]\n"
+            "mallinfo2 = ctypes.CDLL(None).mallinfo2\n"
+            "mallinfo2.restype = Mallinfo2\n"
+            "def in_use():\n"
+            "    info = mallinfo2()\n"
+            "    return info.uordblks + info.hblkhd\n"
+            "simulator._usable_cpus = lambda: 1\n"
+            "cfg = config_from_json(sys.argv[1])\n"
+            "policies = [Policy(v, 'uniform_random') for v in (Heterogeneous(2.0), Exp(0.25), MaxWeight(7.0))]\n"
+            "spec = SimSpec(horizon=40_000, master_seed=3)\n"
+            "def run():\n"
+            "    simulator.run_replications(cfg, policies, spec, [0, 1, 2, 3])\n"
+            "run()\n"
+            "run()\n"
+            "before = in_use()\n"
+            "for _ in range(20):\n"
+            "    run()\n"
+            "print(in_use() - before)\n"
+        )
+        proc = run_python(script, REFERENCE_CONFIG)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        assert int(proc.stdout) < 2**20
+
+    def test_arrivals_are_one_read_only_row_per_replication(self, ref_cfg):
+        """The kernel sums a replication's arrivals once for every policy:
+        each policy's counters.arrivals views the same row, read-only."""
+        spec = SimSpec(horizon=2000, master_seed=4)
+        outputs = run_replications(ref_cfg, [Policy(v) for v in SHARED_POLICIES], spec, [0, 1])
+        for i in range(2):
+            rows = [per_policy[i].counters.arrivals for per_policy in outputs]
+            assert not any(row.flags.writeable for row in rows)
+            assert all(np.shares_memory(row, rows[0]) for row in rows)
+        assert not np.shares_memory(outputs[0][0].counters.arrivals, outputs[0][1].counters.arrivals)
