@@ -6,36 +6,45 @@ Usage:
     python3 scripts/kernel_pairs.py PARENT_TREE CHANGE_TREE [--repeats N]
 
 Each tree is the root of a schedlab checkout. The script imports each
-tree's own package, builds its src/schedlab/_slots.c with that tree's
-simulator._CFLAGS plus each of VARIANTS' extra flags, which move code in
-memory and change no result, and loads each build with the tree's
-simulator._load_kernel. It then times in-process run_replications calls of
-each of SHAPES through each tree's own simulator, interleaved: every repeat
-runs each shape once per build, the builds in an order that alternates from
-one repeat to the next. Each build first runs every shape once untimed, and
+tree's own package and builds its src/schedlab/_slots.c once with that
+tree's simulator._CFLAGS plus each of VARIANTS' extra flags, which move code
+in memory and change no result. It then times the builds in PROCESSES fresh
+processes, one after another. Each loads every build with its tree's
+simulator._load_kernel and times in-process run_replications calls of each
+of SHAPES through each tree's own simulator, interleaved: every repeat runs
+each shape once per build, the builds in an order that alternates from one
+repeat to the next. Each build first runs every shape once untimed, and
 every build's outputs must be bitwise equal to the others', or the script
 exits 1.
 
-It prints, per shape, each build's median milliseconds, each variant's
-change/parent ratio, each side's median over variants and their ratio, and
-the number of variants in which the change was faster. A kernel change is
-faster when it is faster in the median over variants and in all but at most
-one variant: code layout alone moves a kernel's time by up to ~24%, so one
-build of each side cannot show a smaller change.
+A build's time is the median over the processes of its median in each:
+within one process all builds of a side move together, by up to ~19%, so
+one process cannot carry a verdict and one outlying process must not move
+one. It prints, per shape, each build's pooled milliseconds, each variant's
+change/parent ratio, each side's median over variants and their ratio, the
+variants in which the change was faster and slower, the verdict, and each
+process's own change/parent ratio of medians over variants. The verdict is
+"faster" (or "slower") when the change is faster (slower) in the median
+over variants and in all but at most one variant, else "neither": code
+layout alone moves a kernel's time by up to ~24%, so one build of each side
+cannot show a smaller change.
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import hashlib
 import importlib
 import importlib.util
+import multiprocessing
 import statistics
 import sys
 import tempfile
 import time
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +68,8 @@ SHAPES = {
     "campaign_uniform": ((("het", 2.0), ("exp", 0.25), ("mw", 7.0)), "uniform_random", 8, 50_000, False),
 }
 SIDES = ("parent", "change")
+# fresh processes the builds are timed in, one after another
+PROCESSES = 5
 
 
 def load_tree(root: Path, name: str):
@@ -73,11 +84,10 @@ def load_tree(root: Path, name: str):
     return package
 
 
-def build(simulator, extra: tuple[str, ...], path: Path):
-    """The tree's kernel built with its own flags plus extra, loaded."""
+def build(simulator, extra: tuple[str, ...], path: Path) -> None:
+    """The tree's kernel built with its own flags plus extra, to path."""
     simulator._build([simulator._CC, *simulator._CFLAGS, *extra, f"-I{simulator._NPY_INCLUDE}"],
                      simulator._NPYRANDOM, path)
-    return simulator._load_kernel(path)
 
 
 def run_args(package, root: Path, shape):
@@ -112,64 +122,116 @@ def run(simulator, kernel, args) -> tuple[float, list]:
     return time.perf_counter() - start, outputs
 
 
+def time_builds(trees: dict, paths: dict, repeats: int) -> tuple[dict, dict]:
+    """In this process: each build's outputs' digest per shape, from one
+    untimed run, and its seconds per shape over repeats interleaved runs,
+    both keyed by (side, variant, shape)."""
+    packages = {side: load_tree(root, f"schedlab_{side}") for side, root in trees.items()}
+    simulators = {side: importlib.import_module(f"schedlab_{side}.simulator") for side in SIDES}
+    kernels = {key: simulators[key[0]]._load_kernel(path) for key, path in paths.items()}
+    calls = {(side, name): run_args(packages[side], trees[side], shape)
+             for side in SIDES for name, shape in SHAPES.items()}
+    builds = list(paths)
+    digests = {(*key, name): digest(run(simulators[key[0]], kernels[key], calls[key[0], name])[1])
+               for name in SHAPES for key in builds}
+    seconds = {(*key, name): [] for key in builds for name in SHAPES}
+    for repeat in range(repeats):
+        order = builds if repeat % 2 == 0 else builds[::-1]
+        for name in SHAPES:
+            for key in order:
+                elapsed, _ = run(simulators[key[0]], kernels[key], calls[key[0], name])
+                seconds[(*key, name)].append(elapsed)
+    return digests, seconds
+
+
+class Pooled(NamedTuple):
+    """One shape's times over every process, in ms: each variant's pooled
+    time per side, each side's median over variants, and per process the
+    change/parent ratio of its own medians over variants."""
+
+    parent: list[float]
+    change: list[float]
+    over: tuple[float, float]
+    faster: int
+    slower: int
+    verdict: str
+    per_process: list[float]
+
+
+def pool(runs: list[dict], shape: str) -> Pooled:
+    """Pool one shape's seconds from runs, one time_builds seconds dict per
+    process: a build's time is the median over processes of its
+    per-process median, and the verdict is ROADMAP item 10's rule applied
+    to those per-variant times."""
+    def per_process(run_seconds, side):
+        return [1e3 * statistics.median(run_seconds[side, variant, shape]) for variant in VARIANTS]
+
+    medians = {side: [per_process(r, side) for r in runs] for side in SIDES}
+    times = {side: [statistics.median(col) for col in zip(*medians[side])] for side in SIDES}
+    over = tuple(statistics.median(times[side]) for side in SIDES)
+    faster = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    slower = sum(c > p for p, c in zip(times["parent"], times["change"]))
+    verdict = "neither"
+    if over[1] < over[0] and faster >= len(VARIANTS) - 1:
+        verdict = "faster"
+    elif over[1] > over[0] and slower >= len(VARIANTS) - 1:
+        verdict = "slower"
+    ratios = [statistics.median(c) / statistics.median(p)
+              for p, c in zip(medians["parent"], medians["change"])]
+    return Pooled(times["parent"], times["change"], over, faster, slower, verdict, ratios)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_tree", type=Path)
     parser.add_argument("change_tree", type=Path)
-    parser.add_argument("--repeats", type=int, default=7, help="timed runs of each shape per build")
+    parser.add_argument("--repeats", type=int, default=7,
+                        help="timed runs of each shape per build in each process")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
     trees = dict(zip(SIDES, (args.parent_tree.resolve(), args.change_tree.resolve())))
-    packages = {side: load_tree(root, f"schedlab_{side}") for side, root in trees.items()}
+    for side, root in trees.items():
+        load_tree(root, f"schedlab_{side}")
     simulators = {side: importlib.import_module(f"schedlab_{side}.simulator") for side in SIDES}
-    builds = [(side, variant) for variant in VARIANTS for side in SIDES]
+    runs = []
     with tempfile.TemporaryDirectory(prefix="kernel_pairs-") as tmp:
-        kernels = {}
-        for k, (side, variant) in enumerate(builds):
-            kernels[side, variant] = build(simulators[side], VARIANTS[variant], Path(tmp) / f"kernel-{k}.so")
-        calls = {(side, name): run_args(packages[side], trees[side], shape)
-                 for side in SIDES for name, shape in SHAPES.items()}
-
-        bad = False
-        for name in SHAPES:
-            digests = {key: digest(run(simulators[key[0]], kernels[key], calls[key[0], name])[1])
-                       for key in builds}
-            if len(set(digests.values())) != 1:
-                print(f"kernel_pairs: {name}: outputs differ between builds: {digests}", file=sys.stderr)
-                bad = True
-        if bad:
-            return 1
-
-        seconds = {(key, name): [] for key in builds for name in SHAPES}
-        for repeat in range(args.repeats):
-            order = builds if repeat % 2 == 0 else builds[::-1]
+        paths = {}
+        for variant, extra in VARIANTS.items():
+            for side in SIDES:
+                paths[side, variant] = Path(tmp) / f"kernel-{len(paths)}.so"
+                build(simulators[side], extra, paths[side, variant])
+        spawn = multiprocessing.get_context("spawn")
+        for process in range(PROCESSES):
+            with concurrent.futures.ProcessPoolExecutor(1, mp_context=spawn) as fresh:
+                digests, seconds = fresh.submit(time_builds, trees, paths, args.repeats).result()
             for name in SHAPES:
-                for key in order:
-                    elapsed, _ = run(simulators[key[0]], kernels[key], calls[key[0], name])
-                    seconds[key, name].append(elapsed)
+                seen = {key: value for key, value in digests.items() if key[2] == name}
+                if len(set(seen.values())) != 1:
+                    print(f"kernel_pairs: {name}: outputs differ between builds in process {process}: "
+                          f"{seen}", file=sys.stderr)
+                    return 1
+            runs.append(seconds)
 
-    print(f"# median ms of {args.repeats} interleaved runs per build; parent {trees['parent']}, "
-          f"change {trees['change']}; every build's outputs bitwise equal")
+    print(f"# ms per build: median over {PROCESSES} processes of its median of {args.repeats} "
+          f"interleaved runs in each; parent {trees['parent']}, change {trees['change']}; every "
+          f"build's outputs bitwise equal in every process")
     for name, shape in SHAPES.items():
         rules, tie_break, reps, horizon, fluid = shape
         policies = "/".join(f"{rule} {x:g}" for rule, x in rules)
+        pooled = pool(runs, name)
         print(f"\n{name}: {policies}, {tie_break}, {reps} x {horizon}{', fluid' if fluid else ''}")
         print(f"  {'variant':<28} {'parent':>9} {'change':>9} {'ratio':>7}")
-        medians = {side: [] for side in SIDES}
-        faster = 0
-        for variant in VARIANTS:
-            parent, change = (1e3 * statistics.median(seconds[(side, variant), name]) for side in SIDES)
-            medians["parent"].append(parent)
-            medians["change"].append(change)
-            faster += change < parent
+        for variant, parent, change in zip(VARIANTS, pooled.parent, pooled.change):
             print(f"  {variant:<28} {parent:9.2f} {change:9.2f} {change / parent:7.3f}")
-        over = {side: statistics.median(medians[side]) for side in SIDES}
-        print(f"  {'median over variants':<28} {over['parent']:9.2f} {over['change']:9.2f} "
-              f"{over['change'] / over['parent']:7.3f}")
-        print(f"  parent's spread over variants {min(medians['parent']):.2f}-{max(medians['parent']):.2f} ms; "
-              f"change faster in {faster} of {len(VARIANTS)} variants")
+        parent, change = pooled.over
+        print(f"  {'median over variants':<28} {parent:9.2f} {change:9.2f} {change / parent:7.3f}")
+        print(f"  parent's spread over variants {min(pooled.parent):.2f}-{max(pooled.parent):.2f} ms; "
+              f"change faster in {pooled.faster} and slower in {pooled.slower} of {len(VARIANTS)} "
+              f"variants: {pooled.verdict}")
+        print(f"  per process, change/parent of medians over variants: "
+              f"{' '.join(f'{ratio:.3f}' for ratio in pooled.per_process)}")
     return 0
 
 

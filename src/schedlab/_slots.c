@@ -12,12 +12,9 @@
  *
  * A row reads its uniforms from a buffer of STREAM_LEN doubles filled by its
  * generator's next_double; a refill moves the unread entries to the front
- * and tops the buffer up. So the generator runs ahead of what the row
- * consumes, and used[r] returns the uniforms row r consumed: the caller
- * rewinds each generator to its state before the call and advances it by
- * used[r] draws, which leaves it where numpy's own calls leave it. Rows that
- * shared a generator would read each other's draws, so every row needs its
- * own.
+ * and tops the buffer up, so the generator runs ahead of what the row
+ * consumes. Rows that shared a generator would read each other's draws, so
+ * every row needs its own.
  *
  * A call takes its rows in groups of up to GROUP and draws a group's rows
  * together: each chunk's channel uniforms slot by slot, row by row, then
@@ -105,13 +102,12 @@ enum { RULE_HET = 0, RULE_EXP = 1, RULE_MW = 2 };
 #define POW_MEMO 4096
 
 /* One row's uniforms: buf[pos..STREAM_LEN) are drawn from g and not yet
- * read, and base counts the uniforms read before buf[0]. view is a bitgen_t
- * whose next_double reads this stream, for random_poisson. */
+ * read. view is a bitgen_t whose next_double reads this stream, for
+ * random_poisson. */
 struct stream {
     bitgen_t *g;
     bitgen_t view;
     int64_t pos;
-    int64_t base;
     double buf[STREAM_LEN];
 };
 
@@ -120,7 +116,6 @@ static void refill(struct stream *s)
 {
     int64_t keep = STREAM_LEN - s->pos;
     memmove(s->buf, s->buf + s->pos, (size_t)keep * sizeof s->buf[0]);
-    s->base += s->pos;
     s->pos = 0;
     for (int64_t k = keep; k < STREAM_LEN; k++)
         s->buf[k] = s->g->next_double(s->g->state);
@@ -138,14 +133,12 @@ static double view_double(void *s)
     return next_double(s);
 }
 
-/* Start s on g with a full buffer: the first refill of an empty buffer that
- * has read nothing. */
+/* Start s on g with a full buffer. */
 static void open_stream(struct stream *s, bitgen_t *g)
 {
     s->g = g;
     s->view = (bitgen_t){.state = s, .next_double = view_double};
     s->pos = STREAM_LEN;
-    s->base = -STREAM_LEN;
     refill(s);
 }
 
@@ -491,7 +484,7 @@ run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
  * else the lowest tied index. cum (m_states) is the channel's cumulative
  * distribution with its last entry 1; lam (n) the arrival rates, drawn as
  * Poisson counts unless fluid is nonzero. Row r draws from gens[r], every
- * row from its own, and used[r] returns the uniforms it consumed.
+ * row from its own, through its next_double alone.
  *
  * Only the rows r_lo <= r < r_hi (0 <= r_lo < r_hi <= R) run; the others
  * are not touched. A call writes only its own rows of the shared arrays and
@@ -521,16 +514,16 @@ run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
  * calls share no cache line then; a row's lanes store their queues and
  * statistics in the per-policy arrays when its group ends, and over from a
  * histogram of how many thresholds the largest queue reaches, as exact
- * suffix sums. Returns 0, or 1 with used[r_lo] the bytes the scratch needs
- * when it cannot be allocated, before any row runs. */
-int run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
-              int uniform, int fluid, int64_t R, int64_t r_lo, int64_t r_hi, int64_t T,
-              int64_t chunk, int64_t burn, int64_t n, int64_t m_states, bitgen_t *const *gens,
-              int64_t *used, const double *cum, const double *lam, const double *rates,
-              const double *thresholds, int64_t K, double *q, double *arr_sum, double *dep_sum,
-              double *q_sum, int64_t *served, int64_t *over, double *max_seen, double *initial_q,
-              int record, int64_t *states, double *u, double *arr, int64_t *chosen, double *dep,
-              double *qtraj)
+ * suffix sums. Returns 0, or the bytes the scratch needs when it cannot be
+ * allocated, before any row runs. */
+int64_t run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
+                  int uniform, int fluid, int64_t R, int64_t r_lo, int64_t r_hi, int64_t T,
+                  int64_t chunk, int64_t burn, int64_t n, int64_t m_states, bitgen_t *const *gens,
+                  const double *cum, const double *lam, const double *rates,
+                  const double *thresholds, int64_t K, double *q, double *arr_sum,
+                  double *dep_sum, double *q_sum, int64_t *served, int64_t *over,
+                  double *max_seen, double *initial_q, int record, int64_t *states, double *u,
+                  double *arr, int64_t *chosen, double *dep, double *qtraj)
 {
     const int64_t lane_f = LANE_F(n), lane_i = LANE_I(n, m_states, K);
     const int64_t g_max = r_hi - r_lo < GROUP ? r_hi - r_lo : GROUP;
@@ -542,10 +535,8 @@ int run_slots(int64_t P, const int64_t *rules, const double *params, const doubl
     const int64_t at_u = at_states + drawn, at_arr = at_u + (uniform ? drawn : 0);
     const size_t bytes = (size_t)(at_arr + (record ? 0 : g_max * arr_span * n)) * sizeof(double);
     double *work = malloc(bytes);
-    if (work == NULL) {
-        used[r_lo] = (int64_t)bytes;
-        return 1;
-    }
+    if (work == NULL)
+        return (int64_t)bytes;
     int64_t *tally = (int64_t *)(work + at_tally);
     uint64_t *memo_keys = (uint64_t *)(work + at_keys);
     double *memo_vals = work + at_vals, *enlam = work;
@@ -599,7 +590,6 @@ int run_slots(int64_t P, const int64_t *rules, const double *params, const doubl
         for (int64_t h = 0; h < g; h++) {
             const struct call *row = &calls[h];
             int64_t r = r0 + h;
-            used[r] = s[h].base + s[h].pos;
             memcpy(arr_sum + r * n, row->arr_acc, (size_t)n * sizeof(double));
             for (int64_t p = 0; p < P; p++) {
                 int64_t pr = p * R + r;

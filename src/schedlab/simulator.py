@@ -217,9 +217,9 @@ def _load_kernel(path: Path):
     ptrs = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
     fn.argtypes = [c_i64, i64, f64, f64, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64,
-                   c_i64, c_i64, ptrs, i64, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, i64,
-                   i64, f64, f64, c_int, i64, f64, f64, i64, f64, f64]
-    fn.restype = c_int
+                   c_i64, c_i64, ptrs, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, i64, i64,
+                   f64, f64, c_int, i64, f64, f64, i64, f64, f64]
+    fn.restype = c_i64
     return fn
 
 
@@ -240,13 +240,13 @@ def run_replications(
     Each replication draws, per chunk of c slots, what numpy's own calls on
     its generator draw: searchsorted(channel_cdf(cfg), gen.random(c),
     side="right"), then gen.poisson(arrival_rates, size=(c, N)) or the rates
-    themselves for fluid arrivals, then gen.random(c) for uniform ties; each
-    generator is left where those calls leave it. Every policy walks the
-    same draws with the score and tie rule of schedulers.stable_scores and
-    tied_mask, so the policies must share one tie_break, and each policy's
-    outputs for each replication are bitwise those of running it alone. The
-    float statistics sum left to right. counters.arrivals depends on the
-    draws alone: every policy's output holds a read-only view of one row.
+    themselves for fluid arrivals, then gen.random(c) for uniform ties. Every
+    policy walks the same draws with the score and tie rule of
+    schedulers.stable_scores and tied_mask, so the policies must share one
+    tie_break, and each policy's outputs for each replication are bitwise
+    those of running it alone. The float statistics sum left to right.
+    counters.arrivals depends on the draws alone: every policy's output holds
+    a read-only view of one row.
 
     The rows run in min(R, usable CPUs) contiguous slices, one kernel call
     each, concurrently: the caller's thread walks the first and one thread
@@ -286,8 +286,6 @@ def run_replications(
     # referenced until it returns
     gens = [RandomSource(spec.master_seed, r).generator() for r in rep_indices]
     bitgens = np.array([g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uintp)
-    start = [g.bit_generator.state for g in gens]
-    used = np.zeros(R, dtype=np.int64)
 
     K = len(thresholds)
     Q = np.zeros((P, R, N))
@@ -308,11 +306,12 @@ def run_replications(
 
     def walk(r_lo: int, r_hi: int) -> None:
         """Rows r_lo <= r < r_hi in one kernel call."""
-        if kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, _CHUNK, burn, N,
-                  M, bitgens, used, cum, lam, rates, thresholds, K, Q, arr_sum, dep_sum, q_sum,
-                  served_slots, over_counts, max_seen, initial_q, spec.record_trace, states, tie_u,
-                  arr, chosen, departure, qtraj):
-            raise MemoryError(f"the slot kernel cannot allocate its {used[r_lo]}-byte scratch")
+        needed = kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, _CHUNK,
+                        burn, N, M, bitgens, cum, lam, rates, thresholds, K, Q, arr_sum, dep_sum,
+                        q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace,
+                        states, tie_u, arr, chosen, departure, qtraj)
+        if needed:
+            raise MemoryError(f"the slot kernel cannot allocate its {needed}-byte scratch")
 
     S = min(R, _usable_cpus())
     bounds = [R * k // S for k in range(S + 1)]
@@ -337,11 +336,6 @@ def run_replications(
     for exc in errors:
         if exc is not None:
             raise exc
-    # the kernel's buffers drew ahead: leave each generator where the uniforms
-    # its row consumed leave it (one PCG64 step per next_double)
-    for g, state, n in zip(gens, start, used.tolist()):
-        g.bit_generator.state = state
-        g.bit_generator.advance(n)
 
     arr_sum.flags.writeable = False
     n_stat = T - burn

@@ -197,15 +197,20 @@ def test_bench_pairs_writes_a_bench_file(tmp_path):
                       "change_missing_layers": ["schedlab.ldp.minimize"]}
 
 
+def load_kernel_pairs():
+    spec = importlib.util.spec_from_file_location("kernel_pairs", ROOT / "scripts" / "kernel_pairs.py")
+    kernel_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernel_pairs)
+    return kernel_pairs
+
+
 def test_kernel_pairs_runs_each_shape_on_a_second_copy_of_the_package():
     """kernel_pairs.py imports a checkout's package under another name and
     runs each of its shapes through that copy's simulator with a kernel it
     hands in. On this checkout, with the kernel schedlab itself built, every
     shape's outputs are bitwise schedlab's own, and digest tells them from
     another seed's."""
-    spec = importlib.util.spec_from_file_location("kernel_pairs", ROOT / "scripts" / "kernel_pairs.py")
-    kernel_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(kernel_pairs)
+    kernel_pairs = load_kernel_pairs()
     name = "schedlab_kernel_pairs_copy"
     try:
         copy = kernel_pairs.load_tree(ROOT, name)
@@ -222,3 +227,37 @@ def test_kernel_pairs_runs_each_shape_on_a_second_copy_of_the_package():
     finally:
         for module in [m for m in sys.modules if m == name or m.startswith(f"{name}.")]:
             del sys.modules[module]
+
+
+def test_kernel_pairs_pools_processes_before_its_verdict():
+    """kernel_pairs.pool, on synthetic seconds of one shape from its
+    PROCESSES processes, every build reading 10.0-10.4 ms over five repeats
+    times a layout factor per variant: one process in which one side reads
+    15% slower on every variant flips no verdict, and shows in that
+    process's own ratio; a change 5% slower in every process reads
+    "slower", and one 2% faster reads "faster"."""
+    kernel_pairs = load_kernel_pairs()
+
+    def pooled(scale):
+        runs = [{(side, variant, "s"): [1e-3 * (10 + 0.1 * k) * (1 + 0.05 * v) * scale(process, side)
+                                        for k in range(5)]
+                 for side in kernel_pairs.SIDES for v, variant in enumerate(kernel_pairs.VARIANTS)}
+                for process in range(kernel_pairs.PROCESSES)]
+        return kernel_pairs.pool(runs, "s")
+
+    def change_by(factor, outlier=None):
+        """The change at factor x the parent, and outlier's side 15% slower
+        in process 2."""
+        return lambda process, side: ((factor if side == "change" else 1.0)
+                                      * (1.15 if (process, side) == (2, outlier) else 1.0))
+
+    assert kernel_pairs.PROCESSES == 5
+    for factor, verdict in ((1.0, "neither"), (0.98, "faster"), (1.05, "slower")):
+        for outlier in (None, "parent", "change"):
+            result = pooled(change_by(factor, outlier))
+            assert result.verdict == verdict, (factor, outlier)
+            assert result.over == pytest.approx((10.2 * 1.125, 10.2 * 1.125 * factor))
+            assert result.parent == pytest.approx([10.2 * (1 + 0.05 * v) for v in range(6)])
+            slow = {"parent": 1 / 1.15, "change": 1.15}.get(outlier, 1.0)
+            assert result.per_process == pytest.approx([factor] * 2 + [factor * slow] + [factor] * 2)
+    assert (pooled(change_by(1.05)).faster, pooled(change_by(1.05)).slower) == (0, 6)

@@ -440,24 +440,35 @@ DRAW_CONFIGS = {
 }
 
 
-def record_generators(monkeypatch) -> list:
-    """Have the simulator's RandomSource append each generator it makes to
-    the returned list."""
+def source_generator(seed, rep):
+    """The generator run_replications draws replication rep from."""
+    return RandomSource(seed, rep).generator()
+
+
+def sfc64_generator(seed, rep):
+    """source_generator's stream on SFC64, a bit generator without advance."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, rep))))
+
+
+def record_generators(monkeypatch, make_generator=source_generator) -> list:
+    """Have the simulator's RandomSource make each generator with
+    make_generator(master_seed, stream_index) and append it to the returned
+    list."""
     made = []
 
     class Recording(RandomSource):
         def generator(self):
-            made.append(super().generator())
+            made.append(make_generator(self.master_seed, self.stream_index))
             return made[-1]
 
     monkeypatch.setattr(simulator, "RandomSource", Recording)
     return made
 
 
-def numpys_draws(cfg, seed, rep, horizon, tie_break):
-    """The draws numpy's own calls make on a fresh RandomSource(seed, rep)
-    for horizon slots, chunk by chunk, and the generator they leave."""
-    ref = RandomSource(seed, rep).generator()
+def numpys_draws(cfg, seed, rep, horizon, tie_break, make_generator=source_generator):
+    """The draws numpy's own calls make on a fresh make_generator(seed, rep)
+    for horizon slots, chunk by chunk."""
+    ref = make_generator(seed, rep)
     draws = {"state": [], "arrivals": [], "tie_uniform": []}
     for done in range(0, horizon, simulator._CHUNK):
         c = min(simulator._CHUNK, horizon - done)
@@ -468,32 +479,15 @@ def numpys_draws(cfg, seed, rep, horizon, tie_break):
             draws["arrivals"].append(ref.poisson(cfg.arrival_rates, size=(c, cfg.n_users)).astype(float))
         if tie_break == "uniform_random":
             draws["tie_uniform"].append(ref.random(c))
-    return {key: np.concatenate(parts) if parts else np.empty(0) for key, parts in draws.items()}, ref
+    return {key: np.concatenate(parts) if parts else np.empty(0) for key, parts in draws.items()}
 
 
-def assert_left_as_numpy_leaves(gen, ref, where):
-    assert gen.bit_generator.state == ref.bit_generator.state, where
-    assert gen.random() == ref.random(), where
-
-
-def assert_numpys_draws(out, gen, cfg, seed, horizon, tie_break):
+def assert_numpys_draws(out, cfg, seed, horizon, tie_break, make_generator=source_generator):
     """out's recorded draws are what numpy's own calls draw on a fresh
-    RandomSource(seed, out.rep_index), chunk by chunk, bitwise, and gen, the
-    generator the kernel drew from, is left where they leave it."""
-    expect, ref = numpys_draws(cfg, seed, out.rep_index, horizon, tie_break)
+    make_generator(seed, out.rep_index), chunk by chunk, bitwise."""
+    expect = numpys_draws(cfg, seed, out.rep_index, horizon, tie_break, make_generator)
     for key, want in expect.items():
         assert bitwise_equal(out.trace[key], want), (horizon, out.rep_index, key)
-    assert_left_as_numpy_leaves(gen, ref, (horizon, out.rep_index))
-
-
-def uniforms_consumed(ref, seed, rep):
-    """How many uniforms ref, a RandomSource(seed, rep) generator, has drawn."""
-    probe = RandomSource(seed, rep).generator().bit_generator
-    n = 0
-    while probe.state != ref.bit_generator.state:
-        probe.advance(1)
-        n += 1
-    return n
 
 
 def kernel_defines():
@@ -514,21 +508,19 @@ def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
     one with a policy axis of 1. Row r starts from the queues q[r] (R x N)
     and draws from the bitgen_t at bitgens[r] horizon slots of cfg's channel
     and arrivals at rates lam (fluid nonzero: lam itself). Returns each
-    row's choices (R x horizon), arrivals (R x horizon x N) and the uniforms
-    it consumed (R)."""
+    row's choices (R x horizon) and arrivals (R x horizon x N)."""
     kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
     (R, n), M, T = q.shape, cfg.n_states, horizon
     param = float(getattr(variant, variant.param))
-    used = np.zeros(R, dtype=np.int64)
     chosen, arr = np.empty((R, T), dtype=np.int64), np.empty((R, T, n))
     stats = [np.zeros((R, n)) for _ in range(3)]
     assert kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
-                  0, fluid, R, 0, R, T, T, 0, n, M, bitgens, used, channel_cdf(cfg), np.asarray(lam, dtype=float),
+                  0, fluid, R, 0, R, T, T, 0, n, M, bitgens, channel_cdf(cfg), np.asarray(lam, dtype=float),
                   cfg.rate_matrix, np.empty(0), 0, q.copy(), *stats, np.zeros((R, M, n), dtype=np.int64),
                   np.zeros((R, 0), dtype=np.int64), np.zeros(R),
                   np.zeros((R, n)), 1, np.empty((R, T), dtype=np.int64), np.empty((R, 0)), arr, chosen,
                   np.empty((R, T)), np.empty((R, T + 1, n))) == 0
-    return chosen, arr, used
+    return chosen, arr
 
 
 NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
@@ -561,8 +553,8 @@ def poisson_mult(uniforms, enlam):
 
 class TestKernelDraws:
     """The kernel draws what numpy's own calls draw on a fresh
-    RandomSource, chunk by chunk, bitwise, and leaves each generator where
-    they leave it: a numpy upgrade that moved a draw would show here."""
+    RandomSource, chunk by chunk, bitwise: a numpy upgrade that moved a draw
+    would show here."""
 
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("cfg_name", list(DRAW_CONFIGS))
@@ -575,41 +567,26 @@ class TestKernelDraws:
             spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True)
             (outputs,) = run_replications(cfg, [policy], spec, reps)
             assert len(made) == len(reps)
-            for out, gen in zip(outputs, made):
-                assert_numpys_draws(out, gen, cfg, 21, horizon, tie_break)
+            for out in outputs:
+                assert_numpys_draws(out, cfg, 21, horizon, tie_break)
             if cfg_name == "poisson7":
                 states = np.concatenate([o.trace["state"] for o in outputs])
                 assert set(np.unique(states)) <= {1, 3}
 
-    @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
-    @pytest.mark.parametrize("cfg_name", ["poisson7", "reference", "fluid"])
-    def test_untraced_runs_leave_generators_where_numpy_does(self, monkeypatch, cfg_name, tie_break):
-        """Without record_trace too, each generator ends where numpy's own
-        calls leave it: rows that read less than one buffer (horizon 5), and
-        rows whose draws end just before, at and just after the buffer's
-        first refill, each beside a second row with its own generator."""
-        cfg = DRAW_CONFIGS[cfg_name]
-        policy = Policy(MaxWeight(alpha=2.0), tie_break=tie_break)
-        made = record_generators(monkeypatch)
-
-        def consumed(rep, horizon):
-            return uniforms_consumed(numpys_draws(cfg, 21, rep, horizon, tie_break)[1], 21, rep)
-
-        runs = [(5, [3, 0, 1])]
-        for rep in (3, 0):
-            lo, hi = 1, STREAM_LEN + 1  # consumed(lo) <= STREAM_LEN < consumed(hi)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if consumed(rep, mid) <= STREAM_LEN else (lo, mid)
-            assert consumed(rep, lo) <= STREAM_LEN < consumed(rep, lo + 1)
-            runs += [(horizon, [rep, 1]) for horizon in (lo - 1, lo, lo + 1)]
-        for horizon, reps in runs:
-            made.clear()
-            (outputs,) = run_replications(cfg, [policy], SimSpec(horizon=horizon, master_seed=21), reps)
-            assert all(o.trace is None for o in outputs)
-            for rep, gen in zip(reps, made):
-                assert_left_as_numpy_leaves(gen, numpys_draws(cfg, 21, rep, horizon, tie_break)[1],
-                                            (horizon, rep))
+    def test_any_bit_generator_draws_numpys_values(self, monkeypatch):
+        """The kernel reads a replication's generator through its
+        next_double alone, so another bit generator draws numpy's values
+        too: on SFC64, which has no advance, a traced uniform-tie het
+        campaign of two rows records what numpy's own calls on a fresh
+        SFC64 generator draw, bitwise."""
+        made = record_generators(monkeypatch, sfc64_generator)
+        cfg, horizon = DRAW_CONFIGS["reference"], 70_001
+        policy = Policy(Heterogeneous(q_th=2.0), tie_break="uniform_random")
+        spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True)
+        (outputs,) = run_replications(cfg, [policy], spec, [0, 1])
+        assert [type(g.bit_generator) for g in made] == [np.random.SFC64] * 2
+        for out in outputs:
+            assert_numpys_draws(out, cfg, 21, horizon, "uniform_random", sfc64_generator)
 
     def test_short_poisson_path_counts_as_numpys_loop(self):
         """Below lam = 10 the kernel counts the first four running products
@@ -617,8 +594,7 @@ class TestKernelDraws:
         put a product exactly on exp(-lam), which ends a variate, and just
         above it, at each of the first five products and beyond, in 1000
         variates that cross several of the buffer's refills: each count is
-        numpy's, and the kernel consumed the uniforms numpy's loop
-        consumed."""
+        numpy's."""
         lam = 3.0
         e = math.exp(-lam)
         cases = [
@@ -641,11 +617,10 @@ class TestKernelDraws:
         cfg = make_config([[1.0]], [1.0], [lam])
         bitgen = ScriptedBitGen(script)
         bitgens = np.array([ctypes.addressof(bitgen)], dtype=np.uintp)
-        _, arr, used = run_kernel(cfg, Heterogeneous(q_th=2.0), np.zeros((1, 1)), bitgens, T, [lam], 0)
+        _, arr = run_kernel(cfg, Heterogeneous(q_th=2.0), np.zeros((1, 1)), bitgens, T, [lam], 0)
         stream = iter(script[T:])
         assert arr[0, :, 0].tolist() == [poisson_mult(stream, e) for _ in range(T)]
         assert arr[0, :, 0].tolist() == [cases[k][1] for k in picks]
-        assert used.tolist() == [len(script)]
 
     def test_poisson_rate_beyond_numpys_bound_rejected(self, ref_cfg, ref_cfg_fluid):
         """Above numpy's Poisson bound the config is refused when built, with
@@ -720,8 +695,8 @@ class TestSharedDraws:
             made = record_generators(monkeypatch)
             shared = run_replications(cfg, policies, spec, reps)
             assert len(made) == len(reps) and len(shared) == len(policies)
-            for out, gen in zip(shared[0], made):
-                assert_numpys_draws(out, gen, cfg, 21, horizon, tie_break)
+            for out in shared[0]:
+                assert_numpys_draws(out, cfg, 21, horizon, tie_break)
             monkeypatch.undo()
             for policy, outputs in zip(policies, shared):
                 (alone,) = run_replications(cfg, [policy], spec, reps)
@@ -1063,7 +1038,7 @@ def kernel_picks(cfg, variant, rows):
     # every row draws from its own generator, referenced until the call returns
     gens = [np.random.default_rng(r) for r in range(len(rows))]
     bitgens = np.array([g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uintp)
-    chosen, _, _ = run_kernel(cfg, variant, rows, bitgens, 1, np.zeros(cfg.n_users), 1)
+    chosen, _ = run_kernel(cfg, variant, rows, bitgens, 1, np.zeros(cfg.n_users), 1)
     return chosen[:, 0]
 
 
@@ -1282,15 +1257,15 @@ class TestSlotKernelBuild:
     def test_argtypes_match_the_c_signature(self):
         """ctypes passes each argument as the kernel's argtypes say, never
         checked against _slots.c, so a drift between the two corrupts memory:
-        run_slots' 36 parameters need one argtype each, its own scalar type
+        run_slots' 35 parameters need one argtype each, its own scalar type
         for a scalar and an ndpointer of the element's dtype for a pointer,
-        and its int status needs restype c_int."""
+        and its int64_t result needs restype c_int64."""
         source = simulator._SLOTS_SOURCE.read_text()
-        params = re.search(r"int run_slots\(([^)]*)\)", source).group(1)
+        params = re.search(r"int64_t run_slots\(([^)]*)\)", source).group(1)
         params = [p.replace("const", "").split() for p in params.split(",")]
-        assert (len(params), sum("*" in p[-1] for p in params)) == (36, 23)
+        assert (len(params), sum("*" in p[-1] for p in params)) == (35, 22)
         kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
-        assert kernel.restype is ctypes.c_int
+        assert kernel.restype is ctypes.c_int64
         argtypes = kernel.argtypes
         assert len(argtypes) == len(params)
         scalars = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
