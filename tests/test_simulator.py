@@ -588,6 +588,49 @@ class TestKernelDraws:
         for out in outputs:
             assert_numpys_draws(out, cfg, 21, horizon, "uniform_random", sfc64_generator)
 
+    @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
+    @pytest.mark.parametrize("cfg_name", ["poisson7", "reference", "fluid"])
+    def test_rows_ending_about_the_first_refill_draw_numpys_values(self, monkeypatch, cfg_name, tie_break):
+        """Rows that read less than one buffer (horizon 5), and rows whose
+        draws end just before, at and just after the buffer's first refill,
+        each beside a second row with its own generator, record numpy's
+        values, and the same run untraced reports the traced run's
+        statistics bitwise."""
+        cfg = DRAW_CONFIGS[cfg_name]
+        policy = Policy(MaxWeight(alpha=2.0), tie_break=tie_break)
+
+        def consumed(rep, horizon):
+            """How many uniforms numpy's own calls read for horizon slots."""
+            made = []
+            numpys_draws(cfg, 21, rep, horizon, tie_break,
+                         lambda seed, rep: made.append(source_generator(seed, rep)) or made[-1])
+            probe, n = source_generator(21, rep), 0
+            while probe.bit_generator.state != made[0].bit_generator.state:
+                probe.random()
+                n += 1
+            return n
+
+        runs = [(5, [3, 0, 1])]
+        for rep in (3, 0):
+            lo, hi = 1, STREAM_LEN + 1  # consumed(lo) <= STREAM_LEN < consumed(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if consumed(rep, mid) <= STREAM_LEN else (lo, mid)
+            assert consumed(rep, lo) <= STREAM_LEN < consumed(rep, lo + 1)
+            runs += [(horizon, [rep, 1]) for horizon in (lo - 1, lo, lo + 1)]
+        for horizon, reps in runs:
+            base = SimSpec(horizon=horizon, master_seed=21)
+            (traced,) = run_replications(cfg, [policy], replace(base, record_trace=True), reps)
+            (untraced,) = run_replications(cfg, [policy], base, reps)
+            assert all(o.trace is None for o in untraced)
+            for out, plain in zip(traced, untraced):
+                assert_numpys_draws(out, cfg, 21, horizon, tie_break)
+                for f in fields(TraceCounters):
+                    assert bitwise_equal(getattr(plain.counters, f.name), getattr(out.counters, f.name)), \
+                        (horizon, f.name)
+                assert bitwise_equal(plain.overflow_slot_counts, out.overflow_slot_counts), horizon
+                assert bitwise_equal(plain.mean_queues, out.mean_queues), horizon
+
     def test_short_poisson_path_counts_as_numpys_loop(self):
         """Below lam = 10 the kernel counts the first four running products
         at once and continues numpy's loop from the fourth. Scripted uniforms
