@@ -23,11 +23,14 @@ one process cannot carry a verdict and one outlying process must not move
 one. It prints, per shape, each build's pooled milliseconds, each variant's
 change/parent ratio, each side's median over variants and their ratio, the
 variants in which the change was faster and slower, the verdict, and each
-process's own change/parent ratio of medians over variants. The verdict is
-"faster" (or "slower") when the change is faster (slower) in the median
-over variants and in all but at most one variant, else "neither": code
-layout alone moves a kernel's time by up to ~24%, so one build of each side
-cannot show a smaller change.
+process's own change/parent ratio of medians over variants with their
+interquartile range. The verdict is "faster" (or "slower") when the change
+is faster (slower) in the median over variants and in all but at most one
+variant, and that median's ratio differs from 1 by more than the
+interquartile range of the per-process ratios; else "neither". Code layout
+alone moves a kernel's time by up to ~24%, so one build of each side cannot
+show a smaller change, and whole processes move by several percent, so a
+difference inside their spread is none.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ SHAPES = {
     "mw_alone": ((("mw", 7.0),), "lowest_index", 8, 200_000, False),
     "het_uniform": ((("het", 2.0),), "uniform_random", 8, 200_000, False),
     "single_stream": ((("het", 10.0),), "uniform_random", 1, 80_000, True),
-    # the largest scratch: four whole chunks of draws per slice
+    # three lanes picking among tied users by their tie uniforms
     "campaign_uniform": ((("het", 2.0), ("exp", 0.25), ("mw", 7.0)), "uniform_random", 8, 50_000, False),
 }
 SIDES = ("parent", "change")
@@ -146,8 +149,9 @@ def time_builds(trees: dict, paths: dict, repeats: int) -> tuple[dict, dict]:
 
 class Pooled(NamedTuple):
     """One shape's times over every process, in ms: each variant's pooled
-    time per side, each side's median over variants, and per process the
-    change/parent ratio of its own medians over variants."""
+    time per side, each side's median over variants, per process the
+    change/parent ratio of its own medians over variants, and those ratios'
+    quartiles (q1, q3)."""
 
     parent: list[float]
     change: list[float]
@@ -156,13 +160,15 @@ class Pooled(NamedTuple):
     slower: int
     verdict: str
     per_process: list[float]
+    quartiles: tuple[float, float]
 
 
 def pool(runs: list[dict], shape: str) -> Pooled:
     """Pool one shape's seconds from runs, one time_builds seconds dict per
     process: a build's time is the median over processes of its
     per-process median, and the verdict is ROADMAP item 10's rule applied
-    to those per-variant times."""
+    to those per-variant times, gated by the spread of the per-process
+    ratios (quartiles by statistics.quantiles' inclusive method)."""
     def per_process(run_seconds, side):
         return [1e3 * statistics.median(run_seconds[side, variant, shape]) for variant in VARIANTS]
 
@@ -171,14 +177,16 @@ def pool(runs: list[dict], shape: str) -> Pooled:
     over = tuple(statistics.median(times[side]) for side in SIDES)
     faster = sum(c < p for p, c in zip(times["parent"], times["change"]))
     slower = sum(c > p for p, c in zip(times["parent"], times["change"]))
-    verdict = "neither"
-    if over[1] < over[0] and faster >= len(VARIANTS) - 1:
-        verdict = "faster"
-    elif over[1] > over[0] and slower >= len(VARIANTS) - 1:
-        verdict = "slower"
     ratios = [statistics.median(c) / statistics.median(p)
               for p, c in zip(medians["parent"], medians["change"])]
-    return Pooled(times["parent"], times["change"], over, faster, slower, verdict, ratios)
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    beyond_spread = abs(over[1] / over[0] - 1) > q3 - q1
+    verdict = "neither"
+    if beyond_spread and over[1] < over[0] and faster >= len(VARIANTS) - 1:
+        verdict = "faster"
+    elif beyond_spread and over[1] > over[0] and slower >= len(VARIANTS) - 1:
+        verdict = "slower"
+    return Pooled(times["parent"], times["change"], over, faster, slower, verdict, ratios, (q1, q3))
 
 
 def main(argv=None) -> int:
@@ -231,7 +239,8 @@ def main(argv=None) -> int:
               f"change faster in {pooled.faster} and slower in {pooled.slower} of {len(VARIANTS)} "
               f"variants: {pooled.verdict}")
         print(f"  per process, change/parent of medians over variants: "
-              f"{' '.join(f'{ratio:.3f}' for ratio in pooled.per_process)}")
+              f"{' '.join(f'{ratio:.3f}' for ratio in pooled.per_process)} "
+              f"(quartiles {pooled.quartiles[0]:.3f}-{pooled.quartiles[1]:.3f})")
     return 0
 
 

@@ -1,14 +1,15 @@
 /* The slot recursion of schedlab.simulator.run_replications, draws included.
  *
- * Each of R rows runs its replication's T slots in chunks of `chunk` slots,
- * drawing each chunk from the row's own numpy bit generator (gens[r], the
- * bitgen_t behind its numpy Generator) in the order and with the values of
- * numpy's own calls on that Generator: chunk channel uniforms
+ * Each of R rows runs its replication's T slots in chunks of CHUNK slots,
+ * drawing each chunk of c slots from the row's own numpy bit generator
+ * (gens[r], the bitgen_t behind its numpy Generator) in the order and with
+ * the values of numpy's own calls on that Generator: c channel uniforms
  * (Generator.random), each mapped to the count of cum <= u
  * (np.searchsorted(cum, u, side="right")), summed entry by entry with no
- * data-dependent branch; chunk x n Poisson counts, slot-major
- * (Generator.poisson), or lam itself for fluid arrivals; then, for uniform
- * ties, chunk tie uniforms (Generator.random).
+ * data-dependent branch; for uniform ties, c tie uniforms
+ * (Generator.random); then c x n Poisson counts, slot-major
+ * (Generator.poisson), or lam itself for fluid arrivals. CHUNK is part of
+ * the draws: another CHUNK would draw other values.
  *
  * A row reads its uniforms from a buffer of STREAM_LEN doubles filled by its
  * generator's next_double; a refill moves the unread entries to the front
@@ -18,17 +19,14 @@
  *
  * A call takes its rows in groups of up to GROUP and draws a group's rows
  * together: each chunk's channel uniforms slot by slot, row by row, then
- * its Poisson variates slot by slot, user by user, row by row. A row's
- * variates form one chain, each starting where the last one's uniforms
- * ended; alternating the rows gives the core GROUP independent chains to
- * overlap. Each row still reads its own stream in numpy's order, so every
- * draw is the one the row would draw alone. Under lowest-index ties the
- * arrivals come SUB_BLOCK slots at a time, each block walked as soon as it
- * is drawn, so an untraced group holds one chunk of states and one block of
- * arrivals per row (1.1 MB per call at n = 4, no more than one row's whole
- * chunk). Under uniform ties a row's tie uniforms follow its whole chunk of
- * arrivals, so the group holds GROUP whole chunks of draws (6 MB per call at
- * n = 4).
+ * each row's tie uniforms, then its Poisson variates slot by slot, user by
+ * user, row by row. A row's variates form one chain, each starting where
+ * the last one's uniforms ended; alternating the rows gives the core GROUP
+ * independent chains to overlap. Each row still reads its own stream in numpy's order, so every
+ * draw is the one the row would draw alone. The arrivals, drawn last, come
+ * SUB_BLOCK slots at a time, each block walked as soon as it is drawn, so
+ * an untraced group holds one chunk of states and tie uniforms and one
+ * block of arrivals per row, whatever the tie-break.
  *
  * Poisson counts come from numpy's own random_poisson (libnpyrandom.a) for
  * lam == 0 and lam >= 10, through a bitgen_t whose next_double reads the
@@ -95,8 +93,10 @@ enum { RULE_HET = 0, RULE_EXP = 1, RULE_MW = 2 };
 #define STREAM_LEN 1024
 #define SHORT_RUN 4
 
-/* rows drawn together, the slots of arrivals a group draws before walking
- * them under lowest-index ties, and the entries of each policy's pow memo */
+/* slots per chunk of draws, rows drawn together, the slots of arrivals a
+ * group draws before walking them, and the entries of each policy's pow
+ * memo */
+#define CHUNK 32768
 #define GROUP 4
 #define SUB_BLOCK 1024
 #define POW_MEMO 4096
@@ -231,7 +231,7 @@ struct call {
     const int64_t *rules;
     const double *params, *tables, *rates, *thresholds, *cum, *lam, *enlam;
     int uniform, record, fluid;
-    int64_t P, R, T, chunk, burn, n, m_states, K;
+    int64_t P, R, T, burn, n, m_states, K;
     int64_t *states;
     double *u, *arr;
     double *initial_q, *dep, *qtraj;
@@ -428,49 +428,47 @@ static __attribute__((noinline)) void walk_lanes(const struct call *call, int64_
 }
 
 /* Rows r0 <= r < r0 + g, a group, row r0 + h reading stream s[h] and
- * walked with the scratch of calls[h]. Each chunk's states are drawn first;
- * then its arrivals come a block at a time, each block walked as soon as it
- * is drawn: SUB_BLOCK slots with lowest-index ties, the whole chunk with
- * uniform ties, whose tie uniforms follow the chunk's arrivals. Untraced,
- * row h's draws go to its h-th span of the draw buffers: min(T, chunk) slots
- * of states and tie uniforms, and a block of arrivals. run_slots inlines it
+ * walked with the scratch of calls[h]. Each chunk's states are drawn first,
+ * then its tie uniforms with uniform ties; its arrivals then come SUB_BLOCK
+ * slots at a time, each block walked as soon as it is drawn. Untraced, row
+ * h's draws go to its h-th span of the draw buffers: min(T, CHUNK) slots of
+ * states and tie uniforms, and a block of arrivals. run_slots inlines it
  * for one row apart, with no row loop: one draw with a row loop for every g
  * ran a lone fluid row ~7% slower. */
 static inline __attribute__((always_inline)) void
 run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
 {
     const struct call *call = calls;
-    const int64_t T = call->T, n = call->n, chunk = call->chunk;
+    const int64_t T = call->T, n = call->n;
     const int uniform = call->uniform, record = call->record;
-    const int64_t span = T < chunk ? T : chunk;
-    const int64_t arr_span = uniform || span < SUB_BLOCK ? span : SUB_BLOCK;
+    const int64_t span = T < CHUNK ? T : CHUNK;
+    const int64_t arr_span = span < SUB_BLOCK ? span : SUB_BLOCK;
     int64_t *st[GROUP];
     double *a[GROUP], *uc[GROUP];
-    for (int64_t done = 0; done < T; done += chunk) {
-        int64_t c = T - done < chunk ? T - done : chunk;
+    for (int64_t done = 0; done < T; done += CHUNK) {
+        int64_t c = T - done < CHUNK ? T - done : CHUNK;
         for (int64_t h = 0; h < g; h++) {
             /* row h's first slot of this chunk in the draw buffers */
             int64_t at = record ? (r0 + h) * T + done : h * span;
             st[h] = call->states + at;
-            uc[h] = uniform ? call->u + at : call->u;
+            uc[h] = uniform ? call->u + at : NULL;
         }
         draw_states(s, g, c, call->m_states, call->cum, st);
-        int64_t block = uniform ? c : SUB_BLOCK;
-        for (int64_t b = 0; b < c; b += block) {
-            int64_t bc = c - b < block ? c - b : block;
+        if (uniform)
+            for (int64_t h = 0; h < g; h++)
+                for (int64_t k = 0; k < c; k++)
+                    uc[h][k] = next_double(&s[h]);
+        for (int64_t b = 0; b < c; b += SUB_BLOCK) {
+            int64_t bc = c - b < SUB_BLOCK ? c - b : SUB_BLOCK;
             for (int64_t h = 0; h < g; h++)
                 a[h] = call->arr + (record ? (r0 + h) * T + done + b : h * arr_span) * n;
             draw_arrivals(s, g, bc, n, call->fluid, call->lam, call->enlam, a);
-            if (uniform)
-                for (int64_t h = 0; h < g; h++)
-                    for (int64_t k = 0; k < c; k++)
-                        uc[h][k] = next_double(&s[h]);
-            /* uc[h] is read with uniform ties only, where b is 0 */
             for (int64_t h = 0; h < g; h++) {
+                const double *ub = uniform ? uc[h] + b : NULL;
                 if (call->P == 1)
-                    walk_one(&calls[h], r0 + h, done + b, bc, st[h] + b, a[h], uc[h]);
+                    walk_one(&calls[h], r0 + h, done + b, bc, st[h] + b, a[h], ub);
                 else
-                    walk_lanes(&calls[h], call->P, r0 + h, done + b, bc, st[h] + b, a[h], uc[h]);
+                    walk_lanes(&calls[h], call->P, r0 + h, done + b, bc, st[h] + b, a[h], ub);
             }
         }
     }
@@ -508,17 +506,16 @@ run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
  * group, the row's arrival sums (n) and its lanes' doubles and counts (P x
  * LANE_F and P x LANE_I); each policy's memo (POW_MEMO keys and values);
  * and, untraced, the group's draws: states and tie uniforms (g x
- * min(T, chunk), the uniforms for uniform ties only) and arrivals (g x
- * min(T, chunk) x n with uniform ties, g x min(T, chunk, SUB_BLOCK) x n
- * without). A lane writes only this scratch slot by slot, so concurrent
- * calls share no cache line then; a row's lanes store their queues and
- * statistics in the per-policy arrays when its group ends, and over from a
- * histogram of how many thresholds the largest queue reaches, as exact
- * suffix sums. Returns 0, or the bytes the scratch needs when it cannot be
- * allocated, before any row runs. */
+ * min(T, CHUNK), the uniforms for uniform ties only) and arrivals (g x
+ * min(T, CHUNK, SUB_BLOCK) x n). A lane writes only this scratch slot by
+ * slot, so concurrent calls share no cache line then; a row's lanes store
+ * their queues and statistics in the per-policy arrays when its group
+ * ends, and over from a histogram of how many thresholds the largest queue
+ * reaches, as exact suffix sums. Returns 0, or the bytes the scratch needs
+ * when it cannot be allocated, before any row runs. */
 int64_t run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
                   int uniform, int fluid, int64_t R, int64_t r_lo, int64_t r_hi, int64_t T,
-                  int64_t chunk, int64_t burn, int64_t n, int64_t m_states, bitgen_t *const *gens,
+                  int64_t burn, int64_t n, int64_t m_states, bitgen_t *const *gens,
                   const double *cum, const double *lam, const double *rates,
                   const double *thresholds, int64_t K, double *q, double *arr_sum,
                   double *dep_sum, double *q_sum, int64_t *served, int64_t *over,
@@ -527,8 +524,8 @@ int64_t run_slots(int64_t P, const int64_t *rules, const double *params, const d
 {
     const int64_t lane_f = LANE_F(n), lane_i = LANE_I(n, m_states, K);
     const int64_t g_max = r_hi - r_lo < GROUP ? r_hi - r_lo : GROUP;
-    const int64_t span = T < chunk ? T : chunk, drawn = record ? 0 : g_max * span;
-    const int64_t arr_span = uniform || span < SUB_BLOCK ? span : SUB_BLOCK;
+    const int64_t span = T < CHUNK ? T : CHUNK, drawn = record ? 0 : g_max * span;
+    const int64_t arr_span = span < SUB_BLOCK ? span : SUB_BLOCK;
     /* the scratch's parts, in 8-byte words from its start */
     const int64_t at_tally = n + g_max * (n + P * lane_f), at_keys = at_tally + g_max * P * lane_i;
     const int64_t at_vals = at_keys + P * POW_MEMO, at_states = at_vals + P * POW_MEMO;
@@ -548,7 +545,7 @@ int64_t run_slots(int64_t P, const int64_t *rules, const double *params, const d
     const struct call call = {
         .rules = rules, .params = params, .tables = tables, .rates = rates,
         .thresholds = thresholds, .cum = cum, .lam = lam, .enlam = enlam, .uniform = uniform,
-        .record = record, .fluid = fluid, .P = P, .R = R, .T = T, .chunk = chunk, .burn = burn,
+        .record = record, .fluid = fluid, .P = P, .R = R, .T = T, .burn = burn,
         .n = n, .m_states = m_states, .K = K, .states = states, .u = u, .arr = arr,
         .initial_q = initial_q, .dep = dep, .qtraj = qtraj, .chosen = chosen,
         .memo_keys = memo_keys, .memo_vals = memo_vals, .memo_len = POW_MEMO,

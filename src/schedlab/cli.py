@@ -326,7 +326,7 @@ def cmd_regions(args) -> int:
 def cmd_compare(args) -> int:
     cfg, _, spec = _load_inputs(args, policy=False)
     policies = [
-        ("het", args.q_th, Policy(Heterogeneous(q_th=args.q_th, rho1=args.rho1, rho2=args.rho2))),
+        ("het", args.q_th, Policy(Heterogeneous(q_th=args.q_th))),
         ("exp", args.eta, Policy(Exp(eta=args.eta))),
         ("mw", args.alpha, Policy(MaxWeight(alpha=args.alpha))),
     ]
@@ -396,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cmp, policy=False)
     p_cmp.add_argument("--svg", action="store_true", help="also emit compare.svg")
     p_cmp.add_argument("--q-th", type=float, default=2.0)
-    p_cmp.add_argument("--rho1", type=float, default=0.0)
-    p_cmp.add_argument("--rho2", type=float, default=0.0)
     p_cmp.add_argument("--eta", type=float, default=0.25)
     p_cmp.add_argument("--alpha", type=float, default=7.0)
 

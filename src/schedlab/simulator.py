@@ -1,8 +1,8 @@
 """Replicated finite-horizon simulation and overflow statistics.
 
 Every replication draws from its own seeded stream (master_seed, rep_index)
-in fixed chunk-sized blocks of channel states, arrivals and, for uniform
-ties, tie uniforms, bitwise what numpy's own calls on its Generator draw.
+in fixed chunk-sized blocks of channel states, tie uniforms for uniform ties,
+and arrivals, bitwise what numpy's own calls on its Generator draw.
 One call of a small C kernel (_slots.c, compiled with the system's `cc`
 against numpy's static random library libnpyrandom.a on first use and cached
 by the hash of its source, that library and the flags) runs a whole campaign
@@ -39,8 +39,6 @@ from .model import (
     require_integer,
 )
 from .schedulers import TIE_UNIFORM, Policy, rate_table, stable_scores, tied_mask
-
-_CHUNK = 32_768  # fixed block size; part of the reproducibility contract
 
 ESTIMATOR_STATIONARY = "stationary"
 ESTIMATOR_EPISODE = "episode"
@@ -217,8 +215,8 @@ def _load_kernel(path: Path):
     ptrs = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
     fn.argtypes = [c_i64, i64, f64, f64, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64,
-                   c_i64, c_i64, ptrs, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, i64, i64,
-                   f64, f64, c_int, i64, f64, f64, i64, f64, f64]
+                   c_i64, ptrs, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, i64, i64, f64,
+                   f64, c_int, i64, f64, f64, i64, f64, f64]
     fn.restype = c_i64
     return fn
 
@@ -237,16 +235,16 @@ def run_replications(
     policy, in policy order, each in rep_indices order. rep_indices must be
     non-empty, of integers >= 0; a ValueError names the bad entry otherwise.
 
-    Each replication draws, per chunk of c slots, what numpy's own calls on
-    its generator draw: searchsorted(channel_cdf(cfg), gen.random(c),
-    side="right"), then gen.poisson(arrival_rates, size=(c, N)) or the rates
-    themselves for fluid arrivals, then gen.random(c) for uniform ties. Every
-    policy walks the same draws with the score and tie rule of
-    schedulers.stable_scores and tied_mask, so the policies must share one
-    tie_break, and each policy's outputs for each replication are bitwise
-    those of running it alone. The float statistics sum left to right.
-    counters.arrivals depends on the draws alone: every policy's output holds
-    a read-only view of one row.
+    Each replication draws, per chunk of c slots (_slots.c's CHUNK), what
+    numpy's own calls on its generator draw: searchsorted(channel_cdf(cfg),
+    gen.random(c), side="right"), then gen.random(c) for uniform ties, then
+    gen.poisson(arrival_rates, size=(c, N)) or the rates themselves for
+    fluid arrivals. Every policy walks the same draws with the score and tie
+    rule of schedulers.stable_scores and tied_mask, so the policies must
+    share one tie_break, and each policy's outputs for each replication are
+    bitwise those of running it alone. The float statistics sum left to
+    right. counters.arrivals depends on the draws alone: every policy's
+    output holds a read-only view of one row.
 
     The rows run in min(R, usable CPUs) contiguous slices, one kernel call
     each, concurrently: the caller's thread walks the first and one thread
@@ -306,10 +304,10 @@ def run_replications(
 
     def walk(r_lo: int, r_hi: int) -> None:
         """Rows r_lo <= r < r_hi in one kernel call."""
-        needed = kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, _CHUNK,
-                        burn, N, M, bitgens, cum, lam, rates, thresholds, K, Q, arr_sum, dep_sum,
-                        q_sum, served_slots, over_counts, max_seen, initial_q, spec.record_trace,
-                        states, tie_u, arr, chosen, departure, qtraj)
+        needed = kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, burn, N,
+                        M, bitgens, cum, lam, rates, thresholds, K, Q, arr_sum, dep_sum, q_sum,
+                        served_slots, over_counts, max_seen, initial_q, spec.record_trace, states,
+                        tie_u, arr, chosen, departure, qtraj)
         if needed:
             raise MemoryError(f"the slot kernel cannot allocate its {needed}-byte scratch")
 

@@ -458,7 +458,7 @@ class TestParserReuse:
         common = ("compare", "--config", str(ref_cfg_path), *self.SMALL)
         outs = tmp_path / "before", tmp_path / "after"
         assert run_cli(*common, "--out", str(outs[0])) == 0
-        for bad in (("--q-th",), ("--q-th", "five"), ("--no-such-option",)):
+        for bad in (("--q-th",), ("--q-th", "five"), ("--no-such-option",), ("--rho1", "0.5")):
             with pytest.raises(SystemExit) as exc:
                 run_cli(*common, *bad, "--out", str(tmp_path / "bad"))
             assert exc.value.code == 2

@@ -140,6 +140,12 @@ SIM_RUNS = {
         "simulate", "--policy", '{"type": "het", "q_th": 10, "tie_break": "uniform_random"}',
         *_SIM_COMMON, "--burn-in", "40000", "--svg",
     ]),
+    # Poisson arrivals with uniform ties: each chunk's tie uniforms are drawn
+    # before its arrivals
+    "simulate_uniform_poisson": ("reference", [
+        "simulate", "--policy", '{"type": "het", "q_th": 2, "tie_break": "uniform_random"}',
+        *_SIM_COMMON,
+    ]),
     "simulate_episode": ("reference", [
         "simulate", "--policy", '{"type": "exp", "eta": 0.75}', *_SIM_COMMON,
         "--estimator", "episode", "--burn-in", "0",
@@ -171,6 +177,11 @@ GOLDEN_SIM = {
         "overflow.svg": "ca2a1abf61a333cd1c3798c9da948a7641507f3fb293ed01659ac0edd6c75b06",
         "phi.csv": "872624f6ae90c41a54e17aef41f7abbaf1c1c341a1297b2946d836b9c94a9dcc",
         "result.json": "0c8642869d462829f31d0b17450b37a6249c575c1e2bbeb6ecbf4370a3983b58",
+    },
+    "simulate_uniform_poisson": {
+        "overflow.csv": "7402b7dfa443fc56eccd0b98de348965e2f81cdbf4b0d4fe271eea5a4c886a29",
+        "phi.csv": "12a6107bea394c21163b51d93a6c74a51b913e9f6830b76a7192dc51c9175bac",
+        "result.json": "5e622722a86fc4172d674fe5d44a2b3ec2e63e56c8aed9b5cc676f06cb72ccd8",
     },
     "simulate_episode": {
         "overflow.csv": "d21068549ae3cf6971591d3d82a65784a9905cd437004d4b62f7481207901e20",

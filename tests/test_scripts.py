@@ -235,11 +235,14 @@ def test_kernel_pairs_pools_processes_before_its_verdict():
     times a layout factor per variant: one process in which one side reads
     15% slower on every variant flips no verdict, and shows in that
     process's own ratio; a change 5% slower in every process reads
-    "slower", and one 2% faster reads "faster"."""
+    "slower", and one 2% faster reads "faster". A change +0.8% in 5 of 6
+    variants reads "slower" when every process agrees, but "neither" when
+    the processes' own ratios span 0.97-1.07, an interquartile range of
+    0.04."""
     kernel_pairs = load_kernel_pairs()
 
     def pooled(scale):
-        runs = [{(side, variant, "s"): [1e-3 * (10 + 0.1 * k) * (1 + 0.05 * v) * scale(process, side)
+        runs = [{(side, variant, "s"): [1e-3 * (10 + 0.1 * k) * (1 + 0.05 * v) * scale(process, side, v)
                                         for k in range(5)]
                  for side in kernel_pairs.SIDES for v, variant in enumerate(kernel_pairs.VARIANTS)}
                 for process in range(kernel_pairs.PROCESSES)]
@@ -248,8 +251,8 @@ def test_kernel_pairs_pools_processes_before_its_verdict():
     def change_by(factor, outlier=None):
         """The change at factor x the parent, and outlier's side 15% slower
         in process 2."""
-        return lambda process, side: ((factor if side == "change" else 1.0)
-                                      * (1.15 if (process, side) == (2, outlier) else 1.0))
+        return lambda process, side, v: ((factor if side == "change" else 1.0)
+                                         * (1.15 if (process, side) == (2, outlier) else 1.0))
 
     assert kernel_pairs.PROCESSES == 5
     for factor, verdict in ((1.0, "neither"), (0.98, "faster"), (1.05, "slower")):
@@ -261,3 +264,17 @@ def test_kernel_pairs_pools_processes_before_its_verdict():
             slow = {"parent": 1 / 1.15, "change": 1.15}.get(outlier, 1.0)
             assert result.per_process == pytest.approx([factor] * 2 + [factor * slow] + [factor] * 2)
     assert (pooled(change_by(1.05)).faster, pooled(change_by(1.05)).slower) == (0, 6)
+
+    def slightly_slower(per_process):
+        """The change at per_process[process] x the parent, and 1% below
+        that in the last variant."""
+        return lambda process, side, v: ((per_process[process] if side == "change" else 1.0)
+                                         * (0.99 if (side, v) == ("change", 5) else 1.0))
+
+    for per_process, verdict in (([1.008] * 5, "slower"), ([0.97, 0.99, 1.008, 1.03, 1.07], "neither")):
+        result = pooled(slightly_slower(per_process))
+        assert (result.faster, result.slower) == (1, 5)
+        assert result.over[1] / result.over[0] == pytest.approx(1.008)
+        assert result.per_process == pytest.approx(per_process)
+        assert result.quartiles == pytest.approx((per_process[1], per_process[3]))
+        assert result.verdict == verdict, per_process

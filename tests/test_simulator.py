@@ -376,7 +376,19 @@ def bitwise_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-STAT_BURNS = [0, None, simulator._CHUNK - 1, simulator._CHUNK, simulator._CHUNK + 1]
+def kernel_defines():
+    """_slots.c's integer #defines by name, CHUNK, STREAM_LEN, GROUP,
+    SUB_BLOCK and POW_MEMO among them: the sizes the kernel alone keeps."""
+    source = simulator._SLOTS_SOURCE.read_text()
+    return {name: int(value) for name, value in re.findall(r"^#define (\w+) (\d+)$", source, re.MULTILINE)}
+
+
+KERNEL = kernel_defines()
+# slots per chunk of draws, and doubles in each row's draw buffer
+CHUNK, STREAM_LEN = KERNEL["CHUNK"], KERNEL["STREAM_LEN"]
+
+
+STAT_BURNS = [0, None, CHUNK - 1, CHUNK, CHUNK + 1]
 STAT_POLICIES = [
     Policy(Heterogeneous(q_th=2.0)),
     Policy(Heterogeneous(q_th=3.0), tie_break="uniform_random"),
@@ -402,7 +414,7 @@ class TestKernelStatistics:
             "fluid4": ref_cfg_fluid,
             "fluid9": seeded_config(9, 4, "fluid"),
         }[cfg_name]
-        horizon = 2 * simulator._CHUNK + 1000  # three chunks
+        horizon = 2 * CHUNK + 1000  # three chunks
         for burn in STAT_BURNS:
             base = SimSpec(horizon=horizon, replications=2, burn_in=burn, master_seed=17,
                            thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
@@ -470,15 +482,15 @@ def numpys_draws(cfg, seed, rep, horizon, tie_break, make_generator=source_gener
     for horizon slots, chunk by chunk."""
     ref = make_generator(seed, rep)
     draws = {"state": [], "arrivals": [], "tie_uniform": []}
-    for done in range(0, horizon, simulator._CHUNK):
-        c = min(simulator._CHUNK, horizon - done)
+    for done in range(0, horizon, CHUNK):
+        c = min(CHUNK, horizon - done)
         draws["state"].append(np.searchsorted(channel_cdf(cfg), ref.random(c), side="right"))
+        if tie_break == "uniform_random":
+            draws["tie_uniform"].append(ref.random(c))
         if cfg.arrival_model == "fluid":
             draws["arrivals"].append(np.tile(cfg.arrival_rates, (c, 1)))
         else:
             draws["arrivals"].append(ref.poisson(cfg.arrival_rates, size=(c, cfg.n_users)).astype(float))
-        if tie_break == "uniform_random":
-            draws["tie_uniform"].append(ref.random(c))
     return {key: np.concatenate(parts) if parts else np.empty(0) for key, parts in draws.items()}
 
 
@@ -488,18 +500,6 @@ def assert_numpys_draws(out, cfg, seed, horizon, tie_break, make_generator=sourc
     expect = numpys_draws(cfg, seed, out.rep_index, horizon, tie_break, make_generator)
     for key, want in expect.items():
         assert bitwise_equal(out.trace[key], want), (horizon, out.rep_index, key)
-
-
-def kernel_defines():
-    """_slots.c's integer #defines by name, STREAM_LEN, GROUP, SUB_BLOCK and
-    POW_MEMO among them: the sizes the kernel alone keeps."""
-    source = simulator._SLOTS_SOURCE.read_text()
-    return {name: int(value) for name, value in re.findall(r"^#define (\w+) (\d+)$", source, re.MULTILINE)}
-
-
-KERNEL = kernel_defines()
-# doubles in each row's draw buffer
-STREAM_LEN = KERNEL["STREAM_LEN"]
 
 
 def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
@@ -515,7 +515,7 @@ def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
     chosen, arr = np.empty((R, T), dtype=np.int64), np.empty((R, T, n))
     stats = [np.zeros((R, n)) for _ in range(3)]
     assert kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
-                  0, fluid, R, 0, R, T, T, 0, n, M, bitgens, channel_cdf(cfg), np.asarray(lam, dtype=float),
+                  0, fluid, R, 0, R, T, 0, n, M, bitgens, channel_cdf(cfg), np.asarray(lam, dtype=float),
                   cfg.rate_matrix, np.empty(0), 0, q.copy(), *stats, np.zeros((R, M, n), dtype=np.int64),
                   np.zeros((R, 0), dtype=np.int64), np.zeros(R),
                   np.zeros((R, n)), 1, np.empty((R, T), dtype=np.int64), np.empty((R, 0)), arr, chosen,
@@ -562,7 +562,7 @@ class TestKernelDraws:
         cfg = DRAW_CONFIGS[cfg_name]
         policy = Policy(MaxWeight(alpha=2.0), tie_break=tie_break)
         made = record_generators(monkeypatch)
-        for horizon, reps in ((2 * simulator._CHUNK + 4465, [0]), (70_001, [4, 1, 2]), (5, [3, 0, 1])):
+        for horizon, reps in ((2 * CHUNK + 4465, [0]), (70_001, [4, 1, 2]), (5, [3, 0, 1])):
             made.clear()
             spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True)
             (outputs,) = run_replications(cfg, [policy], spec, reps)
@@ -732,7 +732,7 @@ class TestSharedDraws:
     def test_each_policy_equals_running_it_alone(self, monkeypatch, cfg_name, tie_break):
         cfg = DRAW_CONFIGS[cfg_name]
         policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES]
-        for horizon, reps in ((2 * simulator._CHUNK + 4465, [1, 0]), (5, [3, 0, 1])):
+        for horizon, reps in ((2 * CHUNK + 4465, [1, 0]), (5, [3, 0, 1])):
             spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True,
                            thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
             made = record_generators(monkeypatch)
@@ -756,7 +756,7 @@ class TestSharedDraws:
         with selects and a lone lane with the early-exit scan. The 70-user
         run meets slots on which all 70 users tie."""
         if case == "twelve_policies":
-            cfg, horizon = DRAW_CONFIGS["reference"], simulator._CHUNK + 4465
+            cfg, horizon = DRAW_CONFIGS["reference"], CHUNK + 4465
         else:
             cfg, horizon = SEVENTY_USERS, 3000
         policies = [Policy(v, tie_break=tie_break) for v in WIDE_POLICIES]
@@ -911,10 +911,10 @@ class TestRowSlices:
 
 class TestRowGroups:
     """A slice takes its rows in groups of up to GROUP, drawn together, the
-    arrivals under lowest-index ties SUB_BLOCK slots at a time: each row's
-    outputs, trace and generator end state are bitwise those of the row run
-    alone, for every group size of one slice and for horizons and burn-ins
-    at, inside and across the blocks' and the chunk's edges."""
+    arrivals SUB_BLOCK slots at a time: each row's outputs, trace and
+    generator end state are bitwise those of the row run alone, for every
+    group size of one slice and for horizons and burn-ins at, inside and
+    across the blocks' and the chunk's edges."""
 
     @pytest.mark.parametrize("P", [1, 3])
     @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
@@ -923,7 +923,7 @@ class TestRowGroups:
     def test_each_row_equals_running_it_alone(self, monkeypatch, cfg_name, tie_break, record_trace, P):
         cfg = DRAW_CONFIGS[cfg_name]
         policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES[:P]]
-        sub, chunk = KERNEL["SUB_BLOCK"], simulator._CHUNK
+        sub, chunk = KERNEL["SUB_BLOCK"], CHUNK
         assert (sub, chunk) == (1024, 32_768)
         allow_slices(monkeypatch, 1, threads=False)
         made = record_generators(monkeypatch)
@@ -1139,9 +1139,9 @@ class TestEngineMatchesSpec:
         carried into the second chunk decide as the rule does."""
         policy = Policy(Heterogeneous(q_th=3.0), tie_break="uniform_random")
         chosen, tied, u = replay(ref_cfg_fluid, policy, 0, 33_000)
-        assert len(chosen) == 33_000 > simulator._CHUNK
+        assert len(chosen) == 33_000 > CHUNK
         assert np.array_equal(chosen, uniform_pick(tied, u))
-        late = slice(simulator._CHUNK, None)
+        late = slice(CHUNK, None)
         assert (tied[late].sum(axis=1) > 1).any()
 
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
@@ -1159,7 +1159,7 @@ class TestEngineMatchesSpec:
             cfg = replace(ref_cfg, arrival_model="fluid", arrival_rates=np.array([0.7, 0.45, 0.9, 0.35]))
         elif arrival_model == "fluid_one_user":
             cfg = make_config([[0.5]], [1.0], [1.0], arrival_model="fluid")
-        spec = SimSpec(horizon=simulator._CHUNK + 500, master_seed=5, record_trace=True)
+        spec = SimSpec(horizon=CHUNK + 500, master_seed=5, record_trace=True)
         policy = Policy(variant, tie_break=tie_break)
         for out in run_replications(cfg, [policy], spec, [0, 1])[0]:
             tr = out.trace
@@ -1300,13 +1300,13 @@ class TestSlotKernelBuild:
     def test_argtypes_match_the_c_signature(self):
         """ctypes passes each argument as the kernel's argtypes say, never
         checked against _slots.c, so a drift between the two corrupts memory:
-        run_slots' 35 parameters need one argtype each, its own scalar type
+        run_slots' 34 parameters need one argtype each, its own scalar type
         for a scalar and an ndpointer of the element's dtype for a pointer,
         and its int64_t result needs restype c_int64."""
         source = simulator._SLOTS_SOURCE.read_text()
         params = re.search(r"int64_t run_slots\(([^)]*)\)", source).group(1)
         params = [p.replace("const", "").split() for p in params.split(",")]
-        assert (len(params), sum("*" in p[-1] for p in params)) == (35, 22)
+        assert (len(params), sum("*" in p[-1] for p in params)) == (34, 22)
         kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
         assert kernel.restype is ctypes.c_int64
         argtypes = kernel.argtypes
@@ -1337,7 +1337,7 @@ class TestSlotKernelBuild:
         once on disjoint rows of the shared arrays. Then, in one slice, two
         untraced campaigns of six rows of 3 001 slots, one per tie-break: a
         group of four rows and a group of two, in draw buffers of
-        min(horizon, chunk) slots per row and, for lowest-index ties, a
+        min(horizon, CHUNK) slots per row and, under either tie-break, a
         short last block of arrivals. All run without a read or write
         outside a buffer and without undefined behaviour, and record what
         the plain build records: every trace of the first, every statistic
@@ -1506,47 +1506,71 @@ def run_python(script, *args, timeout=300):
                           text=True, timeout=timeout)
 
 
+# headroom in which a child process may grow its address space
+HEADROOM = 150 * 2**20
+
+
+def simulate_within_headroom(tmp_path, n_users, out):
+    """A one-row, 40 000-slot simulate of het q_th 2 with uniform ties on
+    n_users users with Poisson arrivals, run by a fresh interpreter whose
+    address space may grow by HEADROOM only: the limit is set inside the
+    child, after its kernel is loaded."""
+    if not os.path.isfile("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the address space from")
+    cfg = {"n_users": n_users, "n_states": 2, "state_probs": [0.5, 0.5],
+           "rate_matrix": [[1.0] * n_users, [2.0] * n_users], "arrival_rates": [0.001] * n_users,
+           "arrival_model": "poisson"}
+    (tmp_path / "wide.json").write_text(json.dumps(cfg))
+    script = (
+        "import resource, sys\n"
+        "from schedlab import cli, simulator\n"
+        "simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)\n"
+        "with open('/proc/self/status') as f:\n"
+        "    size = next(int(line.split()[1]) for line in f if line.startswith('VmSize:'))\n"
+        f"limit = size * 1024 + {HEADROOM}\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    return run_python(script, "simulate", "--config", tmp_path / "wide.json", "--policy",
+                      '{"type": "het", "q_th": 2, "tie_break": "uniform_random"}', "--horizon", 40_000,
+                      "--replications", 1, "--out", out)
+
+
 class TestKernelScratch:
     """Each kernel call allocates its own scratch and frees it again."""
 
     def test_scratch_beyond_the_address_space_exits_3(self, tmp_path):
-        """A 1000-user simulate with uniform ties needs about 260 MB of
-        untraced draw buffers, here in a process whose address space may
-        grow by 150 MB only: the kernel refuses before any slot runs, and
+        """A simulate whose one block of arrivals (SUB_BLOCK slots x N
+        doubles) alone takes 160 MB, about 20 000 users, beyond the child's
+        150 MB headroom: the kernel refuses before any slot runs, and
         simulate exits 3 with one line naming the bytes the scratch needs,
-        without a traceback and without its output directory. The limit is
-        set inside the child, after its kernel is loaded."""
-        if not os.path.isfile("/proc/self/status"):
-            pytest.skip("no /proc/self/status to read the address space from")
-        n = 1000
-        cfg = {"n_users": n, "n_states": 2, "state_probs": [0.5, 0.5],
-               "rate_matrix": [[1.0] * n, [2.0] * n], "arrival_rates": [0.001] * n,
-               "arrival_model": "poisson"}
-        (tmp_path / "wide.json").write_text(json.dumps(cfg))
-        script = (
-            "import resource, sys\n"
-            "from schedlab import cli, simulator\n"
-            "simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)\n"
-            "with open('/proc/self/status') as f:\n"
-            "    size = next(int(line.split()[1]) for line in f if line.startswith('VmSize:'))\n"
-            "limit = size * 1024 + 150 * 2**20\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
-            "sys.exit(cli.main(sys.argv[1:]))\n"
-        )
+        without a traceback and without its output directory."""
+        n = 160 * 2**20 // (8 * KERNEL["SUB_BLOCK"])
         out = tmp_path / "out"
-        proc = run_python(script, "simulate", "--config", tmp_path / "wide.json", "--policy",
-                          '{"type": "het", "q_th": 2, "tie_break": "uniform_random"}', "--horizon", 40_000,
-                          "--replications", 1, "--out", out)
+        proc = simulate_within_headroom(tmp_path, n, out)
         assert proc.returncode == cli.EXIT_COMPUTE, proc.stderr[-4000:]
         assert proc.stderr.startswith("schedlab: out of memory: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
         requested = int(re.search(r"allocate its (\d+)-byte scratch", proc.stderr).group(1))
-        assert requested > 150 * 2**20
+        assert requested > HEADROOM
         assert not out.exists()
+
+    def test_uniform_ties_stream_their_arrivals_within_the_headroom(self, tmp_path):
+        """Under uniform ties a row's arrivals stream a block at a time, as
+        under lowest-index ties: a 1000-user simulate, whose scratch is
+        about 9 MB (a whole chunk of arrivals would take 262 MB), runs in
+        the child's 150 MB headroom and writes its outputs."""
+        out = tmp_path / "out"
+        proc = simulate_within_headroom(tmp_path, 1000, out)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr[-4000:]
+        assert proc.stderr == ""
+        assert sorted(path.name for path in out.iterdir()) == ["overflow.csv", "phi.csv", "result.json"]
+        result = json.loads((out / "result.json").read_text())
+        assert result["spec_echo"]["horizon"] == 40_000
 
     def test_calls_leave_no_scratch_behind(self):
         """After two warm-up calls, 20 more uniform-tie campaigns of het, exp
-        and mw over four rows in one slice, each call's scratch about 6 MB,
+        and mw over four rows in one slice, each call's scratch about 2.4 MB,
         leave glibc's in-use heap (mallinfo2's uordblks + hblkhd, mapped
         blocks included) less than 1 MB above where it was."""
         if not hasattr(ctypes.CDLL(None), "mallinfo2"):
