@@ -25,8 +25,8 @@
  * independent chains to overlap. Each row still reads its own stream in numpy's order, so every
  * draw is the one the row would draw alone. The arrivals, drawn last, come
  * SUB_BLOCK slots at a time, each block walked as soon as it is drawn, so
- * an untraced group holds one chunk of states and tie uniforms and one
- * block of arrivals per row, whatever the tie-break.
+ * a group holds one chunk of states and tie uniforms and one block of
+ * arrivals per row, whatever the tie-break.
  *
  * Poisson counts come from numpy's own random_poisson (libnpyrandom.a) for
  * lam == 0 and lam >= 10, through a bitgen_t whose next_double reads the
@@ -43,12 +43,12 @@
  * once and then walked slot by slot, each slot once per policy, so every
  * policy sees the same draws (common random numbers). The policies are
  * lanes in lockstep: each has its own rule, pow memo, queues, statistics
- * and trace, and within a lane the draws, scores and sums keep their order,
- * so its outputs are bitwise those of running it alone. A lane's queues
- * form one long chain of dependent updates; walking P lanes side by side
- * gives the core P independent chains to overlap, where walking a chunk
- * once per policy ran them one after another. The draws hold tie uniforms
- * only for uniform ties, so the policies share one tie-break.
+ * and choices, and within a lane the draws, scores and sums keep their
+ * order, so its outputs are bitwise those of running it alone. A lane's
+ * queues form one long chain of dependent updates; walking P lanes side by
+ * side gives the core P independent chains to overlap, where walking a
+ * chunk once per policy ran them one after another. The draws hold tie
+ * uniforms only for uniform ties, so the policies share one tie-break.
  *
  * A slot scores the users on the queues before arrivals with
  * schedulers.stable_scores, picks from the set tied_mask gives
@@ -70,9 +70,10 @@
  * statistic either.
  *
  * The same walk adds each post-burn-in slot into the lanes' statistics, and
- * fills the per-slot trace (draws, choice, departure, queues) only when the
- * caller records one. Every float sum, here and in exp's mean, runs left to
- * right, one slot or user at a time, from 0.0.
+ * writes each slot's chosen user only when the caller records them. The
+ * draws live in the call's scratch alone, traced or not. Every float sum,
+ * here and in exp's mean, runs left to right, one slot or user at a time,
+ * from 0.0.
  */
 #include <math.h>
 #include <stdint.h>
@@ -232,10 +233,8 @@ struct call {
     const double *params, *tables, *rates, *thresholds, *cum, *lam, *enlam;
     int uniform, record, fluid;
     int64_t P, R, T, burn, n, m_states, K;
-    int64_t *states;
-    double *u, *arr;
-    double *initial_q, *dep, *qtraj;
-    int64_t *chosen;
+    int64_t *states, *chosen;
+    double *u, *arr, *initial_q;
     uint64_t *memo_keys;
     double *memo_vals;
     int64_t memo_len;
@@ -383,13 +382,8 @@ walk_chunk(const struct call *call, int64_t P, int64_t r, int64_t done, int64_t 
             double d = Q[pick] < rate ? Q[pick] : rate;
             Q[pick] -= d;
             int64_t pr = p * call->R + r; /* this policy's row */
-            if (record) {
-                double *path = call->qtraj + (pr * (T + 1) + 1 + slot) * n;
+            if (record)
                 call->chosen[pr * T + slot] = pick;
-                call->dep[pr * T + slot] = d;
-                for (int64_t i = 0; i < n; i++)
-                    path[i] = Q[i];
-            }
 
             if (slot == burn - 1)
                 for (int64_t i = 0; i < n; i++)
@@ -430,29 +424,28 @@ static __attribute__((noinline)) void walk_lanes(const struct call *call, int64_
 /* Rows r0 <= r < r0 + g, a group, row r0 + h reading stream s[h] and
  * walked with the scratch of calls[h]. Each chunk's states are drawn first,
  * then its tie uniforms with uniform ties; its arrivals then come SUB_BLOCK
- * slots at a time, each block walked as soon as it is drawn. Untraced, row
- * h's draws go to its h-th span of the draw buffers: min(T, CHUNK) slots of
- * states and tie uniforms, and a block of arrivals. run_slots inlines it
- * for one row apart, with no row loop: one draw with a row loop for every g
- * ran a lone fluid row ~7% slower. */
+ * slots at a time, each block walked as soon as it is drawn. Row h's draws
+ * go to its h-th span of the draw buffers: min(T, CHUNK) slots of states
+ * and tie uniforms, and a block of arrivals. run_slots inlines it for one
+ * row apart, with no row loop: one draw with a row loop for every g ran a
+ * lone fluid row ~7% slower. */
 static inline __attribute__((always_inline)) void
 run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
 {
     const struct call *call = calls;
     const int64_t T = call->T, n = call->n;
-    const int uniform = call->uniform, record = call->record;
+    const int uniform = call->uniform;
     const int64_t span = T < CHUNK ? T : CHUNK;
     const int64_t arr_span = span < SUB_BLOCK ? span : SUB_BLOCK;
     int64_t *st[GROUP];
     double *a[GROUP], *uc[GROUP];
+    for (int64_t h = 0; h < g; h++) {
+        st[h] = call->states + h * span;
+        uc[h] = uniform ? call->u + h * span : NULL;
+        a[h] = call->arr + h * arr_span * n;
+    }
     for (int64_t done = 0; done < T; done += CHUNK) {
         int64_t c = T - done < CHUNK ? T - done : CHUNK;
-        for (int64_t h = 0; h < g; h++) {
-            /* row h's first slot of this chunk in the draw buffers */
-            int64_t at = record ? (r0 + h) * T + done : h * span;
-            st[h] = call->states + at;
-            uc[h] = uniform ? call->u + at : NULL;
-        }
         draw_states(s, g, c, call->m_states, call->cum, st);
         if (uniform)
             for (int64_t h = 0; h < g; h++)
@@ -460,8 +453,6 @@ run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
                     uc[h][k] = next_double(&s[h]);
         for (int64_t b = 0; b < c; b += SUB_BLOCK) {
             int64_t bc = c - b < SUB_BLOCK ? c - b : SUB_BLOCK;
-            for (int64_t h = 0; h < g; h++)
-                a[h] = call->arr + (record ? (r0 + h) * T + done + b : h * arr_span) * n;
             draw_arrivals(s, g, bc, n, call->fluid, call->lam, call->enlam, a);
             for (int64_t h = 0; h < g; h++) {
                 const double *ub = uniform ? uc[h] + b : NULL;
@@ -496,18 +487,16 @@ run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
  * thresholds[j], which ascend strictly) and max_seen (1); initial_q (n)
  * takes the queues after slot burn - 1. arr_sum (R x n) sums the draws
  * alone, so it is kept once per row for every policy. With record nonzero,
- * the shared draws states, u, arr (R x T, R x T or empty, R x T x n) keep
- * every slot's draws, and each policy's chosen and dep (T) its choices and
- * departures and qtraj ((T + 1) x n) the queues after each slot, behind row
- * 0, which is not touched; otherwise all six are empty and not touched.
+ * each policy's chosen (T) takes the user served in each slot; otherwise it
+ * is empty and not touched.
  *
  * The call allocates its own scratch, one block that no other call shares:
  * exp(-lam) (n); for each of the g = min(GROUP, r_hi - r_lo) rows of a
  * group, the row's arrival sums (n) and its lanes' doubles and counts (P x
  * LANE_F and P x LANE_I); each policy's memo (POW_MEMO keys and values);
- * and, untraced, the group's draws: states and tie uniforms (g x
- * min(T, CHUNK), the uniforms for uniform ties only) and arrivals (g x
- * min(T, CHUNK, SUB_BLOCK) x n). A lane writes only this scratch slot by
+ * and the group's draws: states and tie uniforms (g x min(T, CHUNK), the
+ * uniforms for uniform ties only) and arrivals (g x min(T, CHUNK,
+ * SUB_BLOCK) x n). A lane writes only this scratch slot by
  * slot, so concurrent calls share no cache line then; a row's lanes store
  * their queues and statistics in the per-policy arrays when its group
  * ends, and over from a histogram of how many thresholds the largest queue
@@ -519,35 +508,29 @@ int64_t run_slots(int64_t P, const int64_t *rules, const double *params, const d
                   const double *cum, const double *lam, const double *rates,
                   const double *thresholds, int64_t K, double *q, double *arr_sum,
                   double *dep_sum, double *q_sum, int64_t *served, int64_t *over,
-                  double *max_seen, double *initial_q, int record, int64_t *states, double *u,
-                  double *arr, int64_t *chosen, double *dep, double *qtraj)
+                  double *max_seen, double *initial_q, int record, int64_t *chosen)
 {
     const int64_t lane_f = LANE_F(n), lane_i = LANE_I(n, m_states, K);
     const int64_t g_max = r_hi - r_lo < GROUP ? r_hi - r_lo : GROUP;
-    const int64_t span = T < CHUNK ? T : CHUNK, drawn = record ? 0 : g_max * span;
+    const int64_t span = T < CHUNK ? T : CHUNK, drawn = g_max * span;
     const int64_t arr_span = span < SUB_BLOCK ? span : SUB_BLOCK;
     /* the scratch's parts, in 8-byte words from its start */
     const int64_t at_tally = n + g_max * (n + P * lane_f), at_keys = at_tally + g_max * P * lane_i;
     const int64_t at_vals = at_keys + P * POW_MEMO, at_states = at_vals + P * POW_MEMO;
     const int64_t at_u = at_states + drawn, at_arr = at_u + (uniform ? drawn : 0);
-    const size_t bytes = (size_t)(at_arr + (record ? 0 : g_max * arr_span * n)) * sizeof(double);
+    const size_t bytes = (size_t)(at_arr + g_max * arr_span * n) * sizeof(double);
     double *work = malloc(bytes);
     if (work == NULL)
         return (int64_t)bytes;
     int64_t *tally = (int64_t *)(work + at_tally);
     uint64_t *memo_keys = (uint64_t *)(work + at_keys);
     double *memo_vals = work + at_vals, *enlam = work;
-    if (!record) {
-        states = (int64_t *)(work + at_states);
-        u = work + at_u;
-        arr = work + at_arr;
-    }
     const struct call call = {
         .rules = rules, .params = params, .tables = tables, .rates = rates,
         .thresholds = thresholds, .cum = cum, .lam = lam, .enlam = enlam, .uniform = uniform,
         .record = record, .fluid = fluid, .P = P, .R = R, .T = T, .burn = burn,
-        .n = n, .m_states = m_states, .K = K, .states = states, .u = u, .arr = arr,
-        .initial_q = initial_q, .dep = dep, .qtraj = qtraj, .chosen = chosen,
+        .n = n, .m_states = m_states, .K = K, .states = (int64_t *)(work + at_states),
+        .u = work + at_u, .arr = work + at_arr, .initial_q = initial_q, .chosen = chosen,
         .memo_keys = memo_keys, .memo_vals = memo_vals, .memo_len = POW_MEMO,
     };
     for (int64_t i = 0; i < n; i++)

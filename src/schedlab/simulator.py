@@ -10,9 +10,9 @@ of one or more policies on the same draws (common random numbers), each
 deciding exactly as `select` does; _slots.c says how it draws and walks them
 and what scratch it keeps. The same walk adds each post-burn-in slot into
 the service counters, the per-threshold overflow slot counts (both
-estimators read these) and the time-average queues.
-The per-slot record (drawn inputs, choices, departures, queues) is kept only
-with record_trace, for the tests that replay the engine slot by slot.
+estimators read these) and the time-average queues. With record_trace it also
+keeps the user served in each slot, which the tests replay against numpy's
+draws; the draws themselves never leave the kernel.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ class SimSpec:
             require_integer(name, getattr(self, name))
         if self.burn_in is not None:
             require_integer("burn_in", self.burn_in)
+        if not isinstance(self.record_trace, (bool, np.bool_)):
+            raise ValueError(f"record_trace must be a bool, got {self.record_trace!r}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.horizon < 1:
@@ -116,16 +118,15 @@ class DecayFit:
 @dataclass
 class ReplicationOutput:
     """Post-burn-in statistics over counters.horizon slots and, with
-    record_trace, the whole per-slot record: state, tie_uniform (empty for
-    lowest-index ties), arrivals, chosen and departure, one entry per slot,
-    and q (T+1, N), the queues after each slot behind an empty row 0."""
+    record_trace, the trace: the (T,) int64 array of the user served in
+    each slot, burn-in included; None otherwise."""
 
     rep_index: int
     counters: TraceCounters
     thresholds: np.ndarray
     overflow_slot_counts: np.ndarray
     mean_queues: np.ndarray
-    trace: dict | None = None
+    trace: np.ndarray | None = None
 
 
 @dataclass
@@ -216,7 +217,7 @@ def _load_kernel(path: Path):
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
     fn.argtypes = [c_i64, i64, f64, f64, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64,
                    c_i64, ptrs, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, i64, i64, f64,
-                   f64, c_int, i64, f64, f64, i64, f64, f64]
+                   f64, c_int, i64]
     fn.restype = c_i64
     return fn
 
@@ -294,20 +295,15 @@ def run_replications(
     over_counts = np.empty((P, R, K), dtype=np.int64)
     max_seen = np.empty((P, R))
     initial_q = np.zeros((P, R, N))
-    # with record_trace, each policy's choices, departures and queues and
-    # the drawn inputs they all read (states, tie uniforms, arrivals)
-    kept = (P, R, T) if spec.record_trace else (0, 0, 0)
-    chosen, departure = np.empty(kept, dtype=np.int64), np.empty(kept)
-    qtraj = np.zeros((*kept[:2], kept[2] + 1, N))  # row 0 holds the empty queues before slot 0
-    states, arr = np.empty(kept[1:], dtype=np.int64), np.empty((*kept[1:], N))
-    tie_u = np.empty((kept[1], kept[2] if uniform_ties else 0))
+    # with record_trace, each policy's choices
+    chosen = np.empty((P, R, T) if spec.record_trace else (0, 0, 0), dtype=np.int64)
 
     def walk(r_lo: int, r_hi: int) -> None:
         """Rows r_lo <= r < r_hi in one kernel call."""
         needed = kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, burn, N,
                         M, bitgens, cum, lam, rates, thresholds, K, Q, arr_sum, dep_sum, q_sum,
-                        served_slots, over_counts, max_seen, initial_q, spec.record_trace, states,
-                        tie_u, arr, chosen, departure, qtraj)
+                        served_slots, over_counts, max_seen, initial_q, bool(spec.record_trace),
+                        chosen)
         if needed:
             raise MemoryError(f"the slot kernel cannot allocate its {needed}-byte scratch")
 
@@ -339,10 +335,6 @@ def run_replications(
     n_stat = T - burn
 
     def output(p: int, i: int, rep: int) -> ReplicationOutput:
-        trace = None
-        if spec.record_trace:
-            trace = {"state": states[i], "tie_uniform": tie_u[i], "arrivals": arr[i],
-                     "chosen": chosen[p, i], "departure": departure[p, i], "q": qtraj[p, i]}
         return ReplicationOutput(
             rep_index=rep,
             counters=TraceCounters(
@@ -353,7 +345,7 @@ def run_replications(
             thresholds=thresholds,
             overflow_slot_counts=over_counts[p, i],
             mean_queues=q_sum[p, i] / n_stat,
-            trace=trace,
+            trace=chosen[p, i] if spec.record_trace else None,
         )
 
     return [[output(p, i, rep) for i, rep in enumerate(rep_indices)] for p in range(P)]

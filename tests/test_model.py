@@ -17,6 +17,7 @@ from schedlab import (
     config_from_json,
 )
 from conftest import make_config, run_replication
+from slot_replay import bitwise_equal, replay_runs
 
 
 class TestValidateConfig:
@@ -132,18 +133,24 @@ class TestSlotLaw:
     def test_truncation_at_zero(self):
         """The served user departs min(backlog + arrivals, rate): where that
         is under the rate it departs all of it and its queue is exactly 0,
-        and no queue goes below 0."""
+        and no queue goes below 0, on the run replayed from numpy's draws
+        and its choices; the kernel's departures and final queues are the
+        replay's, bitwise."""
         cfg = make_config([[0.0], [5.0]], [0.25, 0.75], [1.5], arrival_model="fluid")
+        policy = Policy(Heterogeneous(q_th=2.0))
         spec = SimSpec(horizon=2000, burn_in=0, master_seed=3, record_trace=True)
-        tr = run_replication(cfg, Policy(Heterogeneous(q_th=2.0)), spec, 0).trace
-        backlog = tr["q"][:-1, 0] + tr["arrivals"][:, 0]
-        rate = cfg.rate_matrix[tr["state"], 0]
+        out = run_replication(cfg, policy, spec, 0)
+        (rp,) = replay_runs(cfg, [(policy, spec, out)])
+        backlog = rp.before[:, 0] + rp.arrivals[:, 0]
+        rate = cfg.rate_matrix[rp.state, 0]
         short = backlog < rate
         assert short.sum() > 100 and (~short).sum() > 100
-        assert np.array_equal(tr["departure"][short], backlog[short])
-        assert np.all(tr["q"][1:, 0][short] == 0.0)
-        assert np.array_equal(tr["departure"][~short], rate[~short])
-        assert np.all(tr["q"] >= 0.0)
+        assert np.array_equal(rp.departure[short], backlog[short])
+        assert np.all(rp.after[short, 0] == 0.0)
+        assert np.array_equal(rp.departure[~short], rate[~short])
+        assert np.all(rp.after >= 0.0)
+        assert bitwise_equal(out.counters.departures, np.cumsum(rp.departure)[-1:])
+        assert bitwise_equal(out.counters.final_queues, rp.after[-1])
 
 
 # a consistent window of 10 one-state slots: 1 queued, 7 in, 5 out, 3 left

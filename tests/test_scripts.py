@@ -278,3 +278,27 @@ def test_kernel_pairs_pools_processes_before_its_verdict():
         assert result.per_process == pytest.approx(per_process)
         assert result.quartiles == pytest.approx((per_process[1], per_process[3]))
         assert result.verdict == verdict, per_process
+
+
+def test_kernel_pairs_tells_moved_outputs_from_layout_faults():
+    """kernel_pairs.compare_outputs, on synthetic digests of one process:
+    a shape whose six builds of each side agree but whose sides differ has
+    moved outputs and is timed; a shape on which one build differs from the
+    rest of its side is a layout fault, on either side, whatever the other
+    side reads; the other shapes are neither."""
+    kernel_pairs = load_kernel_pairs()
+    shapes = list(kernel_pairs.SHAPES)
+    moved, faulty = shapes[1], shapes[3]
+
+    def digests(odd_side):
+        """Every build of every shape reads "a", but the change reads "b"
+        on moved, and the last variant of odd_side reads "c" on faulty."""
+        last = list(kernel_pairs.VARIANTS)[-1]
+        return {(side, variant, name): ("b" if (side, name) == ("change", moved) else
+                                        "c" if (side, variant, name) == (odd_side, last, faulty) else "a")
+                for side in kernel_pairs.SIDES for variant in kernel_pairs.VARIANTS for name in shapes}
+
+    for odd_side in kernel_pairs.SIDES:
+        assert kernel_pairs.compare_outputs(digests(odd_side)) == ([faulty], [moved])
+    clean = {key: "a" for key in digests("parent")}
+    assert kernel_pairs.compare_outputs(clean) == ([], [])

@@ -43,6 +43,20 @@ from schedlab.simulator import (
     aggregate_counters,
 )
 from conftest import REFERENCE_CONFIG, make_config, run_replication
+from slot_replay import (
+    CHUNK,
+    KERNEL,
+    STREAM_LEN,
+    assert_reduces_to,
+    assert_replays,
+    bitwise_equal,
+    exact_in_floats,
+    numpys_draws,
+    queue_lindley,
+    queue_loop,
+    rule_choices,
+    source_generator,
+)
 
 HET2 = Policy(Heterogeneous(q_th=2.0))
 
@@ -112,6 +126,15 @@ class TestSimSpec:
                        master_seed=np.uint32(7))
         assert simulator.resolved_burn_in(spec) == 5
 
+    def test_numpy_bool_record_trace_runs(self, ref_cfg):
+        """np.True_ and np.False_ are bools to the spec, and the kernel call
+        takes them, where np.True_ used to fail there as a ctypes
+        ArgumentError."""
+        traced = run_replication(ref_cfg, HET2, SimSpec(horizon=100, record_trace=np.True_), 0)
+        untraced = run_replication(ref_cfg, HET2, SimSpec(horizon=100, record_trace=np.False_), 0)
+        assert traced.trace.shape == (100,) and traced.trace.dtype == np.int64 and untraced.trace is None
+        assert bitwise_equal(traced.counters.served_slots, untraced.counters.served_slots)
+
     def test_misspelt_estimator_fails_before_the_kernel(self, monkeypatch, ref_cfg):
         """A spec with an unknown estimator is refused when built, so no
         campaign starts; run_simulation takes the estimator from the spec."""
@@ -144,7 +167,14 @@ class TestBuiltObjectsAreChecked:
         (lambda cfg: replace(Policy(Heterogeneous(q_th=2.0)), tie_break="coin_flip"),
          r"^tie_break must be one of \('lowest_index', 'uniform_random'\)$"),
         (lambda cfg: replace(SimSpec(horizon=100), burn_in=100), r"^burn_in must lie in \[0, horizon\)$"),
-    ], ids=["rate_matrix", "state_probs", "q_th", "tie_break", "burn_in"])
+        # a record_trace that is no bool used to reach the kernel call, and
+        # fail there as a ctypes ArgumentError, or run as 2 did
+        (lambda cfg: replace(SimSpec(horizon=10), record_trace="yes"), "^record_trace must be a bool, got 'yes'$"),
+        (lambda cfg: replace(SimSpec(horizon=10), record_trace=None), "^record_trace must be a bool, got None$"),
+        (lambda cfg: SimSpec(horizon=10, record_trace=0.5), "^record_trace must be a bool, got 0.5$"),
+        (lambda cfg: SimSpec(horizon=10, record_trace=2), "^record_trace must be a bool, got 2$"),
+    ], ids=["rate_matrix", "state_probs", "q_th", "tie_break", "burn_in", "record_trace_str", "record_trace_none",
+            "record_trace_float", "record_trace_int"])
     def test_replace_is_checked(self, ref_cfg, build, message):
         with pytest.raises(ValueError, match=message):
             build(ref_cfg)
@@ -335,59 +365,6 @@ class TestRunSimulation:
         assert np.array_equal(a.arrivals, b.arrivals)
 
 
-def reduce_trace(outputs, spec, n_states):
-    """Each replication's statistics as a left-to-right reduction of its
-    recorded trace over the whole run: cumulative sums along the slot axis,
-    np.add.at in slot order, and threshold counts of the post-burn-in part."""
-    tr = {key: np.stack([o.trace[key] for o in outputs]) for key in ("state", "arrivals", "chosen", "departure")}
-    tr["q"] = np.stack([o.trace["q"][1:] for o in outputs])
-    R, T, N = tr["arrivals"].shape
-    burn = simulator.resolved_burn_in(spec)
-    thresholds = np.asarray(spec.thresholds, dtype=float)
-    rows = np.arange(R)[:, None]
-    states, arr, chosen, dep, qtraj = (tr[key][:, burn:] for key in ("state", "arrivals", "chosen", "departure", "q"))
-    arr_sum = np.cumsum(arr, axis=1)[:, -1]
-    q_sum = np.cumsum(qtraj, axis=1)[:, -1]
-    dep_sum = np.zeros((R, N))
-    np.add.at(dep_sum, (rows, chosen), dep)
-    served_slots = np.zeros((R, n_states, N), dtype=np.int64)
-    np.add.at(served_slots, (rows, states, chosen), 1)
-    initial_q = tr["q"][:, burn - 1] if burn > 0 else np.zeros((R, N))
-    maxq = qtraj.max(axis=2)
-    over_counts = (maxq[:, :, None] >= thresholds).sum(axis=1)
-    max_seen = maxq.max(axis=1)
-    n_stat = T - burn
-    return [
-        (
-            TraceCounters(
-                arrivals=arr_sum[i], departures=dep_sum[i], served_slots=served_slots[i],
-                max_queue_seen=float(max_seen[i]),
-                initial_queues=initial_q[i], final_queues=tr["q"][i, -1],
-            ),
-            over_counts[i],
-            q_sum[i] / n_stat,
-        )
-        for i in range(R)
-    ]
-
-
-def bitwise_equal(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def kernel_defines():
-    """_slots.c's integer #defines by name, CHUNK, STREAM_LEN, GROUP,
-    SUB_BLOCK and POW_MEMO among them: the sizes the kernel alone keeps."""
-    source = simulator._SLOTS_SOURCE.read_text()
-    return {name: int(value) for name, value in re.findall(r"^#define (\w+) (\d+)$", source, re.MULTILINE)}
-
-
-KERNEL = kernel_defines()
-# slots per chunk of draws, and doubles in each row's draw buffer
-CHUNK, STREAM_LEN = KERNEL["CHUNK"], KERNEL["STREAM_LEN"]
-
-
 STAT_BURNS = [0, None, CHUNK - 1, CHUNK, CHUNK + 1]
 STAT_POLICIES = [
     Policy(Heterogeneous(q_th=2.0)),
@@ -399,34 +376,60 @@ STAT_POLICIES = [
 ]
 
 
-class TestKernelStatistics:
-    """The kernel's post-burn-in statistics are bitwise the left-to-right
-    reduction of the recorded trace, traced or not; fluid arrivals make any
-    other summation order show in the last bits."""
+def stat_config(name):
+    """TestKernelStatistics' configs: the reference one with Poisson and
+    with fluid arrivals, fluid systems of 1 to 9 users at non-integer rates,
+    and one overloaded user whose queue only grows."""
+    reference = config_from_json(REFERENCE_CONFIG)
+    return {
+        "reference": lambda: reference,
+        "fluid1": lambda: make_config([[5.0], [2.0]], [0.5, 0.5], [3.1], arrival_model="fluid"),
+        "fluid2": lambda: seeded_config(2, 3, "fluid"),
+        "fluid4": lambda: replace(reference, arrival_model="fluid"),
+        "fluid4_mixed": lambda: replace(reference, arrival_model="fluid",
+                                        arrival_rates=np.array([0.7, 0.45, 0.9, 0.35])),
+        "fluid9": lambda: seeded_config(9, 4, "fluid"),
+        "overloaded": lambda: make_config([[0.5]], [1.0], [1.0], arrival_model="fluid"),
+    }[name]()
 
-    @pytest.mark.parametrize("policy", STAT_POLICIES, ids=lambda p: f"{p.variant!r}-{p.tie_break}")
-    @pytest.mark.parametrize("cfg_name", ["reference", "fluid1", "fluid2", "fluid4", "fluid9"])
-    def test_statistics_match_numpy_reduction_of_trace(self, ref_cfg, ref_cfg_fluid, cfg_name, policy):
-        cfg = {
-            "reference": ref_cfg,
-            "fluid1": make_config([[5.0], [2.0]], [0.5, 0.5], [3.1], arrival_model="fluid"),
-            "fluid2": seeded_config(2, 3, "fluid"),
-            "fluid4": ref_cfg_fluid,
-            "fluid9": seeded_config(9, 4, "fluid"),
-        }[cfg_name]
-        horizon = 2 * CHUNK + 1000  # three chunks
+
+class TestKernelStatistics:
+    """The kernel's post-burn-in statistics, traced or not, are bitwise the
+    left-to-right reduction of the replay of numpy's draws and its choices,
+    and every choice is the rule's on the replayed queues; fluid arrivals
+    make any other summation order show in the last bits. Each config's
+    rows are replayed once, from burn-in 0, since the burn-in changes only
+    the reduction; every burn-in's run is then checked against it, traced
+    with its tie-break's policies as lanes and untraced with each policy
+    alone."""
+
+    @pytest.mark.parametrize("cfg_name", ["reference", "fluid1", "fluid2", "fluid4", "fluid4_mixed", "fluid9",
+                                          "overloaded"])
+    def test_statistics_match_numpy_reduction_of_the_replay(self, cfg_name):
+        cfg = stat_config(cfg_name)
+        base = SimSpec(horizon=2 * CHUNK + 1000, replications=2, master_seed=17,  # three chunks
+                       thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
+        groups = [[p for p in STAT_POLICIES if p.tie_break == tie] for tie in ("lowest_index", "uniform_random")]
+        traced = replace(base, burn_in=0, record_trace=True)
+        runs = [(policy, traced, out) for group in groups
+                for policy, outputs in zip(group, run_replications(cfg, group, traced, [1, 0]))
+                for out in outputs]
+        replays = dict(zip(((policy, out.rep_index) for policy, _, out in runs),
+                           assert_replays(cfg, runs)))
+        for rp in replays.values():
+            assert rp.departure.any() and rp.after.any()
         for burn in STAT_BURNS:
-            base = SimSpec(horizon=horizon, replications=2, burn_in=burn, master_seed=17,
-                           thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
-            (traced,) = run_replications(cfg, [policy], replace(base, record_trace=True), [1, 0])
-            (untraced,) = run_replications(cfg, [policy], base, [1, 0])
-            for outputs in (traced, untraced):
-                for out, (counters, over, mean_q) in zip(outputs, reduce_trace(traced, base, cfg.n_states)):
-                    for f in fields(TraceCounters):
-                        assert bitwise_equal(getattr(out.counters, f.name), getattr(counters, f.name)), (burn, f.name)
-                    assert bitwise_equal(out.overflow_slot_counts, over), burn
-                    assert bitwise_equal(out.mean_queues, mean_q), burn
-            assert all(o.trace is None for o in untraced)
+            spec = replace(base, burn_in=burn)
+            burn = simulator.resolved_burn_in(spec)
+            for group in groups:
+                shared = run_replications(cfg, group, replace(spec, record_trace=True), [1, 0])
+                alone = [run_replications(cfg, [policy], spec, [1, 0])[0] for policy in group]
+                for policy, lanes, solo in zip(group, shared, alone):
+                    for lane, plain in zip(lanes, solo):
+                        rp = replays[policy, lane.rep_index]
+                        assert_reduces_to(lane, rp, burn, spec.thresholds, cfg.n_states, (policy, burn))
+                        assert bitwise_equal(lane.trace, rp.chosen)
+                        assert_same_outputs(plain, replace(lane, trace=None), (policy, burn))
 
 
 def draws_config(n_states, lam, arrival_model="poisson", probs=None):
@@ -452,11 +455,6 @@ DRAW_CONFIGS = {
 }
 
 
-def source_generator(seed, rep):
-    """The generator run_replications draws replication rep from."""
-    return RandomSource(seed, rep).generator()
-
-
 def sfc64_generator(seed, rep):
     """source_generator's stream on SFC64, a bit generator without advance."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, rep))))
@@ -477,50 +475,24 @@ def record_generators(monkeypatch, make_generator=source_generator) -> list:
     return made
 
 
-def numpys_draws(cfg, seed, rep, horizon, tie_break, make_generator=source_generator):
-    """The draws numpy's own calls make on a fresh make_generator(seed, rep)
-    for horizon slots, chunk by chunk."""
-    ref = make_generator(seed, rep)
-    draws = {"state": [], "arrivals": [], "tie_uniform": []}
-    for done in range(0, horizon, CHUNK):
-        c = min(CHUNK, horizon - done)
-        draws["state"].append(np.searchsorted(channel_cdf(cfg), ref.random(c), side="right"))
-        if tie_break == "uniform_random":
-            draws["tie_uniform"].append(ref.random(c))
-        if cfg.arrival_model == "fluid":
-            draws["arrivals"].append(np.tile(cfg.arrival_rates, (c, 1)))
-        else:
-            draws["arrivals"].append(ref.poisson(cfg.arrival_rates, size=(c, cfg.n_users)).astype(float))
-    return {key: np.concatenate(parts) if parts else np.empty(0) for key, parts in draws.items()}
-
-
-def assert_numpys_draws(out, cfg, seed, horizon, tie_break, make_generator=source_generator):
-    """out's recorded draws are what numpy's own calls draw on a fresh
-    make_generator(seed, out.rep_index), chunk by chunk, bitwise."""
-    expect = numpys_draws(cfg, seed, out.rep_index, horizon, tie_break, make_generator)
-    for key, want in expect.items():
-        assert bitwise_equal(out.trace[key], want), (horizon, out.rep_index, key)
-
-
 def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
     """One call of the compiled kernel: one policy, lowest-index ties, no
-    burn-in and a record kept, so that every per-policy array is the R-row
-    one with a policy axis of 1. Row r starts from the queues q[r] (R x N)
-    and draws from the bitgen_t at bitgens[r] horizon slots of cfg's channel
-    and arrivals at rates lam (fluid nonzero: lam itself). Returns each
-    row's choices (R x horizon) and arrivals (R x horizon x N)."""
+    burn-in and its choices recorded, so that every per-policy array is the
+    R-row one with a policy axis of 1. Row r starts from the queues q[r]
+    (R x N) and draws from the bitgen_t at bitgens[r] horizon slots of cfg's
+    channel and arrivals at rates lam (fluid nonzero: lam itself). Returns
+    each row's choices (R x horizon) and arrival sums (R x N)."""
     kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
     (R, n), M, T = q.shape, cfg.n_states, horizon
     param = float(getattr(variant, variant.param))
-    chosen, arr = np.empty((R, T), dtype=np.int64), np.empty((R, T, n))
-    stats = [np.zeros((R, n)) for _ in range(3)]
+    chosen, arr_sum = np.empty((R, T), dtype=np.int64), np.empty((R, n))
+    stats = [np.zeros((R, n)) for _ in range(2)]
     assert kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
                   0, fluid, R, 0, R, T, 0, n, M, bitgens, channel_cdf(cfg), np.asarray(lam, dtype=float),
-                  cfg.rate_matrix, np.empty(0), 0, q.copy(), *stats, np.zeros((R, M, n), dtype=np.int64),
-                  np.zeros((R, 0), dtype=np.int64), np.zeros(R),
-                  np.zeros((R, n)), 1, np.empty((R, T), dtype=np.int64), np.empty((R, 0)), arr, chosen,
-                  np.empty((R, T)), np.empty((R, T + 1, n))) == 0
-    return chosen, arr
+                  cfg.rate_matrix, np.empty(0), 0, q.copy(), arr_sum, *stats,
+                  np.zeros((R, M, n), dtype=np.int64), np.zeros((R, 0), dtype=np.int64), np.zeros(R),
+                  np.zeros((R, n)), 1, chosen) == 0
+    return chosen, arr_sum
 
 
 NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
@@ -553,8 +525,10 @@ def poisson_mult(uniforms, enlam):
 
 class TestKernelDraws:
     """The kernel draws what numpy's own calls draw on a fresh
-    RandomSource, chunk by chunk, bitwise: a numpy upgrade that moved a draw
-    would show here."""
+    RandomSource, chunk by chunk, bitwise: each traced run, with burn-in 0 so
+    that every slot's draws reach its statistics, replays from numpy's
+    draws with its choices the rule's and its statistics the replay's,
+    bitwise. A numpy upgrade that moved a draw would show here."""
 
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("cfg_name", list(DRAW_CONFIGS))
@@ -562,38 +536,37 @@ class TestKernelDraws:
         cfg = DRAW_CONFIGS[cfg_name]
         policy = Policy(MaxWeight(alpha=2.0), tie_break=tie_break)
         made = record_generators(monkeypatch)
+        runs = []
         for horizon, reps in ((2 * CHUNK + 4465, [0]), (70_001, [4, 1, 2]), (5, [3, 0, 1])):
             made.clear()
-            spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True)
+            spec = SimSpec(horizon=horizon, burn_in=0, master_seed=21, record_trace=True)
             (outputs,) = run_replications(cfg, [policy], spec, reps)
             assert len(made) == len(reps)
-            for out in outputs:
-                assert_numpys_draws(out, cfg, 21, horizon, tie_break)
+            runs += [(policy, spec, out) for out in outputs]
             if cfg_name == "poisson7":
-                states = np.concatenate([o.trace["state"] for o in outputs])
-                assert set(np.unique(states)) <= {1, 3}
+                assert not any(o.counters.state_slots[[0, 2]].any() for o in outputs)
+        assert_replays(cfg, runs)
 
     def test_any_bit_generator_draws_numpys_values(self, monkeypatch):
         """The kernel reads a replication's generator through its
         next_double alone, so another bit generator draws numpy's values
         too: on SFC64, which has no advance, a traced uniform-tie het
-        campaign of two rows records what numpy's own calls on a fresh
+        campaign of two rows replays from what numpy's own calls on a fresh
         SFC64 generator draw, bitwise."""
         made = record_generators(monkeypatch, sfc64_generator)
-        cfg, horizon = DRAW_CONFIGS["reference"], 70_001
+        cfg = DRAW_CONFIGS["reference"]
         policy = Policy(Heterogeneous(q_th=2.0), tie_break="uniform_random")
-        spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True)
+        spec = SimSpec(horizon=70_001, burn_in=0, master_seed=21, record_trace=True)
         (outputs,) = run_replications(cfg, [policy], spec, [0, 1])
         assert [type(g.bit_generator) for g in made] == [np.random.SFC64] * 2
-        for out in outputs:
-            assert_numpys_draws(out, cfg, 21, horizon, "uniform_random", sfc64_generator)
+        assert_replays(cfg, [(policy, spec, out) for out in outputs], sfc64_generator)
 
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("cfg_name", ["poisson7", "reference", "fluid"])
     def test_rows_ending_about_the_first_refill_draw_numpys_values(self, monkeypatch, cfg_name, tie_break):
         """Rows that read less than one buffer (horizon 5), and rows whose
         draws end just before, at and just after the buffer's first refill,
-        each beside a second row with its own generator, record numpy's
+        each beside a second row with its own generator, replay from numpy's
         values, and the same run untraced reports the traced run's
         statistics bitwise."""
         cfg = DRAW_CONFIGS[cfg_name]
@@ -618,26 +591,46 @@ class TestKernelDraws:
                 lo, hi = (mid, hi) if consumed(rep, mid) <= STREAM_LEN else (lo, mid)
             assert consumed(rep, lo) <= STREAM_LEN < consumed(rep, lo + 1)
             runs += [(horizon, [rep, 1]) for horizon in (lo - 1, lo, lo + 1)]
+        replayed = []
         for horizon, reps in runs:
-            base = SimSpec(horizon=horizon, master_seed=21)
+            base = SimSpec(horizon=horizon, burn_in=0, master_seed=21)
             (traced,) = run_replications(cfg, [policy], replace(base, record_trace=True), reps)
             (untraced,) = run_replications(cfg, [policy], base, reps)
-            assert all(o.trace is None for o in untraced)
             for out, plain in zip(traced, untraced):
-                assert_numpys_draws(out, cfg, 21, horizon, tie_break)
-                for f in fields(TraceCounters):
-                    assert bitwise_equal(getattr(plain.counters, f.name), getattr(out.counters, f.name)), \
-                        (horizon, f.name)
-                assert bitwise_equal(plain.overflow_slot_counts, out.overflow_slot_counts), horizon
-                assert bitwise_equal(plain.mean_queues, out.mean_queues), horizon
+                assert_same_outputs(plain, replace(out, trace=None), horizon)
+            replayed += [(policy, replace(base, record_trace=True), out) for out in traced]
+        assert_replays(cfg, replayed)
+
+    def test_replays_lindley_form_is_its_slot_loop_bitwise(self):
+        """The replay's Lindley form, which it takes on integer inputs, gives
+        the slot loop's queues and departures bit for bit, signed zeros
+        included: numpy's Poisson draws of poisson7 (rates 0 to 1000, states
+        of rate 0) and of the reference config, three rows of 20 000 slots
+        each, served at random. On fluid arrivals of 0.7, 0.45, 0.9 and 0.35
+        the two forms differ, and exact_in_floats refuses the Lindley form."""
+        rng = np.random.default_rng(0)
+        fluid = replace(DRAW_CONFIGS["fluid"], arrival_rates=np.array([0.7, 0.45, 0.9, 0.35]))
+        R, T = 3, 20_000
+        for cfg in (DRAW_CONFIGS["poisson7"], DRAW_CONFIGS["reference"], fluid):
+            N = cfg.n_users
+            draws = [numpys_draws(cfg, 21, rep, T, "lowest_index") for rep in range(R)]
+            chosen = rng.integers(0, N, (T, R))
+            arrivals = np.stack([d["arrivals"] for d in draws], axis=1).reshape(T, R * N)
+            rate = np.stack([cfg.rate_matrix[d["state"], chosen[:, r]] for r, d in enumerate(draws)], axis=1)
+            served = chosen + np.arange(R) * N
+            (q, dep), (q_lindley, dep_lindley) = (form(arrivals, served, rate) for form in (queue_loop, queue_lindley))
+            assert (q[1:] == 0).any() and (dep == 0).any() and (dep > 0).any()
+            exact = bitwise_equal(q, q_lindley) and bitwise_equal(dep, dep_lindley)
+            assert exact == exact_in_floats(arrivals, rate) == (cfg is not fluid), cfg
 
     def test_short_poisson_path_counts_as_numpys_loop(self):
         """Below lam = 10 the kernel counts the first four running products
         at once and continues numpy's loop from the fourth. Scripted uniforms
         put a product exactly on exp(-lam), which ends a variate, and just
-        above it, at each of the first five products and beyond, in 1000
-        variates that cross several of the buffer's refills: each count is
-        numpy's."""
+        above it, at each of the first five products and beyond: each case
+        alone, drawn in one slot, is numpy's count, and so is every sum of
+        the first H of 1000 such variates, at horizons H whose draws cross
+        up to several of the buffer's refills."""
         lam = 3.0
         e = math.exp(-lam)
         cases = [
@@ -651,19 +644,28 @@ class TestKernelDraws:
             ([0.99] * 4 + [0.01], 4),
             ([0.9] * 10 + [0.0], 10),
         ]
+        cfg = make_config([[1.0]], [1.0], [lam])
+
+        def arrivals(horizon, variates):
+            """The kernel's arrival sum over horizon slots whose one channel
+            uniform each comes first, then the uniforms of variates."""
+            bitgen = ScriptedBitGen([0.5] * horizon + [u for uniforms in variates for u in uniforms])
+            bitgens = np.array([ctypes.addressof(bitgen)], dtype=np.uintp)
+            _, arr_sum = run_kernel(cfg, Heterogeneous(q_th=2.0), np.zeros((1, 1)), bitgens, horizon,
+                                    [lam], 0)
+            return arr_sum[0, 0]
+
         for uniforms, count in cases:
             assert poisson_mult(iter(uniforms), e) == count, uniforms
+            assert arrivals(1, [uniforms]) == count, uniforms
         T = 1000
         picks = np.random.default_rng(5).integers(0, len(cases), T)
-        script = [0.5] * T + [u for k in picks for u in cases[k][0]]  # T channel uniforms first
-        assert len(script) > 3 * STREAM_LEN
-        cfg = make_config([[1.0]], [1.0], [lam])
-        bitgen = ScriptedBitGen(script)
-        bitgens = np.array([ctypes.addressof(bitgen)], dtype=np.uintp)
-        _, arr = run_kernel(cfg, Heterogeneous(q_th=2.0), np.zeros((1, 1)), bitgens, T, [lam], 0)
-        stream = iter(script[T:])
-        assert arr[0, :, 0].tolist() == [poisson_mult(stream, e) for _ in range(T)]
-        assert arr[0, :, 0].tolist() == [cases[k][1] for k in picks]
+        stream = iter([u for k in picks for u in cases[k][0]])
+        counts = [poisson_mult(stream, e) for _ in range(T)]
+        assert counts == [cases[k][1] for k in picks]
+        assert T + sum(len(cases[k][0]) for k in picks) > 3 * STREAM_LEN
+        for horizon in (2, 3, 250, 499, 500, 998, 999, T):
+            assert arrivals(horizon, [cases[k][0] for k in picks[:horizon]]) == sum(counts[:horizon]), horizon
 
     def test_poisson_rate_beyond_numpys_bound_rejected(self, ref_cfg, ref_cfg_fluid):
         """Above numpy's Poisson bound the config is refused when built, with
@@ -708,7 +710,7 @@ SEVENTY_USERS = make_config(np.random.default_rng(70).integers(0, 10, size=(3, 7
 
 def assert_same_outputs(a, b, where):
     """Two replications' outputs are bitwise equal: counters, overflow
-    counts, mean queues and trace."""
+    counts, mean queues and trace (the choices, or None for both)."""
     assert a.rep_index == b.rep_index, where
     for f in fields(TraceCounters):
         assert bitwise_equal(getattr(a.counters, f.name), getattr(b.counters, f.name)), (where, f.name)
@@ -716,9 +718,7 @@ def assert_same_outputs(a, b, where):
     assert bitwise_equal(a.mean_queues, b.mean_queues), where
     assert (a.trace is None) == (b.trace is None), where
     if a.trace is not None:
-        assert a.trace.keys() == b.trace.keys(), where
-        for key in a.trace:
-            assert bitwise_equal(a.trace[key], b.trace[key]), (where, key)
+        assert bitwise_equal(a.trace, b.trace), where
 
 
 class TestSharedDraws:
@@ -730,46 +730,48 @@ class TestSharedDraws:
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("cfg_name", list(DRAW_CONFIGS))
     def test_each_policy_equals_running_it_alone(self, monkeypatch, cfg_name, tie_break):
+        """The first lane's run replays from numpy's draws, bitwise."""
         cfg = DRAW_CONFIGS[cfg_name]
         policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES]
+        runs = []
         for horizon, reps in ((2 * CHUNK + 4465, [1, 0]), (5, [3, 0, 1])):
             spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True,
                            thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
             made = record_generators(monkeypatch)
             shared = run_replications(cfg, policies, spec, reps)
             assert len(made) == len(reps) and len(shared) == len(policies)
-            for out in shared[0]:
-                assert_numpys_draws(out, cfg, 21, horizon, tie_break)
+            runs += [(policies[0], spec, out) for out in shared[0]]
             monkeypatch.undo()
             for policy, outputs in zip(policies, shared):
                 (alone,) = run_replications(cfg, [policy], spec, reps)
                 for a, b in zip(outputs, alone):
                     assert_same_outputs(a, b, policy)
+        assert_replays(cfg, runs)
 
-    @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("case", ["twelve_policies", "seventy_users"])
-    def test_lanes_at_width_equal_each_policy_alone(self, case, tie_break, record_trace):
+    def test_lanes_at_width_equal_each_policy_alone(self, case, tie_break):
         """Twelve policies of all three rules in one call, on the reference
         config across a chunk boundary and on 70 users: each policy's
-        outputs are bitwise those of running it alone, twelve lanes picking
-        with selects and a lone lane with the early-exit scan. The 70-user
-        run meets slots on which all 70 users tie."""
+        outputs, choices included, are bitwise those of running it alone,
+        twelve lanes picking with selects and a lone lane with the
+        early-exit scan. The 70-user run meets slots on which all 70 users
+        tie, on mw's queues replayed from numpy's draws."""
         if case == "twelve_policies":
             cfg, horizon = DRAW_CONFIGS["reference"], CHUNK + 4465
         else:
             cfg, horizon = SEVENTY_USERS, 3000
         policies = [Policy(v, tie_break=tie_break) for v in WIDE_POLICIES]
-        spec = SimSpec(horizon=horizon, master_seed=21, record_trace=record_trace,
+        spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True,
                        thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
         shared = run_replications(cfg, policies, spec, [1, 0])
         for policy, outputs in zip(policies, shared):
             (alone,) = run_replications(cfg, [policy], spec, [1, 0])
             for a, b in zip(outputs, alone):
                 assert_same_outputs(a, b, policy)
-        if case == "seventy_users" and record_trace:
-            mw_queues = shared[-1][0].trace["q"][:-1]  # the queues before each slot
-            assert (mw_queues == 0).all(axis=1).sum() > horizon // 10
+        if case == "seventy_users":
+            (mw,) = assert_replays(cfg, [(policies[-1], spec, shared[-1][0])])
+            assert (mw.before == 0).all(axis=1).sum() > horizon // 10
 
     def test_mixed_tie_breaks_rejected(self, monkeypatch, ref_cfg):
         """The draws hold tie uniforms only for uniform ties, so the policies
@@ -836,13 +838,13 @@ class TestRowSlices:
     are bitwise those of one slice, one slice starts no thread, and a
     slice's exception reaches the caller once every slice has ended."""
 
-    @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("cfg_name", ["reference", "fluid"])
-    def test_any_slice_count_equals_one_slice(self, monkeypatch, cfg_name, tie_break, record_trace):
+    def test_any_slice_count_equals_one_slice(self, monkeypatch, cfg_name, tie_break):
+        """Traced, so that the choices are compared too."""
         cfg = DRAW_CONFIGS[cfg_name]
         policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES]
-        spec = SimSpec(horizon=3000, master_seed=21, record_trace=record_trace,
+        spec = SimSpec(horizon=3000, master_seed=21, record_trace=True,
                        thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
         for reps in ([4, 0, 3, 1, 2], [1, 0], [2]):
             runs = {}
@@ -911,16 +913,15 @@ class TestRowSlices:
 
 class TestRowGroups:
     """A slice takes its rows in groups of up to GROUP, drawn together, the
-    arrivals SUB_BLOCK slots at a time: each row's outputs, trace and
+    arrivals SUB_BLOCK slots at a time: each row's outputs, choices and
     generator end state are bitwise those of the row run alone, for every
     group size of one slice and for horizons and burn-ins at, inside and
     across the blocks' and the chunk's edges."""
 
     @pytest.mark.parametrize("P", [1, 3])
-    @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("cfg_name", ["reference", "fluid"])
-    def test_each_row_equals_running_it_alone(self, monkeypatch, cfg_name, tie_break, record_trace, P):
+    def test_each_row_equals_running_it_alone(self, monkeypatch, cfg_name, tie_break, P):
         cfg = DRAW_CONFIGS[cfg_name]
         policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES[:P]]
         sub, chunk = KERNEL["SUB_BLOCK"], CHUNK
@@ -929,7 +930,7 @@ class TestRowGroups:
         made = record_generators(monkeypatch)
         for horizon, burn in ((1, 0), (sub - 1, 0), (sub - 1, 500), (sub + 1, sub), (3001, 1500),
                               (3001, 2 * sub), (chunk + 3, 5000), (chunk + 3, chunk)):
-            spec = SimSpec(horizon=horizon, burn_in=burn, master_seed=21, record_trace=record_trace,
+            spec = SimSpec(horizon=horizon, burn_in=burn, master_seed=21, record_trace=True,
                            thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
             made.clear()
             alone = [run_replications(cfg, policies, spec, [r]) for r in range(9)]
@@ -1063,15 +1064,17 @@ def seeded_config(n_users, seed, arrival_model):
     return make_config(rates, probs, lam.round(3), arrival_model=arrival_model)
 
 
-def replay(cfg, policy, seed, horizon):
-    """Per slot of one traced replication: the user the engine served, the
-    tied set the specified rule (stable_scores + tied_mask) gives for the
-    queues before that slot's arrivals, and the slot's tie uniform (empty for
-    lowest-index ties)."""
-    spec = SimSpec(horizon=horizon, burn_in=0, master_seed=seed, record_trace=True)
-    trace = run_replication(cfg, policy, spec, 0).trace
-    tied = tied_mask(stable_scores(policy.variant, cfg, trace["q"][:-1], trace["state"]))
-    return trace["chosen"], tied, trace["tie_uniform"]
+def replay(cfg, policies, seeds, horizon):
+    """One traced replication (rep 0, burn-in 0) of each policy under each
+    master seed, each slot checked by assert_replays: it serves the user
+    the specified rule picks on the queues replayed from numpy's draws.
+    Returns the replays, policy by policy."""
+    runs = []
+    for policy in policies:
+        for seed in seeds:
+            spec = SimSpec(horizon=horizon, burn_in=0, master_seed=seed, record_trace=True)
+            runs.append((policy, spec, run_replication(cfg, policy, spec, 0)))
+    return assert_replays(cfg, runs)
 
 
 def kernel_picks(cfg, variant, rows):
@@ -1083,11 +1086,6 @@ def kernel_picks(cfg, variant, rows):
     bitgens = np.array([g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uintp)
     chosen, _ = run_kernel(cfg, variant, rows, bitgens, 1, np.zeros(cfg.n_users), 1)
     return chosen[:, 0]
-
-
-def uniform_pick(tied, u):
-    """The selectors' uniform rule per row: the floor(u * count)-th tied user."""
-    return (tied.cumsum(axis=1) > np.floor(u * tied.sum(axis=1))[:, None]).argmax(axis=1)
 
 
 REPLAY_VARIANTS = [
@@ -1105,20 +1103,9 @@ REPLAY_VARIANTS = [
 POW_VARIANTS = [Exp(eta=0.25), Exp(eta=0.75), MaxWeight(alpha=1.0), MaxWeight(alpha=2.5),
                 MaxWeight(alpha=7.0)]
 
-# (arrival model, rule) pairs of the queue-update check: every rule on each
-# arrival model; the het cases keep the bare arrival model as their id
-QUEUE_UPDATE_CASES = [
-    (model, variant)
-    for variant in (Heterogeneous(q_th=3.0), Exp(eta=0.25), MaxWeight(alpha=7.0))
-    for model in ("poisson", "fluid", "fluid_one_user")
-]
-
-QUEUE_UPDATE_IDS = [model if isinstance(variant, Heterogeneous) else f"{model}-{variant!r}"
-                    for model, variant in QUEUE_UPDATE_CASES]
-
-
 class TestEngineMatchesSpec:
-    """The engine serves, slot by slot, the user the specified rule picks."""
+    """The engine serves, slot by slot, the user the specified rule picks on
+    queues the tests replay from numpy's draws."""
 
     @pytest.mark.parametrize("variant", REPLAY_VARIANTS, ids=repr)
     @pytest.mark.parametrize("arrival_model", ["poisson", "fluid"])
@@ -1128,49 +1115,16 @@ class TestEngineMatchesSpec:
             cfg = ref_cfg if arrival_model == "poisson" else ref_cfg_fluid
         else:
             cfg = seeded_config(int(cfg_name[5:]), 11, arrival_model)
-        for seed in (0, 1, 2):
-            chosen, tied, _ = replay(cfg, Policy(variant), seed, 10_000)
-            assert np.array_equal(chosen, tied.argmax(axis=1)), (seed, "lowest_index")
-            chosen, tied, u = replay(cfg, Policy(variant, tie_break="uniform_random"), seed, 10_000)
-            assert np.array_equal(chosen, uniform_pick(tied, u)), (seed, "uniform_random")
+        replay(cfg, [Policy(variant), Policy(variant, tie_break="uniform_random")], (0, 1, 2), 10_000)
 
     def test_replay_across_chunks(self, ref_cfg_fluid):
-        """A two-chunk trace: the record's concatenation and the queues
-        carried into the second chunk decide as the rule does."""
+        """A two-chunk run: its choices, on the queues carried into the
+        second chunk, are the rule's."""
         policy = Policy(Heterogeneous(q_th=3.0), tie_break="uniform_random")
-        chosen, tied, u = replay(ref_cfg_fluid, policy, 0, 33_000)
-        assert len(chosen) == 33_000 > CHUNK
-        assert np.array_equal(chosen, uniform_pick(tied, u))
-        late = slice(CHUNK, None)
-        assert (tied[late].sum(axis=1) > 1).any()
-
-    @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
-    @pytest.mark.parametrize(("arrival_model", "variant"), QUEUE_UPDATE_CASES, ids=QUEUE_UPDATE_IDS)
-    def test_queue_update_adds_arrivals_then_drains(self, ref_cfg, arrival_model, variant, tie_break):
-        """Every recorded slot's queues and departure are bitwise what adding
-        its arrivals to the queues before it and then draining
-        min(backlog, rate) from its chosen user makes, under each rule:
-        Poisson and non-integer fluid arrivals, and one overloaded user whose
-        queue only grows, two replications, across a chunk boundary. The
-        record starts from empty queues, so with integer Poisson counts the
-        queues are exactly cumulative arrivals minus cumulative departures."""
-        cfg = ref_cfg
-        if arrival_model == "fluid":
-            cfg = replace(ref_cfg, arrival_model="fluid", arrival_rates=np.array([0.7, 0.45, 0.9, 0.35]))
-        elif arrival_model == "fluid_one_user":
-            cfg = make_config([[0.5]], [1.0], [1.0], arrival_model="fluid")
-        spec = SimSpec(horizon=CHUNK + 500, master_seed=5, record_trace=True)
-        policy = Policy(variant, tie_break=tie_break)
-        for out in run_replications(cfg, [policy], spec, [0, 1])[0]:
-            tr = out.trace
-            assert not tr["q"][0].any()
-            q = tr["q"][:-1] + tr["arrivals"]
-            k, rows = tr["chosen"], np.arange(len(q))
-            d = np.minimum(q[rows, k], cfg.rate_matrix[tr["state"], k])
-            q[rows, k] -= d
-            assert bitwise_equal(tr["q"][1:], q)
-            assert bitwise_equal(tr["departure"], d)
-            assert tr["departure"].any() and tr["q"][1:].any()
+        (rp,) = replay(ref_cfg_fluid, [policy], [0], 33_000)
+        assert len(rp.chosen) == 33_000 > CHUNK
+        _, tied = rule_choices(ref_cfg_fluid, rp)
+        assert (tied[CHUNK:].sum(axis=1) > 1).any()
 
     @pytest.mark.parametrize("variant", POW_VARIANTS, ids=repr)
     def test_pow_memo_edges(self, variant):
@@ -1206,27 +1160,24 @@ class TestEngineMatchesSpec:
         rates = ref_cfg.rate_matrix.copy()
         rates[1, 0] = 2.5
         cfg = replace(ref_cfg, arrival_model="fluid", arrival_rates=np.full(4, 0.9), rate_matrix=rates)
-        spec = SimSpec(horizon=10_000, burn_in=0, master_seed=0, record_trace=True)
-        q = run_replication(cfg, Policy(variant), spec, 0).trace["q"][:-1]
+        lowest, _ = replay(cfg, [Policy(variant), Policy(variant, tie_break="uniform_random")], [0], 10_000)
+        q = lowest.before
         if isinstance(variant, Exp):
             args = np.cumsum(q, axis=1)[:, -1] / q.shape[1]
         else:
             busy = q[q.max(axis=1) > 0]
             args = busy / busy.max(axis=1, keepdims=True)
         assert len(np.unique(args)) > KERNEL["POW_MEMO"]
-        chosen, tied, _ = replay(cfg, Policy(variant), 0, 10_000)
-        assert np.array_equal(chosen, tied.argmax(axis=1))
-        chosen, tied, u = replay(cfg, Policy(variant, tie_break="uniform_random"), 0, 10_000)
-        assert np.array_equal(chosen, uniform_pick(tied, u))
 
     def test_replay_sees_ties(self, ref_cfg_fluid):
         """The gate is not vacuous: fluid het q_th=3 meets multi-user tied sets
         and a uniform draw serves a tied user other than the lowest one."""
         policy = Policy(Heterogeneous(q_th=3.0), tie_break="uniform_random")
-        chosen, tied, _ = replay(ref_cfg_fluid, policy, 0, 10_000)
+        (rp,) = replay(ref_cfg_fluid, [policy], [0], 10_000)
+        _, tied = rule_choices(ref_cfg_fluid, rp)
         multi = tied.sum(axis=1) > 1
         assert multi.sum() > 100
-        assert (chosen[multi] != tied[multi].argmax(axis=1)).any()
+        assert (rp.chosen[multi] != tied[multi].argmax(axis=1)).any()
 
     def test_exp_mean_sums_left_to_right(self):
         """exp's denominator sums the row left to right: on 801 9-user rows
@@ -1300,13 +1251,13 @@ class TestSlotKernelBuild:
     def test_argtypes_match_the_c_signature(self):
         """ctypes passes each argument as the kernel's argtypes say, never
         checked against _slots.c, so a drift between the two corrupts memory:
-        run_slots' 34 parameters need one argtype each, its own scalar type
+        run_slots' 29 parameters need one argtype each, its own scalar type
         for a scalar and an ndpointer of the element's dtype for a pointer,
         and its int64_t result needs restype c_int64."""
         source = simulator._SLOTS_SOURCE.read_text()
         params = re.search(r"int64_t run_slots\(([^)]*)\)", source).group(1)
         params = [p.replace("const", "").split() for p in params.split(",")]
-        assert (len(params), sum("*" in p[-1] for p in params)) == (34, 22)
+        assert (len(params), sum("*" in p[-1] for p in params)) == (29, 17)
         kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
         assert kernel.restype is ctypes.c_int64
         argtypes = kernel.argtypes
@@ -1340,8 +1291,8 @@ class TestSlotKernelBuild:
         min(horizon, CHUNK) slots per row and, under either tie-break, a
         short last block of arrivals. All run without a read or write
         outside a buffer and without undefined behaviour, and record what
-        the plain build records: every trace of the first, every statistic
-        of the others."""
+        the plain build records: every policy's choices in the first, every
+        statistic of the others."""
         runtime = subprocess.run([simulator._CC, "-print-file-name=libasan.so"], capture_output=True,
                                  text=True).stdout.strip()
         if not os.path.isfile(runtime):
@@ -1369,7 +1320,7 @@ class TestSlotKernelBuild:
             "simulator._slot_kernel = lambda cc, npyrandom: simulator._load_kernel(library)\n"
             "def recorded(o):\n"
             "    if o.trace is not None:\n"
-            "        return [o.trace[k] for k in sorted(o.trace)]\n"
+            "        return [o.trace]\n"
             "    counters = [np.asarray(getattr(o.counters, f.name)) for f in fields(o.counters)]\n"
             "    return [*counters, o.overflow_slot_counts, o.mean_queues]\n"
             "runs = []\n"
@@ -1390,11 +1341,11 @@ class TestSlotKernelBuild:
         with np.load(tmp_path / "record.npz") as record:
             sanitized = [record[f"arr_{i}"] for i in range(len(record.files))]
         traced, *untraced = (run_replications(*campaign) for campaign in campaigns)
-        plain = [o.trace[k] for outs in traced for o in outs for k in sorted(o.trace)]
+        plain = [o.trace for outs in traced for o in outs]
         plain += [a for run in untraced for outs in run for o in outs
                   for a in [*(np.asarray(getattr(o.counters, f.name)) for f in fields(TraceCounters)),
                             o.overflow_slot_counts, o.mean_queues]]
-        assert len(sanitized) == len(plain) == 2 * 2 * 6 + 3 * 3 * 8 + 2 * 3 * 6 * 8
+        assert len(sanitized) == len(plain) == 2 * 2 * 1 + 3 * 3 * 8 + 2 * 3 * 6 * 8
         assert all(bitwise_equal(a, b) for a, b in zip(sanitized, plain))
 
     def test_missing_compiler_fails_cleanly(self, monkeypatch, ref_cfg, ref_cfg_path, tmp_path, capsys):
