@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from dataclasses import fields, replace
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -393,43 +394,55 @@ def stat_config(name):
     }[name]()
 
 
+@lru_cache(maxsize=1)
+def stat_replays(cfg_name):
+    """TestKernelStatistics' config, base spec and replays by (policy,
+    rep_index): one burn-in-0 traced run per tie-break, its policies as
+    lanes, replayed once for all of the config's cases, since the burn-in
+    changes only the reduction. Its checks (choices, statistics, and
+    departures and queues not all zero) run when it is first built."""
+    cfg = stat_config(cfg_name)
+    base = SimSpec(horizon=2 * CHUNK + 1000, replications=2, master_seed=17,  # three chunks
+                   thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
+    traced = replace(base, burn_in=0, record_trace=True)
+    runs = [(policy, traced, out) for tie in ("lowest_index", "uniform_random")
+            for policy, outputs in zip(stat_group(tie), run_replications(cfg, stat_group(tie), traced, [1, 0]))
+            for out in outputs]
+    replays = dict(zip(((policy, out.rep_index) for policy, _, out in runs), assert_replays(cfg, runs)))
+    for rp in replays.values():
+        assert rp.departure.any() and rp.after.any()
+    return cfg, base, replays
+
+
+def stat_group(tie_break):
+    """STAT_POLICIES of one tie-break, the lanes of one call."""
+    return [p for p in STAT_POLICIES if p.tie_break == tie_break]
+
+
 class TestKernelStatistics:
     """The kernel's post-burn-in statistics, traced or not, are bitwise the
     left-to-right reduction of the replay of numpy's draws and its choices,
     and every choice is the rule's on the replayed queues; fluid arrivals
-    make any other summation order show in the last bits. Each config's
-    rows are replayed once, from burn-in 0, since the burn-in changes only
-    the reduction; every burn-in's run is then checked against it, traced
-    with its tie-break's policies as lanes and untraced with each policy
-    alone."""
+    make any other summation order show in the last bits. Every burn-in's
+    run of a policy is checked against its config's one replay, traced as a
+    lane beside its tie-break's other policies and untraced alone."""
 
+    @pytest.mark.parametrize("policy", STAT_POLICIES, ids=lambda p: f"{p.variant!r}-{p.tie_break}")
     @pytest.mark.parametrize("cfg_name", ["reference", "fluid1", "fluid2", "fluid4", "fluid4_mixed", "fluid9",
                                           "overloaded"])
-    def test_statistics_match_numpy_reduction_of_the_replay(self, cfg_name):
-        cfg = stat_config(cfg_name)
-        base = SimSpec(horizon=2 * CHUNK + 1000, replications=2, master_seed=17,  # three chunks
-                       thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
-        groups = [[p for p in STAT_POLICIES if p.tie_break == tie] for tie in ("lowest_index", "uniform_random")]
-        traced = replace(base, burn_in=0, record_trace=True)
-        runs = [(policy, traced, out) for group in groups
-                for policy, outputs in zip(group, run_replications(cfg, group, traced, [1, 0]))
-                for out in outputs]
-        replays = dict(zip(((policy, out.rep_index) for policy, _, out in runs),
-                           assert_replays(cfg, runs)))
-        for rp in replays.values():
-            assert rp.departure.any() and rp.after.any()
+    def test_statistics_match_numpy_reduction_of_trace(self, cfg_name, policy):
+        cfg, base, replays = stat_replays(cfg_name)
+        group = stat_group(policy.tie_break)
         for burn in STAT_BURNS:
             spec = replace(base, burn_in=burn)
             burn = simulator.resolved_burn_in(spec)
-            for group in groups:
-                shared = run_replications(cfg, group, replace(spec, record_trace=True), [1, 0])
-                alone = [run_replications(cfg, [policy], spec, [1, 0])[0] for policy in group]
-                for policy, lanes, solo in zip(group, shared, alone):
-                    for lane, plain in zip(lanes, solo):
-                        rp = replays[policy, lane.rep_index]
-                        assert_reduces_to(lane, rp, burn, spec.thresholds, cfg.n_states, (policy, burn))
-                        assert bitwise_equal(lane.trace, rp.chosen)
-                        assert_same_outputs(plain, replace(lane, trace=None), (policy, burn))
+            lanes = run_replications(cfg, group, replace(spec, record_trace=True), [1, 0])[group.index(policy)]
+            (alone,) = run_replications(cfg, [policy], spec, [1, 0])
+            for lane, plain in zip(lanes, alone):
+                rp = replays[policy, lane.rep_index]
+                assert_reduces_to(lane, rp, burn, spec.thresholds, cfg.n_states, burn)
+                assert bitwise_equal(lane.trace, rp.chosen)
+                assert_same_outputs(plain, replace(lane, trace=None), burn)
 
 
 def draws_config(n_states, lam, arrival_model="poisson", probs=None):
@@ -748,28 +761,29 @@ class TestSharedDraws:
                     assert_same_outputs(a, b, policy)
         assert_replays(cfg, runs)
 
+    @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("case", ["twelve_policies", "seventy_users"])
-    def test_lanes_at_width_equal_each_policy_alone(self, case, tie_break):
+    def test_lanes_at_width_equal_each_policy_alone(self, case, tie_break, record_trace):
         """Twelve policies of all three rules in one call, on the reference
         config across a chunk boundary and on 70 users: each policy's
-        outputs, choices included, are bitwise those of running it alone,
-        twelve lanes picking with selects and a lone lane with the
-        early-exit scan. The 70-user run meets slots on which all 70 users
-        tie, on mw's queues replayed from numpy's draws."""
+        outputs, traced ones' choices included, are bitwise those of running
+        it alone, twelve lanes picking with selects and a lone lane with the
+        early-exit scan. The traced 70-user run meets slots on which all 70
+        users tie, on mw's queues replayed from numpy's draws."""
         if case == "twelve_policies":
             cfg, horizon = DRAW_CONFIGS["reference"], CHUNK + 4465
         else:
             cfg, horizon = SEVENTY_USERS, 3000
         policies = [Policy(v, tie_break=tie_break) for v in WIDE_POLICIES]
-        spec = SimSpec(horizon=horizon, master_seed=21, record_trace=True,
+        spec = SimSpec(horizon=horizon, master_seed=21, record_trace=record_trace,
                        thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
         shared = run_replications(cfg, policies, spec, [1, 0])
         for policy, outputs in zip(policies, shared):
             (alone,) = run_replications(cfg, [policy], spec, [1, 0])
             for a, b in zip(outputs, alone):
                 assert_same_outputs(a, b, policy)
-        if case == "seventy_users":
+        if case == "seventy_users" and record_trace:
             (mw,) = assert_replays(cfg, [(policies[-1], spec, shared[-1][0])])
             assert (mw.before == 0).all(axis=1).sum() > horizon // 10
 
@@ -838,13 +852,14 @@ class TestRowSlices:
     are bitwise those of one slice, one slice starts no thread, and a
     slice's exception reaches the caller once every slice has ended."""
 
+    @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("cfg_name", ["reference", "fluid"])
-    def test_any_slice_count_equals_one_slice(self, monkeypatch, cfg_name, tie_break):
-        """Traced, so that the choices are compared too."""
+    def test_any_slice_count_equals_one_slice(self, monkeypatch, cfg_name, tie_break, record_trace):
+        """Traced runs compare the choices too."""
         cfg = DRAW_CONFIGS[cfg_name]
         policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES]
-        spec = SimSpec(horizon=3000, master_seed=21, record_trace=True,
+        spec = SimSpec(horizon=3000, master_seed=21, record_trace=record_trace,
                        thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
         for reps in ([4, 0, 3, 1, 2], [1, 0], [2]):
             runs = {}
@@ -913,15 +928,16 @@ class TestRowSlices:
 
 class TestRowGroups:
     """A slice takes its rows in groups of up to GROUP, drawn together, the
-    arrivals SUB_BLOCK slots at a time: each row's outputs, choices and
-    generator end state are bitwise those of the row run alone, for every
+    arrivals SUB_BLOCK slots at a time: each row's outputs, choices if traced,
+    and generator end state are bitwise those of the row run alone, for every
     group size of one slice and for horizons and burn-ins at, inside and
     across the blocks' and the chunk's edges."""
 
     @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("record_trace", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("tie_break", ["lowest_index", "uniform_random"])
     @pytest.mark.parametrize("cfg_name", ["reference", "fluid"])
-    def test_each_row_equals_running_it_alone(self, monkeypatch, cfg_name, tie_break, P):
+    def test_each_row_equals_running_it_alone(self, monkeypatch, cfg_name, tie_break, record_trace, P):
         cfg = DRAW_CONFIGS[cfg_name]
         policies = [Policy(v, tie_break=tie_break) for v in SHARED_POLICIES[:P]]
         sub, chunk = KERNEL["SUB_BLOCK"], CHUNK
@@ -930,7 +946,7 @@ class TestRowGroups:
         made = record_generators(monkeypatch)
         for horizon, burn in ((1, 0), (sub - 1, 0), (sub - 1, 500), (sub + 1, sub), (3001, 1500),
                               (3001, 2 * sub), (chunk + 3, 5000), (chunk + 3, chunk)):
-            spec = SimSpec(horizon=horizon, burn_in=burn, master_seed=21, record_trace=True,
+            spec = SimSpec(horizon=horizon, burn_in=burn, master_seed=21, record_trace=record_trace,
                            thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
             made.clear()
             alone = [run_replications(cfg, policies, spec, [r]) for r in range(9)]
