@@ -106,7 +106,9 @@ def queue_lindley(arrivals, served, rate):
     min(0, S(1), ..., S(t)) with S the running sum of arrivals less each
     slot's drain, all slots at once. It is queue_loop's bit for bit when
     every arrival and rate is an integer and every running sum of their
-    magnitudes stays below 2^53, as then no sum rounds."""
+    magnitudes stays below 2^53, as then no sum rounds. It is there for
+    tier-1's time: with the slot loop alone the suite took about 6 s
+    longer on a 2-core host."""
     T = len(arrivals)
     slots = np.arange(T)[:, None]
     net = arrivals.copy()

@@ -9,7 +9,6 @@ import sys
 import threading
 import time
 from dataclasses import fields, replace
-from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -394,14 +393,15 @@ def stat_config(name):
     }[name]()
 
 
-@lru_cache(maxsize=1)
-def stat_replays(cfg_name):
-    """TestKernelStatistics' config, base spec and replays by (policy,
-    rep_index): one burn-in-0 traced run per tie-break, its policies as
-    lanes, replayed once for all of the config's cases, since the burn-in
-    changes only the reduction. Its checks (choices, statistics, and
-    departures and queues not all zero) run when it is first built."""
-    cfg = stat_config(cfg_name)
+@pytest.fixture(scope="class")
+def stat_replays(request):
+    """TestKernelStatistics' config (named by the param), base spec and
+    replays by (policy, rep_index): one burn-in-0 traced run per tie-break,
+    its policies as lanes, replayed once for all of the config's cases,
+    since the burn-in changes only the reduction. Its checks (choices,
+    statistics, and departures and queues not all zero) run when it is
+    built; pytest keeps one config's replays at a time."""
+    cfg = stat_config(request.param)
     base = SimSpec(horizon=2 * CHUNK + 1000, replications=2, master_seed=17,  # three chunks
                    thresholds=(0.5, 2.0, 5.0, 10.0, 20.0))
     traced = replace(base, burn_in=0, record_trace=True)
@@ -423,26 +423,25 @@ class TestKernelStatistics:
     """The kernel's post-burn-in statistics, traced or not, are bitwise the
     left-to-right reduction of the replay of numpy's draws and its choices,
     and every choice is the rule's on the replayed queues; fluid arrivals
-    make any other summation order show in the last bits. Every burn-in's
-    run of a policy is checked against its config's one replay, traced as a
-    lane beside its tie-break's other policies and untraced alone."""
+    make any other summation order show in the last bits. At every burn-in
+    a policy run alone, traced and untraced, is checked against its
+    config's one replay of a lanes run."""
 
     @pytest.mark.parametrize("policy", STAT_POLICIES, ids=lambda p: f"{p.variant!r}-{p.tie_break}")
-    @pytest.mark.parametrize("cfg_name", ["reference", "fluid1", "fluid2", "fluid4", "fluid4_mixed", "fluid9",
-                                          "overloaded"])
-    def test_statistics_match_numpy_reduction_of_trace(self, cfg_name, policy):
-        cfg, base, replays = stat_replays(cfg_name)
-        group = stat_group(policy.tie_break)
+    @pytest.mark.parametrize("stat_replays", ["reference", "fluid1", "fluid2", "fluid4", "fluid4_mixed", "fluid9",
+                                              "overloaded"], indirect=True, scope="class")
+    def test_statistics_match_numpy_reduction_of_trace(self, stat_replays, policy):
+        cfg, base, replays = stat_replays
         for burn in STAT_BURNS:
             spec = replace(base, burn_in=burn)
             burn = simulator.resolved_burn_in(spec)
-            lanes = run_replications(cfg, group, replace(spec, record_trace=True), [1, 0])[group.index(policy)]
-            (alone,) = run_replications(cfg, [policy], spec, [1, 0])
-            for lane, plain in zip(lanes, alone):
-                rp = replays[policy, lane.rep_index]
-                assert_reduces_to(lane, rp, burn, spec.thresholds, cfg.n_states, burn)
-                assert bitwise_equal(lane.trace, rp.chosen)
-                assert_same_outputs(plain, replace(lane, trace=None), burn)
+            (traced,) = run_replications(cfg, [policy], replace(spec, record_trace=True), [1, 0])
+            (untraced,) = run_replications(cfg, [policy], spec, [1, 0])
+            for out, plain in zip(traced, untraced):
+                rp = replays[policy, out.rep_index]
+                assert_reduces_to(out, rp, burn, spec.thresholds, cfg.n_states, burn)
+                assert bitwise_equal(out.trace, rp.chosen)
+                assert_same_outputs(plain, replace(out, trace=None), burn)
 
 
 def draws_config(n_states, lam, arrival_model="poisson", probs=None):
