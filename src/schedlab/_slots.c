@@ -69,11 +69,12 @@
  * store beside the pow. The memo changes no score, so no choice or
  * statistic either.
  *
- * The same walk adds each post-burn-in slot into the lanes' statistics, and
- * writes each slot's chosen user only when the caller records them. The
- * draws live in the call's scratch alone, traced or not. Every float sum,
- * here and in exp's mean, runs left to right, one slot or user at a time,
- * from 0.0.
+ * The same walk adds each post-burn-in slot into its lane's records, one of
+ * doubles and one of counts, which the caller's arrays hold in the lane's
+ * own layout, so a group copies each in and out whole. It writes each
+ * slot's chosen user only when the caller records them. The draws live in
+ * the call's scratch alone, traced or not. Every float sum, here and in
+ * exp's mean, runs left to right, one slot or user at a time, from 0.0.
  */
 #include <math.h>
 #include <stdint.h>
@@ -234,7 +235,7 @@ struct call {
     int uniform, record, fluid;
     int64_t P, R, T, burn, n, m_states, K;
     int64_t *states, *chosen;
-    double *u, *arr, *initial_q;
+    double *u, *arr;
     uint64_t *memo_keys;
     double *memo_vals;
     int64_t memo_len;
@@ -242,11 +243,13 @@ struct call {
     int64_t *lane_i;
 };
 
-/* Lane p's doubles, at lane_f + p * LANE_F(n): queues, scores, dep_sum,
- * q_sum (n each) and max_seen (1); and its counts, at
- * lane_i + p * LANE_I(n, m_states, K): served (m_states x n) and the
- * histogram of how many thresholds the largest queue reaches (K + 1). */
-#define LANE_F(n) (4 * (n) + 1)
+/* Lane p's doubles, at lane_f + p * LANE_F(n): its record (queues, initial
+ * queues, dep_sum, q_sum (n each) and max_seen (1)), then its scores (n);
+ * and its counts, at lane_i + p * LANE_I(n, m_states, K): served (m_states
+ * x n) and the histogram of how many thresholds the largest queue reaches
+ * (K + 1). run_slots' rec and cnt hold records and counts in this layout. */
+#define REC_F(n) (4 * (n) + 1)
+#define LANE_F(n) (REC_F(n) + (n))
 #define LANE_I(n, m_states, K) ((m_states) * (n) + (K) + 1)
 
 /* The largest of x[0..n), NaNs passed over after x[0]: with branches for a
@@ -363,8 +366,9 @@ walk_chunk(const struct call *call, int64_t P, int64_t r, int64_t done, int64_t 
             for (int64_t i = 0; i < n; i++)
                 arr_acc[i] += ak[i];
         for (int64_t p = 0; p < P; p++) {
-            double *Q = call->lane_f + p * LANE_F(n), *score = Q + n;
+            double *Q = call->lane_f + p * LANE_F(n), *initial_q = Q + n;
             double *dep_sum = Q + 2 * n, *q_sum = Q + 3 * n, *max_seen = Q + 4 * n;
+            double *score = Q + REC_F(n);
             int64_t *served = call->lane_i + p * LANE_I(n, m_states, K);
             int64_t *hist = served + m_states * n;
             struct memo memo = {call->memo_keys + p * memo_len, call->memo_vals + p * memo_len,
@@ -381,13 +385,12 @@ walk_chunk(const struct call *call, int64_t P, int64_t r, int64_t done, int64_t 
             double rate = rates[m * n + pick];
             double d = Q[pick] < rate ? Q[pick] : rate;
             Q[pick] -= d;
-            int64_t pr = p * call->R + r; /* this policy's row */
             if (record)
-                call->chosen[pr * T + slot] = pick;
+                call->chosen[(p * call->R + r) * T + slot] = pick;
 
             if (slot == burn - 1)
                 for (int64_t i = 0; i < n; i++)
-                    call->initial_q[pr * n + i] = Q[i];
+                    initial_q[i] = Q[i];
             if (slot < burn)
                 continue;
             double qmax = largest(Q, n, P == 1);
@@ -480,15 +483,17 @@ run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
  * draws only from its own rows' generators, so callers can run contiguous
  * row slices in concurrent calls.
  *
- * Every per-policy array leads with the policy axis, P x R x ...: q (n)
- * carries the queues in and out. The statistics of slots burn on are
- * written, not added to: dep_sum, q_sum (n), served (m_states x n: slots in
- * state m serving user i), over (K: slots whose largest queue reaches
- * thresholds[j], which ascend strictly) and max_seen (1); initial_q (n)
- * takes the queues after slot burn - 1. arr_sum (R x n) sums the draws
- * alone, so it is kept once per row for every policy. With record nonzero,
- * each policy's chosen (T) takes the user served in each slot; otherwise it
- * is empty and not touched.
+ * Every per-policy array leads with the policy axis, P x R x ...: rec holds
+ * each lane's doubles (REC_F(n)) and cnt its counts (LANE_I(n, m_states,
+ * K)), both carried in and out, so a caller starts the statistics at zero.
+ * rec: the queues (n); the queues after slot burn - 1 (n, as given when
+ * burn is 0); and, added over the slots burn on, the departures and queues
+ * (n each) and the largest queue (1). cnt: the slots in state m serving
+ * user i (m_states x n), then the slots whose largest queue reaches exactly
+ * j of the thresholds, which ascend strictly (K + 1). arr_sum (R x n) sums
+ * the draws alone, so it is kept once per row for every policy. With record
+ * nonzero, each policy's chosen (T) takes the user served in each slot;
+ * otherwise it is empty and not touched.
  *
  * The call allocates its own scratch, one block that no other call shares:
  * exp(-lam) (n); for each of the g = min(GROUP, r_hi - r_lo) rows of a
@@ -496,21 +501,19 @@ run_group(const struct call *calls, struct stream *s, int64_t g, int64_t r0)
  * LANE_F and P x LANE_I); each policy's memo (POW_MEMO keys and values);
  * and the group's draws: states and tie uniforms (g x min(T, CHUNK), the
  * uniforms for uniform ties only) and arrivals (g x min(T, CHUNK,
- * SUB_BLOCK) x n). A lane writes only this scratch slot by
- * slot, so concurrent calls share no cache line then; a row's lanes store
- * their queues and statistics in the per-policy arrays when its group
- * ends, and over from a histogram of how many thresholds the largest queue
- * reaches, as exact suffix sums. Returns 0, or the bytes the scratch needs
- * when it cannot be allocated, before any row runs. */
+ * SUB_BLOCK) x n). A lane writes only this scratch slot by slot, so
+ * concurrent calls share no cache line then; a group copies its lanes'
+ * records in from rec and cnt when it starts and out when it ends.
+ * Returns 0, or the bytes the scratch needs when it cannot be allocated,
+ * before any row runs. */
 int64_t run_slots(int64_t P, const int64_t *rules, const double *params, const double *tables,
                   int uniform, int fluid, int64_t R, int64_t r_lo, int64_t r_hi, int64_t T,
                   int64_t burn, int64_t n, int64_t m_states, bitgen_t *const *gens,
                   const double *cum, const double *lam, const double *rates,
-                  const double *thresholds, int64_t K, double *q, double *arr_sum,
-                  double *dep_sum, double *q_sum, int64_t *served, int64_t *over,
-                  double *max_seen, double *initial_q, int record, int64_t *chosen)
+                  const double *thresholds, int64_t K, double *rec, int64_t *cnt,
+                  double *arr_sum, int record, int64_t *chosen)
 {
-    const int64_t lane_f = LANE_F(n), lane_i = LANE_I(n, m_states, K);
+    const int64_t rec_f = REC_F(n), lane_f = LANE_F(n), lane_i = LANE_I(n, m_states, K);
     const int64_t g_max = r_hi - r_lo < GROUP ? r_hi - r_lo : GROUP;
     const int64_t span = T < CHUNK ? T : CHUNK, drawn = g_max * span;
     const int64_t arr_span = span < SUB_BLOCK ? span : SUB_BLOCK;
@@ -530,7 +533,7 @@ int64_t run_slots(int64_t P, const int64_t *rules, const double *params, const d
         .thresholds = thresholds, .cum = cum, .lam = lam, .enlam = enlam, .uniform = uniform,
         .record = record, .fluid = fluid, .P = P, .R = R, .T = T, .burn = burn,
         .n = n, .m_states = m_states, .K = K, .states = (int64_t *)(work + at_states),
-        .u = work + at_u, .arr = work + at_arr, .initial_q = initial_q, .chosen = chosen,
+        .u = work + at_u, .arr = work + at_arr, .chosen = chosen,
         .memo_keys = memo_keys, .memo_vals = memo_vals, .memo_len = POW_MEMO,
     };
     for (int64_t i = 0; i < n; i++)
@@ -554,12 +557,11 @@ int64_t run_slots(int64_t P, const int64_t *rules, const double *params, const d
             row->lane_f = row->arr_acc + n;
             row->lane_i = tally + h * P * lane_i;
             memset(row->arr_acc, 0, (size_t)n * sizeof(double));
-            memset(row->lane_i, 0, (size_t)(P * lane_i) * sizeof(int64_t));
             for (int64_t p = 0; p < P; p++) {
-                double *lane = row->lane_f + p * lane_f;
-                memcpy(lane, q + (p * R + r0 + h) * n, (size_t)n * sizeof(double));
-                /* dep_sum, q_sum and max_seen */
-                memset(lane + 2 * n, 0, (size_t)(2 * n + 1) * sizeof(double));
+                int64_t pr = p * R + r0 + h;
+                memcpy(row->lane_f + p * lane_f, rec + pr * rec_f, (size_t)rec_f * sizeof(double));
+                memcpy(row->lane_i + p * lane_i, cnt + pr * lane_i,
+                       (size_t)lane_i * sizeof(int64_t));
             }
             open_stream(&s[h], gens[r0 + h]);
         }
@@ -573,19 +575,9 @@ int64_t run_slots(int64_t P, const int64_t *rules, const double *params, const d
             memcpy(arr_sum + r * n, row->arr_acc, (size_t)n * sizeof(double));
             for (int64_t p = 0; p < P; p++) {
                 int64_t pr = p * R + r;
-                const double *lane = row->lane_f + p * lane_f;
-                const int64_t *counts = row->lane_i + p * lane_i, *hist = counts + m_states * n;
-                memcpy(q + pr * n, lane, (size_t)n * sizeof(double));
-                memcpy(dep_sum + pr * n, lane + 2 * n, (size_t)n * sizeof(double));
-                memcpy(q_sum + pr * n, lane + 3 * n, (size_t)n * sizeof(double));
-                max_seen[pr] = lane[4 * n];
-                memcpy(served + pr * m_states * n, counts,
-                       (size_t)(m_states * n) * sizeof(int64_t));
-                int64_t reached = 0;
-                for (int64_t j = K - 1; j >= 0; j--) {
-                    reached += hist[j + 1];
-                    over[pr * K + j] = reached;
-                }
+                memcpy(rec + pr * rec_f, row->lane_f + p * lane_f, (size_t)rec_f * sizeof(double));
+                memcpy(cnt + pr * lane_i, row->lane_i + p * lane_i,
+                       (size_t)lane_i * sizeof(int64_t));
             }
         }
     }

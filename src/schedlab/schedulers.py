@@ -9,6 +9,7 @@ _slots.c (code).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import ClassVar
@@ -112,7 +113,8 @@ class SelectionScore:
 def policy_from_json(source: str | Path | dict) -> Policy:
     """Parse {"type": "het"|"exp"|"mw", ...params, "tie_break"} from JSON;
     a parameter with a default (rho1, rho2) may be left out. A missing type
-    or other parameter, or any other key, is a ValueError naming it."""
+    or other parameter, a parameter that is not a number (a bool or a string
+    included), or any other key, is a ValueError naming it."""
     doc = load_json_object(source)
     if "type" not in doc:
         raise ValueError(f"policy document needs 'type', one of {sorted(RULES)}")
@@ -127,7 +129,11 @@ def policy_from_json(source: str | Path | dict) -> Policy:
     missing = [f.name for f in fields(rule) if f.default is MISSING and f.name not in doc]
     if missing:
         raise ValueError(f"{kind} policy needs {', '.join(map(repr, missing))}")
-    variant = rule(**{name: float(doc[name]) for name in params if name in doc})
+    values = {name: doc[name] for name in params if name in doc}
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{kind} policy parameter {name!r} must be a number, got {value!r}")
+    variant = rule(**{name: float(value) for name, value in values.items()})
     return Policy(variant=variant, tie_break=doc.get("tie_break", TIE_LOWEST))
 
 
@@ -159,7 +165,7 @@ def _libm_pow(x: np.ndarray, a: float) -> np.ndarray:
     """x ** a entry by entry with Python's float power, which is libm's pow as
     in the slot kernel: numpy's vectorized power can differ from it in the
     last bit, which would move exact ties."""
-    return np.array([v**a for v in x.ravel().tolist()]).reshape(x.shape)
+    return (x.astype(object) ** a).astype(float)
 
 
 def stable_scores(variant: Variant, cfg: SystemConfig, Q: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -9,10 +9,10 @@ by the hash of its source, that library and the flags) runs a whole campaign
 of one or more policies on the same draws (common random numbers), each
 deciding exactly as `select` does; _slots.c says how it draws and walks them
 and what scratch it keeps. The same walk adds each post-burn-in slot into
-the service counters, the per-threshold overflow slot counts (both
-estimators read these) and the time-average queues. With record_trace it also
-keeps the user served in each slot, which the tests replay against numpy's
-draws; the draws themselves never leave the kernel.
+each policy-row's record of queues and float sums and its counts (service,
+and how many thresholds the largest queue reaches), which the lanes walk as
+laid out here. With record_trace it also keeps the user served in each slot,
+which the tests replay against numpy's draws; the draws never leave the kernel.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class SimSpec:
     """One simulation campaign: horizon slots per replication, thresholds to
     monitor, the overflow estimator (see estimate_overflow) and the master
     seed splitting into per-replication streams. Checked whenever one is
-    built, dataclasses.replace included."""
+    built, dataclasses.replace included; the thresholds are kept as a tuple
+    of floats, so no later write to the sequence given skips the checks."""
 
     horizon: int
     replications: int = 1
@@ -84,7 +85,8 @@ class SimSpec:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 <= resolved_burn_in(self) < self.horizon:
             raise ValueError("burn_in must lie in [0, horizon)")
-        th = np.asarray(self.thresholds, dtype=float)
+        object.__setattr__(self, "thresholds", tuple(float(b) for b in self.thresholds))
+        th = np.array(self.thresholds)
         if th.size == 0:
             raise ValueError("thresholds may not be empty: give at least one overflow threshold")
         if not np.all(np.isfinite(th)):
@@ -216,8 +218,7 @@ def _load_kernel(path: Path):
     ptrs = np.ctypeslib.ndpointer(np.uintp, flags="C_CONTIGUOUS")
     c_int, c_i64 = ctypes.c_int, ctypes.c_int64
     fn.argtypes = [c_i64, i64, f64, f64, c_int, c_int, c_i64, c_i64, c_i64, c_i64, c_i64, c_i64,
-                   c_i64, ptrs, f64, f64, f64, f64, c_i64, f64, f64, f64, f64, i64, i64, f64,
-                   f64, c_int, i64]
+                   c_i64, ptrs, f64, f64, f64, f64, c_i64, f64, i64, f64, c_int, i64]
     fn.restype = c_i64
     return fn
 
@@ -273,7 +274,7 @@ def run_replications(
     N, M = cfg.n_users, cfg.n_states
     T = spec.horizon
     burn = resolved_burn_in(spec)
-    thresholds = np.asarray(spec.thresholds, dtype=float)
+    thresholds = np.array(spec.thresholds)
     uniform_ties = tie_breaks[0] == TIE_UNIFORM
     rules = np.array([p.variant.code for p in policies], dtype=np.int64)
     params = np.array([getattr(p.variant, p.variant.param) for p in policies], dtype=float)
@@ -287,23 +288,19 @@ def run_replications(
     bitgens = np.array([g.bit_generator.ctypes.bit_generator.value for g in gens], dtype=np.uintp)
 
     K = len(thresholds)
-    Q = np.zeros((P, R, N))
-    # the post-burn-in statistics, each row written by its slice's kernel call;
-    # the arrivals are the draws' alone, one row for every policy
-    arr_sum, dep_sum, q_sum = np.empty((R, N)), np.empty((P, R, N)), np.empty((P, R, N))
-    served_slots = np.empty((P, R, M, N), dtype=np.int64)
-    over_counts = np.empty((P, R, K), dtype=np.int64)
-    max_seen = np.empty((P, R))
-    initial_q = np.zeros((P, R, N))
+    # each policy-row's two records in _slots.c's lane layout (see output), carried
+    # through its slice's kernel call; the arrivals are the draws', one row for every policy
+    rec = np.zeros((P, R, 4 * N + 1))
+    cnt = np.zeros((P, R, M * N + K + 1), dtype=np.int64)
+    arr_sum = np.empty((R, N))
     # with record_trace, each policy's choices
     chosen = np.empty((P, R, T) if spec.record_trace else (0, 0, 0), dtype=np.int64)
 
     def walk(r_lo: int, r_hi: int) -> None:
         """Rows r_lo <= r < r_hi in one kernel call."""
         needed = kernel(P, rules, params, tables, uniform_ties, fluid, R, r_lo, r_hi, T, burn, N,
-                        M, bitgens, cum, lam, rates, thresholds, K, Q, arr_sum, dep_sum, q_sum,
-                        served_slots, over_counts, max_seen, initial_q, bool(spec.record_trace),
-                        chosen)
+                        M, bitgens, cum, lam, rates, thresholds, K, rec, cnt, arr_sum,
+                        bool(spec.record_trace), chosen)
         if needed:
             raise MemoryError(f"the slot kernel cannot allocate its {needed}-byte scratch")
 
@@ -331,20 +328,22 @@ def run_replications(
         if exc is not None:
             raise exc
 
-    arr_sum.flags.writeable = False
+    arr_sum.flags.writeable = thresholds.flags.writeable = False
     n_stat = T - burn
 
     def output(p: int, i: int, rep: int) -> ReplicationOutput:
+        queues, initial, departures, queue_sums = rec[p, i, :4 * N].reshape(4, N)
+        served, reached = cnt[p, i, :M * N].reshape(M, N), cnt[p, i, M * N:]
         return ReplicationOutput(
             rep_index=rep,
             counters=TraceCounters(
-                arrivals=arr_sum[i], departures=dep_sum[p, i], served_slots=served_slots[p, i],
-                max_queue_seen=float(max_seen[p, i]),
-                initial_queues=initial_q[p, i], final_queues=Q[p, i],
+                arrivals=arr_sum[i], departures=departures, served_slots=served,
+                max_queue_seen=float(rec[p, i, 4 * N]), initial_queues=initial, final_queues=queues,
             ),
             thresholds=thresholds,
-            overflow_slot_counts=over_counts[p, i],
-            mean_queues=q_sum[p, i] / n_stat,
+            # slots reaching thresholds[j]: those reaching more than j of them
+            overflow_slot_counts=np.cumsum(reached[:0:-1])[::-1],
+            mean_queues=queue_sums / n_stat,
             trace=chosen[p, i] if spec.record_trace else None,
         )
 

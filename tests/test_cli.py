@@ -131,6 +131,7 @@ class TestSimulate:
     @pytest.mark.parametrize("policy, message", [
         ('{"type": "het"}', "het policy needs 'q_th'"),
         ('{"q_th": 2}', "policy document needs 'type'"),
+        ('{"type": "het", "q_th": true}', "het policy parameter 'q_th' must be a number, got True"),
     ])
     def test_incomplete_policy_exits_2(self, ref_cfg_path, tmp_path, capsys, policy, message):
         out = tmp_path / "x"

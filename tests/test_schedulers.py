@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -141,6 +144,28 @@ class TestPolicyJson:
             policy_from_json('{"type": "mw", "tie_break": "uniform_random"}')
         with pytest.raises(ValueError, match=r"^policy document needs 'type', one of \['exp', 'het', 'mw'\]$"):
             policy_from_json({"eta": 0.5})
+
+    @pytest.mark.parametrize("doc, name", [
+        ({"type": "het", "q_th": True}, "q_th"),
+        ({"type": "het", "q_th": "2"}, "q_th"),
+        ({"type": "het", "q_th": 2, "rho2": False}, "rho2"),
+        ({"type": "exp", "eta": "0.25"}, "eta"),
+        ({"type": "mw", "alpha": None}, "alpha"),
+        ({"type": "mw", "alpha": [7]}, "alpha"),
+    ])
+    def test_parameters_must_be_numbers(self, doc, name):
+        """A parameter is a JSON number: true used to run as 1.0 and "2" as
+        2.0, as no bool count passes config_from_json."""
+        value = doc[name]
+        with pytest.raises(ValueError, match=rf"^{doc['type']} policy parameter '{name}' must be a "
+                                             rf"number, got {re.escape(repr(value))}$"):
+            policy_from_json(doc)
+        with pytest.raises(ValueError, match=f"'{name}' must be a number"):
+            policy_from_json(json.dumps(doc))
+
+    def test_numeric_parameters_of_any_real_type_pass(self):
+        assert policy_from_json({"type": "het", "q_th": np.int64(2)}) == policy_from_json({"type": "het", "q_th": 2.0})
+        assert policy_from_json('{"type": "mw", "alpha": 7}').variant.alpha == 7.0
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

@@ -126,6 +126,23 @@ class TestSimSpec:
                        master_seed=np.uint32(7))
         assert simulator.resolved_burn_in(spec) == 5
 
+    def test_thresholds_are_kept_as_checked(self, ref_cfg):
+        """The spec keeps the thresholds as a tuple of floats, not the
+        sequence it was given: a later write to that list used to reach the
+        kernel unchecked (here descending thresholds, which the kernel's
+        count of thresholds reached reads as ascending), and the spec could
+        not be hashed."""
+        th = [5, 10.0, np.float64(20.0)]
+        spec = SimSpec(horizon=3000, master_seed=2, thresholds=th)
+        th[:] = [20.0, 5.0, 10.0]
+        assert spec.thresholds == (5.0, 10.0, 20.0)
+        assert all(type(b) is float for b in spec.thresholds)
+        checked = SimSpec(horizon=3000, master_seed=2, thresholds=(5.0, 10.0, 20.0))
+        assert spec == checked and hash(spec) == hash(checked)
+        counts = run_replication(ref_cfg, HET2, spec, 0).overflow_slot_counts
+        assert bitwise_equal(counts, run_replication(ref_cfg, HET2, checked, 0).overflow_slot_counts)
+        assert counts[0] > counts[2]
+
     def test_numpy_bool_record_trace_runs(self, ref_cfg):
         """np.True_ and np.False_ are bools to the spec, and the kernel call
         takes them, where np.True_ used to fail there as a ctypes
@@ -498,12 +515,12 @@ def run_kernel(cfg, variant, q, bitgens, horizon, lam, fluid):
     (R, n), M, T = q.shape, cfg.n_states, horizon
     param = float(getattr(variant, variant.param))
     chosen, arr_sum = np.empty((R, T), dtype=np.int64), np.empty((R, n))
-    stats = [np.zeros((R, n)) for _ in range(2)]
+    rec = np.zeros((R, 4 * n + 1))
+    rec[:, :n] = q
     assert kernel(1, np.array([variant.code]), np.array([param]), rate_table(variant, cfg),
                   0, fluid, R, 0, R, T, 0, n, M, bitgens, channel_cdf(cfg), np.asarray(lam, dtype=float),
-                  cfg.rate_matrix, np.empty(0), 0, q.copy(), arr_sum, *stats,
-                  np.zeros((R, M, n), dtype=np.int64), np.zeros((R, 0), dtype=np.int64), np.zeros(R),
-                  np.zeros((R, n)), 1, chosen) == 0
+                  cfg.rate_matrix, np.empty(0), 0, rec, np.zeros((R, M * n + 1), dtype=np.int64),
+                  arr_sum, 1, chosen) == 0
     return chosen, arr_sum
 
 
@@ -1266,13 +1283,13 @@ class TestSlotKernelBuild:
     def test_argtypes_match_the_c_signature(self):
         """ctypes passes each argument as the kernel's argtypes say, never
         checked against _slots.c, so a drift between the two corrupts memory:
-        run_slots' 29 parameters need one argtype each, its own scalar type
+        run_slots' 24 parameters need one argtype each, its own scalar type
         for a scalar and an ndpointer of the element's dtype for a pointer,
         and its int64_t result needs restype c_int64."""
         source = simulator._SLOTS_SOURCE.read_text()
         params = re.search(r"int64_t run_slots\(([^)]*)\)", source).group(1)
         params = [p.replace("const", "").split() for p in params.split(",")]
-        assert (len(params), sum("*" in p[-1] for p in params)) == (29, 17)
+        assert (len(params), sum("*" in p[-1] for p in params)) == (24, 12)
         kernel = simulator._slot_kernel(simulator._CC, simulator._NPYRANDOM)
         assert kernel.restype is ctypes.c_int64
         argtypes = kernel.argtypes
@@ -1571,9 +1588,15 @@ class TestKernelScratch:
 
     def test_arrivals_are_one_read_only_row_per_replication(self, ref_cfg):
         """The kernel sums a replication's arrivals once for every policy:
-        each policy's counters.arrivals views the same row, read-only."""
+        each policy's counters.arrivals views the same row, read-only. Every
+        output shares one read-only thresholds array too."""
         spec = SimSpec(horizon=2000, master_seed=4)
         outputs = run_replications(ref_cfg, [Policy(v) for v in SHARED_POLICIES], spec, [0, 1])
+        thresholds = [o.thresholds for per_policy in outputs for o in per_policy]
+        assert all(t is thresholds[0] for t in thresholds)
+        assert thresholds[0].tolist() == list(spec.thresholds)
+        with pytest.raises(ValueError, match="read-only"):
+            thresholds[0][0] = 50.0
         for i in range(2):
             rows = [per_policy[i].counters.arrivals for per_policy in outputs]
             assert not any(row.flags.writeable for row in rows)
