@@ -173,41 +173,36 @@ _SUBSET_BLOCK = 2048  # hyperplane subsets per stacked det/solve; bounds memory
 def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray:
     """Vertices of the dual arrangement on the face {u >= 0, sum u = 1}.
 
-    Each subset is the face row plus N-1 of the other hyperplanes. Raises
-    ComputationError when the number of subsets to try exceeds
-    _CANDIDATE_CAP, instead of running for hours.
+    The hyperplanes are u_i = 0, the face, and u_i F[m,i] = u_j F[m,j] for
+    each state m and users i < j, in that order. A pair plane is kept once,
+    at its first occurrence: two are one plane when they are equal divided
+    by the larger rate and rounded to 12 digits, and a pair plane rounding
+    to u_i = 0 or u_j = 0 is that coordinate plane. Each subset is the face
+    row plus N-1 of the other hyperplanes. Raises ComputationError when the
+    number of subsets to try exceeds _CANDIDATE_CAP, instead of running for
+    hours.
     """
     M, N = rate_matrix.shape
-    rows = list(np.eye(N))
-    rhs = [0.0] * N
-    rows.append(np.ones(N))
-    rhs.append(1.0)
-    seen = {tuple(np.round(r, 12)) for r in rows}
-    for m in range(M):
-        for i in range(N):
-            for j in range(i + 1, N):
-                a = np.zeros(N)
-                a[i] = rate_matrix[m, i]
-                a[j] = -rate_matrix[m, j]
-                norm = np.max(np.abs(a))
-                if norm == 0:
-                    continue
-                key = tuple(np.round(a / norm, 12))
-                key_neg = tuple(np.round(-a / norm, 12))
-                if key in seen or key_neg in seen:
-                    continue
-                seen.add(key)
-                rows.append(a)
-                rhs.append(0.0)
-    others = [r for r in range(len(rows)) if r != N]  # row N is the face sum u = 1
+    iu, ju = np.triu_indices(N, 1)
+    pairs = np.zeros((M, len(iu), N))
+    pairs[:, np.arange(len(iu)), iu] = rate_matrix[:, iu]
+    pairs[:, np.arange(len(iu)), ju] = -rate_matrix[:, ju]
+    pairs = pairs.reshape(-1, N)  # (m, i, j) order
+    norm = np.abs(pairs).max(axis=1)
+    pairs, norm = pairs[norm > 0], norm[norm > 0]
+    keys = np.round(pairs / norm[:, None], 12)
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    first = first[np.count_nonzero(keys[first], axis=1) == 2]  # not a coordinate plane
+    A = np.vstack([np.eye(N), np.ones(N), pairs[first]])  # row N is the face sum u = 1
+    b = np.zeros(len(A))
+    b[N] = 1.0
+    others = [r for r in range(len(A)) if r != N]
     n_subsets = math.comb(len(others), N - 1)
     if n_subsets > _CANDIDATE_CAP:
         raise ComputationError(
             f"dual-vertex enumeration needs {n_subsets} subsets of {N - 1} of {len(others)} "
             f"hyperplanes on the face sum u = 1, above the cap of {_CANDIDATE_CAP}"
         )
-    A = np.array(rows)
-    b = np.array(rhs)
     subsets = itertools.combinations(others, N - 1)
     cands = []
     for start in range(0, n_subsets, _SUBSET_BLOCK):

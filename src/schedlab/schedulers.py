@@ -9,6 +9,7 @@ _slots.c (code).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -40,6 +41,8 @@ class Heterogeneous:
     def __post_init__(self):
         if not self.q_th > 0:
             raise ValueError(f"q_th must be > 0, got {self.q_th}")
+        if not math.isfinite(self.q_th):
+            raise ValueError(f"q_th must be finite, got {self.q_th}")
         for name, val in (("rho1", self.rho1), ("rho2", self.rho2)):
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
@@ -71,6 +74,8 @@ class MaxWeight:
     def __post_init__(self):
         if not self.alpha >= 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
 
 Variant = Heterogeneous | Exp | MaxWeight

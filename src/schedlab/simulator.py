@@ -49,6 +49,9 @@ _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 DEFAULT_THRESHOLDS = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
 # fewest overflow events a threshold needs to enter the decay fit
 MIN_FIT_EVENTS = 5
+# longest horizon: the kernel's int64 slot counter steps by chunks of 32 768
+# slots and must not pass 2**63 - 1
+MAX_HORIZON = 10**18
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,8 @@ class SimSpec:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.horizon > MAX_HORIZON:
+            raise ValueError(f"horizon must be <= {MAX_HORIZON:.0e} slots, got {self.horizon}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.master_seed < 0:

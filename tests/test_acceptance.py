@@ -28,7 +28,7 @@ from schedlab import (
 )
 from schedlab.simulator import resolved_burn_in
 from conftest import make_config, run_replication
-from test_ldp import aux_grid_oracle, iopt_certificate, w_bruteforce
+from test_ldp import aux_grid_oracle, iopt_certificate, refined_legendre, w_bruteforce
 
 SEED = 20250
 HORIZON = 2_000_000
@@ -231,19 +231,6 @@ class TestCriterion6:
             rel < 0.25,
             f"decay(0.25)={d25:.4f}, decay(0.75)={d75:.4f}, relative diff {rel:.3f}<0.25",
         )
-
-
-def refined_legendre(xi: float, lam: float) -> float:
-    """Independent supremum of theta*xi - lam*(e^theta - 1) on a refined grid."""
-    theta = np.linspace(-60.0, 60.0, 200_001)
-    with np.errstate(over="ignore"):
-        vals = theta * xi - lam * (np.exp(theta) - 1.0)
-    k = int(np.nanargmax(vals))
-    lo, hi = theta[max(0, k - 2)], theta[min(len(theta) - 1, k + 2)]
-    theta = np.linspace(lo, hi, 200_001)
-    with np.errstate(over="ignore"):
-        vals = theta * xi - lam * (np.exp(theta) - 1.0)
-    return float(np.nanmax(vals))
 
 
 class TestCriterion7:

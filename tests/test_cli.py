@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import schedlab.cli as cli
-from schedlab import svg
+from schedlab import simulator, svg
 
 
 HET_POLICY = '{"type": "het", "q_th": 2}'
@@ -15,6 +15,19 @@ HET_POLICY = '{"type": "het", "q_th": 2}'
 
 def run_cli(*argv) -> int:
     return cli.main(list(argv))
+
+
+def refused_before_the_kernel(monkeypatch, capsys, tmp_path, *argv) -> str:
+    """Run a command that must exit 2 before the slot kernel loads and
+    before it writes anything; returns its one line of stderr."""
+    calls = []
+    monkeypatch.setattr(simulator, "_slot_kernel", lambda *args: calls.append(args))
+    out = tmp_path / "x"
+    rc = run_cli(*argv, "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc == 2 and calls == [] and not out.exists()
+    assert err.startswith("schedlab: ") and err.count("\n") == 1, err
+    return err
 
 
 def read_csv(path):
@@ -142,6 +155,24 @@ class TestSimulate:
         assert err.startswith("schedlab: ") and err.count("\n") == 1, err
         assert message in err
 
+    def test_horizon_beyond_the_kernels_counter_exits_2(self, ref_cfg_path, tmp_path, capsys, monkeypatch):
+        """2**64 + 1000 used to wrap to 1000 slots in the kernel call and end
+        in a ZeroDivisionError traceback."""
+        err = refused_before_the_kernel(monkeypatch, capsys, tmp_path, "simulate", "--config", str(ref_cfg_path),
+                                        "--policy", HET_POLICY, "--horizon", "18446744073709552616")
+        assert err == "schedlab: horizon must be <= 1e+18 slots, got 18446744073709552616\n"
+
+    @pytest.mark.parametrize("policy, message", [
+        ('{"type": "het", "q_th": 1e999}', "q_th must be finite, got inf"),
+        ('{"type": "mw", "alpha": 1e999}', "alpha must be finite, got inf"),
+    ], ids=["het_q_th", "mw_alpha"])
+    def test_infinite_rule_parameter_exits_2(self, ref_cfg_path, tmp_path, capsys, monkeypatch, policy, message):
+        """1e999 parses to inf, which used to run and be echoed into
+        result.json as Infinity, which strict JSON parsers reject."""
+        err = refused_before_the_kernel(monkeypatch, capsys, tmp_path, "simulate", "--config", str(ref_cfg_path),
+                                        "--policy", policy, "--horizon", "1000")
+        assert err == f"schedlab: {message}\n"
+
     def test_poisson_rate_beyond_numpys_bound_exits_2(self, ref_cfg_path, tmp_path, capsys):
         doc = json.loads(ref_cfg_path.read_text())
         doc["arrival_rates"][1] = 1e19
@@ -193,6 +224,12 @@ class TestSweep:
         assert capsys.readouterr().err.splitlines() == ["schedlab: master_seed must be >= 0, got -1"]
         assert calls == []
         assert not out.exists()
+
+    def test_infinite_value_exits_2(self, ref_cfg_path, tmp_path, capsys, monkeypatch):
+        err = refused_before_the_kernel(monkeypatch, capsys, tmp_path, "sweep", "--config", str(ref_cfg_path),
+                                        "--policy", '{"type": "mw", "alpha": 1}', "--values", "1,inf",
+                                        "--horizon", "1000")
+        assert err == "schedlab: alpha must be finite, got inf\n"
 
     def test_degenerate_sweep_rejected(self, ref_cfg_path, tmp_path):
         rc = run_cli(
@@ -420,6 +457,12 @@ class TestCompare:
         chart = (out / "compare.svg").read_text()
         assert chart.startswith("<svg") and "<polyline" not in chart
         assert all(name in chart for name in ("het", "exp", "mw"))
+
+    @pytest.mark.parametrize("option, message", [("--q-th", "q_th"), ("--alpha", "alpha")])
+    def test_infinite_parameter_exits_2(self, ref_cfg_path, tmp_path, capsys, monkeypatch, option, message):
+        err = refused_before_the_kernel(monkeypatch, capsys, tmp_path, "compare", "--config", str(ref_cfg_path),
+                                        option, "inf", "--horizon", "1000")
+        assert err == f"schedlab: {message} must be finite, got inf\n"
 
     def test_eta_domain_violation_exit_2(self, ref_cfg_path, tmp_path):
         rc = run_cli(

@@ -1,7 +1,9 @@
 import bisect
 import itertools
 import math
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,9 +25,14 @@ from schedlab.model import PROB_SUM_TOL
 from conftest import make_config
 
 
-def legendre_oracle(xi, lam, theta_max=60.0, n=400_001):
-    """Numeric sup over a theta grid of theta*xi - lam*(e^theta - 1)."""
-    theta = np.linspace(-60.0, theta_max, n)
+def refined_legendre(xi: float, lam: float) -> float:
+    """Independent supremum of theta*xi - lam*(e^theta - 1) on a refined grid."""
+    theta = np.linspace(-60.0, 60.0, 200_001)
+    with np.errstate(over="ignore"):
+        vals = theta * xi - lam * (np.exp(theta) - 1.0)
+    k = int(np.nanargmax(vals))
+    lo, hi = theta[max(0, k - 2)], theta[min(len(theta) - 1, k + 2)]
+    theta = np.linspace(lo, hi, 200_001)
     with np.errstate(over="ignore"):
         vals = theta * xi - lam * (np.exp(theta) - 1.0)
     return float(np.nanmax(vals))
@@ -38,7 +45,7 @@ class TestPoissonRate:
 
     def test_value_at_two(self):
         assert poisson_rate(2.0, 1.0) == pytest.approx(2 * math.log(2) - 1, abs=1e-12)
-        assert poisson_rate(2.0, 1.0) == pytest.approx(legendre_oracle(2.0, 1.0), abs=1e-7)
+        assert poisson_rate(2.0, 1.0) == pytest.approx(refined_legendre(2.0, 1.0), abs=1e-7)
 
     def test_zero_argument_limit(self):
         assert poisson_rate(0.0, 1.0) == 1.0
@@ -61,7 +68,7 @@ class TestPoissonRate:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_legendre_supremum(self, lam, xi):
-        assert poisson_rate(xi, lam) == pytest.approx(legendre_oracle(xi, lam), abs=1e-6)
+        assert poisson_rate(xi, lam) == pytest.approx(refined_legendre(xi, lam), abs=1e-6)
 
     @given(
         lam=st.floats(0.1, 5.0),
@@ -217,13 +224,14 @@ class IoptCertificate:
     w: float  # growth at the tilt, u.y - gamma.c(u)
 
 
-def dual_vertices(cfg):
+def dual_vertices(rate_matrix):
     """Points of {u >= 0, sum(u) = 1} where N-1 of the hyperplanes u_i = 0 and
     u_i F[m][i] = u_j F[m][j] (both rates positive) meet: a superset of the
-    vertices of the cells on which every c_m(u) is linear."""
-    N = cfg.n_users
+    vertices of the cells on which every c_m(u) is linear. Every plane is
+    kept, duplicates included, and each subset is solved on its own."""
+    N = rate_matrix.shape[1]
     planes = list(np.eye(N))
-    for rates in cfg.rate_matrix:
+    for rates in rate_matrix:
         for i, j in itertools.combinations(range(N), 2):
             if rates[i] > 0 and rates[j] > 0:
                 row = np.zeros(N)
@@ -273,7 +281,7 @@ def vertex_theta(u, cfg):
 
 
 def iopt_certificate(cfg):
-    vertices = dual_vertices(cfg)
+    vertices = dual_vertices(cfg.rate_matrix)
     thetas = [vertex_theta(u, cfg) for u in vertices]
     k = int(np.argmin(thetas))
     u, theta = vertices[k], thetas[k]
@@ -347,18 +355,6 @@ class TestWGrowth:
             dual = float((cands @ y - costs @ gamma).max())
             assert dual == pytest.approx(w_growth(y, gamma, ref_cfg)[0], abs=1e-8)
 
-    def test_bruteforce_grid_bound_random_3x3(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            rates = rng.uniform(0, 2, size=(3, 3))
-            cfg = make_config(rates, rng.dirichlet(np.ones(3)), rng.uniform(0.2, 2, 3))
-            y = rng.uniform(0, 4, 3)
-            gamma = rng.dirichlet(np.ones(3))
-            w, _ = w_growth(y, gamma, cfg)
-            grid = w_bruteforce(y, gamma, cfg, parts=20)
-            assert w <= grid + 1e-9
-            assert grid - w <= 2e-2
-
     def test_pareto_front_is_the_maximal_set(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -398,42 +394,6 @@ class TestWGrowth:
         assert 231 in skipped and 0 in skipped and any(0 < n < 231 for n in skipped)
 
 
-def dual_candidates_loop(rate_matrix):
-    """Per-subset reference for _dual_candidates: the same hyperplanes, one
-    det + solve per N-subset."""
-    M, N = rate_matrix.shape
-    rows = [np.eye(N)[i] for i in range(N)]
-    rhs = [0.0] * N
-    rows.append(np.ones(N))
-    rhs.append(1.0)
-    seen = {tuple(np.round(r, 12)) for r in rows}
-    for m in range(M):
-        for i in range(N):
-            for j in range(i + 1, N):
-                a = np.zeros(N)
-                a[i] = rate_matrix[m, i]
-                a[j] = -rate_matrix[m, j]
-                norm = np.max(np.abs(a))
-                if norm == 0:
-                    continue
-                key = tuple(np.round(a / norm, 12))
-                if key in seen or tuple(np.round(-a / norm, 12)) in seen:
-                    continue
-                seen.add(key)
-                rows.append(a)
-                rhs.append(0.0)
-    A, b = np.array(rows), np.array(rhs)
-    cands = []
-    for comb in itertools.combinations(range(len(rows)), N):
-        sub = A[list(comb)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        u = np.linalg.solve(sub, b[list(comb)])
-        if np.all(u >= -1e-9) and u.sum() <= 1.0 + 1e-9:
-            cands.append(np.clip(u, 0.0, None))
-    return np.unique(np.round(np.array(cands), 12), axis=0)
-
-
 # the benchmark's 5-user x 3-state system (200 dual vertices on the face sum u = 1)
 FIVE_USER_RATES = np.array([[0, 0, 0, 0, 0], [3, 9, 9, 9, 9], [5, 0, 1, 1, 2]], dtype=float)
 
@@ -457,23 +417,34 @@ def enumeration_cases():
     return cases
 
 
-def face_vertices_loop(rates):
-    """The per-subset loop's vertices without the origin: those on sum u = 1."""
-    loop = dual_candidates_loop(rates)
-    assert not loop[0].any()  # the origin sorts first
-    return loop[1:]
-
-
 class TestDualEnumeration:
     @pytest.mark.parametrize("rates", enumeration_cases())
     def test_stacked_equals_per_subset_loop(self, rates):
-        assert np.array_equal(_dual_candidates(rates), face_vertices_loop(rates))
+        assert np.array_equal(_dual_candidates(rates), dual_vertices(rates))
 
     def test_small_blocks_merge_to_the_same_vertices(self, monkeypatch):
-        expected = face_vertices_loop(FIVE_USER_RATES)
+        expected = dual_vertices(FIVE_USER_RATES)
         monkeypatch.setattr(ldp, "_SUBSET_BLOCK", 97)
         assert np.array_equal(_dual_candidates(FIVE_USER_RATES), expected)
         assert len(expected) == 200
+
+    @pytest.mark.parametrize("rates", [FIVE_USER_RATES, degenerate_rates(142, (4, 5)), degenerate_rates(153, (4, 3))],
+                             ids=["five_user", "degenerate_4x5", "degenerate_4x3"])
+    def test_each_pair_plane_is_counted_once(self, monkeypatch, rates):
+        """A duplicated plane only adds singular subsets, so the vertices
+        cannot show it; the subset count the cap reads can. The pair planes
+        u_i F[m,i] = u_j F[m,j] with both rates positive are one plane per
+        user pair and exact rate ratio."""
+        M, N = rates.shape
+        pairs = [(i, j, Fraction(rates[m, i]) / Fraction(rates[m, j]))
+                 for m in range(M) for i, j in itertools.combinations(range(N), 2)
+                 if rates[m, i] > 0 and rates[m, j] > 0]
+        assert len(set(pairs)) < len(pairs)  # some plane recurs in another state
+        monkeypatch.setattr(ldp, "_CANDIDATE_CAP", 0)
+        with pytest.raises(ComputationError, match=f"subsets of {N - 1} of ") as exc:
+            _dual_candidates(rates)
+        K = int(re.search(r"subsets of \d+ of (\d+) hyperplanes", str(exc.value)).group(1))
+        assert K == N + len(set(pairs))
 
     def test_unique_rows_equals_np_unique(self):
         # duplicate rows, -0.0 beside 0.0 in one column, and no rows at all
@@ -654,13 +625,6 @@ class TestIoptCertificate:
         assert cert.u.tolist() == [1.0]
         assert cert.y[0] == pytest.approx(math.exp(cert.theta), rel=1e-12)
         assert cert.gamma.tolist() == [1.0]
-
-    def test_reference_tilt_attains_theta(self, ref_cfg):
-        cert = iopt_certificate(ref_cfg)
-        assert w_highs(cert.y, cert.gamma, ref_cfg) == pytest.approx(cert.w, abs=1e-8)
-        assert deviation_cost(cert.y, cert.gamma, ref_cfg) / cert.w == pytest.approx(
-            cert.theta, abs=1e-8
-        )
 
     def test_reference_random_duals_never_lower(self, ref_cfg):
         # theta_u >= theta* exactly when the root function of u is <= 0 at theta*

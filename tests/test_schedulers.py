@@ -167,6 +167,17 @@ class TestPolicyJson:
         assert policy_from_json({"type": "het", "q_th": np.int64(2)}) == policy_from_json({"type": "het", "q_th": 2.0})
         assert policy_from_json('{"type": "mw", "alpha": 7}').variant.alpha == 7.0
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"type": "het", "q_th": 1e999}', "^q_th must be finite, got inf$"),
+        ('{"type": "mw", "alpha": 1e999}', "^alpha must be finite, got inf$"),
+        ({"type": "mw", "alpha": np.inf}, "^alpha must be finite, got inf$"),
+    ], ids=["het_q_th_json", "mw_alpha_json", "mw_alpha_dict"])
+    def test_parameters_must_be_finite(self, doc, message):
+        """1e999 parses to inf: it used to pass q_th > 0 and alpha >= 1, run,
+        and be echoed into result.json as Infinity, which is not JSON."""
+        with pytest.raises(ValueError, match=message):
+            policy_from_json(doc)
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             policy_from_json({"type": "exp", "eta": 0.0})

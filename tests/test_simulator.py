@@ -121,6 +121,16 @@ class TestSimSpec:
         with pytest.raises(ValueError, match=r"^master_seed must be >= 0, got -1$"):
             replace(SimSpec(horizon=100), master_seed=-1)
 
+    def test_horizon_beyond_the_kernels_slot_counter_rejected(self):
+        """The kernel steps an int64 slot counter by CHUNK slots: a horizon of
+        2**64 + 1000 used to reach it as 1000 slots and end in a
+        ZeroDivisionError, and 10**20 as 7.77e18 slots with a negative burn-in."""
+        assert simulator.MAX_HORIZON <= 2**63 - 1 - CHUNK
+        assert SimSpec(horizon=simulator.MAX_HORIZON).horizon == 10**18
+        for horizon in (10**18 + 1, 2**63 - 1, 2**64 + 1000, 10**20, np.uint64(2**64 - 1)):
+            with pytest.raises(ValueError, match=rf"^horizon must be <= 1e\+18 slots, got {horizon}$"):
+                SimSpec(horizon=horizon)
+
     def test_numpy_integer_counts_accepted(self):
         spec = SimSpec(horizon=np.int64(100), replications=np.int32(2), burn_in=np.int64(5),
                        master_seed=np.uint32(7))
@@ -223,13 +233,6 @@ class TestRunReplication:
         assert np.array_equal(a.counters.served_slots, b.counters.served_slots)
         assert np.array_equal(a.overflow_slot_counts, b.overflow_slot_counts)
         assert np.array_equal(a.counters.final_queues, b.counters.final_queues)
-
-    def test_batch_equals_single(self, ref_cfg):
-        spec = SimSpec(horizon=40_000, master_seed=2, replications=3)
-        (batch,) = run_replications(ref_cfg, [HET2], spec, [0, 1, 2])
-        solo = run_replication(ref_cfg, HET2, spec, 1)
-        assert np.array_equal(batch[1].counters.arrivals, solo.counters.arrivals)
-        assert np.array_equal(batch[1].counters.final_queues, solo.counters.final_queues)
 
     @pytest.mark.parametrize("rep_indices, message", [
         ([], r"^run_replications needs at least one replication index$"),
