@@ -14,7 +14,8 @@ The central objects:
 
 Every result is exact up to floating point and root tolerance: the LPs go
 to HiGHS, ``compute_iopt`` solves one scalar root of the largest secant over
-the dual vertices, and no grid or local search is left. HiGHS is reached
+the vertices of a lifted dual polytope, which scipy's Qhull intersects from
+its halfspaces, and no grid or local search is left. HiGHS is reached
 through scipy's ``milp`` rather than ``linprog``: the same solve with the
 same bits out, for a third less time per LP.
 
@@ -25,7 +26,6 @@ scipy.optimize costs more start-up time than a simulation campaign, and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -155,68 +155,67 @@ def w_growth(y, gamma, cfg: SystemConfig) -> tuple[float, np.ndarray]:
 # the decay-rate optimization by convex duality
 #
 # The LP dual is w(y, gamma) = max_{u >= 0, sum u <= 1} [u.y - sum_m gamma_m c_m(u)]
-# with c_m(u) = max_i u_i F[m][i], a concave piecewise-linear maximization whose
-# optimum sits on a vertex of the arrangement cut by the hyperplanes
-# u_i F[m][i] = u_j F[m][j]. For a fixed u, cost / (u.y - gamma.c(u)) is least at
-# the exponential tilt of (lam, p) along u, so I_opt = min over vertices u of
-# theta_u, the positive root of A_u(theta) + log sum_m p_m e^{-theta c_m(u)} = 0,
-# where A_u is the arrivals' log moment generating function along u (Glynn &
-# Whitt 1994). Every hyperplane but sum u = 1 passes through the origin, so the
-# nonzero vertices lie on that face, and theta_{su} = theta_u / s puts the
-# minimum there too. Each root function over theta (its secant from 0) is
-# nondecreasing, so I_opt is the first zero of the largest secant.
+# with c_m(u) = max_i u_i F[m][i]. For a fixed u, cost / (u.y - gamma.c(u)) is least
+# at the exponential tilt of (lam, p) along u, so I_opt = min over u of theta_u, the
+# positive root of A_u(theta) + log sum_m p_m e^{-theta c_m(u)} = 0, where A_u is the
+# arrivals' log moment generating function along u (Glynn & Whitt 1994). Each root
+# function over theta (its secant from 0) is nondecreasing, so I_opt is the first
+# zero of the largest secant, and theta_{su} = theta_u / s puts it on the face
+# sum u = 1. With t_m in place of c_m(u), the root function at a fixed theta is
+# jointly convex in (u, t) and decreasing in t, so its largest secant over the
+# lifted polytope P = {(u, t): u >= 0, sum u = 1, t_m >= u_i F[m][i]} lies at a
+# vertex of P, where t = c(u): one halfspace intersection by scipy's Qhull.
 
-_CANDIDATE_CAP = 400_000
-_SUBSET_BLOCK = 2048  # hyperplane subsets per stacked det/solve; bounds memory
+_INCIDENCE_CAP = 500_000
+
+
+def _vertex_count(n_states: int, n_users: int) -> int:
+    """P's vertex count for generic rates: those serving s users are the
+    C(M + s - 2, s - 1) vertices of the tropical complex of M points in s - 1
+    dimensions (Develin & Sturmfels 2004); with no state, the N corners."""
+    return sum(math.comb(n_users, s) * math.comb(max(n_states + s - 2, 0), s - 1) for s in range(1, n_users + 1))
 
 
 def _dual_candidates(rate_matrix: np.ndarray) -> np.ndarray:
-    """Vertices of the dual arrangement on the face {u >= 0, sum u = 1}.
+    """The u of P's vertices, rounded to 12 digits, one row each. Qhull works in
+    z = (u_1..u_{N-1}, t), where P is full-dimensional, under one bound sum_m t_m
+    <= sum_m max F[m] + 1. A vertex on the bound has the u of a vertex of P with
+    one state left out, itself a vertex of P, so every u is kept. Qhull's time
+    grows with the vertices it builds times their dimension, counted for generic
+    rates before any work: above _INCIDENCE_CAP, or if Qhull fails, this raises
+    ComputationError."""
+    from scipy.spatial import HalfspaceIntersection, QhullError
 
-    The hyperplanes are u_i = 0, the face, and u_i F[m,i] = u_j F[m,j] for
-    each state m and users i < j, in that order. A pair plane is kept once,
-    at its first occurrence: two are one plane when they are equal divided
-    by the larger rate and rounded to 12 digits, and a pair plane rounding
-    to u_i = 0 or u_j = 0 is that coordinate plane. Each subset is the face
-    row plus N-1 of the other hyperplanes. Raises ComputationError when the
-    number of subsets to try exceeds _CANDIDATE_CAP, instead of running for
-    hours.
-    """
-    M, N = rate_matrix.shape
-    iu, ju = np.triu_indices(N, 1)
-    pairs = np.zeros((M, len(iu), N))
-    pairs[:, np.arange(len(iu)), iu] = rate_matrix[:, iu]
-    pairs[:, np.arange(len(iu)), ju] = -rate_matrix[:, ju]
-    pairs = pairs.reshape(-1, N)  # (m, i, j) order
-    norm = np.abs(pairs).max(axis=1)
-    pairs, norm = pairs[norm > 0], norm[norm > 0]
-    keys = np.round(pairs / norm[:, None], 12)
-    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
-    first = first[np.count_nonzero(keys[first], axis=1) == 2]  # not a coordinate plane
-    A = np.vstack([np.eye(N), np.ones(N), pairs[first]])  # row N is the face sum u = 1
-    b = np.zeros(len(A))
-    b[N] = 1.0
-    others = [r for r in range(len(A)) if r != N]
-    n_subsets = math.comb(len(others), N - 1)
-    if n_subsets > _CANDIDATE_CAP:
-        raise ComputationError(
-            f"dual-vertex enumeration needs {n_subsets} subsets of {N - 1} of {len(others)} "
-            f"hyperplanes on the face sum u = 1, above the cap of {_CANDIDATE_CAP}"
-        )
-    subsets = itertools.combinations(others, N - 1)
-    cands = []
-    for start in range(0, n_subsets, _SUBSET_BLOCK):
-        count = min(_SUBSET_BLOCK, n_subsets - start)
-        idx = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(subsets, count)),
-            dtype=np.intp,
-            count=count * (N - 1),
-        ).reshape(count, N - 1)
-        idx = np.sort(np.column_stack([idx, np.full(count, N)]), axis=1)
-        idx = idx[~(np.abs(np.linalg.det(A[idx])) < 1e-12)]
-        u = np.linalg.solve(A[idx], b[idx][:, :, None])[:, :, 0]
-        cands.append(np.clip(u[np.all(u >= -1e-9, axis=1)], 0.0, None))
-    return _unique_rows(np.round(np.concatenate(cands), 12))
+    N = rate_matrix.shape[1]
+    if N == 1:
+        return np.ones((1, 1))  # Qhull needs two dimensions
+    # states with proportional rates have the same kinks: the first of each stays
+    top = rate_matrix.max(axis=1, keepdims=True)
+    keys = np.round(rate_matrix / np.where(top > 0, top, 1.0), 12)
+    F = rate_matrix[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
+    M, D = len(F), N + len(F) - 1
+    n_vertices = _vertex_count(M, N)
+    n_built = n_vertices + M * _vertex_count(M - 1, N)  # the bound cuts each unbounded edge
+    if n_built * D > _INCIDENCE_CAP:
+        raise ComputationError(f"the dual polytope of {N} users x {M} distinct states has up to {n_vertices} "
+                               f"vertices, {n_built} with its bound's, in {D} dimensions: {n_built * D} "
+                               f"vertex-facet incidences, above the cap of {_INCIDENCE_CAP}")
+    bound = F.max(axis=1).sum() + 1.0
+    rows = np.zeros((N + M * N + 1, N + M + 1))  # [a_u, a_t, b] for a.(u, t) + b <= 0
+    rows[:N, :N] = -np.eye(N)  # u_i >= 0
+    rows[N:-1, :N] = (F[:, :, None] * np.eye(N)).reshape(M * N, N)  # t_m >= u_i F[m, i]
+    rows[N:-1, N:-1] = np.repeat(-np.eye(M), N, axis=0)
+    rows[-1, N:] = np.append(np.ones(M), -bound)
+    last = rows[:, [N - 1]]  # u_N = 1 - sum of the others; zero rates repeat t_m >= 0
+    halfspaces = _unique_rows(np.hstack([rows[:, : N - 1] - last, rows[:, N:-1], rows[:, -1:] + last]))
+    c = F.max(axis=1) / N  # c(u) at u = 1/N
+    interior = np.concatenate([np.full(N - 1, 1.0 / N), c + (bound - c.sum()) / (2 * M)])
+    try:
+        z = HalfspaceIntersection(halfspaces, interior).intersections
+    except QhullError as exc:
+        raise ComputationError(f"Qhull failed on the dual polytope: {str(exc).splitlines()[0]}") from None
+    u = np.column_stack([z[:, : N - 1], 1.0 - z[:, : N - 1].sum(axis=1)])
+    return _unique_rows(np.round(np.clip(u, 0.0, None), 12))
 
 
 def _unique_rows(a: np.ndarray) -> np.ndarray:

@@ -173,8 +173,8 @@ def config_from_json(source: str | Path | dict) -> SystemConfig:
 
     Schema: {"n_users", "n_states", "state_probs", "rate_matrix",
     "arrival_rates", "arrival_model"}; rate_matrix is row-major, rows = states.
-    arrival_model may be left out (Poisson). A missing key, or any other key,
-    is a ValueError naming it.
+    arrival_model may be left out (Poisson). A missing key, any other key, or
+    an integer entry too large for a float is a ValueError naming it.
     """
     doc = load_json_object(source)
     keys = [f.name for f in fields(SystemConfig)]
@@ -184,13 +184,17 @@ def config_from_json(source: str | Path | dict) -> SystemConfig:
     missing = [f.name for f in fields(SystemConfig) if f.default is MISSING and f.name not in doc]
     if missing:
         raise ValueError(f"config needs {', '.join(map(repr, missing))}")
+    arrays = {}
+    for name in ("state_probs", "rate_matrix", "arrival_rates"):
+        try:
+            arrays[name] = np.asarray(doc[name], dtype=float)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError(f"{name} has an integer entry too large for a float") from None
     return SystemConfig(
         n_users=doc["n_users"],
         n_states=doc["n_states"],
-        state_probs=np.asarray(doc["state_probs"], dtype=float),
-        rate_matrix=np.asarray(doc["rate_matrix"], dtype=float),
-        arrival_rates=np.asarray(doc["arrival_rates"], dtype=float),
         arrival_model=doc.get("arrival_model", ARRIVAL_POISSON),
+        **arrays,
     )
 
 

@@ -119,7 +119,8 @@ def policy_from_json(source: str | Path | dict) -> Policy:
     """Parse {"type": "het"|"exp"|"mw", ...params, "tie_break"} from JSON;
     a parameter with a default (rho1, rho2) may be left out. A missing type
     or other parameter, a parameter that is not a number (a bool or a string
-    included), or any other key, is a ValueError naming it."""
+    included) or is an integer too large for a float, or any other key, is a
+    ValueError naming it."""
     doc = load_json_object(source)
     if "type" not in doc:
         raise ValueError(f"policy document needs 'type', one of {sorted(RULES)}")
@@ -138,7 +139,11 @@ def policy_from_json(source: str | Path | dict) -> Policy:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{kind} policy parameter {name!r} must be a number, got {value!r}")
-    variant = rule(**{name: float(value) for name, value in values.items()})
+        try:
+            values[name] = float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError(f"{kind} policy parameter {name!r} is too large for a float") from None
+    variant = rule(**values)
     return Policy(variant=variant, tie_break=doc.get("tie_break", TIE_LOWEST))
 
 

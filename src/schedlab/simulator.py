@@ -22,6 +22,7 @@ import functools
 import hashlib
 import os
 import subprocess
+import sys
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -86,6 +87,8 @@ class SimSpec:
             raise ValueError(f"horizon must be <= {MAX_HORIZON:.0e} slots, got {self.horizon}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.replications > sys.maxsize:  # the largest count a range or an array can hold
+            raise ValueError(f"replications must be <= {sys.maxsize}, got {self.replications}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 <= resolved_burn_in(self) < self.horizon:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import time
 
 import numpy as np
@@ -162,6 +163,22 @@ class TestSimulate:
                                         "--policy", HET_POLICY, "--horizon", "18446744073709552616")
         assert err == "schedlab: horizon must be <= 1e+18 slots, got 18446744073709552616\n"
 
+    def test_replications_beyond_an_index_exits_2(self, ref_cfg_path, tmp_path, capsys, monkeypatch):
+        """10**20 used to end in an OverflowError traceback in
+        run_simulation's range over the replications."""
+        err = refused_before_the_kernel(monkeypatch, capsys, tmp_path, "simulate", "--config", str(ref_cfg_path),
+                                        "--policy", HET_POLICY, "--horizon", "1000",
+                                        "--replications", "100000000000000000000")
+        assert err == f"schedlab: replications must be <= {sys.maxsize}, got 100000000000000000000\n"
+
+    def test_integer_parameter_beyond_the_float_range_exits_2(self, ref_cfg_path, tmp_path, capsys, monkeypatch):
+        """JSON keeps 1 followed by 400 zeros as an int, whose float() used to
+        end in an OverflowError traceback."""
+        policy = '{"type": "het", "q_th": 1' + "0" * 400 + "}"
+        err = refused_before_the_kernel(monkeypatch, capsys, tmp_path, "simulate", "--config", str(ref_cfg_path),
+                                        "--policy", policy, "--horizon", "1000")
+        assert err == "schedlab: het policy parameter 'q_th' is too large for a float\n"
+
     @pytest.mark.parametrize("policy, message", [
         ('{"type": "het", "q_th": 1e999}', "q_th must be finite, got inf"),
         ('{"type": "mw", "alpha": 1e999}', "alpha must be finite, got inf"),
@@ -262,7 +279,7 @@ class TestIopt:
         return str(path)
 
     def test_generic_5x4_is_exact(self, tmp_path):
-        # C(45, 4) = 148 995 subsets on the face, under the cap
+        # 280 vertices of the dual polytope, under the cap
         rates = np.random.default_rng(0).uniform(1.0, 9.0, size=(4, 5)).tolist()
         cfg_path = self.write_config(tmp_path / "generic5x4.json", rates, [0.25] * 4, [0.1] * 5)
         out = tmp_path / "iopt"
@@ -271,15 +288,29 @@ class TestIopt:
         assert len(read_csv(out / "phi_opt.csv")[1]) == 20
 
     def test_over_vertex_cap_exits_3(self, tmp_path, capsys):
-        # 6 users x 4 states with generic rates: C(66, 5) hyperplane subsets on the face
-        rates = np.random.default_rng(0).uniform(1.0, 9.0, size=(4, 6)).tolist()
-        cfg_path = self.write_config(tmp_path / "generic6x4.json", rates, [0.25] * 4, [0.1] * 6)
+        # 10 users x 4 states with generic rates: 43 520 vertices of the dual
+        # polytope, 110 080 with its bound's, in 13 dimensions
+        rates = np.random.default_rng(0).uniform(1.0, 9.0, size=(4, 10)).tolist()
+        cfg_path = self.write_config(tmp_path / "generic10x4.json", rates, [0.25] * 4, [0.1] * 10)
         out = tmp_path / "x"
         start = time.monotonic()
         rc = run_cli("iopt", "--config", cfg_path, "--out", str(out))
         assert time.monotonic() - start < 1.0
         assert rc == 3
-        assert "8936928" in capsys.readouterr().err
+        assert "43520 vertices" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_qhull_failure_exits_3(self, ref_cfg_path, tmp_path, capsys, monkeypatch):
+        import scipy.spatial
+
+        def failing(*args, **kwargs):
+            raise scipy.spatial.QhullError("QH6271 qhull topology error (qh_check_dupridge)\nmore detail")
+
+        monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", failing)
+        out = tmp_path / "x"
+        assert run_cli("iopt", "--config", str(ref_cfg_path), "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "schedlab: computation error: Qhull failed on the dual polytope: QH6271 qhull topology error (qh_check_dupridge)\n")
         assert not out.exists()
 
     def test_fluid_without_growing_deviation_exits_3(self, tmp_path, capsys):
@@ -299,6 +330,13 @@ class TestIopt:
         assert run_cli("iopt", "--config", cfg_path, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("schedlab: user 0's Poisson arrival rate 1e+19") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_integer_rate_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path / "huge.json", [[2.0], [3.0]], [0.5, 0.5], [10**400])
+        out = tmp_path / "x"
+        assert run_cli("iopt", "--config", cfg_path, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "schedlab: arrival_rates has an integer entry too large for a float\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--out", "--config"])

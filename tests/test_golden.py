@@ -93,7 +93,7 @@ def iopt_digest_configs():
 # SHA-256 over every config's compute_iopt result (or error) as float.hex: a
 # change to the LP, the dual-vertex enumeration or the root solve that moves
 # one bit of any config fails here
-GOLDEN_IOPT_FLOATS = "3bad17441d02ff426293bb30c2ca2bef712e9576f4b754dc1ef31417701bb03b"
+GOLDEN_IOPT_FLOATS = "6d7e05387c1a4e2b8007a0268658d8545feae0e9c4c7ae80ec40e029cb567069"
 
 
 def test_compute_iopt_floats_are_golden():

@@ -1,9 +1,7 @@
 import bisect
 import itertools
 import math
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -250,6 +248,23 @@ def dual_vertices(rate_matrix):
     return np.unique(np.round(points, 12), axis=0)
 
 
+def kink_vertices(rate_matrix, points):
+    """The rows u of points at which (u, c(u)) is a vertex of the lifted
+    polytope {(u, t): u >= 0, sum(u) = 1, t_m >= u_i F[m][i]}: its active
+    constraints, the face included, have rank N + M."""
+    M, N = rate_matrix.shape
+    lifted = np.zeros((M, N, N + M))  # the row of t_m >= u_i F[m][i] as F[m][i] u_i - t_m
+    lifted[:, :, :N] = rate_matrix[:, :, None] * np.eye(N)
+    lifted[np.arange(M), :, N + np.arange(M)] = -1.0
+    face = np.concatenate([np.ones(N), np.zeros(M)])
+    keep = []
+    for u in points:
+        c = (u * rate_matrix).max(axis=1)
+        rows = [face, *np.eye(N, N + M)[u == 0], *lifted[c[:, None] - u * rate_matrix <= 1e-9]]
+        keep.append(np.linalg.matrix_rank(np.array(rows)) == N + M)
+    return points[np.array(keep, dtype=bool)]
+
+
 def root_function(theta, u, cfg):
     """A_u(theta) + log sum_m p_m e^{-theta c_m(u)}, per row of u."""
     c = (u[..., None, :] * cfg.rate_matrix).max(axis=-1)
@@ -394,7 +409,7 @@ class TestWGrowth:
         assert 231 in skipped and 0 in skipped and any(0 < n < 231 for n in skipped)
 
 
-# the benchmark's 5-user x 3-state system (200 dual vertices on the face sum u = 1)
+# the benchmark's 5-user x 3-state system (57 vertices of the lifted polytope)
 FIVE_USER_RATES = np.array([[0, 0, 0, 0, 0], [3, 9, 9, 9, 9], [5, 0, 1, 1, 2]], dtype=float)
 
 
@@ -411,7 +426,7 @@ def enumeration_cases():
         cases.append(rng.integers(0, 7, size=shape).astype(float))
         cases.append(rng.uniform(0.5, 9.0, size=shape))
     # degenerate: 3 users x 2 states (seed 126), 5 x 2 (seed 136), a 5 x 4
-    # system with 624 face vertices, and smaller shapes
+    # system with 118 vertices of the lifted polytope, and smaller shapes
     cases += [degenerate_rates(126, (2, 3)), degenerate_rates(136, (2, 5)), degenerate_rates(142, (4, 5))]
     cases += [degenerate_rates(150 + k, shape) for k, shape in enumerate(((2, 2), (3, 3), (3, 4), (4, 3)))]
     return cases
@@ -420,31 +435,15 @@ def enumeration_cases():
 class TestDualEnumeration:
     @pytest.mark.parametrize("rates", enumeration_cases())
     def test_stacked_equals_per_subset_loop(self, rates):
-        assert np.array_equal(_dual_candidates(rates), dual_vertices(rates))
+        assert np.array_equal(_dual_candidates(rates), kink_vertices(rates, dual_vertices(rates)))
 
-    def test_small_blocks_merge_to_the_same_vertices(self, monkeypatch):
-        expected = dual_vertices(FIVE_USER_RATES)
-        monkeypatch.setattr(ldp, "_SUBSET_BLOCK", 97)
-        assert np.array_equal(_dual_candidates(FIVE_USER_RATES), expected)
-        assert len(expected) == 200
-
-    @pytest.mark.parametrize("rates", [FIVE_USER_RATES, degenerate_rates(142, (4, 5)), degenerate_rates(153, (4, 3))],
-                             ids=["five_user", "degenerate_4x5", "degenerate_4x3"])
-    def test_each_pair_plane_is_counted_once(self, monkeypatch, rates):
-        """A duplicated plane only adds singular subsets, so the vertices
-        cannot show it; the subset count the cap reads can. The pair planes
-        u_i F[m,i] = u_j F[m,j] with both rates positive are one plane per
-        user pair and exact rate ratio."""
-        M, N = rates.shape
-        pairs = [(i, j, Fraction(rates[m, i]) / Fraction(rates[m, j]))
-                 for m in range(M) for i, j in itertools.combinations(range(N), 2)
-                 if rates[m, i] > 0 and rates[m, j] > 0]
-        assert len(set(pairs)) < len(pairs)  # some plane recurs in another state
-        monkeypatch.setattr(ldp, "_CANDIDATE_CAP", 0)
-        with pytest.raises(ComputationError, match=f"subsets of {N - 1} of ") as exc:
-            _dual_candidates(rates)
-        K = int(re.search(r"subsets of \d+ of (\d+) hyperplanes", str(exc.value)).group(1))
-        assert K == N + len(set(pairs))
+    def test_proportional_states_count_once(self):
+        """Proportional rates give a state the same kinks, so 60 states from
+        four rows have the four rows' vertices; counted apart, they are far
+        above the cap."""
+        base = degenerate_rates(142, (4, 5))
+        rates = base[np.arange(60) % 4] * (np.arange(60) // 4 + 1)[:, None]
+        assert np.array_equal(_dual_candidates(rates), _dual_candidates(base))
 
     def test_unique_rows_equals_np_unique(self):
         # duplicate rows, -0.0 beside 0.0 in one column, and no rows at all
@@ -653,11 +652,12 @@ class TestIoptCertificate:
             assert np.allclose(res.arg_gamma, cert.gamma, atol=1e-9)
             assert res.arg_w == pytest.approx(cert.w, abs=1e-9)
 
-    def test_generic_5x4_tilt_attains_the_value(self):
-        # 20 210 face vertices; theta* is not known in closed form, so the
-        # tilt and random duals certify it
-        rates = np.random.default_rng(0).uniform(1.0, 9.0, size=(4, 5))
-        cfg = make_config(rates, [0.25] * 4, [0.1] * 5)
+    @pytest.mark.parametrize("n_users", [5, 6])
+    def test_generic_tilt_attains_the_value(self, n_users):
+        # 280 and 832 vertices of the lifted polytope; theta* is not known in
+        # closed form, so the tilt and random duals certify it
+        rates = np.random.default_rng(0).uniform(1.0, 9.0, size=(4, n_users))
+        cfg = make_config(rates, [0.25] * 4, [0.1] * n_users)
         res = compute_iopt(cfg)
         assert res.value > 0
         w = w_highs(res.arg_y, res.arg_gamma, cfg)

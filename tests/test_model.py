@@ -119,6 +119,18 @@ class TestValidateConfig:
         with pytest.raises(ValueError, match=r"^n_states must be an integer, got 3\.0$"):
             config_from_json({**doc, "n_states": 3.0})
 
+    @pytest.mark.parametrize("field", ["state_probs", "rate_matrix", "arrival_rates"])
+    def test_json_integer_beyond_the_float_range_named(self, ref_cfg_path, field):
+        """JSON keeps such a number as a Python int, which numpy's float
+        conversion refused with an OverflowError naming no field."""
+        doc = json.loads(ref_cfg_path.read_text())
+        entries = doc[field][0] if field == "rate_matrix" else doc[field]
+        entries[0] = 10**400
+        with pytest.raises(ValueError, match=rf"^{field} has an integer entry too large for a float$"):
+            config_from_json(doc)
+        with pytest.raises(ValueError, match=rf"^{field} has an integer entry"):
+            config_from_json(json.dumps(doc))
+
 
 class TestSlotLaw:
     """The channel law and the queue update, seen on runs of the kernel,

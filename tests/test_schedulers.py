@@ -178,6 +178,17 @@ class TestPolicyJson:
         with pytest.raises(ValueError, match=message):
             policy_from_json(doc)
 
+    @pytest.mark.parametrize("doc, name", [
+        ('{"type": "het", "q_th": 1' + "0" * 400 + "}", "q_th"),
+        ({"type": "mw", "alpha": 10**400}, "alpha"),
+        ({"type": "het", "q_th": 2, "rho1": -(10**309)}, "rho1"),
+    ], ids=["het_q_th_json", "mw_alpha_dict", "het_rho1_dict"])
+    def test_integer_beyond_the_float_range_rejected(self, doc, name):
+        """JSON keeps such a number as a Python int, whose float() used to
+        raise OverflowError, a traceback and exit 1 from the CLI."""
+        with pytest.raises(ValueError, match=rf"^\w+ policy parameter '{name}' is too large for a float$"):
+            policy_from_json(doc)
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             policy_from_json({"type": "exp", "eta": 0.0})

@@ -131,6 +131,14 @@ class TestSimSpec:
             with pytest.raises(ValueError, match=rf"^horizon must be <= 1e\+18 slots, got {horizon}$"):
                 SimSpec(horizon=horizon)
 
+    def test_replications_beyond_an_index_rejected(self):
+        """run_simulation's range over the replications used to raise
+        OverflowError (a traceback, exit 1) for a count above sys.maxsize."""
+        assert SimSpec(horizon=100, replications=sys.maxsize).replications == sys.maxsize
+        for count in (sys.maxsize + 1, 10**20):
+            with pytest.raises(ValueError, match=rf"^replications must be <= {sys.maxsize}, got {count}$"):
+                SimSpec(horizon=100, replications=count)
+
     def test_numpy_integer_counts_accepted(self):
         spec = SimSpec(horizon=np.int64(100), replications=np.int32(2), burn_in=np.int64(5),
                        master_seed=np.uint32(7))
